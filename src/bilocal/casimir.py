@@ -50,7 +50,7 @@ from .fock import (
     norm_sq,
     occupation_profile,
 )
-from .sectors import Weight, build_ground_state, weight_from_sector
+from .sectors import Weight, build_ground_state, joint_kernel, weight_from_sector
 from .young import SectorLabel
 
 
@@ -173,19 +173,21 @@ def unitarity_bound(s: SectorLabel) -> bool:
 # compact modules and the gamma identity
 
 
-def _vector_weight(ctx: FockContext, v: FockVector):
+def _vector_weight(ctx: FockContext, v: FockVector, n: int):
     a_occ, b_occ = occupation_profile(next(iter(v.monomials())), ctx)
     half_n = Fraction(ctx.N, 2)
-    plus = tuple(Fraction(k) + half_n for k in a_occ)
+    plus = tuple(Fraction(k) + half_n for k in a_occ[:n])
     if ctx.field_kind == COMPLEX:
-        return plus + tuple(Fraction(k) + half_n for k in b_occ)
+        return plus + tuple(Fraction(k) + half_n for k in b_occ[:n])
     return plus
 
 
 def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
     """Span closure of the ground state under all E(i,j), i,j <= n, organized
     as weight -> list of vectors.  Finite because E preserves particle
-    number."""
+    number.  Weights are keyed on the first n modes: exact when the ground
+    state is unoccupied above mode n, since the E(i,j), i,j <= n, keep
+    every vector unoccupied there."""
     labels = []
     kinds = ("Eplus", "Eminus") if ctx.field_kind == COMPLEX else ("E",)
     for kind in kinds:
@@ -196,7 +198,7 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
     blocks = {}
     spans = {}
     queue = [ground]
-    wt0 = _vector_weight(ctx, ground)
+    wt0 = _vector_weight(ctx, ground, n)
     blocks[wt0] = [ground]
     spans[wt0] = linalg.RowSpan()
     spans[wt0].add(dict(ground.items()))
@@ -206,7 +208,7 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
             img = apply_generator(ctx, g, v)
             if img.is_zero():
                 continue
-            wt = _vector_weight(ctx, img)
+            wt = _vector_weight(ctx, img, n)
             span = spans.setdefault(wt, linalg.RowSpan())
             if span.add(dict(img.items())):
                 blocks.setdefault(wt, []).append(img)
@@ -241,30 +243,12 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
         need = tuple(a - b for a, b in zip(lam, shift))
         for u in blocks.get(need, ()):
             v = apply_generator(ctx, Xstar(k, l), u)
-            if not v.is_zero() and span.add(dict(v.items())):
+            if span.add(dict(v.items())):
                 raised.append(v)
-    if not raised:
-        return []
     kinds = ("Eplus", "Eminus") if ctx.field_kind == COMPLEX else ("E",)
-    rows = []
-    images = []
-    for kind in kinds:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                g = GeneratorLabel(kind, i, j)
-                images.append([apply_generator(ctx, g, v) for v in raised])
-    for imgs in images:
-        targets = sorted({t for img in imgs for t in img.monomials()})
-        for t in targets:
-            rows.append([img.coefficient(t) for img in imgs])
-    out = []
-    for cv in linalg.nullspace(rows, ncols=len(raised)):
-        v = raised[0] * cv[0]
-        for c, b in zip(cv[1:], raised[1:]):
-            v = v + b * c
-        if not v.is_zero():
-            out.append(v)
-    return out
+    raising = [GeneratorLabel(kind, i, j) for kind in kinds
+               for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return joint_kernel(ctx, raising, raised)
 
 
 def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:

@@ -2,9 +2,9 @@
 
 Subcommands: verify, classify, gram, map-irreps, spectrum.  Exit codes:
 0 all checks pass, 1 a mathematical check failed (counterexample in the
-payload), 2 usage or configuration error.  All output is deterministic;
-there is no randomness anywhere (--seed-free is accepted and is a
-no-op, recording that fact).
+payload), 2 usage or configuration error, including a context too small
+for the request.  All output is deterministic; there is no randomness
+anywhere (--seed-free is accepted and is a no-op, recording that fact).
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ from .algebra import (
 from .fock import (
     COMPLEX,
     REAL,
+    ContextViolation,
     FockContext,
+    TruncationError,
     apply_annihilation,
     apply_creation,
     basis_monomials,
+    gram_matrix,
     inner_product,
     unit,
     vacuum,
@@ -212,13 +215,15 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     ctx = _context(args)
-    cutoff = parse_rational(args.cutoff)
-    spec = modes.appendix_spectrum(ctx, args.D) if args.D else None
     try:
-        results = sectors.classify_spectrum(ctx, cutoff, spec)
-    except Exception as exc:  # infeasible cutoff or context
-        _emit(args, {"ok": False, "error": str(exc)})
-        return 1
+        cutoff = parse_rational(args.cutoff)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad cutoff {args.cutoff!r}: {exc}") from exc
+    try:
+        spec = modes.appendix_spectrum(ctx, args.D) if args.D else None
+    except modes.ModeError as exc:
+        raise UsageError(str(exc)) from exc
+    results = sectors.classify_spectrum(ctx, cutoff, spec)
     rows = []
     ok = True
     for entry in results:
@@ -264,11 +269,7 @@ def cmd_gram(args) -> int:
     if violation:
         _emit(args, {"ok": False, "error": f"sector out of bound: {violation}"})
         return 1
-    try:
-        ground = sectors.build_ground_state(ctx, s)
-    except Exception as exc:
-        _emit(args, {"ok": False, "error": str(exc)})
-        return 1
+    ground = sectors.build_ground_state(ctx, s)
     from itertools import combinations_with_replacement
 
     from .algebra import Xstar
@@ -284,7 +285,7 @@ def cmd_gram(args) -> int:
         for i, j in word:
             v = apply_generator(ctx, Xstar(i, j), v)
         vectors.append(v)
-    matrix = [[inner_product(v, w) for w in vectors] for v in vectors]
+    matrix = gram_matrix(vectors)
     from .linalg import leading_principal_minors
 
     minors = leading_principal_minors(matrix)
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TruncationError, ContextViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,92 +1,65 @@
-"""Small exact linear algebra over Fraction: rref, nullspace, solve, minors.
+"""Exact linear algebra over Fraction, all through one sparse echelon.
 
-Matrices are lists of row lists.  Sizes here are tiny (tens to a few
-hundred), so plain fraction Gaussian elimination is the right tool.
+Rows are dicts {column: value} over any orderable column keys; a dense
+row list is read as {index: value}.  ``RowSpan`` keeps the echelon form
+of the rows pushed into it: the pivot columns of any echelon form of a
+row space are the same, so kernels read off it by back-substitution
+are the free-column basis whichever order the rows arrive in.
+``nullspace``, ``solve`` and ``det`` are thin readings of that echelon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-def rref(rows):
-    """Reduced row echelon form (copy) and the list of pivot columns."""
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, nrows) if m[k][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for k in range(nrows):
-            if k != r and m[k][c]:
-                f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the kernel of the matrix, as coefficient lists."""
-    if not rows:
-        if ncols is None:
-            return []
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+def _sparse(row) -> dict:
+    return row if isinstance(row, dict) else dict(enumerate(row))
+
+
+def _echelon(rows) -> "RowSpan":
+    span = RowSpan()
+    for row in rows:
+        span._push(_sparse(row))
+    return span
+
+
+def nullspace(rows, ncols):
+    """Basis of the kernel of the matrix with columns 0..ncols-1, as
+    coefficient lists: one vector per free column, 1 there and 0 at every
+    other free column."""
+    return _echelon(rows)._kernel(ncols)
 
 
 def solve(a, b):
-    """Solve a x = b for square nonsingular a; raises on singular input."""
+    """Solve a x = b for square nonsingular a, as the kernel of [a | -b];
+    raises on singular input."""
     n = len(a)
-    aug = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    span = _echelon(_sparse(row) | {n: -Fraction(bi)} for row, bi in zip(a, b))
+    if len(span._rows) != n or n in span._rows:
         raise ValueError("singular system")
-    return [red[i][n] for i in range(n)]
+    return span._kernel(n + 1)[0][:n]
 
 
 def det(a):
-    m = [list(map(Fraction, r)) for r in a]
-    n = len(m)
-    sign = 1
+    """Signed product of the pivots met while pushing the rows in order."""
+    span = RowSpan()
+    leads = []
     out = Fraction(1)
-    for c in range(n):
-        pivot = next((k for k in range(c, n) if m[k][c]), None)
-        if pivot is None:
+    for row in a:
+        lead, pivot = span._push(_sparse(row))
+        if lead is None:
             return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for k in range(c + 1, n):
-            if m[k][c]:
-                f = m[k][c] * inv
-                m[k] = [x - f * y for x, y in zip(m[k], m[c])]
-    return sign * out
+        leads.append(lead)
+        out *= pivot
+    for i, x in enumerate(leads):
+        for y in leads[i + 1:]:
+            if y < x:
+                out = -out
+    return out
 
 
 def leading_principal_minors(a):
@@ -102,7 +75,7 @@ class RowSpan:
     """
 
     def __init__(self):
-        self._rows = {}  # leading key -> reduced row dict
+        self._rows = {}  # leading key -> reduced row dict, leading entry 1
 
     def _reduce(self, vec):
         vec = {k: Fraction(c) for k, c in vec.items() if c}
@@ -120,17 +93,32 @@ class RowSpan:
                     vec.pop(k, None)
         return None, {}
 
-    def add(self, vec) -> bool:
+    def _push(self, vec):
+        """Store what is left of vec after reduction; return its leading
+        key and leading entry, or (None, 0) when vec was dependent."""
         lead, red = self._reduce(vec)
         if lead is None:
-            return False
-        inv = 1 / red[lead]
-        self._rows[lead] = {k: c * inv for k, c in red.items()}
-        return True
+            return None, Fraction(0)
+        pivot = red[lead]
+        self._rows[lead] = {k: c / pivot for k, c in red.items()}
+        return lead, pivot
 
-    def contains(self, vec) -> bool:
-        lead, _ = self._reduce(vec)
-        return lead is None
+    def add(self, vec) -> bool:
+        return self._push(vec)[0] is not None
 
-    def dim(self) -> int:
-        return len(self._rows)
+    def _kernel(self, ncols):
+        """Free-column basis of {x : row . x = 0 for every stored row} over
+        the integer columns 0..ncols-1, by back-substitution."""
+        pivots = sorted(self._rows, reverse=True)
+        basis = []
+        for free in range(ncols):
+            if free in self._rows:
+                continue
+            x = {free: _ONE}
+            for p in pivots:
+                if p < free:
+                    s = -sum(c * x[k] for k, c in self._rows[p].items() if k in x)
+                    if s:
+                        x[p] = s
+            basis.append([x.get(j, _ZERO) for j in range(ncols)])
+        return basis

@@ -45,6 +45,7 @@ from .fock import (
     ModeSlot,
     TruncationError,
     apply_creation,
+    gram_matrix,
     inner_product,
     norm_sq,
     unit,
@@ -223,7 +224,7 @@ def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
 def _project_onto(basis, v):
     if not basis:
         return zero(v.ctx)
-    gram = [[inner_product(a, b) for b in basis] for a in basis]
+    gram = gram_matrix(basis)
     rhs = [inner_product(a, v) for a in basis]
     coeffs = linalg.solve(gram, rhs)
     out = zero(v.ctx)
@@ -295,24 +296,31 @@ def lowering_and_raising_labels(ctx: FockContext):
     return labels
 
 
+def joint_kernel(ctx: FockContext, labels, vectors) -> list:
+    """Basis of the combinations of ``vectors`` annihilated by every
+    generator in ``labels``: one per free column of the coefficient matrix
+    whose sparse rows are keyed by (label, target monomial)."""
+    rows = {}
+    for g in labels:
+        for j, v in enumerate(vectors):
+            for t, c in apply_generator(ctx, g, v).items():
+                rows.setdefault((g, t), {})[j] = c
+    out = []
+    for cv in linalg.nullspace(list(rows.values()), ncols=len(vectors)):
+        terms = {}
+        for c, v in zip(cv, vectors):
+            if c:
+                for m, x in v.items():
+                    terms[m] = terms.get(m, 0) + c * x
+        out.append(FockVector(ctx, terms))
+    return out
+
+
 def hw_kernel_in_profile(ctx: FockContext, a_occ, b_occ) -> list:
     """Basis of the joint kernel of the ground-state conditions inside one
     occupation-profile subspace."""
-    basis = profile_monomials(ctx, a_occ, b_occ)
-    if not basis:
-        return []
-    labels = lowering_and_raising_labels(ctx)
-    rows = []
-    for g in labels:
-        images = [apply_generator(ctx, g, unit(ctx, m)) for m in basis]
-        targets = sorted({t for img in images for t in img.monomials()})
-        for t in targets:
-            rows.append([img.coefficient(t) for img in images])
-    coeff_vectors = linalg.nullspace(rows, ncols=len(basis))
-    out = []
-    for cv in coeff_vectors:
-        out.append(FockVector(ctx, {m: c for m, c in zip(basis, cv) if c}))
-    return out
+    basis = [unit(ctx, m) for m in profile_monomials(ctx, a_occ, b_occ)]
+    return joint_kernel(ctx, lowering_and_raising_labels(ctx), basis)
 
 
 # ---------------------------------------------------------------------------

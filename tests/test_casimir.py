@@ -159,23 +159,25 @@ def test_gamma_dominance_guard():
 
 
 @pytest.mark.parametrize(
-    "kind,N,rows",
+    "kind,N,rows,n",
     [
-        (COMPLEX, 1, None),
-        (COMPLEX, 2, None),
-        (COMPLEX, 2, (1,)),
-        (REAL, 1, None),
-        (REAL, 2, None),
-        (REAL, 2, (1,)),
+        pytest.param(COMPLEX, 1, None, 2, id="complex-1-None"),
+        pytest.param(COMPLEX, 2, None, 2, id="complex-2-None"),
+        pytest.param(COMPLEX, 2, (1,), 2, id="complex-2-rows2"),
+        pytest.param(REAL, 1, None, 2, id="real-1-None"),
+        pytest.param(REAL, 2, None, 2, id="real-2-None"),
+        pytest.param(REAL, 2, (1,), 2, id="real-2-rows5"),
+        # rank below the mode cutoff: weights are compared on the first n modes
+        pytest.param(COMPLEX, 2, None, 1, id="complex-2-None-n1"),
     ],
 )
-def test_verify_gamma_identity(kind, N, rows):
+def test_verify_gamma_identity(kind, N, rows, n):
     if kind == COMPLEX:
         s = vacuum_sector(COMPLEX, N) if rows is None else complex_sector(diagram(*rows), EMPTY, N)
     else:
         s = vacuum_sector(REAL, N) if rows is None else real_sector(diagram(*rows), N)
     ctx = FockContext(kind, N, 2, s.total_boxes() + 4).validate()
-    report = verify_gamma_identity(ctx, s, 2)
+    report = verify_gamma_identity(ctx, s, n)
     assert report["ok"], report
     assert report["gamma"] == report["gamma_closed_form"]
 

@@ -37,9 +37,22 @@ def test_verify_fault_injection_exits_1(capsys):
     assert payload["checks"]["structure_constants"]["failures"]
 
 
+USAGE_ERRORS = [
+    ["verify", "--N", "-1", "--M", "2", "--P", "4"],
+    ["classify", "--N", "1", "--cutoff", "1.5"],
+    ["classify", "--N", "1", "--cutoff", "abc"],
+    ["classify", "--N", "1", "--cutoff", "1/0"],
+    ["classify", "--N", "1", "--cutoff", "1", "--D", "5"],
+    # a context too small for the request
+    ["classify", "--N", "1", "--P", "2", "--cutoff", "5"],
+    ["gram", "--N", "2", "--M", "2", "--P", "2", "--yplus", "2,1"],
+]
+
+
 def test_usage_error_exit_2(capsys):
-    code, _ = run_cli(capsys, "verify", "--N", "-1", "--M", "2", "--P", "4")
-    assert code == 2
+    for argv in USAGE_ERRORS:
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
 
 
 def test_guard_requires_unsafe_large(capsys):

@@ -1,0 +1,120 @@
+"""Exhaustive checks of the exact kernels, solves and determinants on all
+small integer matrices with entries in {-1, 0, 1}, against oracles that
+share no code with the echelon: the Leibniz expansion and ranks read off
+nonzero minors."""
+
+from fractions import Fraction
+from itertools import combinations, permutations, product
+
+import pytest
+
+from bilocal.linalg import det, leading_principal_minors, nullspace, solve
+
+ENTRIES = (-1, 0, 1)
+SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def matrices(nrows, ncols, entries=ENTRIES):
+    for flat in product(entries, repeat=nrows * ncols):
+        yield [list(flat[r * ncols:(r + 1) * ncols]) for r in range(nrows)]
+
+
+def _sign(perm):
+    inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+SIGNED_PERMS = {n: [(_sign(p), p) for p in permutations(range(n))] for n in range(4)}
+
+
+def leibniz(a):
+    out = 0
+    for sign, perm in SIGNED_PERMS[len(a)]:
+        for i, p in enumerate(perm):
+            sign *= a[i][p]
+        out += sign
+    return out
+
+
+def rank(a, ncols):
+    """Size of the largest nonzero minor among the first ncols columns."""
+    for k in range(min(len(a), ncols), 0, -1):
+        for rows in combinations(range(len(a)), k):
+            for cols in combinations(range(ncols), k):
+                if leibniz([[a[r][c] for c in cols] for r in rows]):
+                    return k
+    return 0
+
+
+def sparse(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def apply(a, x):
+    return [sum(c * xi for c, xi in zip(row, x)) for row in a]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_nullspace_free_column_basis(shape):
+    nrows, ncols = shape
+    for a in matrices(nrows, ncols):
+        ranks = [rank(a, j) for j in range(ncols + 1)]
+        free = [j for j in range(ncols) if ranks[j + 1] == ranks[j]]
+        basis = nullspace(a, ncols=ncols)
+        assert len(basis) == ncols - ranks[ncols] == len(free), a
+        for x, fc in zip(basis, free):
+            assert apply(a, x) == [0] * nrows, (a, x)
+            assert [x[j] for j in free] == [int(j == fc) for j in free], (a, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_det_matches_leibniz(n):
+    for a in matrices(n, n):
+        assert det(a) == leibniz(a), a
+
+
+@pytest.mark.parametrize(
+    "n,entries,rhs",
+    [
+        (1, ENTRIES, list(product(ENTRIES, repeat=1))),
+        (2, ENTRIES, list(product(ENTRIES, repeat=2))),
+        (3, (0, 1), [(1, -2, 3), (1, 1, 0)]),
+    ],
+    ids=["1x1", "2x2", "3x3-binary"],
+)
+def test_solve_exact_or_singular(n, entries, rhs):
+    for a in matrices(n, n, entries):
+        nonsingular = leibniz(a) != 0
+        for b in rhs:
+            b = list(b)
+            if nonsingular:
+                assert apply(a, solve(a, b)) == b, (a, b)
+            else:
+                with pytest.raises(ValueError):
+                    solve(a, b)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_sparse_rows_match_dense_rows(shape):
+    nrows, ncols = shape
+    for a in matrices(nrows, ncols):
+        assert nullspace(sparse(a), ncols=ncols) == nullspace(a, ncols=ncols), a
+        if nrows == ncols:
+            assert det(sparse(a)) == det(a), a
+            if det(a):
+                assert solve(sparse(a), [1, -1]) == solve(a, [1, -1]), a
+
+
+def test_empty_and_degenerate_inputs():
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert nullspace([], ncols=3) == identity
+    assert nullspace([], ncols=0) == []
+    assert nullspace([[0, 0, 0]], ncols=3) == identity
+    assert det([]) == 1
+    assert solve([], []) == []
+
+
+def test_leading_principal_minors():
+    a = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    assert leading_principal_minors(a) == [2, 3, 4]
+    assert leading_principal_minors([[0, 0], [0, -1]]) == [0, 0]
