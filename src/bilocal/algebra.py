@@ -19,6 +19,8 @@ are independent of N.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
 from typing import Callable, Iterator, NamedTuple
 
 from .fock import (
@@ -355,6 +357,19 @@ def _commutator_real(g1, g2) -> OperatorExpr:
 # verification harness
 
 
+def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Callable | None, basis):
+    """The first basis monomial m with (ab - ba) m != c m, as the triple
+    (m, (ab - ba) m, c m), or None.  a, b and c map a FockVector to a
+    FockVector; c = None is the zero operator."""
+    for m in basis:
+        v = unit(ctx, m)
+        lhs = a(b(v)) - b(a(v))
+        rhs = zero(ctx) if c is None else c(v)
+        if lhs != rhs:
+            return m, lhs, rhs
+    return None
+
+
 def verify_structure_constants(ctx: FockContext, margin: int = 2,
                                realization: Callable = apply_generator,
                                max_failures: int = 10) -> dict:
@@ -369,7 +384,6 @@ def verify_structure_constants(ctx: FockContext, margin: int = 2,
         raise ValueError(f"margin {margin} empties the basis (P = {ctx.P})")
     ctx.validate()
     basis = list(basis_monomials(ctx, ctx.P - margin))
-    gens = sorted(set(generators(ctx)))
     images = {}
 
     def img(g: GeneratorLabel, v: FockVector) -> FockVector:
@@ -384,27 +398,18 @@ def verify_structure_constants(ctx: FockContext, margin: int = 2,
 
     failures = []
     pairs = 0
-    for a in range(len(gens)):
-        for b in range(a, len(gens)):
-            g1, g2 = gens[a], gens[b]
-            expected = abstract_commutator(g1, g2, ctx.field_kind)
-            pairs += 1
-            for m in basis:
-                v = unit(ctx, m)
-                lhs = img(g1, img(g2, v)) - img(g2, img(g1, v))
-                rhs = expected.apply(ctx, v, realization=realization)
-                if lhs != rhs:
-                    failures.append(
-                        {
-                            "pair": [str(g1), str(g2)],
-                            "monomial": monomial_str(m),
-                            "expected": repr(rhs),
-                            "got": repr(lhs),
-                        }
-                    )
-                    break
+    for g1, g2 in combinations_with_replacement(sorted(set(generators(ctx))), 2):
+        pairs += 1
+        expected = abstract_commutator(g1, g2, ctx.field_kind)
+        hit = commutator_counterexample(ctx, partial(img, g1), partial(img, g2),
+                                        partial(expected.apply, ctx, realization=realization),
+                                        basis)
+        if hit:
+            m, lhs, rhs = hit
+            failures.append({"pair": [str(g1), str(g2)], "monomial": monomial_str(m),
+                             "expected": repr(rhs), "got": repr(lhs)})
             if len(failures) >= max_failures:
-                return {"ok": False, "pairs_checked": pairs, "basis_size": len(basis), "failures": failures}
+                break
     return {"ok": not failures, "pairs_checked": pairs, "basis_size": len(basis), "failures": failures}
 
 

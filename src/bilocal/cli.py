@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import modes, sectors, young
 from .algebra import (
@@ -20,6 +21,8 @@ from .algebra import (
     apply_generator_unshifted,
     apply_hamiltonian,
     canonical_hamiltonian,
+    commutator_counterexample,
+    dagger_label,
     generators,
     verify_structure_constants,
 )
@@ -33,7 +36,8 @@ from .fock import (
     apply_creation,
     basis_monomials,
     gram_matrix,
-    inner_product,
+    monomial_self_overlap,
+    monomial_str,
     unit,
     vacuum,
 )
@@ -100,38 +104,46 @@ def _print_table(payload, indent=0):
 # verify
 
 
-def _check_ccr(ctx, margin=2) -> dict:
-    slots = ctx.slots()
+def _commutator_report(ctx, margin, identities) -> dict:
+    """Check each identity [a, b] = c, given as (label, a, b, c), on the
+    monomials at least ``margin`` particles below P.  A failing identity
+    reports its first failing monomial; the first five failures are kept."""
     basis = list(basis_monomials(ctx, ctx.P - margin))
     failures = []
-    for s in slots:
-        for t in slots:
-            for m in basis:
-                v = unit(ctx, m)
-                lhs = apply_annihilation(ctx, s, apply_creation(ctx, t, v)) - apply_creation(
-                    ctx, t, apply_annihilation(ctx, s, v)
-                )
-                rhs = v if s == t else v * 0
-                if lhs != rhs:
-                    failures.append({"slots": [str(s), str(t)], "monomial": str(m)})
-    return {"ok": not failures, "failures": failures[:5]}
+    for label, a, b, c in identities:
+        hit = commutator_counterexample(ctx, a, b, c, basis)
+        if hit:
+            failures.append(dict(label, monomial=monomial_str(hit[0])))
+            if len(failures) == 5:
+                break
+    return {"ok": not failures, "failures": failures}
+
+
+def _check_ccr(ctx, margin=2) -> dict:
+    slots = ctx.slots()
+    return _commutator_report(ctx, margin, (
+        ({"slots": [str(s), str(t)]}, partial(apply_annihilation, ctx, s),
+         partial(apply_creation, ctx, t), (lambda v: v) if s == t else None)
+        for s in slots for t in slots))
 
 
 def _check_adjointness(ctx, margin=2) -> dict:
-    from .algebra import dagger_label
+    """<g m, n> = <m, g† n> for all basis monomials m, n.  The metric
+    w(m) = <m|m> is diagonal, so this reads G[n,m] w(n) = G†[m,n] w(m) off
+    the image tables of g and g†; a pair where both sides vanish passes."""
+    basis = list(basis_monomials(ctx, ctx.P - margin))
+    weight = {m: monomial_self_overlap(m) for m in basis}
 
-    basis = [unit(ctx, m) for m in basis_monomials(ctx, ctx.P - margin)]
+    def mismatch(left, right):
+        return any(c * weight[n] != right[n].coefficient(m) * weight[m]
+                   for m, image in left.items() for n, c in image.items() if n in weight)
+
     failures = []
     for g in generators(ctx):
-        gd = dagger_label(g)
-        for v in basis:
-            gv = apply_generator(ctx, g, v)
-            for w in basis:
-                if inner_product(gv, w) != inner_product(v, apply_generator(ctx, gd, w)):
-                    failures.append({"generator": str(g)})
-                    break
-            if failures and failures[-1]["generator"] == str(g):
-                break
+        image = {m: apply_generator(ctx, g, unit(ctx, m)) for m in basis}
+        adjoint = {m: apply_generator(ctx, dagger_label(g), unit(ctx, m)) for m in basis}
+        if mismatch(image, adjoint) or mismatch(adjoint, image):
+            failures.append({"generator": str(g)})
     return {"ok": not failures, "failures": failures[:5]}
 
 
@@ -155,35 +167,17 @@ def _check_vacuum_cartan(ctx) -> dict:
 def _check_charge_commutes(ctx, margin=2) -> dict:
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
-    failures = []
-    for g in generators(ctx):
-        for m in basis_monomials(ctx, ctx.P - margin):
-            v = unit(ctx, m)
-            lhs = apply_charge(ctx, apply_generator(ctx, g, v)) - apply_generator(
-                ctx, g, apply_charge(ctx, v)
-            )
-            if not lhs.is_zero():
-                failures.append({"generator": str(g), "monomial": str(m)})
-                break
-    return {"ok": not failures, "failures": failures[:5]}
+    return _commutator_report(ctx, margin, (
+        ({"generator": str(g)}, partial(apply_charge, ctx), partial(apply_generator, ctx, g), None)
+        for g in generators(ctx)))
 
 
 def _check_gauge_commutant(ctx, margin=2) -> dict:
-    failures = []
     flavors = range(1, ctx.N + 1)
-    for p in flavors:
-        for q in flavors:
-            for g in generators(ctx):
-                for m in basis_monomials(ctx, ctx.P - margin):
-                    v = unit(ctx, m)
-                    lhs = young.apply_gauge_generator(ctx, p, q, apply_generator(ctx, g, v))
-                    rhs = apply_generator(ctx, g, young.apply_gauge_generator(ctx, p, q, v))
-                    if lhs != rhs:
-                        failures.append({"gauge": [p, q], "generator": str(g), "monomial": str(m)})
-                        break
-                if failures:
-                    break
-    return {"ok": not failures, "failures": failures[:5]}
+    return _commutator_report(ctx, margin, (
+        ({"gauge": [p, q], "generator": str(g)}, partial(young.apply_gauge_generator, ctx, p, q),
+         partial(apply_generator, ctx, g), None)
+        for p in flavors for q in flavors for g in generators(ctx)))
 
 
 def cmd_verify(args) -> int:
@@ -196,11 +190,11 @@ def cmd_verify(args) -> int:
     checks = {
         "structure_constants": verify_structure_constants(ctx, margin=args.margin,
                                                           realization=realization),
-        "ccr": _check_ccr(ctx),
-        "adjointness": _check_adjointness(ctx),
+        "ccr": _check_ccr(ctx, args.margin),
+        "adjointness": _check_adjointness(ctx, args.margin),
         "vacuum_cartan": _check_vacuum_cartan(ctx),
-        "charge_commutes": _check_charge_commutes(ctx),
-        "gauge_commutant": _check_gauge_commutant(ctx),
+        "charge_commutes": _check_charge_commutes(ctx, args.margin),
+        "gauge_commutant": _check_gauge_commutant(ctx, args.margin),
     }
     ok = all(c.get("ok") for c in checks.values())
     payload = {"context": {"kind": ctx.field_kind, "N": ctx.N, "M": ctx.M, "P": ctx.P},

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,7 @@ from bilocal.algebra import (
     apply_generator_unshifted,
     apply_hamiltonian,
     canonical_hamiltonian,
+    commutator_counterexample,
     dagger_label,
     generators,
     verify_structure_constants,
@@ -26,11 +28,14 @@ from bilocal.fock import (
     ContextViolation,
     FockContext,
     a_slot,
+    apply_annihilation,
+    apply_creation,
     b_slot,
     basis_monomials,
     inner_product,
     unit,
     vacuum,
+    zero,
 )
 
 
@@ -114,6 +119,19 @@ def test_margin_precondition():
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
     with pytest.raises(ValueError):
         verify_structure_constants(ctx, margin=1)
+
+
+def test_commutator_counterexample_returns_first_failing_monomial():
+    ctx = FockContext(COMPLEX, 1, 1, 3).validate()
+    a = partial(apply_annihilation, ctx, a_slot(1, 1))
+    a_star = partial(apply_creation, ctx, a_slot(1, 1))
+    basis = list(basis_monomials(ctx, 1))
+    assert commutator_counterexample(ctx, a, a_star, lambda v: v, basis) is None
+    # [a, a*] = 1 is not 0, and the vacuum comes first in the basis
+    assert commutator_counterexample(ctx, a, a_star, None, basis) == ((), vacuum(ctx), zero(ctx))
+    # [a*, a] = -1: the sides are returned as (ab - ba) m and c m
+    m, lhs, rhs = commutator_counterexample(ctx, a_star, a, lambda v: v, basis[1:])
+    assert (m, lhs, rhs) == (basis[1], -1 * unit(ctx, basis[1]), unit(ctx, basis[1]))
 
 
 def test_hamiltonian_canonical_on_vacuum():

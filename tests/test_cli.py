@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from bilocal import cli, fock, young
 from bilocal.cli import main
+from bilocal.fock import COMPLEX, FockContext, a_slot, basis_monomials, monomial_str
 from bilocal.serialize import dumps, jsonable, parse_rational
 
 
@@ -35,6 +37,57 @@ def test_verify_fault_injection_exits_1(capsys):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["checks"]["structure_constants"]["failures"]
+
+
+def test_verify_margin_reaches_every_check(capsys, monkeypatch):
+    seen = []
+
+    def spy(ctx, max_particles=None):
+        seen.append(max_particles)
+        return fock.basis_monomials(ctx, max_particles)
+
+    monkeypatch.setattr(cli, "basis_monomials", spy)
+    code, out = run_cli(capsys, "verify", "--N", "1", "--M", "2", "--P", "4", "--margin", "3")
+    assert code == 0
+    assert json.loads(out)["checks"]["structure_constants"]["basis_size"] == 5
+    # ccr, adjointness, charge and gauge each enumerate monomials with <= P - 3 particles
+    assert seen == [1, 1, 1, 1]
+
+
+def _annihilate_a11(ctx, v):
+    return fock.apply_annihilation(ctx, a_slot(1, 1), v)
+
+
+# Each verify check must fail when its identity is broken.  A fault is planted
+# by replacing one name the check reads: (owner, attribute, faulty stand-in).
+# A failing identity is reported once, and at most five are reported.
+NEGATIVE_CONTROLS = [
+    pytest.param("_check_ccr", (cli, "apply_creation",
+                                lambda ctx, slot, v: 2 * fock.apply_creation(ctx, slot, v)),
+                 {"slots", "monomial"}, 5, id="ccr-doubled-creation"),
+    pytest.param("_check_adjointness", (cli, "dagger_label", lambda g: g),
+                 {"generator"}, 5, id="adjointness-identity-dagger"),
+    pytest.param("_check_charge_commutes", (cli, "apply_charge", _annihilate_a11),
+                 {"generator", "monomial"}, 4, id="charge-noncommuting"),
+    pytest.param("_check_gauge_commutant", (young, "apply_gauge_generator",
+                                            lambda ctx, p, q, v: _annihilate_a11(ctx, v)),
+                 {"gauge", "generator", "monomial"}, 5, id="gauge-noncommuting"),
+]
+
+
+@pytest.mark.parametrize("check,fault,keys,count", NEGATIVE_CONTROLS)
+def test_verify_check_fails_on_planted_fault(monkeypatch, check, fault, keys, count):
+    ctx = FockContext(COMPLEX, 2, 2, 4).validate()
+    monkeypatch.setattr(*fault)
+    report = getattr(cli, check)(ctx)
+    assert report["ok"] is False
+    assert len(report["failures"]) == count
+    assert all(set(f) == keys for f in report["failures"])
+    monomials = {monomial_str(m) for m in basis_monomials(ctx, 2)}
+    assert all(f["monomial"] in monomials for f in report["failures"] if "monomial" in f)
+    identities = [str(sorted((k, str(v)) for k, v in f.items() if k != "monomial"))
+                  for f in report["failures"]]
+    assert len(set(identities)) == len(identities)
 
 
 USAGE_ERRORS = [
