@@ -25,12 +25,17 @@ from typing import Callable, Iterator, NamedTuple
 
 from .fock import (
     COMPLEX,
+    E_KIND,
+    EMINUS_KIND,
+    EPLUS_KIND,
+    FIELD_KINDS,
+    X_KIND,
+    XSTAR_KIND,
     ContextViolation,
     FockContext,
     FockVector,
     Monomial,
     SPECIES_A,
-    SPECIES_B,
     ModeSlot,
     apply_annihilation,
     apply_creation,
@@ -39,15 +44,6 @@ from .fock import (
     unit,
     zero,
 )
-
-X_KIND = "X"
-XSTAR_KIND = "Xstar"
-EPLUS_KIND = "Eplus"
-EMINUS_KIND = "Eminus"
-E_KIND = "E"
-
-COMPLEX_KINDS = (X_KIND, XSTAR_KIND, EPLUS_KIND, EMINUS_KIND)
-REAL_KINDS = (X_KIND, XSTAR_KIND, E_KIND)
 
 
 class GeneratorLabel(NamedTuple):
@@ -79,12 +75,8 @@ def E(i, j):
     return GeneratorLabel(E_KIND, i, j)
 
 
-def allowed_kinds(field_kind: str):
-    return COMPLEX_KINDS if field_kind == COMPLEX else REAL_KINDS
-
-
 def check_generator(ctx: FockContext, g: GeneratorLabel):
-    if g.kind not in allowed_kinds(ctx.field_kind):
+    if g.kind not in ctx.kind.generator_kinds:
         raise ContextViolation(f"generator kind {g.kind} invalid in {ctx.field_kind} context")
     ctx.check_mode(g.i)
     ctx.check_mode(g.j)
@@ -93,7 +85,7 @@ def check_generator(ctx: FockContext, g: GeneratorLabel):
 def generators(ctx: FockContext, max_mode=None) -> Iterator[GeneratorLabel]:
     """All generator labels with indices up to max_mode (default M)."""
     top = ctx.M if max_mode is None else max_mode
-    for kind in allowed_kinds(ctx.field_kind):
+    for kind in ctx.kind.generator_kinds:
         for i in range(1, top + 1):
             for j in range(1, top + 1):
                 yield GeneratorLabel(kind, i, j)
@@ -114,34 +106,17 @@ def dagger_label(g: GeneratorLabel) -> GeneratorLabel:
 
 def _apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector, shift: bool) -> FockVector:
     check_generator(ctx, g)
+    kind = ctx.kind
     i, j = g.i, g.j
     out = zero(ctx)
-    if g.kind == X_KIND:
-        if ctx.field_kind == COMPLEX:
-            for p in range(1, ctx.N + 1):
-                out = out + apply_annihilation(
-                    ctx, ModeSlot(SPECIES_B, i, p), apply_annihilation(ctx, ModeSlot(SPECIES_A, j, p), v)
-                )
-        else:
-            for p in range(1, ctx.N + 1):
-                out = out + apply_annihilation(
-                    ctx, ModeSlot(SPECIES_A, i, p), apply_annihilation(ctx, ModeSlot(SPECIES_A, j, p), v)
-                )
-        return out
-    if g.kind == XSTAR_KIND:
-        if ctx.field_kind == COMPLEX:
-            for p in range(1, ctx.N + 1):
-                out = out + apply_creation(
-                    ctx, ModeSlot(SPECIES_A, j, p), apply_creation(ctx, ModeSlot(SPECIES_B, i, p), v)
-                )
-        else:
-            for p in range(1, ctx.N + 1):
-                out = out + apply_creation(
-                    ctx, ModeSlot(SPECIES_A, i, p), apply_creation(ctx, ModeSlot(SPECIES_A, j, p), v)
-                )
+    if g.kind in (X_KIND, XSTAR_KIND):
+        ladder = apply_annihilation if g.kind == X_KIND else apply_creation
+        leg_i, leg_j = kind.x_legs
+        for p in range(1, ctx.N + 1):
+            out = out + ladder(ctx, ModeSlot(leg_i, i, p), ladder(ctx, ModeSlot(leg_j, j, p), v))
         return out
     # E generators: number-type bilinears plus the N/2 diagonal shift
-    species = SPECIES_B if g.kind == EMINUS_KIND else SPECIES_A
+    species = dict(kind.e_kinds)[g.kind]
     for p in range(1, ctx.N + 1):
         out = out + apply_creation(
             ctx, ModeSlot(species, i, p), apply_annihilation(ctx, ModeSlot(species, j, p), v)
@@ -282,7 +257,7 @@ def abstract_commutator(g1: GeneratorLabel, g2: GeneratorLabel, field_kind: str 
     generators.
     """
     for g in (g1, g2):
-        if g.kind not in allowed_kinds(field_kind):
+        if g.kind not in FIELD_KINDS[field_kind].generator_kinds:
             raise ContextViolation(f"kind {g.kind} invalid for {field_kind}")
     if field_kind == COMPLEX:
         return _commutator_complex(g1, g2)
@@ -438,20 +413,19 @@ class HamiltonianSpec(NamedTuple):
 
 
 def canonical_hamiltonian(ctx: FockContext, energies=None) -> HamiltonianSpec:
-    """The conformal choice: g_i = N (complex) or N/2 (real); default
+    """The conformal choice: g_i = n0, N (complex) or N/2 (real); default
     energies are 1, 2, 3, ..."""
     if energies is None:
         energies = tuple(Fraction(i) for i in range(1, ctx.M + 1))
     else:
         energies = tuple(Fraction(e) for e in energies)
-    g = Fraction(ctx.N) if ctx.field_kind == COMPLEX else Fraction(ctx.N, 2)
-    return HamiltonianSpec(energies, (g,) * len(energies))
+    return HamiltonianSpec(energies, (ctx.kind.n0(ctx.N),) * len(energies))
 
 
 def hamiltonian_constant(ctx: FockContext, spec: HamiltonianSpec) -> Fraction:
     """The c-number part, truncated to modes <= M: sum_i eps_i (n0 - g_i)
     where n0 is the Cartan-sum vacuum eigenvalue (N complex, N/2 real)."""
-    n0 = Fraction(ctx.N) if ctx.field_kind == COMPLEX else Fraction(ctx.N, 2)
+    n0 = ctx.kind.n0(ctx.N)
     return sum(
         (Fraction(spec.energies[i]) * (n0 - Fraction(spec.subtractions[i])) for i in range(ctx.M)),
         Fraction(0),

@@ -31,9 +31,6 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .algebra import (
-    E,
-    Eminus,
-    Eplus,
     GeneratorLabel,
     OperatorExpr,
     X,
@@ -42,13 +39,13 @@ from .algebra import (
 )
 from .fock import (
     COMPLEX,
+    FIELD_KINDS,
     REAL,
     ContextViolation,
     FockContext,
     FockVector,
     inner_product,
     norm_sq,
-    occupation_profile,
 )
 from .sectors import Weight, build_ground_state, joint_kernel, weight_from_sector
 from .young import SectorLabel
@@ -85,14 +82,13 @@ def _dot(u, v) -> Fraction:
 def casimir_k(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None) -> OperatorExpr:
     if max_mode is not None and n > max_mode:
         raise ContextViolation(f"rank {n} exceeds mode cutoff {max_mode}")
+    e_kinds = FIELD_KINDS[field_kind].e_kinds
     out = OperatorExpr.zero()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if field_kind == COMPLEX:
-                out = out + OperatorExpr.of(Eplus(i, j)) * OperatorExpr.of(Eplus(j, i))
-                out = out + OperatorExpr.of(Eminus(i, j)) * OperatorExpr.of(Eminus(j, i))
-            else:
-                out = out + OperatorExpr.of(E(i, j)) * OperatorExpr.of(E(j, i))
+            for kind, _ in e_kinds:
+                out = out + OperatorExpr.of(GeneratorLabel(kind, i, j)) * OperatorExpr.of(
+                    GeneratorLabel(kind, j, i))
     return out
 
 
@@ -174,12 +170,11 @@ def unitarity_bound(s: SectorLabel) -> bool:
 
 
 def _vector_weight(ctx: FockContext, v: FockVector, n: int):
-    a_occ, b_occ = occupation_profile(next(iter(v.monomials())), ctx)
+    """h_i = occupation + N/2 on the first n modes, one block per species."""
+    m = next(iter(v.monomials()))
     half_n = Fraction(ctx.N, 2)
-    plus = tuple(Fraction(k) + half_n for k in a_occ[:n])
-    if ctx.field_kind == COMPLEX:
-        return plus + tuple(Fraction(k) + half_n for k in b_occ[:n])
-    return plus
+    return tuple(half_n + sum(1 for s in m if s.species == sp and s.mode == i)
+                 for sp in ctx.kind.species for i in range(1, n + 1))
 
 
 def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
@@ -189,8 +184,7 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
     state is unoccupied above mode n, since the E(i,j), i,j <= n, keep
     every vector unoccupied there."""
     labels = []
-    kinds = ("Eplus", "Eminus") if ctx.field_kind == COMPLEX else ("E",)
-    for kind in kinds:
+    for kind, _ in ctx.kind.e_kinds:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j:
@@ -217,17 +211,15 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
 
 
 def _raised_weight_candidates(ctx, n):
-    """(k, l, weight shift) for Xstar(k,l) within the rank-n subalgebra."""
+    """(k, l, weight shift) for Xstar(k,l) within the rank-n subalgebra: one
+    unit at mode k of the i-leg species and one at mode l of the j-leg one."""
+    species, legs = ctx.kind.species, ctx.kind.x_legs
     out = []
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            shift = [Fraction(0)] * (2 * n if ctx.field_kind == COMPLEX else n)
-            if ctx.field_kind == COMPLEX:
-                shift[l - 1] += 1       # a* at mode l
-                shift[n + k - 1] += 1   # b* at mode k
-            else:
-                shift[k - 1] += 1
-                shift[l - 1] += 1
+            shift = [Fraction(0)] * (len(species) * n)
+            for sp, mode in zip(legs, (k, l)):
+                shift[species.index(sp) * n + mode - 1] += 1
             out.append((k, l, tuple(shift)))
     return out
 
@@ -245,8 +237,7 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
             v = apply_generator(ctx, Xstar(k, l), u)
             if span.add(dict(v.items())):
                 raised.append(v)
-    kinds = ("Eplus", "Eminus") if ctx.field_kind == COMPLEX else ("E",)
-    raising = [GeneratorLabel(kind, i, j) for kind in kinds
+    raising = [GeneratorLabel(kind, i, j) for kind, _ in ctx.kind.e_kinds
                for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return joint_kernel(ctx, raising, raised)
 

@@ -27,6 +27,48 @@ SPECIES_B = "b"
 COMPLEX = "complex"
 REAL = "real"
 
+X_KIND = "X"
+XSTAR_KIND = "Xstar"
+EPLUS_KIND = "Eplus"
+EMINUS_KIND = "Eminus"
+E_KIND = "E"
+
+
+class FieldKind(NamedTuple):
+    """Everything the two bilocal field classes differ in as data.  They are
+    the two instances of one dual pair: U(N) with u(inf,inf) (complex) and
+    O(N) with sp(inf,R) (real).
+
+    ``species`` are the oscillator species, ``x_legs`` the species of the i
+    and j legs of X(i,j), and ``e_kinds`` each E kind with the species it
+    counts.
+    """
+
+    species: tuple
+    x_legs: tuple
+    e_kinds: tuple
+
+    @property
+    def generator_kinds(self) -> tuple:
+        return (X_KIND, XSTAR_KIND) + tuple(kind for kind, _ in self.e_kinds)
+
+    @property
+    def x_symmetric(self) -> bool:
+        """X(i,j) = X(j,i): both legs carry the same species."""
+        return self.x_legs[0] == self.x_legs[1]
+
+    def n0(self, N) -> Fraction:
+        """Vacuum eigenvalue of the Cartan sum over all E kinds at one mode:
+        N/2 per species."""
+        return Fraction(len(self.species) * N, 2)
+
+
+FIELD_KINDS = {
+    COMPLEX: FieldKind((SPECIES_A, SPECIES_B), (SPECIES_B, SPECIES_A),
+                       ((EPLUS_KIND, SPECIES_A), (EMINUS_KIND, SPECIES_B))),
+    REAL: FieldKind((SPECIES_A,), (SPECIES_A, SPECIES_A), ((E_KIND, SPECIES_A),)),
+}
+
 
 class FockError(Exception):
     """Base class for Fock-space errors."""
@@ -83,7 +125,7 @@ class FockContext(NamedTuple):
     P: int
 
     def validate(self):
-        if self.field_kind not in (COMPLEX, REAL):
+        if self.field_kind not in FIELD_KINDS:
             raise ContextViolation(f"unknown field kind {self.field_kind!r}")
         if self.N < 0:
             raise ContextViolation("multiplet size N must be >= 0")
@@ -94,11 +136,11 @@ class FockContext(NamedTuple):
         return self
 
     @property
-    def species(self) -> tuple:
-        return (SPECIES_A,) if self.field_kind == REAL else (SPECIES_A, SPECIES_B)
+    def kind(self) -> FieldKind:
+        return FIELD_KINDS[self.field_kind]
 
     def check_slot(self, slot: ModeSlot):
-        if slot.species not in self.species:
+        if slot.species not in self.kind.species:
             raise ContextViolation(f"species {slot.species!r} not allowed in {self.field_kind} context")
         if not 1 <= slot.mode <= self.M:
             raise ContextViolation(f"mode {slot.mode} outside 1..{self.M}")
@@ -113,7 +155,7 @@ class FockContext(NamedTuple):
         """All valid slots, in canonical order."""
         return [
             ModeSlot(sp, m, f)
-            for sp in self.species
+            for sp in self.kind.species
             for m in range(1, self.M + 1)
             for f in range(1, self.N + 1)
         ]

@@ -18,7 +18,7 @@ from math import comb
 from typing import NamedTuple
 
 from .algebra import HamiltonianSpec, apply_hamiltonian, monomial_energy
-from .fock import COMPLEX, FockContext, basis_monomials, unit, vacuum
+from .fock import FockContext, basis_monomials, unit, vacuum
 
 
 class ModeError(ValueError):
@@ -111,8 +111,7 @@ def mode_ccr_coefficient(ell: int, D: int) -> Fraction:
 def appendix_spectrum(ctx: FockContext, D: int) -> HamiltonianSpec:
     """Canonical Hamiltonian with the conformal energies eps = ell + d0."""
     energies = tuple(e for _, e in enumerate_modes(D, ctx.M))
-    g = Fraction(ctx.N) if ctx.field_kind == COMPLEX else Fraction(ctx.N, 2)
-    return HamiltonianSpec(energies, (g,) * ctx.M)
+    return HamiltonianSpec(energies, (ctx.kind.n0(ctx.N),) * ctx.M)
 
 
 def conformal_spectrum_check(ctx: FockContext, D: int, count: int,
@@ -133,7 +132,7 @@ def conformal_spectrum_check(ctx: FockContext, D: int, count: int,
         if got != want:
             failures.append({"monomial": str(m), "expected": repr(want), "got": repr(got)})
     # one-particle level degeneracies, per complete harmonic level
-    species_count = len(ctx.species)
+    species_count = len(ctx.kind.species)
     degeneracies = []
     cumulative = 0
     ell = 0
@@ -149,7 +148,7 @@ def conformal_spectrum_check(ctx: FockContext, D: int, count: int,
                 for m in basis_monomials(ctx, 1)
                 if len(m) == 1 and m[0].species == sp and monomial_energy(m, spec) == energy
             )
-            for sp in ctx.species
+            for sp in ctx.kind.species
         ]
         expected = ctx.N * h
         degeneracies.append({"ell": ell, "h": h, "energy": energy,

@@ -21,12 +21,7 @@ from typing import Optional
 
 from . import linalg
 from .algebra import (
-    E,
-    E_KIND,
     EMINUS_KIND,
-    EPLUS_KIND,
-    Eminus,
-    Eplus,
     GeneratorLabel,
     HamiltonianSpec,
     OperatorExpr,
@@ -94,7 +89,8 @@ class Weight:
         return (self.head_plus,) if self.head_minus is None else (self.head_plus, self.head_minus)
 
     def component(self, i: int, side: str = "plus") -> Fraction:
-        head = self.head_plus if side == "plus" else self.head_minus
+        """h_i on one side; a weight with a single head ignores ``side``."""
+        head = self.head_plus if side == "plus" or self.head_minus is None else self.head_minus
         return head[i - 1] if i <= len(head) else self.tail
 
     def coords(self, n: int):
@@ -275,25 +271,12 @@ def profile_monomials(ctx: FockContext, a_occ, b_occ=None) -> list:
 
 
 def lowering_and_raising_labels(ctx: FockContext):
-    """The annihilation conditions defining a ground state: all X(i,j) and
-    the energy-raising E(i,j) with i < j."""
-    labels = []
-    if ctx.field_kind == COMPLEX:
-        for i in range(1, ctx.M + 1):
-            for j in range(1, ctx.M + 1):
-                labels.append(X(i, j))
-        for i in range(1, ctx.M + 1):
-            for j in range(i + 1, ctx.M + 1):
-                labels.append(Eplus(i, j))
-                labels.append(Eminus(i, j))
-    else:
-        for i in range(1, ctx.M + 1):
-            for j in range(i, ctx.M + 1):
-                labels.append(X(i, j))
-        for i in range(1, ctx.M + 1):
-            for j in range(i + 1, ctx.M + 1):
-                labels.append(E(i, j))
-    return labels
+    """The annihilation conditions defining a ground state: all X(i,j) (only
+    i <= j when X is symmetric) and the energy-raising E(i,j) with i < j."""
+    kind, modes = ctx.kind, range(1, ctx.M + 1)
+    symmetric, e_kinds = kind.x_symmetric, kind.e_kinds
+    return [X(i, j) for i in modes for j in modes if i <= j or not symmetric] + [
+        GeneratorLabel(e, i, j) for i in modes for j in modes if i < j for e, _ in e_kinds]
 
 
 def joint_kernel(ctx: FockContext, labels, vectors) -> list:
@@ -338,8 +321,7 @@ def verify_hw_conditions(ctx: FockContext, v: FockVector, expected: Weight) -> d
         img = apply_generator(ctx, g, v)
         if not img.is_zero():
             failures.append({"condition": f"{g} v = 0", "got": repr(img)})
-    diag_kinds = (EPLUS_KIND, EMINUS_KIND) if ctx.field_kind == COMPLEX else (E_KIND,)
-    for kind in diag_kinds:
+    for kind, _ in ctx.kind.e_kinds:
         side = "minus" if kind == EMINUS_KIND else "plus"
         for i in range(1, ctx.M + 1):
             checked += 1
@@ -372,8 +354,6 @@ def norm_recursion_oracle(w: Weight, kind: str, i: int, j: int, n: int = 1,
     if kind == "recE":
         if i >= j:
             raise ValueError("recE needs i < j")
-        if w.field_kind == REAL:
-            side = "plus"
         d = w.component(i, side) - w.component(j, side)
         out = Fraction(1)
         for k in range(n):
@@ -386,10 +366,7 @@ def norm_recursion_oracle(w: Weight, kind: str, i: int, j: int, n: int = 1,
 
 def null_vector_order(w: Weight, i: int, j: int, side: str = "plus") -> int:
     """Smallest n with E(j,i)^n |h> = 0 (i < j): h_i - h_j + 1."""
-    d = w.component(i, "plus" if w.field_kind == REAL else side) - w.component(
-        j, "plus" if w.field_kind == REAL else side
-    )
-    return int(d) + 1
+    return int(w.component(i, side) - w.component(j, side)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +475,7 @@ def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[Hamiltonia
             )
     results = []
     for a_occ, b_occ in _profiles_below(ctx, energies, energy_cutoff):
-        kernel = hw_kernel_in_profile(ctx, a_occ, b_occ if ctx.field_kind == COMPLEX else None)
+        kernel = hw_kernel_in_profile(ctx, a_occ, b_occ)
         if not kernel:
             continue
         energy = sum(

@@ -24,7 +24,6 @@ from .fock import (
     FockContext,
     FockVector,
     SPECIES_A,
-    SPECIES_B,
     ModeSlot,
     apply_annihilation,
     apply_creation,
@@ -508,21 +507,18 @@ def apply_gauge_generator(ctx: FockContext, p: int, q: int, v: FockVector) -> Fo
 
     Complex: E^{pq} = sum_i (a*[i,p] a[i,q] - b*[i,q] b[i,p]).
     Real:    M^{pq} = sum_i (a*[i,p] a[i,q] - a*[i,q] a[i,p]).
+    The second term acts on the last oscillator species of the field kind.
     """
     for f in (p, q):
         if not 1 <= f <= ctx.N:
             raise ContextViolation(f"flavor {f} outside 1..{ctx.N}")
+    second = ctx.kind.species[-1]
     out = zero(ctx)
     for i in range(1, ctx.M + 1):
         out = out + apply_creation(
             ctx, ModeSlot(SPECIES_A, i, p), apply_annihilation(ctx, ModeSlot(SPECIES_A, i, q), v)
         )
-        if ctx.field_kind == COMPLEX:
-            out = out - apply_creation(
-                ctx, ModeSlot(SPECIES_B, i, q), apply_annihilation(ctx, ModeSlot(SPECIES_B, i, p), v)
-            )
-        else:
-            out = out - apply_creation(
-                ctx, ModeSlot(SPECIES_A, i, q), apply_annihilation(ctx, ModeSlot(SPECIES_A, i, p), v)
-            )
+        out = out - apply_creation(
+            ctx, ModeSlot(second, i, q), apply_annihilation(ctx, ModeSlot(second, i, p), v)
+        )
     return out
