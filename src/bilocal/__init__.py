@@ -53,7 +53,6 @@ from .young import (
     conjugate_relative,
     irrep_U_to_sector,
     pieri_add_box,
-    pieri_add_two_boxes_row,
     real_sector,
     sector_to_irrep_O,
     sector_to_irrep_U,
@@ -70,13 +69,11 @@ from .casimir import (
     verify_gamma_identity,
 )
 from .modes import (
-    FourierLabel,
     ModeLabel,
     conformal_spectrum_check,
     enumerate_modes,
     harmonic_count,
     oscillator_normalization,
-    residue,
 )
 
 __version__ = "0.1.0"

@@ -345,6 +345,26 @@ def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Cal
     return None
 
 
+class ImageCache:
+    """Images of unit monomials under ``realization(ctx, label, v)``, each
+    computed once; ``apply`` extends them linearly to any vector."""
+
+    def __init__(self, ctx: FockContext, realization: Callable = apply_generator):
+        self.ctx, self.realization, self._images = ctx, realization, {}
+
+    def image(self, label, m: Monomial) -> FockVector:
+        out = self._images.get((label, m))
+        if out is None:
+            out = self._images[(label, m)] = self.realization(self.ctx, label, unit(self.ctx, m))
+        return out
+
+    def apply(self, label, v: FockVector) -> FockVector:
+        out = zero(self.ctx)
+        for m, c in v.items():
+            out = out + self.image(label, m) * c
+        return out
+
+
 def verify_structure_constants(ctx: FockContext, margin: int = 2,
                                realization: Callable = apply_generator,
                                max_failures: int = 10) -> dict:
@@ -359,24 +379,13 @@ def verify_structure_constants(ctx: FockContext, margin: int = 2,
         raise ValueError(f"margin {margin} empties the basis (P = {ctx.P})")
     ctx.validate()
     basis = list(basis_monomials(ctx, ctx.P - margin))
-    images = {}
-
-    def img(g: GeneratorLabel, v: FockVector) -> FockVector:
-        out = zero(ctx)
-        for m, c in v.items():
-            cached = images.get((g, m))
-            if cached is None:
-                cached = realization(ctx, g, unit(ctx, m))
-                images[(g, m)] = cached
-            out = out + cached * c
-        return out
-
+    images = ImageCache(ctx, realization)
     failures = []
     pairs = 0
     for g1, g2 in combinations_with_replacement(sorted(set(generators(ctx))), 2):
         pairs += 1
         expected = abstract_commutator(g1, g2, ctx.field_kind)
-        hit = commutator_counterexample(ctx, partial(img, g1), partial(img, g2),
+        hit = commutator_counterexample(ctx, partial(images.apply, g1), partial(images.apply, g2),
                                         partial(expected.apply, ctx, realization=realization),
                                         basis)
         if hit:

@@ -14,8 +14,9 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from . import modes, sectors, young
+from . import linalg, modes, sectors, young
 from .algebra import (
+    ImageCache,
     apply_charge,
     apply_generator,
     apply_generator_unshifted,
@@ -38,7 +39,6 @@ from .fock import (
     gram_matrix,
     monomial_self_overlap,
     monomial_str,
-    unit,
     vacuum,
 )
 from .serialize import dumps, jsonable, parse_rational
@@ -133,16 +133,15 @@ def _check_adjointness(ctx, margin=2) -> dict:
     the image tables of g and g†; a pair where both sides vanish passes."""
     basis = list(basis_monomials(ctx, ctx.P - margin))
     weight = {m: monomial_self_overlap(m) for m in basis}
+    images = ImageCache(ctx)
 
-    def mismatch(left, right):
-        return any(c * weight[n] != right[n].coefficient(m) * weight[m]
-                   for m, image in left.items() for n, c in image.items() if n in weight)
+    def mismatch(g, h):
+        return any(c * weight[n] != images.image(h, n).coefficient(m) * weight[m]
+                   for m in basis for n, c in images.image(g, m).items() if n in weight)
 
     failures = []
     for g in generators(ctx):
-        image = {m: apply_generator(ctx, g, unit(ctx, m)) for m in basis}
-        adjoint = {m: apply_generator(ctx, dagger_label(g), unit(ctx, m)) for m in basis}
-        if mismatch(image, adjoint) or mismatch(adjoint, image):
+        if mismatch(g, dagger_label(g)) or mismatch(dagger_label(g), g):
             failures.append({"generator": str(g)})
     return {"ok": not failures, "failures": failures[:5]}
 
@@ -168,16 +167,19 @@ def _check_vacuum_cartan(ctx) -> dict:
 def _check_charge_commutes(ctx, margin=2) -> dict:
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
+    images = ImageCache(ctx)
     return _commutator_report(ctx, margin, (
-        ({"generator": str(g)}, partial(apply_charge, ctx), partial(apply_generator, ctx, g), None)
+        ({"generator": str(g)}, partial(apply_charge, ctx), partial(images.apply, g), None)
         for g in generators(ctx)))
 
 
 def _check_gauge_commutant(ctx, margin=2) -> dict:
     flavors = range(1, ctx.N + 1)
+    gauge = ImageCache(ctx, lambda ctx, pq, v: young.apply_gauge_generator(ctx, *pq, v))
+    images = ImageCache(ctx)
     return _commutator_report(ctx, margin, (
-        ({"gauge": [p, q], "generator": str(g)}, partial(young.apply_gauge_generator, ctx, p, q),
-         partial(apply_generator, ctx, g), None)
+        ({"gauge": [p, q], "generator": str(g)}, partial(gauge.apply, (p, q)),
+         partial(images.apply, g), None)
         for p in flavors for q in flavors for g in generators(ctx)))
 
 
@@ -281,10 +283,8 @@ def cmd_gram(args) -> int:
             v = apply_generator(ctx, Xstar(i, j), v)
         vectors.append(v)
     matrix = gram_matrix(vectors)
-    from .linalg import leading_principal_minors
-
-    minors = leading_principal_minors(matrix)
-    psd = all(m >= 0 for m in minors)
+    minors = linalg.leading_principal_minors(matrix)
+    psd = linalg.positive_semidefinite(matrix)
     payload = {
         "ok": psd,
         "sector": young.sector_to_json(s),

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Fraction, all through one sparse echelon.
+"""Exact linear algebra over Fraction: one sparse echelon, plus one
+symmetric elimination for the positive-semidefinite test.
 
 Rows are dicts {column: value} over any orderable column keys; a dense
 row list is read as {index: value}.  ``RowSpan`` keeps the echelon form
@@ -65,6 +66,25 @@ def det(a):
 def leading_principal_minors(a):
     n = len(a)
     return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
+
+
+def positive_semidefinite(a) -> bool:
+    """Exact PSD test for a symmetric matrix by symmetric elimination: each
+    pivot is replaced by the Schur complement of its row and column.  A
+    negative pivot fails, and so does a zero pivot whose row is nonzero (a
+    PSD matrix has a zero row wherever it has a zero diagonal entry)."""
+    a = [[Fraction(x) for x in row] for row in a]
+    n = len(a)
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1:])):
+            return False
+        for i in range(k + 1, n):
+            if a[k][i]:
+                f = a[k][i] / pivot
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+    return True
 
 
 class RowSpan:

@@ -1,6 +1,5 @@
 """Conformal one-particle spectrum on the compactified space: spherical
-harmonic counting, the residue functional on Fourier labels, and the
-oscillator normalization dictionary.
+harmonic counting and the oscillator normalization dictionary.
 
 Harmonics are abstract orthonormal labels; only the degeneracy count
 
@@ -39,14 +38,6 @@ class ModeLabel(NamedTuple):
         return self.ell + self.d0
 
 
-class FourierLabel(NamedTuple):
-    """Label of the basis function (z^2)^n h_{ell,mu}(z)."""
-
-    n: int
-    ell: int
-    mu: int
-
-
 def _check_dimension(D: int):
     if D % 2 or D < 4:
         raise ModeError(f"spacetime dimension must be even and >= 4, got {D}")
@@ -80,14 +71,6 @@ def enumerate_modes(D: int, count: int) -> list:
                 return out
         ell += 1
     return out
-
-
-def residue(label: FourierLabel, D: int) -> int:
-    """1 iff the basis function has nonzero residue: n = -D/2 and ell = 0."""
-    _check_dimension(D)
-    if label.ell < 0 or label.mu < 1 or (label.ell >= 0 and label.mu > harmonic_count(D, label.ell)):
-        raise ModeError(f"label {label} outside the harmonic degeneracy")
-    return 1 if (label.n == -D // 2 and label.ell == 0) else 0
 
 
 def oscillator_normalization(ell: int, D: int) -> Fraction:

@@ -223,25 +223,6 @@ def pieri_add_box(y: YoungDiagram) -> set:
     return out
 
 
-def pieri_add_two_boxes_row(y: YoungDiagram) -> set:
-    """All diagrams obtained by adding two boxes, no two in the same column."""
-    out = set()
-    for mid in pieri_add_box(y):
-        added1 = _added_cell(y, mid)
-        for final in pieri_add_box(mid):
-            added2 = _added_cell(mid, final)
-            if added1[1] != added2[1]:  # distinct columns
-                out.add(final)
-    return out
-
-
-def _added_cell(before: YoungDiagram, after: YoungDiagram):
-    for i in range(1, after.num_rows + 1):
-        if after.row(i) != before.row(i):
-            return (i, after.row(i))
-    raise ValueError("no added cell")
-
-
 # ---------------------------------------------------------------------------
 # U(N) dictionary
 
@@ -269,13 +250,6 @@ def conjugate_relative(y: YoungDiagram, N: int) -> YoungDiagram:
     if any(h > N for h in heights):
         raise ValueError(f"column taller than N={N}")
     return YoungDiagram.from_columns(tuple(N - h for h in reversed(heights)))
-
-
-def gauge_weight_U(s: SectorLabel):
-    """Dominant integer weight of U(N) attached to a complex sector:
-    lambda_p = (row p of Y+) - (row N+1-p of Y-)."""
-    N = s.N
-    return tuple(s.y_plus.row(p) - s.y_minus.row(N + 1 - p) for p in range(1, N + 1))
 
 
 def sector_to_irrep_U(s: SectorLabel) -> GaugeIrrepU:

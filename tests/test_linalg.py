@@ -1,14 +1,14 @@
-"""Exhaustive checks of the exact kernels, solves and determinants on all
-small integer matrices with entries in {-1, 0, 1}, against oracles that
-share no code with the echelon: the Leibniz expansion and ranks read off
-nonzero minors."""
+"""Exhaustive checks of the exact kernels, solves, determinants and the PSD
+test on all small integer matrices with entries in {-1, 0, 1}, against
+oracles that share no code with the elimination: the Leibniz expansion,
+ranks read off nonzero minors, and signs of principal minors."""
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
-from bilocal.linalg import det, leading_principal_minors, nullspace, solve
+from bilocal.linalg import det, leading_principal_minors, nullspace, positive_semidefinite, solve
 
 ENTRIES = (-1, 0, 1)
 SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
@@ -118,3 +118,22 @@ def test_leading_principal_minors():
     a = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
     assert leading_principal_minors(a) == [2, 3, 4]
     assert leading_principal_minors([[0, 0], [0, -1]]) == [0, 0]
+    assert not positive_semidefinite([[0, 0], [0, -1]])  # invisible to leading minors
+
+
+def symmetric_matrices(n):
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for values in product(ENTRIES, repeat=len(cells)):
+        a = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(cells, values):
+            a[i][j] = a[j][i] = x
+        yield a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_positive_semidefinite_matches_principal_minors(n):
+    """PSD iff every principal minor (not only every leading one) is >= 0."""
+    for a in symmetric_matrices(n):
+        minors_ok = all(det([[a[r][c] for c in rows] for r in rows]) >= 0
+                        for k in range(1, n + 1) for rows in combinations(range(n), k))
+        assert positive_semidefinite(a) == minors_ok, a

@@ -2,14 +2,12 @@ import pytest
 
 from bilocal.fock import COMPLEX, REAL, FockContext
 from bilocal.modes import (
-    FourierLabel,
     ModeError,
     conformal_spectrum_check,
     enumerate_modes,
     harmonic_count,
     mode_ccr_coefficient,
     oscillator_normalization,
-    residue,
     spectrum_table,
 )
 
@@ -53,20 +51,6 @@ def test_enumerate_modes_single_and_d6():
 
 def test_enumerate_modes_deterministic():
     assert enumerate_modes(4, 14) == enumerate_modes(4, 14)
-
-
-def test_residue():
-    assert residue(FourierLabel(-2, 0, 1), 4) == 1
-    assert residue(FourierLabel(0, 0, 1), 4) == 0
-    assert residue(FourierLabel(-2, 1, 1), 4) == 0
-
-
-def test_residue_vanishes_for_positive_ell():
-    for D in (4, 6):
-        for n in range(-5, 3):
-            for ell in range(1, 5):
-                for mu in range(1, harmonic_count(D, ell) + 1):
-                    assert residue(FourierLabel(n, ell, mu), D) == 0
 
 
 def test_oscillator_normalization():

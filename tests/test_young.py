@@ -15,11 +15,9 @@ from bilocal.young import (
     conjugate_relative,
     diagram,
     enumerate_sectors,
-    gauge_weight_U,
     irrep_O_to_sector,
     irrep_U_to_sector,
     pieri_add_box,
-    pieri_add_two_boxes_row,
     sector_to_irrep_O,
     sector_to_irrep_U,
     weyl_dimension_U,
@@ -52,11 +50,6 @@ def test_conjugate_relative():
 
 def test_pieri_single_box():
     assert pieri_add_box(diagram(1)) == {diagram(2), diagram(1, 1)}
-
-
-def test_pieri_two_boxes_row_rule():
-    assert pieri_add_two_boxes_row(EMPTY) == {diagram(2)}
-    assert pieri_add_two_boxes_row(diagram(1)) == {diagram(3), diagram(2, 1)}
 
 
 def test_sector_to_irrep_U_examples():
@@ -103,11 +96,6 @@ def test_weyl_dimension_examples():
     # vector of U(3) and its conjugate
     assert weyl_dimension_U(GaugeIrrepU(diagram(1), 1), 3) == 3
     assert weyl_dimension_U(GaugeIrrepU(diagram(1, 1), -1), 3) == 3
-
-
-def test_gauge_weight_matches_split():
-    s = complex_sector(diagram(1), diagram(1), 2)
-    assert gauge_weight_U(s) == (1, -1)
 
 
 def test_sector_to_irrep_O_examples():
