@@ -16,7 +16,9 @@ commutators must stay a margin of 2 particles below P.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, groupby
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
@@ -34,23 +36,30 @@ EMINUS_KIND = "Eminus"
 E_KIND = "E"
 
 
-class FieldKind(NamedTuple):
+@dataclass(frozen=True)
+class FieldKind:
     """Everything the two bilocal field classes differ in as data.  They are
     the two instances of one dual pair: U(N) with u(inf,inf) (complex) and
     O(N) with sp(inf,R) (real).
 
     ``species`` are the oscillator species, ``x_legs`` the species of the i
     and j legs of X(i,j), and ``e_kinds`` each E kind with the species it
-    counts.
+    counts.  The derived values the generator action reads on every call
+    are cached on first use.
     """
 
     species: tuple
     x_legs: tuple
     e_kinds: tuple
 
-    @property
+    @cached_property
     def generator_kinds(self) -> tuple:
         return (X_KIND, XSTAR_KIND) + tuple(kind for kind, _ in self.e_kinds)
+
+    @cached_property
+    def e_species(self) -> dict:
+        """E kind -> the species it counts."""
+        return dict(self.e_kinds)
 
     @property
     def x_symmetric(self) -> bool:
