@@ -116,7 +116,7 @@ def _apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector, shift: 
             out = out + ladder(ctx, ModeSlot(leg_i, i, p), ladder(ctx, ModeSlot(leg_j, j, p), v))
         return out
     # E generators: number-type bilinears plus the N/2 diagonal shift
-    species = kind.e_species[g.kind]
+    species = kind.e_kinds[g.kind]
     for p in range(1, ctx.N + 1):
         out = out + apply_creation(
             ctx, ModeSlot(species, i, p), apply_annihilation(ctx, ModeSlot(species, j, p), v)

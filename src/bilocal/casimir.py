@@ -86,7 +86,7 @@ def casimir_k(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None)
     out = OperatorExpr.zero()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            for kind, _ in e_kinds:
+            for kind in e_kinds:
                 out = out + OperatorExpr.of(GeneratorLabel(kind, i, j)) * OperatorExpr.of(
                     GeneratorLabel(kind, j, i))
     return out
@@ -184,7 +184,7 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
     state is unoccupied above mode n, since the E(i,j), i,j <= n, keep
     every vector unoccupied there."""
     labels = []
-    for kind, _ in ctx.kind.e_kinds:
+    for kind in ctx.kind.e_kinds:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j:
@@ -237,7 +237,7 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
             v = apply_generator(ctx, Xstar(k, l), u)
             if span.add(dict(v.items())):
                 raised.append(v)
-    raising = [GeneratorLabel(kind, i, j) for kind, _ in ctx.kind.e_kinds
+    raising = [GeneratorLabel(kind, i, j) for kind in ctx.kind.e_kinds
                for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return joint_kernel(ctx, raising, raised)
 

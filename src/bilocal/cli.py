@@ -150,7 +150,7 @@ def _check_vacuum_cartan(ctx) -> dict:
     vac = vacuum(ctx)
     failures = []
     half_n = Fraction(ctx.N, 2)
-    e_kinds = dict(ctx.kind.e_kinds)
+    e_kinds = ctx.kind.e_kinds
     for g in generators(ctx):
         if g.kind in e_kinds:
             img = apply_generator(ctx, g, vac)

@@ -36,30 +36,26 @@ EMINUS_KIND = "Eminus"
 E_KIND = "E"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldKind:
     """Everything the two bilocal field classes differ in as data.  They are
     the two instances of one dual pair: U(N) with u(inf,inf) (complex) and
     O(N) with sp(inf,R) (real).
 
     ``species`` are the oscillator species, ``x_legs`` the species of the i
-    and j legs of X(i,j), and ``e_kinds`` each E kind with the species it
-    counts.  The derived values the generator action reads on every call
-    are cached on first use.
+    and j legs of X(i,j), and ``e_kinds`` maps each E kind, in generator
+    order, to the species it counts.  One record per kind, compared by
+    identity.
     """
 
     species: tuple
     x_legs: tuple
-    e_kinds: tuple
+    e_kinds: dict
 
     @cached_property
     def generator_kinds(self) -> tuple:
-        return (X_KIND, XSTAR_KIND) + tuple(kind for kind, _ in self.e_kinds)
-
-    @cached_property
-    def e_species(self) -> dict:
-        """E kind -> the species it counts."""
-        return dict(self.e_kinds)
+        """Cached: the generator action checks it on every call."""
+        return (X_KIND, XSTAR_KIND) + tuple(self.e_kinds)
 
     @property
     def x_symmetric(self) -> bool:
@@ -74,8 +70,8 @@ class FieldKind:
 
 FIELD_KINDS = {
     COMPLEX: FieldKind((SPECIES_A, SPECIES_B), (SPECIES_B, SPECIES_A),
-                       ((EPLUS_KIND, SPECIES_A), (EMINUS_KIND, SPECIES_B))),
-    REAL: FieldKind((SPECIES_A,), (SPECIES_A, SPECIES_A), ((E_KIND, SPECIES_A),)),
+                       {EPLUS_KIND: SPECIES_A, EMINUS_KIND: SPECIES_B}),
+    REAL: FieldKind((SPECIES_A,), (SPECIES_A, SPECIES_A), {E_KIND: SPECIES_A}),
 }
 
 

@@ -276,7 +276,7 @@ def lowering_and_raising_labels(ctx: FockContext):
     kind, modes = ctx.kind, range(1, ctx.M + 1)
     symmetric, e_kinds = kind.x_symmetric, kind.e_kinds
     return [X(i, j) for i in modes for j in modes if i <= j or not symmetric] + [
-        GeneratorLabel(e, i, j) for i in modes for j in modes if i < j for e, _ in e_kinds]
+        GeneratorLabel(e, i, j) for i in modes for j in modes if i < j for e in e_kinds]
 
 
 def joint_kernel(ctx: FockContext, labels, vectors) -> list:
@@ -321,7 +321,7 @@ def verify_hw_conditions(ctx: FockContext, v: FockVector, expected: Weight) -> d
         img = apply_generator(ctx, g, v)
         if not img.is_zero():
             failures.append({"condition": f"{g} v = 0", "got": repr(img)})
-    for kind, _ in ctx.kind.e_kinds:
+    for kind in ctx.kind.e_kinds:
         side = "minus" if kind == EMINUS_KIND else "plus"
         for i in range(1, ctx.M + 1):
             checked += 1
