@@ -44,6 +44,7 @@ from .fock import (
     unit,
     zero,
 )
+from .linalg import Combination, add_scaled
 
 
 class GeneratorLabel(NamedTuple):
@@ -108,22 +109,23 @@ def _apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector, shift: 
     check_generator(ctx, g)
     kind = ctx.kind
     i, j = g.i, g.j
-    out = zero(ctx)
+    out = {}
     if g.kind in (X_KIND, XSTAR_KIND):
         ladder = apply_annihilation if g.kind == X_KIND else apply_creation
         leg_i, leg_j = kind.x_legs
         for p in range(1, ctx.N + 1):
-            out = out + ladder(ctx, ModeSlot(leg_i, i, p), ladder(ctx, ModeSlot(leg_j, j, p), v))
-        return out
+            add_scaled(out, ladder(ctx, ModeSlot(leg_i, i, p),
+                                   ladder(ctx, ModeSlot(leg_j, j, p), v)).terms)
+        return FockVector._wrap(out, ctx)
     # E generators: number-type bilinears plus the N/2 diagonal shift
     species = kind.e_kinds[g.kind]
     for p in range(1, ctx.N + 1):
-        out = out + apply_creation(
+        add_scaled(out, apply_creation(
             ctx, ModeSlot(species, i, p), apply_annihilation(ctx, ModeSlot(species, j, p), v)
-        )
+        ).terms)
     if shift and i == j:
-        out = out + v * Fraction(ctx.N, 2)
-    return out
+        add_scaled(out, v.terms, Fraction(ctx.N, 2))
+    return FockVector._wrap(out, ctx)
 
 
 def apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector) -> FockVector:
@@ -140,23 +142,15 @@ def apply_generator_unshifted(ctx: FockContext, g: GeneratorLabel, v: FockVector
 # noncommutative polynomials in generator labels
 
 
-class OperatorExpr:
-    """Finite rational combination of ordered generator words.
+class OperatorExpr(Combination):
+    """Finite rational combination of ordered generator words (tuples of
+    labels).
 
     The empty word is the scalar 1.  In a product word the rightmost
     letter acts first.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[tuple(w)] = c
-        self.terms = clean
+    __slots__ = ()
 
     @staticmethod
     def zero() -> "OperatorExpr":
@@ -170,67 +164,32 @@ class OperatorExpr:
     def of(g: GeneratorLabel, coeff=1) -> "OperatorExpr":
         return OperatorExpr({(g,): Fraction(coeff)})
 
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        e = OperatorExpr.__new__(OperatorExpr)
-        e.terms = out
-        return e
-
-    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self + other * -1
-
     def __mul__(self, other):
-        if isinstance(other, OperatorExpr):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    s = out.get(w, 0) + c1 * c2
-                    if s:
-                        out[w] = s
-                    else:
-                        out.pop(w, None)
-            return OperatorExpr(out)
-        return OperatorExpr({w: c * Fraction(other) for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, OperatorExpr) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        """Word product with another expression, else a scalar multiple."""
+        if not isinstance(other, OperatorExpr):
+            return Combination.__mul__(self, other)
+        out = {}
+        for w1, c1 in self.terms.items():
+            add_scaled(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
+        return OperatorExpr._wrap(out)
 
     def dagger(self) -> "OperatorExpr":
-        out = {}
-        for w, c in self.terms.items():
-            key = tuple(dagger_label(g) for g in reversed(w))
-            out[key] = out.get(key, 0) + c
-        return OperatorExpr(out)
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        """Reversed words of adjoint letters; the map is injective on words,
+        so no two terms collide."""
+        return OperatorExpr._wrap({tuple(dagger_label(g) for g in reversed(w)): c
+                                   for w, c in self.terms.items()})
 
     def apply(self, ctx: FockContext, v: FockVector,
               realization: Callable = apply_generator) -> FockVector:
-        out = zero(ctx)
+        pieces = []
         for w, c in self.terms.items():
             piece = v
             for g in reversed(w):
                 if piece.is_zero():
                     break
                 piece = realization(ctx, g, piece)
-            out = out + piece * c
-        return out
+            pieces.append((c, piece))
+        return zero(ctx).plus(pieces)
 
     def __repr__(self):
         if not self.terms:
@@ -250,6 +209,12 @@ def _delta(a, b) -> int:
     return 1 if a == b else 0
 
 
+def _linear(terms) -> OperatorExpr:
+    """The sum of coeff * kind(a, b) over the (kind, a, b, coeff) in terms."""
+    return OperatorExpr().plus([(coeff, OperatorExpr.of(GeneratorLabel(kind, a, b)))
+                                for kind, a, b, coeff in terms])
+
+
 def abstract_commutator(g1: GeneratorLabel, g2: GeneratorLabel, field_kind: str = COMPLEX) -> OperatorExpr:
     """[g1, g2] as a degree <= 1 expression in the structure relations.
 
@@ -267,65 +232,44 @@ def abstract_commutator(g1: GeneratorLabel, g2: GeneratorLabel, field_kind: str 
 def _commutator_complex(g1, g2) -> OperatorExpr:
     k1, i, j = g1
     k2, k, l = g2
-    t = {}
-
-    def put(kind, a, b, coeff):
-        if coeff:
-            key = (GeneratorLabel(kind, a, b),)
-            t[key] = t.get(key, 0) + coeff
-
     if k1 == k2 and k1 in (EPLUS_KIND, EMINUS_KIND):
-        put(k1, i, l, _delta(j, k))
-        put(k1, k, j, -_delta(i, l))
+        terms = [(k1, i, l, _delta(j, k)), (k1, k, j, -_delta(i, l))]
     elif {k1, k2} == {EPLUS_KIND, EMINUS_KIND}:
-        pass
+        terms = []
     elif (k1, k2) == (EPLUS_KIND, XSTAR_KIND):
-        put(XSTAR_KIND, k, i, _delta(j, l))
+        terms = [(XSTAR_KIND, k, i, _delta(j, l))]
     elif (k1, k2) == (EPLUS_KIND, X_KIND):
-        put(X_KIND, k, j, -_delta(i, l))
+        terms = [(X_KIND, k, j, -_delta(i, l))]
     elif (k1, k2) == (EMINUS_KIND, XSTAR_KIND):
-        put(XSTAR_KIND, i, l, _delta(j, k))
+        terms = [(XSTAR_KIND, i, l, _delta(j, k))]
     elif (k1, k2) == (EMINUS_KIND, X_KIND):
-        put(X_KIND, j, l, -_delta(i, k))
+        terms = [(X_KIND, j, l, -_delta(i, k))]
     elif (k1, k2) == (X_KIND, XSTAR_KIND):
-        put(EPLUS_KIND, l, j, _delta(i, k))
-        put(EMINUS_KIND, k, i, _delta(j, l))
+        terms = [(EPLUS_KIND, l, j, _delta(i, k)), (EMINUS_KIND, k, i, _delta(j, l))]
     elif k1 == k2:  # [X,X] = [Xstar,Xstar] = 0
-        pass
+        terms = []
     else:
         return _commutator_complex(g2, g1) * -1
-    return OperatorExpr(t)
+    return _linear(terms)
 
 
 def _commutator_real(g1, g2) -> OperatorExpr:
     k1, i, j = g1
     k2, k, l = g2
-    t = {}
-
-    def put(kind, a, b, coeff):
-        if coeff:
-            key = (GeneratorLabel(kind, a, b),)
-            t[key] = t.get(key, 0) + coeff
-
     if (k1, k2) == (E_KIND, E_KIND):
-        put(E_KIND, i, l, _delta(j, k))
-        put(E_KIND, k, j, -_delta(i, l))
+        terms = [(E_KIND, i, l, _delta(j, k)), (E_KIND, k, j, -_delta(i, l))]
     elif (k1, k2) == (E_KIND, XSTAR_KIND):
-        put(XSTAR_KIND, i, l, _delta(j, k))
-        put(XSTAR_KIND, k, i, _delta(j, l))
+        terms = [(XSTAR_KIND, i, l, _delta(j, k)), (XSTAR_KIND, k, i, _delta(j, l))]
     elif (k1, k2) == (E_KIND, X_KIND):
-        put(X_KIND, j, l, -_delta(i, k))
-        put(X_KIND, k, j, -_delta(i, l))
+        terms = [(X_KIND, j, l, -_delta(i, k)), (X_KIND, k, j, -_delta(i, l))]
     elif (k1, k2) == (X_KIND, XSTAR_KIND):
-        put(E_KIND, l, i, _delta(j, k))
-        put(E_KIND, k, i, _delta(j, l))
-        put(E_KIND, l, j, _delta(i, k))
-        put(E_KIND, k, j, _delta(i, l))
+        terms = [(E_KIND, l, i, _delta(j, k)), (E_KIND, k, i, _delta(j, l)),
+                 (E_KIND, l, j, _delta(i, k)), (E_KIND, k, j, _delta(i, l))]
     elif k1 == k2:
-        pass
+        terms = []
     else:
         return _commutator_real(g2, g1) * -1
-    return OperatorExpr(t)
+    return _linear(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +303,10 @@ class ImageCache:
         return out
 
     def apply(self, label, v: FockVector) -> FockVector:
-        out = zero(self.ctx)
+        out = {}
         for m, c in v.items():
-            out = out + self.image(label, m) * c
-        return out
+            add_scaled(out, self.image(label, m).terms, c)
+        return FockVector._wrap(out, self.ctx)
 
 
 def verify_structure_constants(ctx: FockContext, margin: int = 2,
@@ -380,13 +324,17 @@ def verify_structure_constants(ctx: FockContext, margin: int = 2,
     ctx.validate()
     basis = list(basis_monomials(ctx, ctx.P - margin))
     images = ImageCache(ctx, realization)
+
+    def cached(_ctx, g, v):
+        return images.apply(g, v)
+
     failures = []
     pairs = 0
     for g1, g2 in combinations_with_replacement(sorted(set(generators(ctx))), 2):
         pairs += 1
         expected = abstract_commutator(g1, g2, ctx.field_kind)
         hit = commutator_counterexample(ctx, partial(images.apply, g1), partial(images.apply, g2),
-                                        partial(expected.apply, ctx, realization=realization),
+                                        partial(expected.apply, ctx, realization=cached),
                                         basis)
         if hit:
             m, lhs, rhs = hit

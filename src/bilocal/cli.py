@@ -13,10 +13,12 @@ import argparse
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 
 from . import linalg, modes, sectors, young
 from .algebra import (
     ImageCache,
+    Xstar,
     apply_charge,
     apply_generator,
     apply_generator_unshifted,
@@ -267,10 +269,6 @@ def cmd_gram(args) -> int:
         _emit(args, {"ok": False, "error": f"sector out of bound: {violation}"})
         return 1
     ground = sectors.build_ground_state(ctx, s)
-    from itertools import combinations_with_replacement
-
-    from .algebra import Xstar
-
     words = list(
         combinations_with_replacement(
             [(i, j) for i in range(1, ctx.M + 1) for j in range(1, ctx.M + 1)], args.level

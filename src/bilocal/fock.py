@@ -23,6 +23,8 @@ from itertools import combinations_with_replacement, groupby
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
+from .linalg import Combination
+
 SPECIES_A = "a"
 SPECIES_B = "b"
 
@@ -119,6 +121,8 @@ Monomial = tuple
 
 VACUUM_MONOMIAL: Monomial = ()
 
+_ONE = Fraction(1)
+
 
 class FockContext(NamedTuple):
     """Shared truncation data: field kind, multiplet size N, mode cutoff M,
@@ -180,100 +184,46 @@ def monomial_self_overlap(m: Monomial) -> int:
     return out
 
 
-class FockVector:
-    """Immutable-by-convention map from monomials to rational coefficients."""
+class FockVector(Combination):
+    """Rational combination of monomials in one context; adding vectors
+    from two contexts raises ContextMismatch."""
 
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ()
 
     def __init__(self, ctx: FockContext, terms=None):
-        self.ctx = ctx
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[m] = c
-        self._terms = clean
+        Combination.__init__(self, terms, ctx)
 
-    def items(self):
-        return self._terms.items()
-
-    def monomials(self):
-        return self._terms.keys()
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def _check_same_ctx(self, other: "FockVector"):
+    def _check(self, other: "FockVector"):
         if self.ctx != other.ctx:
             raise ContextMismatch(f"contexts differ: {self.ctx} vs {other.ctx}")
 
-    def __add__(self, other: "FockVector") -> "FockVector":
-        self._check_same_ctx(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        v = FockVector.__new__(FockVector)
-        v.ctx, v._terms = self.ctx, out
-        return v
+    def monomials(self):
+        return self.terms.keys()
 
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> "FockVector":
-        scalar = Fraction(scalar)
-        v = FockVector.__new__(FockVector)
-        v.ctx = self.ctx
-        v._terms = {m: c * scalar for m, c in self._terms.items()} if scalar else {}
-        return v
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FockVector)
-            and self.ctx == other.ctx
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self._terms.items())))
+    def coefficient(self, m: Monomial) -> Fraction:
+        return self.terms.get(m, Fraction(0))
 
     def __repr__(self):
-        if not self._terms:
+        if not self.terms:
             return "FockVector(0)"
-        bits = [f"{c}*{monomial_str(m)}" for m, c in sorted(self._terms.items())]
+        bits = [f"{c}*{monomial_str(m)}" for m, c in sorted(self.terms.items())]
         return "FockVector(" + " + ".join(bits[:6]) + (" + ..." if len(bits) > 6 else "") + ")"
 
     def max_particles(self) -> int:
-        return max((len(m) for m in self._terms), default=0)
-
-
-def vector(ctx: FockContext, terms) -> FockVector:
-    return FockVector(ctx, terms)
+        return max((len(m) for m in self.terms), default=0)
 
 
 def zero(ctx: FockContext) -> FockVector:
-    return FockVector(ctx)
+    return FockVector._wrap({}, ctx)
 
 
 def vacuum(ctx: FockContext) -> FockVector:
     """The state |0>, with <0|0> = 1."""
-    return FockVector(ctx, {VACUUM_MONOMIAL: Fraction(1)})
+    return FockVector._wrap({VACUUM_MONOMIAL: _ONE}, ctx)
 
 
 def unit(ctx: FockContext, m: Monomial) -> FockVector:
-    return FockVector(ctx, {m: Fraction(1)})
+    return FockVector._wrap({m: _ONE}, ctx)
 
 
 def create_monomial(m: Monomial, slot: ModeSlot) -> Monomial:
@@ -282,30 +232,25 @@ def create_monomial(m: Monomial, slot: ModeSlot) -> Monomial:
 
 def apply_creation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
     """Apply the creation operator for ``slot``; monomials that would exceed
-    the particle cutoff P are dropped."""
+    the particle cutoff P are dropped.  Adding one slot is injective on
+    monomials, so no two images collide."""
     ctx.check_slot(slot)
-    out = {}
-    for m, c in v.items():
-        if len(m) + 1 > ctx.P:
-            continue
-        key = create_monomial(m, slot)
-        out[key] = out.get(key, 0) + c
-    return FockVector(ctx, out)
+    P = ctx.P
+    return FockVector._wrap({create_monomial(m, slot): c for m, c in v.items() if len(m) < P}, ctx)
 
 
 def apply_annihilation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
     """Apply the annihilation operator for ``slot``: each monomial loses one
-    matching copy, weighted by its multiplicity (Wick contraction count)."""
+    matching copy, weighted by its multiplicity (Wick contraction count).
+    Removing one slot is injective on monomials, so no two images collide."""
     ctx.check_slot(slot)
     out = {}
     for m, c in v.items():
         k = m.count(slot)
-        if not k:
-            continue
-        idx = m.index(slot)
-        key = m[:idx] + m[idx + 1 :]
-        out[key] = out.get(key, 0) + c * k
-    return FockVector(ctx, out)
+        if k:
+            idx = m.index(slot)
+            out[m[:idx] + m[idx + 1 :]] = c * k
+    return FockVector._wrap(out, ctx)
 
 
 def inner_product(v1: FockVector, v2: FockVector) -> Fraction:
@@ -314,7 +259,7 @@ def inner_product(v1: FockVector, v2: FockVector) -> Fraction:
     Distinct monomials are orthogonal; <m|m> is the product of slot
     multiplicity factorials (all pairings of identical slots).
     """
-    v1._check_same_ctx(v2)
+    v1._check(v2)
     small, big = (v1, v2) if len(v1) <= len(v2) else (v2, v1)
     total = Fraction(0)
     for m, c in small.items():

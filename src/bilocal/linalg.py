@@ -1,5 +1,11 @@
-"""Exact linear algebra over Fraction: one sparse echelon, plus one
-symmetric elimination for the positive-semidefinite test.
+"""Exact linear algebra over Fraction: the sparse rational combination,
+one sparse echelon, and one symmetric elimination for the
+positive-semidefinite test.
+
+``add_scaled`` is the only loop that sums sparse terms, and
+``Combination`` is the one sparse vector type built on it: Fock states,
+operator expressions and kernel rows are all finite rational
+combinations of keys.
 
 Rows are dicts {column: value} over any orderable column keys; a dense
 row list is read as {index: value}.  ``RowSpan`` keeps the echelon form
@@ -15,6 +21,102 @@ from fractions import Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def add_scaled(dst: dict, src: dict, f=1) -> None:
+    """dst += f * src, in place, for {key: value} dicts.
+
+    A key whose sum cancels is popped, so dst never stores a zero.  A key
+    that is new goes to the end and one already present keeps its place,
+    which is exactly the key order of the chained sums ``dst + f * src``.
+    """
+    if not f:
+        return
+    get, pop = dst.get, dst.pop
+    if f == 1:
+        for k, c in src.items():
+            s = get(k, 0) + c
+            if s:
+                dst[k] = s
+            else:
+                pop(k, None)
+    else:
+        for k, c in src.items():
+            s = get(k, 0) + f * c
+            if s:
+                dst[k] = s
+            else:
+                pop(k, None)
+
+
+class Combination:
+    """Finite rational combination {key: Fraction} of hashable keys, with
+    no zero coefficient stored; immutable by convention.
+
+    ``ctx`` names the space the keys live in (None when there is only one):
+    combinations in different spaces are never equal, and a subclass
+    refuses to add them in ``_check``.
+    """
+
+    __slots__ = ("terms", "ctx")
+
+    def __init__(self, terms=None, ctx=None):
+        clean = {}
+        if terms:
+            for k, c in terms.items():
+                c = Fraction(c)
+                if c:
+                    clean[k] = c
+        self.terms = clean
+        self.ctx = ctx
+
+    @classmethod
+    def _wrap(cls, terms: dict, ctx=None):
+        """An instance holding ``terms`` as they are: the caller guarantees
+        every value is a nonzero Fraction."""
+        out = object.__new__(cls)
+        out.terms = terms
+        out.ctx = ctx
+        return out
+
+    def _check(self, other):
+        """Raise when ``other`` may not be added to self; no check here."""
+
+    def plus(self, pairs) -> "Combination":
+        """self + sum of f * v over the (f, v) in pairs, summed in one dict."""
+        out = dict(self.terms)
+        for f, v in pairs:
+            self._check(v)
+            add_scaled(out, v.terms, f)
+        return self._wrap(out, self.ctx)
+
+    def __add__(self, other):
+        return self.plus(((1, other),))
+
+    def __sub__(self, other):
+        return self.plus(((-1, other),))
+
+    def __mul__(self, scalar):
+        scalar = Fraction(scalar)
+        terms = {k: c * scalar for k, c in self.terms.items()} if scalar else {}
+        return self._wrap(terms, self.ctx)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.ctx == other.ctx and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.ctx, frozenset(self.terms.items())))
+
+    def items(self):
+        return self.terms.items()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __len__(self):
+        return len(self.terms)
 
 
 def _sparse(row) -> dict:
@@ -104,13 +206,7 @@ class RowSpan:
             row = self._rows.get(lead)
             if row is None:
                 return lead, vec
-            f = vec[lead]
-            for k, c in row.items():
-                s = vec.get(k, 0) - f * c
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
+            add_scaled(vec, row, -vec[lead])
         return None, {}
 
     def _push(self, vec):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import gcd
 from typing import Optional
 
 from . import linalg
@@ -172,13 +173,13 @@ def _perm_sign(perm) -> int:
 
 
 def _apply_det_factor(ctx, v, species, height, flavors):
-    out = zero(ctx)
+    pieces = []
     for sign, slots in _slot_determinant(ctx, species, height, flavors):
         piece = v
         for s in slots:
             piece = apply_creation(ctx, s, piece)
-        out = out + piece * sign
-    return out
+        pieces.append((sign, piece))
+    return zero(ctx).plus(pieces)
 
 
 def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
@@ -218,20 +219,13 @@ def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
 
 
 def _project_onto(basis, v):
-    if not basis:
-        return zero(v.ctx)
     gram = gram_matrix(basis)
     rhs = [inner_product(a, v) for a in basis]
     coeffs = linalg.solve(gram, rhs)
-    out = zero(v.ctx)
-    for c, b in zip(coeffs, basis):
-        out = out + b * c
-    return out
+    return zero(v.ctx).plus(zip(coeffs, basis))
 
 
 def _canonical_integer_scale(v: FockVector) -> FockVector:
-    from math import gcd
-
     items = sorted(v.items())
     denom = 1
     for _, c in items:
@@ -288,15 +282,8 @@ def joint_kernel(ctx: FockContext, labels, vectors) -> list:
         for j, v in enumerate(vectors):
             for t, c in apply_generator(ctx, g, v).items():
                 rows.setdefault((g, t), {})[j] = c
-    out = []
-    for cv in linalg.nullspace(list(rows.values()), ncols=len(vectors)):
-        terms = {}
-        for c, v in zip(cv, vectors):
-            if c:
-                for m, x in v.items():
-                    terms[m] = terms.get(m, 0) + c * x
-        out.append(FockVector(ctx, terms))
-    return out
+    return [zero(ctx).plus(zip(cv, vectors))
+            for cv in linalg.nullspace(list(rows.values()), ncols=len(vectors))]
 
 
 def hw_kernel_in_profile(ctx: FockContext, a_occ, b_occ) -> list:
@@ -381,12 +368,10 @@ def determinant_operator(n: int, offset: int = 0, max_mode: Optional[int] = None
     """
     if max_mode is not None and offset + n > max_mode:
         raise ContextViolation(f"determinant needs modes up to {offset + n} > M = {max_mode}")
-    terms = {}
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        word = tuple(X(offset + i + 1, offset + perm[i] + 1) for i in range(n))
-        terms[word] = terms.get(word, 0) + sign
-    return OperatorExpr(terms)
+    return OperatorExpr({
+        tuple(X(offset + i + 1, offset + perm[i] + 1) for i in range(n)): _perm_sign(perm)
+        for perm in permutations(range(n))
+    })
 
 
 def determinant_recursion_coefficient(w: Weight, n: int) -> Fraction:

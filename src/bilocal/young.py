@@ -27,8 +27,8 @@ from .fock import (
     ModeSlot,
     apply_annihilation,
     apply_creation,
-    zero,
 )
+from .linalg import add_scaled
 
 
 class BoundViolation(Exception):
@@ -487,12 +487,12 @@ def apply_gauge_generator(ctx: FockContext, p: int, q: int, v: FockVector) -> Fo
         if not 1 <= f <= ctx.N:
             raise ContextViolation(f"flavor {f} outside 1..{ctx.N}")
     second = ctx.kind.species[-1]
-    out = zero(ctx)
+    out = {}
     for i in range(1, ctx.M + 1):
-        out = out + apply_creation(
+        add_scaled(out, apply_creation(
             ctx, ModeSlot(SPECIES_A, i, p), apply_annihilation(ctx, ModeSlot(SPECIES_A, i, q), v)
-        )
-        out = out - apply_creation(
+        ).terms)
+        add_scaled(out, apply_creation(
             ctx, ModeSlot(second, i, q), apply_annihilation(ctx, ModeSlot(second, i, p), v)
-        )
-    return out
+        ).terms, -1)
+    return FockVector._wrap(out, ctx)

@@ -96,11 +96,16 @@ def test_inner_product_examples():
     assert inner_product(unit(ctx, (s,)), unit(ctx, (a_slot(2, 1),))) == 0
 
 
-def test_inner_product_context_mismatch():
+@pytest.mark.parametrize(
+    "combine",
+    [inner_product, lambda v, w: v + w, lambda v, w: v - w, lambda v, w: v.plus([(1, w)])],
+    ids=["inner_product", "add", "sub", "plus"],
+)
+def test_inner_product_context_mismatch(combine):
     c1 = FockContext(COMPLEX, 1, 2, 4)
     c2 = FockContext(COMPLEX, 2, 2, 4)
     with pytest.raises(ContextMismatch):
-        inner_product(vacuum(c1), vacuum(c2))
+        combine(vacuum(c1), vacuum(c2))
 
 
 @pytest.mark.parametrize("kind,N,M,P", [(COMPLEX, 1, 2, 4), (COMPLEX, 2, 2, 4), (REAL, 2, 2, 4)])

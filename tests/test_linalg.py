@@ -1,14 +1,26 @@
 """Exhaustive checks of the exact kernels, solves, determinants and the PSD
 test on all small integer matrices with entries in {-1, 0, 1}, against
 oracles that share no code with the elimination: the Leibniz expansion,
-ranks read off nonzero minors, and signs of principal minors."""
+ranks read off nonzero minors, and signs of principal minors.  The sparse
+combination is checked against the chained sums it replaces, on random
+sparse maps."""
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bilocal.linalg import det, leading_principal_minors, nullspace, positive_semidefinite, solve
+from bilocal.algebra import OperatorExpr, X, Xstar
+from bilocal.linalg import (
+    Combination,
+    det,
+    leading_principal_minors,
+    nullspace,
+    positive_semidefinite,
+    solve,
+)
 
 ENTRIES = (-1, 0, 1)
 SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
@@ -137,3 +149,65 @@ def test_positive_semidefinite_matches_principal_minors(n):
         minors_ok = all(det([[a[r][c] for c in rows] for r in rows]) >= 0
                         for k in range(1, n + 1) for rows in combinations(range(n), k))
         assert positive_semidefinite(a) == minors_ok, a
+
+
+# ---------------------------------------------------------------------------
+# the sparse combination against chained sums
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    """a + b as a chained sum: a copy of a, updated term by term, a
+    cancelling key popped."""
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def reference_mul(a: dict, scalar) -> dict:
+    scalar = Fraction(scalar)
+    return {m: c * scalar for m, c in a.items()} if scalar else {}
+
+
+def reference_product(a: dict, b: dict) -> dict:
+    """Word product of two {word: coefficient} maps, term by term."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            s = out.get(w, 0) + c1 * c2
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
+# Few keys and few values, so that sums collide and cancel often.
+COEFFS = st.sampled_from([Fraction(x) for x in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 2)])
+SPARSE_MAPS = st.dictionaries(st.integers(0, 5), COEFFS, max_size=6)
+WORDS = st.lists(st.sampled_from([X(1, 1), X(1, 2), Xstar(1, 1)]), max_size=3).map(tuple)
+WORD_MAPS = st.dictionaries(WORDS, COEFFS, max_size=5)
+
+
+@settings(deadline=None)
+@given(SPARSE_MAPS, st.lists(st.tuples(COEFFS, SPARSE_MAPS), max_size=5))
+def test_combination_plus_matches_chained_sums(start, pairs):
+    want = Combination(start).terms
+    for f, terms in pairs:
+        want = reference_add(want, reference_mul(Combination(terms).terms, f))
+    got = Combination(start).plus([(f, Combination(terms)) for f, terms in pairs])
+    assert list(got.items()) == list(want.items())
+    assert 0 not in got.terms.values()
+
+
+@settings(deadline=None)
+@given(WORD_MAPS, WORD_MAPS)
+def test_operator_product_matches_termwise_product(a, b):
+    got = OperatorExpr(a) * OperatorExpr(b)
+    want = reference_product(OperatorExpr(a).terms, OperatorExpr(b).terms)
+    assert list(got.terms.items()) == list(want.items())
