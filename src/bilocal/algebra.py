@@ -19,7 +19,7 @@ are independent of N.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, NamedTuple
 
@@ -37,8 +37,7 @@ from .fock import (
     Monomial,
     SPECIES_A,
     ModeSlot,
-    apply_annihilation,
-    apply_creation,
+    apply_normal_ordered,
     basis_monomials,
     monomial_str,
     unit,
@@ -105,27 +104,28 @@ def dagger_label(g: GeneratorLabel) -> GeneratorLabel:
 # realized action on Fock vectors
 
 
-def _apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector, shift: bool) -> FockVector:
+@lru_cache(maxsize=None)
+def _generator_terms(ctx: FockContext, g: GeneratorLabel, shift: bool) -> tuple:
+    """The normal-ordered terms of ``g``, built once per context and label
+    (an invalid label is not cached, so it raises on every call)."""
     check_generator(ctx, g)
-    kind = ctx.kind
     i, j = g.i, g.j
-    out = {}
+    flavors = range(1, ctx.N + 1)
     if g.kind in (X_KIND, XSTAR_KIND):
-        ladder = apply_annihilation if g.kind == X_KIND else apply_creation
-        leg_i, leg_j = kind.x_legs
-        for p in range(1, ctx.N + 1):
-            add_scaled(out, ladder(ctx, ModeSlot(leg_i, i, p),
-                                   ladder(ctx, ModeSlot(leg_j, j, p), v)).terms)
-        return FockVector._wrap(out, ctx)
+        leg_i, leg_j = ctx.kind.x_legs
+        legs = [(ModeSlot(leg_i, i, p), ModeSlot(leg_j, j, p)) for p in flavors]
+        # X annihilates both legs, Xstar creates them
+        return tuple((1, pair, ()) if g.kind == X_KIND else (1, (), pair) for pair in legs)
     # E generators: number-type bilinears plus the N/2 diagonal shift
-    species = kind.e_kinds[g.kind]
-    for p in range(1, ctx.N + 1):
-        add_scaled(out, apply_creation(
-            ctx, ModeSlot(species, i, p), apply_annihilation(ctx, ModeSlot(species, j, p), v)
-        ).terms)
+    species = ctx.kind.e_kinds[g.kind]
+    terms = [(1, (ModeSlot(species, j, p),), (ModeSlot(species, i, p),)) for p in flavors]
     if shift and i == j:
-        add_scaled(out, v.terms, Fraction(ctx.N, 2))
-    return FockVector._wrap(out, ctx)
+        terms.append((Fraction(ctx.N, 2), (), ()))
+    return tuple(terms)
+
+
+def _apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector, shift: bool) -> FockVector:
+    return apply_normal_ordered(ctx, _generator_terms(ctx, g, shift), v)
 
 
 def apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector) -> FockVector:

@@ -82,25 +82,18 @@ def _dot(u, v) -> Fraction:
 def casimir_k(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None) -> OperatorExpr:
     if max_mode is not None and n > max_mode:
         raise ContextViolation(f"rank {n} exceeds mode cutoff {max_mode}")
-    e_kinds = FIELD_KINDS[field_kind].e_kinds
-    out = OperatorExpr.zero()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for kind in e_kinds:
-                out = out + OperatorExpr.of(GeneratorLabel(kind, i, j)) * OperatorExpr.of(
-                    GeneratorLabel(kind, j, i))
-    return out
+    rng, e_kinds = range(1, n + 1), FIELD_KINDS[field_kind].e_kinds
+    return OperatorExpr().plus(
+        (1, OperatorExpr.of(GeneratorLabel(kind, i, j)) * OperatorExpr.of(GeneratorLabel(kind, j, i)))
+        for i in rng for j in rng for kind in e_kinds)
 
 
 def casimir_g(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None) -> OperatorExpr:
-    out = casimir_k(n, field_kind, max_mode)
     half = Fraction(1, 2) if field_kind == REAL else Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cross = OperatorExpr.of(Xstar(i, j)) * OperatorExpr.of(X(i, j))
-            cross = cross + OperatorExpr.of(X(i, j)) * OperatorExpr.of(Xstar(i, j))
-            out = out - cross * half
-    return out
+    rng = range(1, n + 1)
+    cross = [(OperatorExpr.of(Xstar(i, j)), OperatorExpr.of(X(i, j))) for i in rng for j in rng]
+    return casimir_k(n, field_kind, max_mode).plus(
+        (-half, word) for xs, x in cross for word in (xs * x, x * xs))
 
 
 def casimir_k_eigenvalue(lam, n: int, field_kind: str = COMPLEX) -> Fraction:

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, groupby
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from .linalg import Combination
+from .linalg import Combination, add_scaled
 
 SPECIES_A = "a"
 SPECIES_B = "b"
@@ -56,7 +56,7 @@ class FieldKind:
 
     @cached_property
     def generator_kinds(self) -> tuple:
-        """Cached: the generator action checks it on every call."""
+        """Cached: every generator label check reads it."""
         return (X_KIND, XSTAR_KIND) + tuple(self.e_kinds)
 
     @property
@@ -226,31 +226,47 @@ def unit(ctx: FockContext, m: Monomial) -> FockVector:
     return FockVector._wrap({m: _ONE}, ctx)
 
 
-def create_monomial(m: Monomial, slot: ModeSlot) -> Monomial:
-    return tuple(sorted(m + (slot,)))
+def apply_normal_ordered(ctx: FockContext, terms, v: FockVector) -> FockVector:
+    """Sum of f * (creators of ins)(annihilators of rem) v over the
+    (f, rem, ins) in ``terms``: the one oscillator action on monomials.
+
+    Each slot of ``rem`` removes one matching copy, weighted by its
+    multiplicity (the Wick count); then ``ins`` is inserted, and monomials
+    beyond the particle cutoff P are dropped.  A term is injective on
+    monomials.  Slots are not checked: callers validate once per call.
+    """
+    out, items = {}, v.terms.items()
+    for f, rem, ins in terms:
+        image = {}
+        for m, c in items:
+            for s in rem:
+                k = m.count(s)
+                if not k:
+                    break
+                idx = m.index(s)
+                m, c = m[:idx] + m[idx + 1 :], c if k == 1 else c * k
+            else:
+                if not ins:
+                    image[m] = c
+                elif len(m) + len(ins) <= ctx.P:
+                    image[tuple(sorted(m + ins))] = c
+        if image:
+            add_scaled(out, image, f)
+    return FockVector._wrap(out, ctx)
 
 
 def apply_creation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
     """Apply the creation operator for ``slot``; monomials that would exceed
-    the particle cutoff P are dropped.  Adding one slot is injective on
-    monomials, so no two images collide."""
+    the particle cutoff P are dropped."""
     ctx.check_slot(slot)
-    P = ctx.P
-    return FockVector._wrap({create_monomial(m, slot): c for m, c in v.items() if len(m) < P}, ctx)
+    return apply_normal_ordered(ctx, ((1, (), (slot,)),), v)
 
 
 def apply_annihilation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
-    """Apply the annihilation operator for ``slot``: each monomial loses one
-    matching copy, weighted by its multiplicity (Wick contraction count).
-    Removing one slot is injective on monomials, so no two images collide."""
+    """Apply the annihilation operator for ``slot``, weighted by the slot's
+    multiplicity in each monomial."""
     ctx.check_slot(slot)
-    out = {}
-    for m, c in v.items():
-        k = m.count(slot)
-        if k:
-            idx = m.index(slot)
-            out[m[:idx] + m[idx + 1 :]] = c * k
-    return FockVector._wrap(out, ctx)
+    return apply_normal_ordered(ctx, ((1, (slot,), ()),), v)
 
 
 def inner_product(v1: FockVector, v2: FockVector) -> Fraction:

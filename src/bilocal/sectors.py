@@ -40,7 +40,7 @@ from .fock import (
     SPECIES_B,
     ModeSlot,
     TruncationError,
-    apply_creation,
+    apply_normal_ordered,
     gram_matrix,
     inner_product,
     norm_sq,
@@ -145,13 +145,12 @@ def _trim(head, tail):
 
 
 def _slot_determinant(ctx: FockContext, species: str, height: int, flavors) -> list:
-    """Terms of det(c*[mode i, flavor p]) over modes 1..height and the given
-    flavor list, as (sign, slot tuple) pairs."""
+    """det(c*[mode i, flavor p]) over modes 1..height and the given flavor
+    list, as creation-only terms (sign, (), slots) of ``apply_normal_ordered``."""
     terms = []
     for perm in permutations(range(height)):
-        sign = _perm_sign(perm)
         slots = tuple(ModeSlot(species, i + 1, flavors[perm[i]]) for i in range(height))
-        terms.append((sign, slots))
+        terms.append((_perm_sign(perm), (), slots))
     return terms
 
 
@@ -173,13 +172,7 @@ def _perm_sign(perm) -> int:
 
 
 def _apply_det_factor(ctx, v, species, height, flavors):
-    pieces = []
-    for sign, slots in _slot_determinant(ctx, species, height, flavors):
-        piece = v
-        for s in slots:
-            piece = apply_creation(ctx, s, piece)
-        pieces.append((sign, piece))
-    return zero(ctx).plus(pieces)
+    return apply_normal_ordered(ctx, _slot_determinant(ctx, species, height, flavors), v)
 
 
 def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:

@@ -212,10 +212,11 @@ def test_generator_adjointness():
     vs = [unit(ctx, m) for m in basis_monomials(ctx)]
     for g in generators(ctx):
         gd = dagger_label(g)
+        gd_ws = [apply_generator(ctx, gd, w) for w in vs]
         for v in vs:
             gv = apply_generator(ctx, g, v)
-            for w in vs:
-                assert inner_product(gv, w) == inner_product(v, apply_generator(ctx, gd, w))
+            for w, gd_w in zip(vs, gd_ws):
+                assert inner_product(gv, w) == inner_product(v, gd_w)
 
 
 def test_operator_expr_apply_and_dagger():

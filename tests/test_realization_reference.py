@@ -3,11 +3,17 @@ formulas.  The library reads the complex/real difference off
 ``fock.FIELD_KINDS``; the references below spell out each field kind's
 oscillator bilinears by hand, so a wrong record entry (a swapped X leg, an
 E kind counting the wrong species, the gauge term on the wrong species)
-changes some image here."""
+changes some image here.
+
+The ladders the references are built from are copied below as first
+written, not taken from the library, whose ladders and generators share
+one normal-ordered action: a fault there cannot cancel out of both sides."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilocal.algebra import (
     EMINUS_KIND,
@@ -23,14 +29,36 @@ from bilocal.fock import (
     SPECIES_A,
     SPECIES_B,
     FockContext,
+    FockVector,
     ModeSlot,
     apply_annihilation,
     apply_creation,
     basis_monomials,
     unit,
+    vacuum,
     zero,
 )
+from bilocal.sectors import _apply_det_factor
 from bilocal.young import apply_gauge_generator
+
+
+def reference_creation(ctx, slot, v):
+    """a*[slot] v, dropping monomials that would exceed P."""
+    ctx.check_slot(slot)
+    P = ctx.P
+    return FockVector(ctx, {tuple(sorted(m + (slot,))): c for m, c in v.items() if len(m) < P})
+
+
+def reference_annihilation(ctx, slot, v):
+    """a[slot] v: one matching copy removed, weighted by its multiplicity."""
+    ctx.check_slot(slot)
+    out = {}
+    for m, c in v.items():
+        k = m.count(slot)
+        if k:
+            idx = m.index(slot)
+            out[m[:idx] + m[idx + 1 :]] = c * k
+    return FockVector(ctx, out)
 
 
 def reference_generator(ctx, g, v, shift):
@@ -43,31 +71,36 @@ def reference_generator(ctx, g, v, shift):
     if g.kind == X_KIND:
         if ctx.field_kind == COMPLEX:
             for p in range(1, ctx.N + 1):
-                out = out + apply_annihilation(
-                    ctx, ModeSlot(SPECIES_B, i, p), apply_annihilation(ctx, ModeSlot(SPECIES_A, j, p), v)
+                out = out + reference_annihilation(
+                    ctx, ModeSlot(SPECIES_B, i, p),
+                    reference_annihilation(ctx, ModeSlot(SPECIES_A, j, p), v)
                 )
         else:
             for p in range(1, ctx.N + 1):
-                out = out + apply_annihilation(
-                    ctx, ModeSlot(SPECIES_A, i, p), apply_annihilation(ctx, ModeSlot(SPECIES_A, j, p), v)
+                out = out + reference_annihilation(
+                    ctx, ModeSlot(SPECIES_A, i, p),
+                    reference_annihilation(ctx, ModeSlot(SPECIES_A, j, p), v)
                 )
         return out
     if g.kind == XSTAR_KIND:
         if ctx.field_kind == COMPLEX:
             for p in range(1, ctx.N + 1):
-                out = out + apply_creation(
-                    ctx, ModeSlot(SPECIES_A, j, p), apply_creation(ctx, ModeSlot(SPECIES_B, i, p), v)
+                out = out + reference_creation(
+                    ctx, ModeSlot(SPECIES_A, j, p),
+                    reference_creation(ctx, ModeSlot(SPECIES_B, i, p), v)
                 )
         else:
             for p in range(1, ctx.N + 1):
-                out = out + apply_creation(
-                    ctx, ModeSlot(SPECIES_A, i, p), apply_creation(ctx, ModeSlot(SPECIES_A, j, p), v)
+                out = out + reference_creation(
+                    ctx, ModeSlot(SPECIES_A, i, p),
+                    reference_creation(ctx, ModeSlot(SPECIES_A, j, p), v)
                 )
         return out
     species = SPECIES_B if g.kind == EMINUS_KIND else SPECIES_A
     for p in range(1, ctx.N + 1):
-        out = out + apply_creation(
-            ctx, ModeSlot(species, i, p), apply_annihilation(ctx, ModeSlot(species, j, p), v)
+        out = out + reference_creation(
+            ctx, ModeSlot(species, i, p),
+            reference_annihilation(ctx, ModeSlot(species, j, p), v)
         )
     if shift and i == j:
         out = out + v * Fraction(ctx.N, 2)
@@ -79,16 +112,19 @@ def reference_gauge(ctx, p, q, v):
     M^{pq} = sum_i (a*[i,p] a[i,q] - a*[i,q] a[i,p]) (real)."""
     out = zero(ctx)
     for i in range(1, ctx.M + 1):
-        out = out + apply_creation(
-            ctx, ModeSlot(SPECIES_A, i, p), apply_annihilation(ctx, ModeSlot(SPECIES_A, i, q), v)
+        out = out + reference_creation(
+            ctx, ModeSlot(SPECIES_A, i, p),
+            reference_annihilation(ctx, ModeSlot(SPECIES_A, i, q), v)
         )
         if ctx.field_kind == COMPLEX:
-            out = out - apply_creation(
-                ctx, ModeSlot(SPECIES_B, i, q), apply_annihilation(ctx, ModeSlot(SPECIES_B, i, p), v)
+            out = out - reference_creation(
+                ctx, ModeSlot(SPECIES_B, i, q),
+                reference_annihilation(ctx, ModeSlot(SPECIES_B, i, p), v)
             )
         else:
-            out = out - apply_creation(
-                ctx, ModeSlot(SPECIES_A, i, q), apply_annihilation(ctx, ModeSlot(SPECIES_A, i, p), v)
+            out = out - reference_creation(
+                ctx, ModeSlot(SPECIES_A, i, q),
+                reference_annihilation(ctx, ModeSlot(SPECIES_A, i, p), v)
             )
     return out
 
@@ -114,3 +150,64 @@ def test_realization_matches_reference_formulas(kind, N, M, P):
         for p in flavors:
             for q in flavors:
                 assert same(apply_gauge_generator(ctx, p, q, v), reference_gauge(ctx, p, q, v)), (p, q, m)
+
+
+def _all_basis(ctx):
+    """Every basis monomial, with distinct coefficients, as one vector."""
+    return FockVector(ctx, {m: Fraction(k + 1, 3) for k, m in enumerate(basis_monomials(ctx))})
+
+
+@pytest.mark.parametrize("kind,N,M,P", CONTEXTS, ids=lambda x: str(x))
+def test_ladders_match_reference_copies(kind, N, M, P):
+    ctx = FockContext(kind, N, M, P).validate()
+    vectors = [unit(ctx, m) for m in basis_monomials(ctx)] + [_all_basis(ctx)]
+    for s in ctx.slots():
+        for v in vectors:
+            assert same(apply_creation(ctx, s, v), reference_creation(ctx, s, v)), (s, v)
+            assert same(apply_annihilation(ctx, s, v), reference_annihilation(ctx, s, v)), (s, v)
+
+
+def reference_det_factor(ctx, v, species, height, flavors):
+    """det(c*[mode i, flavor p]) v as the signed sum over permutations of
+    chained reference creations."""
+    out = zero(ctx)
+    for perm in permutations(range(height)):
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        piece = v
+        for i in range(height):
+            piece = reference_creation(ctx, ModeSlot(species, i + 1, flavors[perm[i]]), piece)
+        out = out + (-1) ** inversions * piece
+    return out
+
+
+@pytest.mark.parametrize("kind,N,M,P", CONTEXTS, ids=lambda x: str(x))
+def test_det_factor_matches_chained_creations(kind, N, M, P):
+    ctx = FockContext(kind, N, M, P).validate()
+    vectors = [vacuum(ctx)] + [unit(ctx, m) for m in basis_monomials(ctx, 2)] + [_all_basis(ctx)]
+    for species in ctx.kind.species:
+        for height in range(1, min(N, M) + 1):
+            for flavors in (list(range(1, height + 1)), list(range(N, N - height, -1))):
+                for v in vectors:
+                    assert same(_apply_det_factor(ctx, v, species, height, flavors),
+                                reference_det_factor(ctx, v, species, height, flavors)), \
+                        (species, height, flavors, v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 2), M=st.integers(1, 2),
+       P=st.integers(0, 3))
+def test_realization_matches_reference_on_drawn_contexts(kind, N, M, P):
+    ctx = FockContext(kind, N, M, P).validate()
+    vectors = [unit(ctx, m) for m in basis_monomials(ctx)] + [_all_basis(ctx)]
+    flavors = range(1, N + 1)
+    for v in vectors:
+        for s in ctx.slots():
+            assert same(apply_creation(ctx, s, v), reference_creation(ctx, s, v)), (s, v)
+            assert same(apply_annihilation(ctx, s, v), reference_annihilation(ctx, s, v)), (s, v)
+        for g in generators(ctx):
+            assert same(apply_generator(ctx, g, v), reference_generator(ctx, g, v, True)), (g, v)
+            assert same(apply_generator_unshifted(ctx, g, v),
+                        reference_generator(ctx, g, v, False)), (g, v)
+        for p in flavors:
+            for q in flavors:
+                assert same(apply_gauge_generator(ctx, p, q, v), reference_gauge(ctx, p, q, v)), (p, q, v)

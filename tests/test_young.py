@@ -1,5 +1,6 @@
 import pytest
 
+from bilocal import young
 from bilocal.algebra import apply_generator, generators
 from bilocal.fock import COMPLEX, REAL, FockContext, basis_monomials, unit
 from bilocal.sectors import build_ground_state
@@ -168,3 +169,37 @@ def test_gauge_raising_annihilates_complex_ground_states():
             for p in range(1, N + 1):
                 for q in range(p + 1, N + 1):
                     assert apply_gauge_generator(ctx, p, q, ground).is_zero(), (str(s), p, q)
+
+
+@pytest.mark.parametrize("N,cap", [(0, 3), (1, 3), (2, 2), (3, 2)])
+def test_labels_with_more_than_N_rows_never_validate(N, cap):
+    """The U totality scan enumerates only diagrams with at most N rows:
+    a taller one fails validate(N) whatever its charge."""
+    for y in young_diagrams(cap):
+        if y.num_rows <= N:
+            continue
+        for q in range(-cap, cap + 1):
+            if N > 0 and (q - y.size) % N:
+                continue
+            with pytest.raises(ValueError):
+                GaugeIrrepU(y, q).validate(N)
+
+
+def test_bijection_U_fails_on_planted_charge_shift(monkeypatch):
+    honest = young.sector_to_irrep_U
+
+    def shifted(s):
+        irr = honest(s)
+        return irr._replace(q=irr.q + s.N)
+
+    monkeypatch.setattr(young, "sector_to_irrep_U", shifted)
+    report = bijection_roundtrip_check("U", 2, 3)
+    assert not report["ok"]
+    assert "roundtrip" in {f["kind"] for f in report["failures"]}
+
+
+def test_bijection_O_fails_when_sign_is_ignored(monkeypatch):
+    monkeypatch.setattr(young, "irrep_O_to_sector", lambda irr, N: irr.validate(N).young)
+    report = bijection_roundtrip_check("O", 3, 3)
+    assert not report["ok"]
+    assert "roundtrip" in {f["kind"] for f in report["failures"]}
