@@ -40,7 +40,6 @@ from .fock import (
     apply_normal_ordered,
     basis_monomials,
     monomial_str,
-    unit,
     zero,
 )
 from .linalg import Combination, add_scaled
@@ -278,35 +277,80 @@ def _commutator_real(g1, g2) -> OperatorExpr:
 
 def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Callable | None, basis):
     """The first basis monomial m with (ab - ba) m != c m, as the triple
-    (m, (ab - ba) m, c m), or None.  a, b and c map a FockVector to a
-    FockVector; c = None is the zero operator."""
+    (m, (ab - ba) m, c m) of FockVectors, or None.
+
+    a, b and c map a monomial to its image, a {monomial: coefficient} dict
+    with no zero stored; the products are their linear extensions,
+    ab m = sum over t of (b m)_t a t.  c = None is the zero operator."""
     for m in basis:
-        v = unit(ctx, m)
-        lhs = a(b(v)) - b(a(v))
-        rhs = zero(ctx) if c is None else c(v)
+        lhs = {}
+        for t, f in b(m).items():
+            add_scaled(lhs, a(t), f)
+        for t, f in a(m).items():
+            add_scaled(lhs, b(t), -f)
+        rhs = {} if c is None else c(m)
         if lhs != rhs:
-            return m, lhs, rhs
+            return m, FockVector(ctx, lhs), FockVector(ctx, rhs)
     return None
+
+
+def _integral(c):
+    """c as an int when it is one, else c unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+class _Table(dict):
+    """{monomial: image}, each image computed on its first lookup."""
+
+    __slots__ = ("_image",)
+
+    def __init__(self, image: Callable):
+        self._image = image
+
+    def __missing__(self, m):
+        out = self[m] = self._image(m)
+        return out
 
 
 class ImageCache:
     """Images of unit monomials under ``realization(ctx, label, v)``, each
-    computed once; ``apply`` extends them linearly to any vector."""
+    computed once and kept as a plain {monomial: coefficient} dict.
+
+    The realization acts on a unit vector with the int coefficient 1, and
+    every integral coefficient is stored as an int.  A Fraction is left only
+    where the realization yields one, the N/2 shift of a diagonal E at odd
+    N, so composing images runs on ints."""
 
     def __init__(self, ctx: FockContext, realization: Callable = apply_generator):
-        self.ctx, self.realization, self._images = ctx, realization, {}
+        self.ctx, self.realization, self._tables = ctx, realization, {}
 
-    def image(self, label, m: Monomial) -> FockVector:
-        out = self._images.get((label, m))
-        if out is None:
-            out = self._images[(label, m)] = self.realization(self.ctx, label, unit(self.ctx, m))
+    def _image(self, label, m: Monomial) -> dict:
+        v = self.realization(self.ctx, label, FockVector._wrap({m: 1}, self.ctx))
+        return {n: _integral(c) for n, c in v.items()}
+
+    def table(self, label) -> Callable:
+        """The map from a monomial to its image under ``label``."""
+        images = self._tables.get(label)
+        if images is None:
+            images = self._tables[label] = _Table(partial(self._image, label))
+        return images.__getitem__
+
+
+def _expr_map(images: ImageCache, expr: OperatorExpr) -> Callable:
+    """The map from a monomial to its image under a degree-one ``expr``."""
+    terms = []
+    for w, coeff in expr.items():
+        if len(w) != 1:
+            raise ValueError(f"{expr!r} is not of degree one")
+        terms.append((_integral(coeff), images.table(w[0])))
+
+    def image(m):
+        out = {}
+        for coeff, table in terms:
+            add_scaled(out, table(m), coeff)
         return out
 
-    def apply(self, label, v: FockVector) -> FockVector:
-        out = {}
-        for m, c in v.items():
-            add_scaled(out, self.image(label, m).terms, c)
-        return FockVector._wrap(out, self.ctx)
+    return image
 
 
 def verify_structure_constants(ctx: FockContext, margin: int = 2,
@@ -324,18 +368,12 @@ def verify_structure_constants(ctx: FockContext, margin: int = 2,
     ctx.validate()
     basis = list(basis_monomials(ctx, ctx.P - margin))
     images = ImageCache(ctx, realization)
-
-    def cached(_ctx, g, v):
-        return images.apply(g, v)
-
     failures = []
     pairs = 0
     for g1, g2 in combinations_with_replacement(sorted(set(generators(ctx))), 2):
         pairs += 1
-        expected = abstract_commutator(g1, g2, ctx.field_kind)
-        hit = commutator_counterexample(ctx, partial(images.apply, g1), partial(images.apply, g2),
-                                        partial(expected.apply, ctx, realization=cached),
-                                        basis)
+        expected = _expr_map(images, abstract_commutator(g1, g2, ctx.field_kind))
+        hit = commutator_counterexample(ctx, images.table(g1), images.table(g2), expected, basis)
         if hit:
             m, lhs, rhs = hit
             failures.append({"pair": [str(g1), str(g2)], "monomial": monomial_str(m),

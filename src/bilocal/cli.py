@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import combinations_with_replacement
 
 from . import linalg, modes, sectors, young
@@ -123,9 +122,11 @@ def _commutator_report(ctx, margin, identities) -> dict:
 
 def _check_ccr(ctx, margin=2) -> dict:
     slots = ctx.slots()
+    down = ImageCache(ctx, apply_annihilation)
+    up = ImageCache(ctx, apply_creation)
     return _commutator_report(ctx, margin, (
-        ({"slots": [str(s), str(t)]}, partial(apply_annihilation, ctx, s),
-         partial(apply_creation, ctx, t), (lambda v: v) if s == t else None)
+        ({"slots": [str(s), str(t)]}, down.table(s), up.table(t),
+         (lambda m: {m: 1}) if s == t else None)
         for s in slots for t in slots))
 
 
@@ -135,11 +136,12 @@ def _check_adjointness(ctx, margin=2) -> dict:
     the image tables of g and g†; a pair where both sides vanish passes."""
     basis = list(basis_monomials(ctx, ctx.P - margin))
     weight = {m: monomial_self_overlap(m) for m in basis}
-    images = ImageCache(ctx)
+    images = ImageCache(ctx, apply_generator)
 
     def mismatch(g, h):
-        return any(c * weight[n] != images.image(h, n).coefficient(m) * weight[m]
-                   for m in basis for n, c in images.image(g, m).items() if n in weight)
+        image_g, image_h = images.table(g), images.table(h)
+        return any(c * weight[n] != image_h(n).get(m, 0) * weight[m]
+                   for m in basis for n, c in image_g(m).items() if n in weight)
 
     failures = []
     for g in generators(ctx):
@@ -169,19 +171,19 @@ def _check_vacuum_cartan(ctx) -> dict:
 def _check_charge_commutes(ctx, margin=2) -> dict:
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
-    images = ImageCache(ctx)
+    charge = ImageCache(ctx, lambda ctx, _, v: apply_charge(ctx, v)).table(None)
+    images = ImageCache(ctx, apply_generator)
     return _commutator_report(ctx, margin, (
-        ({"generator": str(g)}, partial(apply_charge, ctx), partial(images.apply, g), None)
+        ({"generator": str(g)}, charge, images.table(g), None)
         for g in generators(ctx)))
 
 
 def _check_gauge_commutant(ctx, margin=2) -> dict:
     flavors = range(1, ctx.N + 1)
     gauge = ImageCache(ctx, lambda ctx, pq, v: young.apply_gauge_generator(ctx, *pq, v))
-    images = ImageCache(ctx)
+    images = ImageCache(ctx, apply_generator)
     return _commutator_report(ctx, margin, (
-        ({"gauge": [p, q], "generator": str(g)}, partial(gauge.apply, (p, q)),
-         partial(images.apply, g), None)
+        ({"gauge": [p, q], "generator": str(g)}, gauge.table((p, q)), images.table(g), None)
         for p in flavors for q in flavors for g in generators(ctx)))
 
 
@@ -260,6 +262,8 @@ def cmd_classify(args) -> int:
 
 def cmd_gram(args) -> int:
     ctx = _context(args)
+    if args.level < 0:
+        raise UsageError("level must be >= 0")
     if ctx.field_kind == COMPLEX:
         s = complex_sector(_parse_rows(args.yplus), _parse_rows(args.yminus), ctx.N)
     else:
@@ -303,6 +307,8 @@ def cmd_gram(args) -> int:
 def cmd_map_irreps(args) -> int:
     if args.N < 0:
         raise UsageError("N must be >= 0")
+    if args.cap < 0:
+        raise UsageError("cap must be >= 0")
     report = young.bijection_roundtrip_check(args.group, args.N, args.cap)
     payload = {
         "ok": report["ok"],
@@ -317,6 +323,8 @@ def cmd_map_irreps(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.count < 0:
+        raise UsageError("count must be >= 0")
     try:
         rows = modes.spectrum_table(args.D, args.count)
     except modes.ModeError as exc:

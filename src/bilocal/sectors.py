@@ -275,7 +275,7 @@ def joint_kernel(ctx: FockContext, labels, vectors) -> list:
         for j, v in enumerate(vectors):
             for t, c in apply_generator(ctx, g, v).items():
                 rows.setdefault((g, t), {})[j] = c
-    return [zero(ctx).plus(zip(cv, vectors))
+    return [zero(ctx).plus((c, v) for c, v in zip(cv, vectors) if c)
             for cv in linalg.nullspace(list(rows.values()), ncols=len(vectors))]
 
 

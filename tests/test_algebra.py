@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -123,14 +122,16 @@ def test_margin_precondition():
 
 def test_commutator_counterexample_returns_first_failing_monomial():
     ctx = FockContext(COMPLEX, 1, 1, 3).validate()
-    a = partial(apply_annihilation, ctx, a_slot(1, 1))
-    a_star = partial(apply_creation, ctx, a_slot(1, 1))
+    # each operand maps a monomial to its image {monomial: coefficient}
+    a = lambda m: dict(apply_annihilation(ctx, a_slot(1, 1), unit(ctx, m)).items())
+    a_star = lambda m: dict(apply_creation(ctx, a_slot(1, 1), unit(ctx, m)).items())
+    identity = lambda m: {m: 1}
     basis = list(basis_monomials(ctx, 1))
-    assert commutator_counterexample(ctx, a, a_star, lambda v: v, basis) is None
+    assert commutator_counterexample(ctx, a, a_star, identity, basis) is None
     # [a, a*] = 1 is not 0, and the vacuum comes first in the basis
     assert commutator_counterexample(ctx, a, a_star, None, basis) == ((), vacuum(ctx), zero(ctx))
     # [a*, a] = -1: the sides are returned as (ab - ba) m and c m
-    m, lhs, rhs = commutator_counterexample(ctx, a_star, a, lambda v: v, basis[1:])
+    m, lhs, rhs = commutator_counterexample(ctx, a_star, a, identity, basis[1:])
     assert (m, lhs, rhs) == (basis[1], -1 * unit(ctx, basis[1]), unit(ctx, basis[1]))
 
 

@@ -99,6 +99,10 @@ USAGE_ERRORS = [
     # a context too small for the request
     ["classify", "--N", "1", "--P", "2", "--cutoff", "5"],
     ["gram", "--N", "2", "--M", "2", "--P", "2", "--yplus", "2,1"],
+    # negative sizes
+    ["gram", "--N", "1", "--level", "-1"],
+    ["map-irreps", "--group", "U", "--N", "2", "--cap", "-1"],
+    ["spectrum", "--D", "4", "--count", "-1"],
 ]
 
 

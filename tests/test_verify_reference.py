@@ -1,0 +1,262 @@
+"""verify's integer image tables against the per-monomial FockVector loop.
+
+The reference below is the commutator check as first written: every
+operand maps a FockVector to a FockVector, each basis monomial is wrapped
+as a unit vector, images are summed as FockVectors and the expected side
+applies the abstract commutator as an ``OperatorExpr``.  The library now
+composes {monomial: coefficient} dicts held in ``ImageCache`` tables; the
+reports, failures and their printed vectors included, must not change.
+
+The reference checks read the realized operators off ``cli`` at call
+time, as the library's checks do, so a fault planted there reaches both
+sides."""
+
+from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from bilocal import cli, fock, young
+from bilocal.algebra import (
+    E_KIND,
+    EMINUS_KIND,
+    EPLUS_KIND,
+    ImageCache,
+    X,
+    abstract_commutator,
+    apply_generator,
+    apply_generator_unshifted,
+    generators,
+    verify_structure_constants,
+)
+from bilocal.fock import (
+    COMPLEX,
+    REAL,
+    FockContext,
+    FockVector,
+    a_slot,
+    basis_monomials,
+    monomial_self_overlap,
+    monomial_str,
+    unit,
+    zero,
+)
+from bilocal.linalg import add_scaled
+
+
+def reference_counterexample(ctx, a, b, c, basis):
+    for m in basis:
+        v = unit(ctx, m)
+        lhs = a(b(v)) - b(a(v))
+        rhs = zero(ctx) if c is None else c(v)
+        if lhs != rhs:
+            return m, lhs, rhs
+    return None
+
+
+class ReferenceImages:
+    """FockVector images of unit monomials, each computed once and extended
+    linearly by ``apply``."""
+
+    def __init__(self, ctx, realization):
+        self.ctx, self.realization, self._images = ctx, realization, {}
+
+    def image(self, label, m):
+        out = self._images.get((label, m))
+        if out is None:
+            out = self._images[(label, m)] = self.realization(self.ctx, label, unit(self.ctx, m))
+        return out
+
+    def apply(self, label, v):
+        out = {}
+        for m, c in v.items():
+            add_scaled(out, self.image(label, m).terms, c)
+        return FockVector._wrap(out, self.ctx)
+
+
+def reference_structure_constants(ctx, margin, realization, max_failures=10):
+    basis = list(basis_monomials(ctx, ctx.P - margin))
+    images = ReferenceImages(ctx, realization)
+
+    def cached(_ctx, g, v):
+        return images.apply(g, v)
+
+    failures = []
+    pairs = 0
+    for g1, g2 in combinations_with_replacement(sorted(set(generators(ctx))), 2):
+        pairs += 1
+        expected = abstract_commutator(g1, g2, ctx.field_kind)
+        hit = reference_counterexample(ctx, partial(images.apply, g1), partial(images.apply, g2),
+                                       partial(expected.apply, ctx, realization=cached), basis)
+        if hit:
+            m, lhs, rhs = hit
+            failures.append({"pair": [str(g1), str(g2)], "monomial": monomial_str(m),
+                             "expected": repr(rhs), "got": repr(lhs)})
+            if len(failures) >= max_failures:
+                break
+    return {"ok": not failures, "pairs_checked": pairs, "basis_size": len(basis), "failures": failures}
+
+
+def reference_report(ctx, margin, identities):
+    basis = list(basis_monomials(ctx, ctx.P - margin))
+    failures = []
+    for label, a, b, c in identities:
+        hit = reference_counterexample(ctx, a, b, c, basis)
+        if hit:
+            failures.append(dict(label, monomial=monomial_str(hit[0])))
+            if len(failures) == 5:
+                break
+    return {"ok": not failures, "failures": failures}
+
+
+def reference_ccr(ctx, margin):
+    slots = ctx.slots()
+    return reference_report(ctx, margin, (
+        ({"slots": [str(s), str(t)]}, partial(cli.apply_annihilation, ctx, s),
+         partial(cli.apply_creation, ctx, t), (lambda v: v) if s == t else None)
+        for s in slots for t in slots))
+
+
+def reference_adjointness(ctx, margin):
+    basis = list(basis_monomials(ctx, ctx.P - margin))
+    weight = {m: monomial_self_overlap(m) for m in basis}
+    images = ReferenceImages(ctx, cli.apply_generator)
+
+    def mismatch(g, h):
+        return any(c * weight[n] != images.image(h, n).coefficient(m) * weight[m]
+                   for m in basis for n, c in images.image(g, m).items() if n in weight)
+
+    failures = []
+    for g in generators(ctx):
+        if mismatch(g, cli.dagger_label(g)) or mismatch(cli.dagger_label(g), g):
+            failures.append({"generator": str(g)})
+    return {"ok": not failures, "failures": failures[:5]}
+
+
+def reference_charge_commutes(ctx, margin):
+    if ctx.field_kind != COMPLEX:
+        return {"ok": True, "skipped": "no charge operator in the real case"}
+    images = ReferenceImages(ctx, cli.apply_generator)
+    return reference_report(ctx, margin, (
+        ({"generator": str(g)}, partial(cli.apply_charge, ctx), partial(images.apply, g), None)
+        for g in generators(ctx)))
+
+
+def reference_gauge_commutant(ctx, margin):
+    flavors = range(1, ctx.N + 1)
+    gauge = ReferenceImages(ctx, lambda ctx, pq, v: young.apply_gauge_generator(ctx, *pq, v))
+    images = ReferenceImages(ctx, cli.apply_generator)
+    return reference_report(ctx, margin, (
+        ({"gauge": [p, q], "generator": str(g)}, partial(gauge.apply, (p, q)),
+         partial(images.apply, g), None)
+        for p in flavors for q in flavors for g in generators(ctx)))
+
+
+CHECKS = [
+    (cli._check_ccr, reference_ccr),
+    (cli._check_adjointness, reference_adjointness),
+    (cli._check_charge_commutes, reference_charge_commutes),
+    (cli._check_gauge_commutant, reference_gauge_commutant),
+]
+
+
+def assert_matches_reference(ctx, margin, realization=apply_generator):
+    assert (verify_structure_constants(ctx, margin, realization)
+            == reference_structure_constants(ctx, margin, realization))
+    for check, reference in CHECKS:
+        assert check(ctx, margin) == reference(ctx, margin), check.__name__
+
+
+# the contexts of the verify gates in bench/gates.json
+GATE_CONTEXTS = [(COMPLEX, 1, 2, 4), (COMPLEX, 1, 3, 4), (COMPLEX, 2, 2, 4), (REAL, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("context", GATE_CONTEXTS, ids=str)
+def test_verify_checks_match_reference_on_gate_contexts(context):
+    assert_matches_reference(FockContext(*context).validate(), 2)
+
+
+@pytest.mark.parametrize("context", [(COMPLEX, 1, 2, 4), (REAL, 1, 2, 4), (COMPLEX, 2, 1, 4)],
+                         ids=str)
+def test_verify_checks_match_reference_without_e_shift(monkeypatch, context):
+    ctx = FockContext(*context).validate()
+    monkeypatch.setattr(cli, "apply_generator", apply_generator_unshifted)
+    assert not verify_structure_constants(ctx, 2, apply_generator_unshifted)["ok"]
+    assert_matches_reference(ctx, 2, apply_generator_unshifted)
+
+
+def _doubled_creation(ctx, slot, v):
+    return 2 * fock.apply_creation(ctx, slot, v)
+
+
+def _noncommuting_gauge(ctx, p, q, v):
+    return fock.apply_annihilation(ctx, a_slot(1, 1), v)
+
+
+@pytest.mark.parametrize("fault", [(cli, "apply_creation", _doubled_creation),
+                                   (young, "apply_gauge_generator", _noncommuting_gauge)],
+                         ids=lambda fault: fault[1])
+def test_failing_checks_match_reference(monkeypatch, fault):
+    ctx = FockContext(COMPLEX, 2, 2, 4).validate()
+    monkeypatch.setattr(*fault)
+    for check, reference in CHECKS:
+        assert check(ctx, 2) == reference(ctx, 2), check.__name__
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 2), M=st.integers(1, 2),
+       P=st.integers(2, 4), margin=st.integers(2, 3), shifted=st.booleans())
+def test_verify_checks_match_reference_on_drawn_contexts(kind, N, M, P, margin, shifted):
+    assume(margin <= P)
+    ctx = FockContext(kind, N, M, P).validate()
+    realization = apply_generator if shifted else apply_generator_unshifted
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "apply_generator", realization)
+        assert_matches_reference(ctx, margin, realization)
+
+
+def _table_coefficients(ctx, realization=apply_generator):
+    images = ImageCache(ctx, realization)
+    for g in generators(ctx):
+        table = images.table(g)
+        for m in basis_monomials(ctx):
+            for n, c in table(m).items():
+                yield g, m, n, c
+
+
+@pytest.mark.parametrize("context", [(COMPLEX, 2, 2, 4), (REAL, 2, 2, 4), (COMPLEX, 4, 1, 3)],
+                         ids=str)
+def test_even_n_tables_hold_only_ints(context):
+    ctx = FockContext(*context).validate()
+    assert {type(c) for *_, c in _table_coefficients(ctx)} == {int}
+
+
+@pytest.mark.parametrize("context", [(COMPLEX, 1, 2, 4), (REAL, 3, 2, 3)], ids=str)
+def test_odd_n_tables_hold_fractions_only_on_the_shift(context):
+    ctx = FockContext(*context).validate()
+    diagonal_e = {EPLUS_KIND, EMINUS_KIND, E_KIND}
+    for g, m, n, c in _table_coefficients(ctx):
+        if type(c) is not int:
+            assert (type(c), c.denominator) == (Fraction, 2)
+            assert g.kind in diagonal_e and g.i == g.j and n == m
+
+
+def test_planted_off_by_one_table_entry_fails_structure_constants():
+    ctx = FockContext(COMPLEX, 1, 2, 4).validate()
+    target, m0 = X(1, 2), (a_slot(1, 1),)  # an a-only monomial, which X annihilates
+    assert apply_generator(ctx, target, unit(ctx, m0)).is_zero()
+
+    def off_by_one(ctx, g, v):
+        out = apply_generator(ctx, g, v)
+        if g == target and set(v.monomials()) == {m0}:
+            out = out + unit(ctx, ())
+        return out
+
+    report = verify_structure_constants(ctx, 2, off_by_one)
+    assert report == reference_structure_constants(ctx, 2, off_by_one)
+    assert not report["ok"]
+    # the entry enters both as an operand and on the expected side
+    assert any(str(target) in f["pair"] for f in report["failures"])
+    assert any(str(target) not in f["pair"] for f in report["failures"])

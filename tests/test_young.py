@@ -203,3 +203,17 @@ def test_bijection_O_fails_when_sign_is_ignored(monkeypatch):
     report = bijection_roundtrip_check("O", 3, 3)
     assert not report["ok"]
     assert "roundtrip" in {f["kind"] for f in report["failures"]}
+
+
+def test_bijection_O_reports_label_that_names_no_sector(monkeypatch):
+    # [1,1] has more than N/2 = 1 rows at N = 3, so it names no sector
+    honest = young.sector_to_irrep_O
+
+    def too_tall(y, N):
+        return honest(y, N)._replace(canonical=GaugeIrrepO(YoungDiagram((1, 1)), "+"))
+
+    monkeypatch.setattr(young, "sector_to_irrep_O", too_tall)
+    report = bijection_roundtrip_check("O", 3, 2)
+    assert report["ok"] is False
+    assert {"kind": "roundtrip", "sector": "([],N=3)", "label": {"Y": [1, 1], "sign": "+"},
+            "back": None} in report["failures"]
