@@ -47,7 +47,13 @@ from .fock import (
     inner_product,
     norm_sq,
 )
-from .sectors import Weight, build_ground_state, joint_kernel, weight_from_sector
+from .sectors import (
+    Weight,
+    build_ground_state,
+    joint_kernel,
+    simple_raising_labels,
+    weight_from_sector,
+)
 from .young import SectorLabel
 
 
@@ -230,9 +236,9 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
             v = apply_generator(ctx, Xstar(k, l), u)
             if span.add(dict(v.items())):
                 raised.append(v)
-    raising = [GeneratorLabel(kind, i, j) for kind in ctx.kind.e_kinds
-               for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return joint_kernel(ctx, raising, raised)
+    # E preserves particle number, so the simple E(i,i+1) cut out the same
+    # kernel as every raising E(i,j), i < j <= n
+    return joint_kernel(ctx, simple_raising_labels(ctx, n), raised)
 
 
 def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:

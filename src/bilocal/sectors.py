@@ -2,11 +2,15 @@
 
 Ground states are joint eigenvectors of the Cartan generators E(i,i)
 annihilated by every X(i,j) and by the raising operators E(i,j), i < j.
-Complex ground states are explicit products of slot determinants; real
-ones are obtained by projecting the raw determinant product onto the
-joint kernel, which realizes the traceless part without any tensor
-bookkeeping (trace terms lie in the image of Xstar, hence orthogonal to
-the kernel).
+Those conditions are generated by X(1,1) and the simple raising E(i,i+1)
+under commutators, and none of these operators creates particles, so
+kernels are solved from that generating set (2M-1 labels complex, M
+real) and are exactly the kernels of the full set, which
+``verify_hw_conditions`` still checks.  Complex ground states are
+explicit products of slot determinants; real ones are obtained by
+projecting the raw determinant product onto the joint kernel, which
+realizes the traceless part without any tensor bookkeeping (trace terms
+lie in the image of Xstar, hence orthogonal to the kernel).
 
 Closed-form norm and determinant recursions are evaluated here and
 checked against brute-force oscillator computations elsewhere.
@@ -182,7 +186,7 @@ def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
     Complex: the product of a-slot determinants (flavors 1..r) and b-slot
     determinants (flavors N+1-r..N), one factor per diagram column.
     Real: the raw a-determinant product projected onto the joint kernel of
-    all X(i,j) and raising E(i,j) inside its occupation-profile subspace,
+    the ground-state conditions inside its occupation-profile subspace,
     scaled to content-1 integers with a positive leading coefficient.
     """
     if s.field_kind != ctx.field_kind or s.N != ctx.N:
@@ -258,12 +262,34 @@ def profile_monomials(ctx: FockContext, a_occ, b_occ=None) -> list:
 
 
 def lowering_and_raising_labels(ctx: FockContext):
-    """The annihilation conditions defining a ground state: all X(i,j) (only
-    i <= j when X is symmetric) and the energy-raising E(i,j) with i < j."""
+    """Every annihilation condition defining a ground state: all X(i,j) (only
+    i <= j when X is symmetric) and the energy-raising E(i,j) with i < j.
+
+    ``verify_hw_conditions`` checks all of them; kernels are solved from
+    the generating subset ``ground_state_generators``."""
     kind, modes = ctx.kind, range(1, ctx.M + 1)
     symmetric, e_kinds = kind.x_symmetric, kind.e_kinds
     return [X(i, j) for i in modes for j in modes if i <= j or not symmetric] + [
         GeneratorLabel(e, i, j) for i in modes for j in modes if i < j for e in e_kinds]
+
+
+def simple_raising_labels(ctx: FockContext, n: int) -> list:
+    """The simple raising E(i,i+1), i < n, of every E kind.  Brackets
+    [E(i,j), E(j,l)] = E(i,l) give every raising E(i,l), i < l <= n."""
+    return [GeneratorLabel(e, i, i + 1) for i in range(1, n) for e in ctx.kind.e_kinds]
+
+
+def ground_state_generators(ctx: FockContext) -> list:
+    """X(1,1) and the simple raising E(i,i+1): 2M-1 labels complex, M real.
+
+    Their brackets reach every label of ``lowering_and_raising_labels`` up
+    to a nonzero scalar (complex: [E+(1,j), X(k,1)] = -X(k,j) and
+    [E-(1,k), X(1,l)] = -X(k,l); real: [E(1,k), X(1,l)] = -X(k,l) -
+    delta_1l X(1,k)).  A vector two operators annihilate is annihilated by
+    their commutator, and none of these operators creates particles, so
+    the P cutoff never enters: the joint kernel is exactly that of the
+    full set, with the same free-column basis."""
+    return [X(1, 1)] + simple_raising_labels(ctx, ctx.M)
 
 
 def joint_kernel(ctx: FockContext, labels, vectors) -> list:
@@ -281,9 +307,9 @@ def joint_kernel(ctx: FockContext, labels, vectors) -> list:
 
 def hw_kernel_in_profile(ctx: FockContext, a_occ, b_occ) -> list:
     """Basis of the joint kernel of the ground-state conditions inside one
-    occupation-profile subspace."""
+    occupation-profile subspace, solved from their generating set."""
     basis = [unit(ctx, m) for m in profile_monomials(ctx, a_occ, b_occ)]
-    return joint_kernel(ctx, lowering_and_raising_labels(ctx), basis)
+    return joint_kernel(ctx, ground_state_generators(ctx), basis)
 
 
 # ---------------------------------------------------------------------------

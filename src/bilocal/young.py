@@ -15,7 +15,7 @@ because they act on flavor indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .fock import (
@@ -61,22 +61,28 @@ class YoungDiagram:
         """Length of row i (1-based), 0 beyond the diagram."""
         return self.rows[i - 1] if 1 <= i <= len(self.rows) else 0
 
+    @cached_property
+    def _columns(self) -> tuple:
+        """Column heights, computed once per instance.  Kept in the instance
+        dict, outside the dataclass fields, so eq, hash and order ignore it."""
+        return _conjugate(self.rows)
+
     def column_heights(self) -> tuple:
-        if not self.rows:
-            return ()
-        return tuple(sum(1 for r in self.rows if r >= c) for c in range(1, self.rows[0] + 1))
+        return self._columns
 
     def column(self, k: int) -> int:
         """Height of column k (1-based), 0 beyond the diagram."""
-        return sum(1 for r in self.rows if r >= k)
+        cols = self._columns
+        return cols[k - 1] if 1 <= k <= len(cols) else 0
 
     @staticmethod
     def from_columns(heights) -> "YoungDiagram":
-        heights = [h for h in heights if h > 0]
-        if not heights:
-            return YoungDiagram(())
-        top = max(heights)
-        return YoungDiagram(tuple(sum(1 for h in heights if h >= i) for i in range(1, top + 1)))
+        """The diagram with these column heights, in any order; heights <= 0
+        are dropped.  The sorted heights fill its column cache."""
+        cols = tuple(sorted((h for h in heights if h > 0), reverse=True))
+        y = YoungDiagram(_conjugate(cols))
+        y.__dict__["_columns"] = cols
+        return y
 
     def conjugate(self) -> "YoungDiagram":
         return YoungDiagram(self.column_heights())
@@ -88,6 +94,19 @@ class YoungDiagram:
         return list(self.rows)
 
 
+def _conjugate(parts) -> tuple:
+    """Conjugate of weakly decreasing positive parts, in time linear in the
+    largest part plus the number of parts: column c has height k, the
+    number of parts >= c, and k only falls as c grows."""
+    out = []
+    k = len(parts)
+    for c in range(1, parts[0] + 1 if parts else 1):
+        while parts[k - 1] < c:
+            k -= 1
+        out.append(k)
+    return tuple(out)
+
+
 def diagram(*rows) -> YoungDiagram:
     return YoungDiagram(tuple(rows))
 
@@ -97,20 +116,25 @@ EMPTY = YoungDiagram(())
 
 def young_diagrams(max_boxes: int, max_rows: Optional[int] = None) -> Iterator[YoungDiagram]:
     """All diagrams with at most max_boxes boxes (and optionally bounded rows),
-    in deterministic order."""
+    by size, then rows in decreasing lexicographic order."""
 
-    def parts(total, cap):
+    def parts(total, cap, rows):
+        # partitions of total into at most ``rows`` parts, each <= cap; a
+        # first part below total / rows leaves too much for the rest
         if total == 0:
             yield ()
             return
         for first in range(min(total, cap), 0, -1):
-            for rest in parts(total - first, first):
+            if first * rows < total:
+                return
+            for rest in parts(total - first, first, rows - 1):
                 yield (first,) + rest
 
+    if max_rows is not None and max_rows < 0:
+        return
     for n in range(max_boxes + 1):
-        for p in parts(n, n if n else 1):
-            if max_rows is None or len(p) <= max_rows:
-                yield YoungDiagram(p)
+        for p in parts(n, n, n if max_rows is None else max_rows):
+            yield YoungDiagram(p)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +439,9 @@ def bijection_roundtrip_check(group: str, N: int, size_cap: int) -> dict:
         # totality: every valid label in range (at most N rows) maps back into the window
         cap = N * size_cap + size_cap
         for y in young_diagrams(cap, max_rows=N):
+            size = y.size
             for q in range(-cap, cap + 1):
-                if N > 0 and (q - y.size) % N:
+                if N > 0 and (q - size) % N:
                     continue
                 try:
                     s = irrep_U_to_sector(GaugeIrrepU(y, q), N)

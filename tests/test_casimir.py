@@ -1,8 +1,11 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bilocal.algebra import Eminus, Eplus, OperatorExpr, X, Xstar
+from bilocal import casimir
+from bilocal.algebra import Eminus, Eplus, GeneratorLabel, OperatorExpr, X, Xstar, apply_generator
 from bilocal.casimir import (
     canonical_lambda,
     casimir_g,
@@ -13,13 +16,15 @@ from bilocal.casimir import (
     cg_eigenvalue_oracle,
     gamma_closed_form,
     gamma_value,
+    hw_vectors_at_weight,
     resolve_cg_closed_form,
     unitarity_bound,
     verify_gamma_identity,
     weyl_data,
 )
 from bilocal.fock import COMPLEX, REAL, FockContext, basis_monomials, unit
-from bilocal.sectors import build_ground_state, weight_from_sector
+from bilocal.linalg import RowSpan
+from bilocal.sectors import build_ground_state, joint_kernel, weight_from_sector
 from bilocal.young import EMPTY, complex_sector, diagram, enumerate_sectors, real_sector, vacuum_sector
 
 
@@ -208,3 +213,43 @@ def test_unitarity_bound():
     assert not unitarity_bound(complex_sector(diagram(1, 1), diagram(1), 2))
     assert unitarity_bound(real_sector(diagram(1, 1), 2))
     assert not unitarity_bound(real_sector(diagram(2, 2), 3))
+
+
+def _hw_cases():
+    """The (sector, rank, context, ...) cases of the benchmark's hw job."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return list(workloads.hw_cases())
+
+
+def reference_hw_vectors_at_weight(ctx, ground, n, lam):
+    """hw_vectors_at_weight as first written: the kernel of every raising
+    E(i,j), i < j <= n, on the raised vectors."""
+    lam = tuple(Fraction(x) for x in lam)
+    blocks = casimir.compact_module(ctx, ground, n)
+    raised = []
+    span = RowSpan()
+    for k, l, shift in casimir._raised_weight_candidates(ctx, n):
+        need = tuple(a - b for a, b in zip(lam, shift))
+        for u in blocks.get(need, ()):
+            v = apply_generator(ctx, Xstar(k, l), u)
+            if span.add(dict(v.items())):
+                raised.append(v)
+    raising = [GeneratorLabel(kind, i, j) for kind in ctx.kind.e_kinds
+               for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return joint_kernel(ctx, raising, raised)
+
+
+def test_hw_vectors_from_simple_raising_match_every_raising():
+    cases = _hw_cases()
+    assert cases
+    found = 0
+    for s, n, ctx, _ in cases:
+        ground, lam = build_ground_state(ctx, s), canonical_lambda(s, n)
+        got = hw_vectors_at_weight(ctx, ground, n, lam)
+        want = reference_hw_vectors_at_weight(ctx, ground, n, lam)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in want], (str(s), n)
+        found += len(got)
+    assert found

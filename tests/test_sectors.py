@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bilocal.algebra import GeneratorLabel, X, Xstar, apply_generator
+from bilocal.algebra import GeneratorLabel, X, Xstar, abstract_commutator, apply_generator
 from bilocal.fock import (
     COMPLEX,
+    FIELD_KINDS,
     REAL,
+    X_KIND,
+    XSTAR_KIND,
     FockContext,
     TruncationError,
     a_slot,
@@ -16,15 +20,22 @@ from bilocal.fock import (
     unit,
     vacuum,
 )
+from bilocal.modes import appendix_spectrum
 from bilocal.sectors import (
     Weight,
+    _profiles_below,
     build_ground_state,
     classify_spectrum,
     determinant_operator,
     determinant_recursion_check,
+    ground_state_generators,
+    hw_kernel_in_profile,
+    joint_kernel,
+    lowering_and_raising_labels,
     norm_recursion_oracle,
     null_vector_order,
     p_polynomial_check,
+    profile_monomials,
     verify_hw_conditions,
     weight_from_sector,
 )
@@ -369,3 +380,103 @@ def test_classify_with_degenerate_spectrum():
     spec = appendix_spectrum(ctx, 4)
     results = classify_spectrum(ctx, 1, spec)
     assert {str(e["sector"]) for e in results} == {"([],N=2)", "([1],N=2)"}
+
+
+# ---------------------------------------------------------------------------
+# ground-state conditions from their generating set
+
+
+def _symmetric_label(g, kind):
+    """Real X(i,j) and X(j,i) are one operator: spell it with i <= j."""
+    if g.kind in (X_KIND, XSTAR_KIND) and FIELD_KINDS[kind].x_symmetric and g.i > g.j:
+        return GeneratorLabel(g.kind, g.j, g.i)
+    return g
+
+
+def _multiple_of(expr, kind):
+    """The label a degree-one expression is a nonzero multiple of, else None."""
+    merged = {}
+    for word, c in expr.items():
+        (g,) = word
+        g = _symmetric_label(g, kind)
+        merged[g] = merged.get(g, 0) + c
+    labels = [g for g, c in merged.items() if c]
+    return labels[0] if len(labels) == 1 else None
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+def test_ground_state_generators_bracket_to_every_condition(kind, M):
+    # closure from the structure relations alone: brackets of what is
+    # reached, kept when they are a nonzero multiple of a single label
+    ctx = FockContext(kind, 1, M, 1).validate()
+    gens = ground_state_generators(ctx)
+    assert len(gens) == (2 * M - 1 if kind == COMPLEX else M)
+    reached = set(gens)
+    while True:
+        new = {g for a in reached for b in reached
+               if (g := _multiple_of(abstract_commutator(a, b, kind), kind)) is not None}
+        if new <= reached:
+            break
+        reached |= new
+    assert reached == {_symmetric_label(g, kind) for g in lowering_and_raising_labels(ctx)}
+
+
+def _full_kernel(ctx, a_occ, b_occ):
+    basis = [unit(ctx, m) for m in profile_monomials(ctx, a_occ, b_occ)]
+    return joint_kernel(ctx, lowering_and_raising_labels(ctx), basis)
+
+
+def _terms(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+def _profiles(ctx, cutoff, spec=None):
+    energies = (spec.energies if spec else range(1, ctx.M + 1))[: ctx.M]
+    return list(_profiles_below(ctx, [Fraction(e) for e in energies], Fraction(cutoff)))
+
+
+def _gate_contexts():
+    """The contexts and profiles of the two classify benchmark gates."""
+    cplx = FockContext(COMPLEX, 3, 4, 6).validate()
+    real = FockContext(REAL, 3, 4, 6).validate()
+    return [(cplx, _profiles(cplx, 5)), (real, _profiles(real, 6, appendix_spectrum(real, 4)))]
+
+
+def test_generating_set_kernel_equals_full_kernel_on_gate_contexts():
+    for ctx, profiles in _gate_contexts():
+        assert profiles
+        for a_occ, b_occ in profiles:
+            assert _terms(hw_kernel_in_profile(ctx, a_occ, b_occ)) == _terms(
+                _full_kernel(ctx, a_occ, b_occ)), (ctx, a_occ, b_occ)
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 3), M=st.integers(1, 3),
+       cutoff=st.integers(0, 4))
+def test_generating_set_kernel_equals_full_kernel_on_small_contexts(kind, N, M, cutoff):
+    ctx = FockContext(kind, N, M, max(cutoff, 1)).validate()
+    for a_occ, b_occ in _profiles(ctx, cutoff):
+        assert _terms(hw_kernel_in_profile(ctx, a_occ, b_occ)) == _terms(
+            _full_kernel(ctx, a_occ, b_occ)), (a_occ, b_occ)
+
+
+def test_every_generator_is_needed():
+    # negative control: without X(1,1), or without any one simple E(i,i+1),
+    # the kernel is strictly larger on some profile of the gate contexts
+    for ctx, profiles in _gate_contexts():
+        sizes = {}
+
+        def kernel_size(a_occ, b_occ):
+            key = (a_occ, b_occ)
+            if key not in sizes:
+                sizes[key] = len(hw_kernel_in_profile(ctx, a_occ, b_occ))
+            return sizes[key]
+
+        gens = ground_state_generators(ctx)
+        for dropped in gens:
+            rest = [g for g in gens if g != dropped]
+            assert any(
+                len(joint_kernel(ctx, rest, [unit(ctx, m) for m in profile_monomials(ctx, a, b)]))
+                > kernel_size(a, b)
+                for a, b in profiles), (ctx, dropped)

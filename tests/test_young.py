@@ -36,6 +36,77 @@ def test_diagram_validation():
     assert YoungDiagram.from_columns((2, 1, 1)) == diagram(3, 1)
 
 
+def test_column_outside_the_diagram_is_zero():
+    # column(0) and negative k used to count every row
+    for y in (EMPTY, diagram(1), diagram(3, 1), diagram(2, 2, 1)):
+        assert [y.column(k) for k in (-2, -1, 0)] == [0, 0, 0]
+        assert y.column(y.row(1) + 1) == 0
+    assert [diagram(3, 1).column(k) for k in (1, 2, 3)] == [2, 1, 1]
+
+
+# reference copies of the column helpers and the enumeration as first written
+
+
+def reference_column_heights(rows):
+    if not rows:
+        return ()
+    return tuple(sum(1 for r in rows if r >= c) for c in range(1, rows[0] + 1))
+
+
+def reference_from_columns(heights):
+    heights = [h for h in heights if h > 0]
+    if not heights:
+        return YoungDiagram(())
+    top = max(heights)
+    return YoungDiagram(tuple(sum(1 for h in heights if h >= i) for i in range(1, top + 1)))
+
+
+def reference_young_diagrams(max_boxes, max_rows=None):
+    def parts(total, cap):
+        if total == 0:
+            yield ()
+            return
+        for first in range(min(total, cap), 0, -1):
+            for rest in parts(total - first, first):
+                yield (first,) + rest
+
+    for n in range(max_boxes + 1):
+        for p in parts(n, n if n else 1):
+            if max_rows is None or len(p) <= max_rows:
+                yield YoungDiagram(p)
+
+
+@pytest.mark.parametrize("max_rows", [None, -1, 0, 1, 2, 3, 4, 5])
+def test_young_diagrams_match_reference(max_rows):
+    got = list(young_diagrams(12, max_rows=max_rows))
+    assert [y.rows for y in got] == [y.rows for y in reference_young_diagrams(12, max_rows)]
+
+
+def test_column_helpers_match_reference():
+    for y in reference_young_diagrams(12):
+        cols = reference_column_heights(y.rows)
+        assert y.column_heights() == cols
+        assert [y.column(k) for k in range(1, len(cols) + 2)] == list(cols) + [0]
+        for heights in (cols, cols[::-1], (0,) + cols + (-1, 0), cols[1::2] + cols[::2]):
+            built = YoungDiagram.from_columns(heights)
+            assert built.rows == reference_from_columns(heights).rows == y.rows
+            assert built.column_heights() == cols
+
+
+def test_column_cache_leaves_eq_hash_and_order_alone():
+    ys = list(reference_young_diagrams(12))
+    for y, z in zip(ys, ys[1:]):
+        cold, warm = YoungDiagram(y.rows), YoungDiagram(y.rows)
+        warm.column_heights()
+        built = YoungDiagram.from_columns(reference_column_heights(y.rows))  # cache filled
+        for a in (warm, built):
+            assert a == cold and hash(a) == hash(cold) and repr(a) == repr(cold)
+            assert not a < cold and not cold < a
+            assert (a < z) == (cold < z) and (z < a) == (z < cold)
+        assert built.column_heights() == reference_column_heights(y.rows)
+        assert len({cold, warm, built}) == 1
+
+
 def test_young_enumeration_is_complete():
     # partition counts p(0..5) = 1,1,2,3,5,7
     assert len(list(young_diagrams(5))) == 1 + 1 + 2 + 3 + 5 + 7
