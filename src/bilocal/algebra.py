@@ -40,9 +40,10 @@ from .fock import (
     apply_normal_ordered,
     basis_monomials,
     monomial_str,
+    unit,
     zero,
 )
-from .linalg import Combination, add_scaled
+from .linalg import Combination, add_scaled, canonical, quotient
 
 
 class GeneratorLabel(NamedTuple):
@@ -119,7 +120,7 @@ def _generator_terms(ctx: FockContext, g: GeneratorLabel, shift: bool) -> tuple:
     species = ctx.kind.e_kinds[g.kind]
     terms = [(1, (ModeSlot(species, j, p),), (ModeSlot(species, i, p),)) for p in flavors]
     if shift and i == j:
-        terms.append((Fraction(ctx.N, 2), (), ()))
+        terms.append((quotient(ctx.N, 2), (), ()))
     return tuple(terms)
 
 
@@ -157,11 +158,11 @@ class OperatorExpr(Combination):
 
     @staticmethod
     def scalar(c) -> "OperatorExpr":
-        return OperatorExpr({(): Fraction(c)})
+        return OperatorExpr({(): c})
 
     @staticmethod
     def of(g: GeneratorLabel, coeff=1) -> "OperatorExpr":
-        return OperatorExpr({(g,): Fraction(coeff)})
+        return OperatorExpr({(g,): coeff})
 
     def __mul__(self, other):
         """Word product with another expression, else a scalar multiple."""
@@ -170,7 +171,7 @@ class OperatorExpr(Combination):
         out = {}
         for w1, c1 in self.terms.items():
             add_scaled(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
-        return OperatorExpr._wrap(out)
+        return OperatorExpr._wrap(canonical(out))
 
     def dagger(self) -> "OperatorExpr":
         """Reversed words of adjoint letters; the map is injective on words,
@@ -294,11 +295,6 @@ def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Cal
     return None
 
 
-def _integral(c):
-    """c as an int when it is one, else c unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 class _Table(dict):
     """{monomial: image}, each image computed on its first lookup."""
 
@@ -314,19 +310,18 @@ class _Table(dict):
 
 class ImageCache:
     """Images of unit monomials under ``realization(ctx, label, v)``, each
-    computed once and kept as a plain {monomial: coefficient} dict.
+    computed once and kept as the plain {monomial: coefficient} dict of the
+    realized vector.
 
-    The realization acts on a unit vector with the int coefficient 1, and
-    every integral coefficient is stored as an int.  A Fraction is left only
-    where the realization yields one, the N/2 shift of a diagonal E at odd
-    N, so composing images runs on ints."""
+    Coefficients are canonical, so an image holds a Fraction only where
+    the realization yields a true quotient, the N/2 shift of a diagonal E
+    at odd N, and composing images runs on ints."""
 
     def __init__(self, ctx: FockContext, realization: Callable = apply_generator):
         self.ctx, self.realization, self._tables = ctx, realization, {}
 
     def _image(self, label, m: Monomial) -> dict:
-        v = self.realization(self.ctx, label, FockVector._wrap({m: 1}, self.ctx))
-        return {n: _integral(c) for n, c in v.items()}
+        return self.realization(self.ctx, label, unit(self.ctx, m)).terms
 
     def table(self, label) -> Callable:
         """The map from a monomial to its image under ``label``."""
@@ -342,7 +337,7 @@ def _expr_map(images: ImageCache, expr: OperatorExpr) -> Callable:
     for w, coeff in expr.items():
         if len(w) != 1:
             raise ValueError(f"{expr!r} is not of degree one")
-        terms.append((_integral(coeff), images.table(w[0])))
+        terms.append((coeff, images.table(w[0])))
 
     def image(m):
         out = {}

@@ -95,7 +95,7 @@ def casimir_k(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None)
 
 
 def casimir_g(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None) -> OperatorExpr:
-    half = Fraction(1, 2) if field_kind == REAL else Fraction(1)
+    half = Fraction(1, 2) if field_kind == REAL else 1
     rng = range(1, n + 1)
     cross = [(OperatorExpr.of(Xstar(i, j)), OperatorExpr.of(X(i, j))) for i in rng for j in rng]
     return casimir_k(n, field_kind, max_mode).plus(
@@ -171,7 +171,7 @@ def unitarity_bound(s: SectorLabel) -> bool:
 def _vector_weight(ctx: FockContext, v: FockVector, n: int):
     """h_i = occupation + N/2 on the first n modes, one block per species."""
     m = next(iter(v.monomials()))
-    half_n = Fraction(ctx.N, 2)
+    half_n = linalg.quotient(ctx.N, 2)
     return tuple(half_n + sum(1 for s in m if s.species == sp and s.mode == i)
                  for sp in ctx.kind.species for i in range(1, n + 1))
 
@@ -216,7 +216,7 @@ def _raised_weight_candidates(ctx, n):
     out = []
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            shift = [Fraction(0)] * (len(species) * n)
+            shift = [0] * (len(species) * n)
             for sp, mode in zip(legs, (k, l)):
                 shift[species.index(sp) * n + mode - 1] += 1
             out.append((k, l, tuple(shift)))
@@ -226,7 +226,7 @@ def _raised_weight_candidates(ctx, n):
 def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> list:
     """Compact highest-weight vectors of weight lam inside the level-one
     raised subspace Xstar * (compact module of the ground state)."""
-    lam = tuple(Fraction(x) for x in lam)
+    lam = tuple(linalg.rational(x) for x in lam)
     blocks = compact_module(ctx, ground, n)
     raised = []
     span = linalg.RowSpan()
@@ -256,7 +256,7 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
     gamma = gamma_value(h, lam, n)
     closed = gamma_closed_form(s)
     vectors = hw_vectors_at_weight(ctx, ground, n, lam)
-    factor = Fraction(2) if ctx.field_kind == COMPLEX else Fraction(1)
+    factor = 2 if ctx.field_kind == COMPLEX else 1
     if not vectors:
         ok = gamma == 0 and closed == 0
         return {
@@ -270,7 +270,7 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
         }
     failures = []
     for v in vectors:
-        lhs = Fraction(0)
+        lhs = 0
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 lhs += factor * norm_sq(apply_generator(ctx, X(i, j), v))
@@ -295,15 +295,14 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
 # C_g eigenvalue: oracle resolution
 
 
-def cg_eigenvalue_oracle(ctx: FockContext, s: SectorLabel, n: int) -> Fraction:
+def cg_eigenvalue_oracle(ctx: FockContext, s: SectorLabel, n: int):
     """Measured C_g eigenvalue on the sector's ground state (raises if the
     action is not an exact multiple of the state)."""
     ground = build_ground_state(ctx, s)
     if ground.max_particles() + 2 > ctx.P:
         raise ContextViolation("need two spare particle slots for the cross terms")
     img = casimir_g(n, ctx.field_kind, max_mode=ctx.M).apply(ctx, ground)
-    denom = norm_sq(ground)
-    value = inner_product(ground, img) / denom
+    value = linalg.quotient(inner_product(ground, img), norm_sq(ground))
     if img != ground * value:
         raise ArithmeticError(f"C_g does not act as a scalar on {s}")
     return value

@@ -1,7 +1,8 @@
 """Exact truncated bosonic Fock space for N scalar field multiplets.
 
 States are linear combinations of occupation monomials over slots
-(species, mode, flavor) with arbitrary-precision rational coefficients.
+(species, mode, flavor) with exact rational coefficients, ints where
+integral (``linalg.rational``).
 Monomials are *unnormalized* products of creation operators applied to
 the vacuum, so every inner product is an integer-weighted sum and no
 square roots ever appear:
@@ -23,7 +24,7 @@ from itertools import combinations_with_replacement, groupby
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from .linalg import Combination, add_scaled
+from .linalg import Combination, add_scaled, canonical, rational
 
 SPECIES_A = "a"
 SPECIES_B = "b"
@@ -121,8 +122,6 @@ Monomial = tuple
 
 VACUUM_MONOMIAL: Monomial = ()
 
-_ONE = Fraction(1)
-
 
 class FockContext(NamedTuple):
     """Shared truncation data: field kind, multiplet size N, mode cutoff M,
@@ -200,8 +199,8 @@ class FockVector(Combination):
     def monomials(self):
         return self.terms.keys()
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial):
+        return self.terms.get(m, 0)
 
     def __repr__(self):
         if not self.terms:
@@ -219,11 +218,11 @@ def zero(ctx: FockContext) -> FockVector:
 
 def vacuum(ctx: FockContext) -> FockVector:
     """The state |0>, with <0|0> = 1."""
-    return FockVector._wrap({VACUUM_MONOMIAL: _ONE}, ctx)
+    return FockVector._wrap({VACUUM_MONOMIAL: 1}, ctx)
 
 
 def unit(ctx: FockContext, m: Monomial) -> FockVector:
-    return FockVector._wrap({m: _ONE}, ctx)
+    return FockVector._wrap({m: 1}, ctx)
 
 
 def apply_normal_ordered(ctx: FockContext, terms, v: FockVector) -> FockVector:
@@ -252,7 +251,7 @@ def apply_normal_ordered(ctx: FockContext, terms, v: FockVector) -> FockVector:
                     image[tuple(sorted(m + ins))] = c
         if image:
             add_scaled(out, image, f)
-    return FockVector._wrap(out, ctx)
+    return FockVector._wrap(canonical(out), ctx)
 
 
 def apply_creation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
@@ -269,7 +268,7 @@ def apply_annihilation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockV
     return apply_normal_ordered(ctx, ((1, (slot,), ()),), v)
 
 
-def inner_product(v1: FockVector, v2: FockVector) -> Fraction:
+def inner_product(v1: FockVector, v2: FockVector):
     """Exact sesquilinear form induced by <0|0> = 1 and the CCR.
 
     Distinct monomials are orthogonal; <m|m> is the product of slot
@@ -277,15 +276,15 @@ def inner_product(v1: FockVector, v2: FockVector) -> Fraction:
     """
     v1._check(v2)
     small, big = (v1, v2) if len(v1) <= len(v2) else (v2, v1)
-    total = Fraction(0)
+    total = 0
     for m, c in small.items():
         c2 = big.coefficient(m)
         if c2:
             total += c * c2 * monomial_self_overlap(m)
-    return total
+    return rational(total)
 
 
-def norm_sq(v: FockVector) -> Fraction:
+def norm_sq(v: FockVector):
     return inner_product(v, v)
 
 

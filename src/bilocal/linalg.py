@@ -1,11 +1,18 @@
-"""Exact linear algebra over Fraction: the sparse rational combination,
-one sparse echelon, and one symmetric elimination for the
+"""Exact linear algebra over the rationals: the sparse rational
+combination, one sparse echelon, and one symmetric elimination for the
 positive-semidefinite test.
 
 ``add_scaled`` is the only loop that sums sparse terms, and
 ``Combination`` is the one sparse vector type built on it: Fock states,
 operator expressions and kernel rows are all finite rational
 combinations of keys.
+
+Every coefficient is stored in the canonical form ``rational`` gives: an
+int when the value is integral, a Fraction with denominator > 1
+otherwise, never a float.  Both are ``numbers.Rational``, and an int and
+a Fraction of the same value compare and hash equal, so the form changes
+no result; it keeps integer work on ints.  Two ints divide to a float, so
+a quotient is taken as ``Fraction(a) / b`` (``quotient``).
 
 Rows are dicts {column: value} over any orderable column keys; a dense
 row list is read as {index: value}.  ``RowSpan`` keeps the echelon form
@@ -18,9 +25,35 @@ are the free-column basis whichever order the rows arrive in.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def rational(c):
+    """c in canonical form: an int when integral, else a Fraction.  Raises
+    TypeError on anything that is not a numbers.Rational, a float above
+    all, whose binary value would pass for an exact one."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if not isinstance(c, Rational):
+            raise TypeError(f"exact rational coefficient expected, got {type(c).__name__} {c!r}")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def quotient(a, b):
+    """a / b exactly, in canonical form."""
+    return rational(Fraction(a) / b)
+
+
+def canonical(terms: dict) -> dict:
+    """terms with every integral Fraction value replaced by its int, in
+    place, keys and their order unchanged; returns terms.  Sums and
+    products that a Fraction takes part in can land on an integer."""
+    for k, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[k] = c.numerator
+    return terms
 
 
 def add_scaled(dst: dict, src: dict, f=1) -> None:
@@ -50,8 +83,9 @@ def add_scaled(dst: dict, src: dict, f=1) -> None:
 
 
 class Combination:
-    """Finite rational combination {key: Fraction} of hashable keys, with
-    no zero coefficient stored; immutable by convention.
+    """Finite rational combination {key: coefficient} of hashable keys, in
+    canonical form with no zero coefficient stored; immutable by
+    convention.
 
     ``ctx`` names the space the keys live in (None when there is only one):
     combinations in different spaces are never equal, and a subclass
@@ -64,7 +98,7 @@ class Combination:
         clean = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c)
+                c = rational(c)
                 if c:
                     clean[k] = c
         self.terms = clean
@@ -73,7 +107,7 @@ class Combination:
     @classmethod
     def _wrap(cls, terms: dict, ctx=None):
         """An instance holding ``terms`` as they are: the caller guarantees
-        every value is a nonzero Fraction."""
+        every value is nonzero and canonical."""
         out = object.__new__(cls)
         out.terms = terms
         out.ctx = ctx
@@ -87,8 +121,8 @@ class Combination:
         out = dict(self.terms)
         for f, v in pairs:
             self._check(v)
-            add_scaled(out, v.terms, f)
-        return self._wrap(out, self.ctx)
+            add_scaled(out, v.terms, rational(f))
+        return self._wrap(canonical(out), self.ctx)
 
     def __add__(self, other):
         return self.plus(((1, other),))
@@ -97,8 +131,8 @@ class Combination:
         return self.plus(((-1, other),))
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        terms = {k: c * scalar for k, c in self.terms.items()} if scalar else {}
+        scalar = rational(scalar)
+        terms = canonical({k: c * scalar for k, c in self.terms.items()}) if scalar else {}
         return self._wrap(terms, self.ctx)
 
     __rmul__ = __mul__
@@ -141,7 +175,7 @@ def solve(a, b):
     """Solve a x = b for square nonsingular a, as the kernel of [a | -b];
     raises on singular input."""
     n = len(a)
-    span = _echelon(_sparse(row) | {n: -Fraction(bi)} for row, bi in zip(a, b))
+    span = _echelon(_sparse(row) | {n: -rational(bi)} for row, bi in zip(a, b))
     if len(span._rows) != n or n in span._rows:
         raise ValueError("singular system")
     return span._kernel(n + 1)[0][:n]
@@ -151,18 +185,18 @@ def det(a):
     """Signed product of the pivots met while pushing the rows in order."""
     span = RowSpan()
     leads = []
-    out = Fraction(1)
+    out = 1
     for row in a:
         lead, pivot = span._push(_sparse(row))
         if lead is None:
-            return Fraction(0)
+            return 0
         leads.append(lead)
         out *= pivot
     for i, x in enumerate(leads):
         for y in leads[i + 1:]:
             if y < x:
                 out = -out
-    return out
+    return rational(out)
 
 
 def leading_principal_minors(a):
@@ -192,7 +226,7 @@ def positive_semidefinite(a) -> bool:
 class RowSpan:
     """Incrementally maintained row space over a dynamic, orderable key set.
 
-    Rows are dicts {key: Fraction}; ``add`` reduces the candidate against
+    Rows are dicts {key: coefficient}; ``add`` reduces the candidate against
     the stored echelon rows and reports whether it was independent.
     """
 
@@ -200,7 +234,7 @@ class RowSpan:
         self._rows = {}  # leading key -> reduced row dict, leading entry 1
 
     def _reduce(self, vec):
-        vec = {k: Fraction(c) for k, c in vec.items() if c}
+        vec = {k: rational(c) for k, c in vec.items() if c}
         while vec:
             lead = min(vec)
             row = self._rows.get(lead)
@@ -214,9 +248,9 @@ class RowSpan:
         key and leading entry, or (None, 0) when vec was dependent."""
         lead, red = self._reduce(vec)
         if lead is None:
-            return None, Fraction(0)
+            return None, 0
         pivot = red[lead]
-        self._rows[lead] = {k: c / pivot for k, c in red.items()}
+        self._rows[lead] = red if pivot == 1 else {k: quotient(c, pivot) for k, c in red.items()}
         return lead, pivot
 
     def add(self, vec) -> bool:
@@ -230,11 +264,11 @@ class RowSpan:
         for free in range(ncols):
             if free in self._rows:
                 continue
-            x = {free: _ONE}
+            x = {free: 1}
             for p in pivots:
                 if p < free:
                     s = -sum(c * x[k] for k, c in self._rows[p].items() if k in x)
                     if s:
-                        x[p] = s
-            basis.append([x.get(j, _ZERO) for j in range(ncols)])
+                        x[p] = rational(s)
+            basis.append([x.get(j, 0) for j in range(ncols)])
         return basis
