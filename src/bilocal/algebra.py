@@ -43,7 +43,7 @@ from .fock import (
     unit,
     zero,
 )
-from .linalg import Combination, add_scaled, canonical, quotient
+from .linalg import Combination, add_scaled, canonical, quotient, rational
 
 
 class GeneratorLabel(NamedTuple):
@@ -348,9 +348,11 @@ def _expr_map(images: ImageCache, expr: OperatorExpr) -> Callable:
     return image
 
 
+MAX_FAILURES = 10  # structure-constant failures listed before the check stops
+
+
 def verify_structure_constants(ctx: FockContext, margin: int = 2,
-                               realization: Callable = apply_generator,
-                               max_failures: int = 10) -> dict:
+                               realization: Callable = apply_generator) -> dict:
     """Check [g1,g2] against the abstract relations on every monomial with at
     most P - margin particles, for every unordered generator pair.
 
@@ -373,7 +375,7 @@ def verify_structure_constants(ctx: FockContext, margin: int = 2,
             m, lhs, rhs = hit
             failures.append({"pair": [str(g1), str(g2)], "monomial": monomial_str(m),
                              "expected": repr(rhs), "got": repr(lhs)})
-            if len(failures) >= max_failures:
+            if len(failures) >= MAX_FAILURES:
                 break
     return {"ok": not failures, "pairs_checked": pairs, "basis_size": len(basis), "failures": failures}
 
@@ -406,9 +408,8 @@ def canonical_hamiltonian(ctx: FockContext, energies=None) -> HamiltonianSpec:
     """The conformal choice: g_i = n0, N (complex) or N/2 (real); default
     energies are 1, 2, 3, ..."""
     if energies is None:
-        energies = tuple(Fraction(i) for i in range(1, ctx.M + 1))
-    else:
-        energies = tuple(Fraction(e) for e in energies)
+        energies = range(1, ctx.M + 1)
+    energies = tuple(rational(e) for e in energies)
     return HamiltonianSpec(energies, (ctx.kind.n0(ctx.N),) * len(energies))
 
 

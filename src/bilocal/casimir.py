@@ -105,7 +105,7 @@ def casimir_g(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None)
 def casimir_k_eigenvalue(lam, n: int, field_kind: str = COMPLEX) -> Fraction:
     """(lam+rho, lam+rho) - (rho, rho) in the orthonormal e-basis."""
     data = weyl_data(field_kind, n)
-    lam = tuple(Fraction(x) for x in lam)
+    lam = tuple(linalg.rational(x) for x in lam)
     if len(lam) != len(data.rho):
         raise ValueError(f"weight length {len(lam)} != {len(data.rho)}")
     shifted = tuple(a + b for a, b in zip(lam, data.rho))
@@ -115,7 +115,7 @@ def casimir_k_eigenvalue(lam, n: int, field_kind: str = COMPLEX) -> Fraction:
 def gamma_value(h: Weight, lam, n: int) -> Fraction:
     """(lam+delta, lam+delta) - (h+delta, h+delta)."""
     data = weyl_data(h.field_kind, n)
-    lam = tuple(Fraction(x) for x in lam)
+    lam = tuple(linalg.rational(x) for x in lam)
     _check_dominant(lam, h.field_kind, n)
     hv = h.coords(n)
     a = tuple(x + d for x, d in zip(lam, data.delta))

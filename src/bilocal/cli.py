@@ -246,8 +246,9 @@ def cmd_classify(args) -> int:
         else:
             row.update(young.sector_to_json(s))
             if ctx.field_kind == COMPLEX:
-                row["gauge_irrep"] = young.sector_to_irrep_U(s).to_json()
-                row["gauge_dimension"] = young.weyl_dimension_U(young.sector_to_irrep_U(s), ctx.N)
+                irr = young.sector_to_irrep_U(s)
+                row["gauge_irrep"] = irr.to_json()
+                row["gauge_dimension"] = young.weyl_dimension_U(irr, ctx.N)
             else:
                 row["gauge_irrep"] = young.sector_to_irrep_O(s.y, ctx.N).canonical.to_json()
         rows.append(row)

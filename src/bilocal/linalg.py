@@ -1,6 +1,5 @@
 """Exact linear algebra over the rationals: the sparse rational
-combination, one sparse echelon, and one symmetric elimination for the
-positive-semidefinite test.
+combination and one sparse echelon.
 
 ``add_scaled`` is the only loop that sums sparse terms, and
 ``Combination`` is the one sparse vector type built on it: Fock states,
@@ -15,11 +14,11 @@ no result; it keeps integer work on ints.  Two ints divide to a float, so
 a quotient is taken as ``Fraction(a) / b`` (``quotient``).
 
 Rows are dicts {column: value} over any orderable column keys; a dense
-row list is read as {index: value}.  ``RowSpan`` keeps the echelon form
-of the rows pushed into it: the pivot columns of any echelon form of a
-row space are the same, so kernels read off it by back-substitution
-are the free-column basis whichever order the rows arrive in.
-``nullspace``, ``solve`` and ``det`` are thin readings of that echelon.
+row list is read as {index: value}.  ``RowSpan`` keeps the fully reduced
+echelon form of the rows pushed into it, which is unique for the row
+space: kernels read straight off it are the free-column basis whichever
+order the rows arrive in.  ``nullspace``, ``solve``, ``det`` and
+``positive_semidefinite`` are short readings of that echelon.
 """
 
 from __future__ import annotations
@@ -165,9 +164,10 @@ def _echelon(rows) -> "RowSpan":
 
 
 def nullspace(rows, ncols):
-    """Basis of the kernel of the matrix with columns 0..ncols-1, as
-    coefficient lists: one vector per free column, 1 there and 0 at every
-    other free column."""
+    """Basis of the kernel of the matrix with columns 0..ncols-1: one vector
+    per free column, 1 there and 0 at every other free column, each a
+    sparse {column: coefficient} dict with its keys in column order and no
+    zero stored."""
     return _echelon(rows)._kernel(ncols)
 
 
@@ -178,7 +178,8 @@ def solve(a, b):
     span = _echelon(_sparse(row) | {n: -rational(bi)} for row, bi in zip(a, b))
     if len(span._rows) != n or n in span._rows:
         raise ValueError("singular system")
-    return span._kernel(n + 1)[0][:n]
+    x = span._kernel(n + 1)[0]
+    return [x.get(j, 0) for j in range(n)]
 
 
 def det(a):
@@ -205,52 +206,53 @@ def leading_principal_minors(a):
 
 
 def positive_semidefinite(a) -> bool:
-    """Exact PSD test for a symmetric matrix by symmetric elimination: each
-    pivot is replaced by the Schur complement of its row and column.  A
-    negative pivot fails, and so does a zero pivot whose row is nonzero (a
-    PSD matrix has a zero row wherever it has a zero diagonal entry)."""
-    a = [[Fraction(x) for x in row] for row in a]
-    n = len(a)
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot < 0 or (pivot == 0 and any(a[k][k + 1:])):
+    """Exact PSD test for a symmetric matrix: pushed in order, every row is
+    dependent or leads at its diagonal with a positive pivot.  (If a = G^T G,
+    row k reduces to <h, g_l>, h the part of g_k orthogonal to the earlier
+    g: 0 before column k, |h|^2 at k.  Conversely the independent rows span
+    a, and their pivots are those of its principal block on them.)"""
+    span = RowSpan()
+    for k, row in enumerate(a):
+        lead, pivot = span._push(_sparse(row))
+        if lead is not None and (lead != k or pivot < 0):
             return False
-        for i in range(k + 1, n):
-            if a[k][i]:
-                f = a[k][i] / pivot
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
     return True
 
 
 class RowSpan:
     """Incrementally maintained row space over a dynamic, orderable key set.
 
-    Rows are dicts {key: coefficient}; ``add`` reduces the candidate against
-    the stored echelon rows and reports whether it was independent.
+    Rows are dicts {key: coefficient}, kept in fully reduced echelon form:
+    1 at the leading key, no entry at any other row's leading key.  ``add``
+    reports whether the candidate was independent.
     """
 
     def __init__(self):
-        self._rows = {}  # leading key -> reduced row dict, leading entry 1
-
-    def _reduce(self, vec):
-        vec = {k: rational(c) for k, c in vec.items() if c}
-        while vec:
-            lead = min(vec)
-            row = self._rows.get(lead)
-            if row is None:
-                return lead, vec
-            add_scaled(vec, row, -vec[lead])
-        return None, {}
+        self._rows = {}  # leading key -> reduced row dict, canonical coefficients
 
     def _push(self, vec):
-        """Store what is left of vec after reduction; return its leading
-        key and leading entry, or (None, 0) when vec was dependent."""
-        lead, red = self._reduce(vec)
-        if lead is None:
+        """Store what is left of vec after reduction, clearing its leading
+        key from the stored rows; return that key and the entry there, or
+        (None, 0) when vec was dependent.  Rows leading past that key touch
+        nothing up to it, so any echelon form leaves the same entry."""
+        rows = self._rows
+        vec = {k: rational(c) for k, c in vec.items() if c}
+        for p in [k for k in vec if k in rows]:
+            add_scaled(vec, rows[p], -vec[p])
+        if not vec:
             return None, 0
-        pivot = red[lead]
-        self._rows[lead] = red if pivot == 1 else {k: quotient(c, pivot) for k, c in red.items()}
+        lead = min(vec)
+        pivot = vec[lead]
+        if pivot != 1:
+            vec = {k: quotient(c, pivot) for k, c in vec.items()}
+        else:
+            canonical(vec)
+        for row in rows.values():
+            c = row.get(lead)
+            if c:
+                add_scaled(row, vec, -c)
+                canonical(row)
+        rows[lead] = vec
         return lead, pivot
 
     def add(self, vec) -> bool:
@@ -258,17 +260,12 @@ class RowSpan:
 
     def _kernel(self, ncols):
         """Free-column basis of {x : row . x = 0 for every stored row} over
-        the integer columns 0..ncols-1, by back-substitution."""
-        pivots = sorted(self._rows, reverse=True)
-        basis = []
-        for free in range(ncols):
-            if free in self._rows:
-                continue
-            x = {free: 1}
-            for p in pivots:
-                if p < free:
-                    s = -sum(c * x[k] for k, c in self._rows[p].items() if k in x)
-                    if s:
-                        x[p] = rational(s)
-            basis.append([x.get(j, 0) for j in range(ncols)])
-        return basis
+        the integer columns 0..ncols-1: x_free = 1 and x_p = -row_p[free]."""
+        basis = {j: {} for j in range(ncols) if j not in self._rows}
+        for p in sorted(self._rows):
+            for k, c in self._rows[p].items():
+                if k != p:
+                    basis[k][p] = -c
+        for j, x in basis.items():
+            x[j] = 1
+        return list(basis.values())

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .algebra import HamiltonianSpec, apply_hamiltonian, monomial_energy
+from .algebra import HamiltonianSpec, apply_hamiltonian, canonical_hamiltonian, monomial_energy
 from .fock import FockContext, basis_monomials, unit, vacuum
 
 
@@ -93,8 +93,7 @@ def mode_ccr_coefficient(ell: int, D: int) -> Fraction:
 
 def appendix_spectrum(ctx: FockContext, D: int) -> HamiltonianSpec:
     """Canonical Hamiltonian with the conformal energies eps = ell + d0."""
-    energies = tuple(e for _, e in enumerate_modes(D, ctx.M))
-    return HamiltonianSpec(energies, (ctx.kind.n0(ctx.N),) * ctx.M)
+    return canonical_hamiltonian(ctx, [e for _, e in enumerate_modes(D, ctx.M)])
 
 
 def conformal_spectrum_check(ctx: FockContext, D: int, count: int,

@@ -301,8 +301,8 @@ def joint_kernel(ctx: FockContext, labels, vectors) -> list:
         for j, v in enumerate(vectors):
             for t, c in apply_generator(ctx, g, v).items():
                 rows.setdefault((g, t), {})[j] = c
-    return [zero(ctx).plus((c, v) for c, v in zip(cv, vectors) if c)
-            for cv in linalg.nullspace(list(rows.values()), ncols=len(vectors))]
+    return [zero(ctx).plus((c, vectors[j]) for j, c in x.items())
+            for x in linalg.nullspace(list(rows.values()), ncols=len(vectors))]
 
 
 def hw_kernel_in_profile(ctx: FockContext, a_occ, b_occ) -> list:
@@ -527,9 +527,9 @@ def _profile_to_sector(ctx: FockContext, a_occ, b_occ) -> Optional[SectorLabel]:
     """Sector label when the profile is a valid pair of diagrams, else None
     (a nonempty kernel never produces None; dominance is forced)."""
     try:
-        yp = YoungDiagram(_strip_zeros(a_occ))
+        yp = YoungDiagram(_trim(a_occ, 0))
         if ctx.field_kind == COMPLEX:
-            ym = YoungDiagram(_strip_zeros(b_occ or ()))
+            ym = YoungDiagram(_trim(b_occ or (), 0))
             s = complex_sector(yp, ym, ctx.N)
         else:
             s = real_sector(yp, ctx.N)
@@ -537,9 +537,3 @@ def _profile_to_sector(ctx: FockContext, a_occ, b_occ) -> Optional[SectorLabel]:
         return None
     return s if s.bound_violation() is None else None
 
-
-def _strip_zeros(occ):
-    out = list(occ)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)

@@ -436,12 +436,15 @@ def bijection_roundtrip_check(group: str, N: int, size_cap: int) -> dict:
                 failures.append({"kind": "roundtrip", "sector": str(s), "label": irr.to_json(),
                                  "back": None if back is None else str(back)})
             entries.append({"sector": sector_to_json(s), "irrep": irr.to_json()})
-        # totality: every valid label in range (at most N rows) maps back into the window
+        # totality: every valid label in range (at most N rows) maps back into
+        # the window.  Only q = |Y| - N k splits, with Y- of exactly k columns,
+        # so k <= size_cap; N = 0 has the one split k = 0.
         cap = N * size_cap + size_cap
+        widths = range(size_cap, -1, -1) if N else (0,)
         for y in young_diagrams(cap, max_rows=N):
-            size = y.size
-            for q in range(-cap, cap + 1):
-                if N > 0 and (q - size) % N:
+            for k in widths:
+                q = y.size - N * k
+                if abs(q) > cap:
                     continue
                 try:
                     s = irrep_U_to_sector(GaugeIrrepU(y, q), N)

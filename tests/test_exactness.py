@@ -4,8 +4,9 @@ denominator > 1 otherwise, never a float.
 - Every true division in the library is audited: two ints divide to a
   float, so each site below has a Fraction operand.
 - Floats are refused where coefficients enter a combination.
-- The int-first combination and echelon agree, values and key order, with
-  copies of their all-Fraction forms.
+- The int-first combination and the reduced echelon agree, values and key
+  order, with copies of their all-Fraction forms, and the PSD test with a
+  dense symmetric elimination (Schur complements).
 - The outputs of the hw and verify paths are in canonical form."""
 
 import ast
@@ -18,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilocal import algebra, cli
-from bilocal.algebra import Eplus, OperatorExpr, X, apply_generator
-from bilocal.casimir import canonical_lambda, hw_vectors_at_weight
+from bilocal.algebra import Eplus, OperatorExpr, X, apply_generator, canonical_hamiltonian
+from bilocal.casimir import canonical_lambda, casimir_k_eigenvalue, gamma_value, hw_vectors_at_weight
 from bilocal.fock import (
     COMPLEX,
     FockContext,
@@ -29,8 +30,17 @@ from bilocal.fock import (
     gram_matrix,
     vacuum,
 )
-from bilocal.linalg import Combination, RowSpan, add_scaled, det, nullspace, solve
-from bilocal.sectors import build_ground_state, hw_kernel_in_profile, joint_kernel
+from bilocal.linalg import (
+    Combination,
+    RowSpan,
+    add_scaled,
+    det,
+    nullspace,
+    positive_semidefinite,
+    solve,
+)
+from bilocal.sectors import build_ground_state, hw_kernel_in_profile, joint_kernel, weight_from_sector
+from bilocal.young import vacuum_sector
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bilocal"
@@ -41,8 +51,6 @@ SRC = ROOT / "src" / "bilocal"
 # (file, enclosing function, expression): why an operand is a Fraction
 AUDITED_DIVISIONS = {
     ("linalg.py", "quotient", "Fraction(a) / b"): "the dividend is taken as a Fraction",
-    ("linalg.py", "positive_semidefinite", "a[k][i] / pivot"):
-        "the matrix is copied into Fractions before the elimination",
     ("modes.py", "oscillator_normalization", "(ell + d0) / d0"): "d0 = Fraction(D - 2, 2)",
     ("modes.py", "mode_ccr_coefficient", "d0 / (ell + d0)"): "d0 = Fraction(D - 2, 2)",
     ("sectors.py", "classify_spectrum", "energy_cutoff / min(energies)"):
@@ -100,8 +108,13 @@ MONO = (a_slot(1, 1),)
     lambda: OperatorExpr.of(X(1, 1)) * 2.0,
     lambda: nullspace([[0.5, 1]], ncols=2),
     lambda: solve([[1]], [0.5]),
+    lambda: positive_semidefinite([[0.1, 0.1], [0.1, 0.1]]),
+    lambda: casimir_k_eigenvalue((0.1, 0), 1),
+    lambda: gamma_value(weight_from_sector(vacuum_sector(COMPLEX, 1)), (0.5, 0), 1),
+    lambda: canonical_hamiltonian(CTX, (0.1, 0.2)),
 ], ids=["Combination", "FockVector", "mul", "rmul", "plus", "scalar", "of", "expr-mul",
-        "nullspace", "solve"])
+        "nullspace", "solve", "positive_semidefinite", "casimir_k_eigenvalue", "gamma_value",
+        "canonical_hamiltonian"])
 def test_float_coefficients_raise_type_error(entry):
     with pytest.raises(TypeError):
         entry()
@@ -188,6 +201,24 @@ def reference_solve(a, b):
     return span._kernel(n + 1)[0][:n]
 
 
+def reference_positive_semidefinite(a) -> bool:
+    """The dense symmetric elimination: each pivot is replaced by the Schur
+    complement of its row and column.  A negative pivot fails, and so does a
+    zero pivot whose row is nonzero."""
+    a = [[Fraction(x) for x in row] for row in a]
+    n = len(a)
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1:])):
+            return False
+        for i in range(k + 1, n):
+            if a[k][i]:
+                f = a[k][i] / pivot
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+    return True
+
+
 def reference_det(a):
     span, leads, out = ReferenceRowSpan(), [], Fraction(1)
     for row in a:
@@ -241,8 +272,46 @@ def sparse_matrices(draw, square=False):
 def test_nullspace_matches_all_fraction_echelon(matrix):
     rows, ncols = matrix
     got = nullspace(rows, ncols=ncols)
-    assert got == reference_echelon(rows)._kernel(ncols)
-    assert all(canonical(c) for x in got for c in x)
+    assert [[x.get(j, 0) for j in range(ncols)] for x in got] == reference_echelon(rows)._kernel(ncols)
+    assert all(list(x) == sorted(x) for x in got)
+    assert all(canonical(c) and c for x in got for c in x.values())
+
+
+@settings(deadline=None)
+@given(st.lists(SPARSE_MAPS, max_size=6))
+def test_rowspan_rows_stay_fully_reduced(rows):
+    span = RowSpan()
+    for row in rows:
+        span.add(row)
+    for lead, row in span._rows.items():
+        assert min(row) == lead and row[lead] == 1
+        assert not any(p in row for p in span._rows if p != lead)
+        assert all(canonical(c) and c for c in row.values())
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric entries drawn freely, or b^T b (PSD, often singular) less
+    a drawn diagonal entry, so that both verdicts and the boundary occur."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        b = [[draw(COEFFS) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+        a = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        if n:
+            i = draw(st.integers(0, n - 1))
+            a[i][i] -= draw(st.sampled_from([0, 0, Fraction(1, 2)]))
+        return a
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(COEFFS)
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(symmetric_matrices())
+def test_positive_semidefinite_matches_dense_elimination(a):
+    assert positive_semidefinite(a) == reference_positive_semidefinite(a)
 
 
 @settings(deadline=None)
@@ -264,8 +333,8 @@ def test_rowspan_pivot_one_keeps_row_and_divides_exactly():
     span = RowSpan()
     assert span._push({0: 1, 1: Fraction(1, 2)}) == (0, 1)
     assert span._push({0: 1, 1: 2, 2: 3}) == (1, Fraction(3, 2))
-    assert span._rows == {0: {0: 1, 1: Fraction(1, 2)}, 1: {1: 1, 2: 2}}
-    assert [type(c) for c in span._rows[1].values()] == [int, int]
+    assert span._rows == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 2}}
+    assert [type(c) for row in span._rows.values() for c in row.values()] == [int] * 4
 
 
 # ---------------------------------------------------------------------------

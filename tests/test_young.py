@@ -288,3 +288,89 @@ def test_bijection_O_reports_label_that_names_no_sector(monkeypatch):
     assert report["ok"] is False
     assert {"kind": "roundtrip", "sector": "([],N=3)", "label": {"Y": [1, 1], "sign": "+"},
             "back": None} in report["failures"]
+
+
+def reference_roundtrip_U(N, size_cap):
+    """The U branch of ``bijection_roundtrip_check`` with its first
+    totality scan: every charge q = |Y| mod N with |q| <= cap."""
+    failures, entries, seen = [], [], {}
+    for s in enumerate_sectors(COMPLEX, N, size_cap):
+        irr = young.sector_to_irrep_U(s)
+        key = (irr.young, irr.q)
+        if key in seen:
+            failures.append({"kind": "collision", "label": irr.to_json(),
+                             "sectors": [str(seen[key]), str(s)]})
+        seen[key] = s
+        try:
+            back = young.irrep_U_to_sector(irr, N)
+        except (ValueError, BoundViolation):
+            back = None
+        if back != s:
+            failures.append({"kind": "roundtrip", "sector": str(s), "label": irr.to_json(),
+                             "back": None if back is None else str(back)})
+        entries.append({"sector": young.sector_to_json(s), "irrep": irr.to_json()})
+    cap = N * size_cap + size_cap
+    for y in young_diagrams(cap, max_rows=N):
+        for q in range(-cap, cap + 1):
+            if N > 0 and (q - y.size) % N:
+                continue
+            try:
+                s = young.irrep_U_to_sector(GaugeIrrepU(y, q), N)
+            except (ValueError, BoundViolation):
+                continue
+            if s.y_plus.size <= size_cap and s.y_minus.size <= size_cap:
+                if (y, q) not in seen:
+                    failures.append({"kind": "missing", "label": {"Y": y.to_json(), "q": q}})
+                elif seen[(y, q)] != s:
+                    failures.append({"kind": "mismatch", "label": {"Y": y.to_json(), "q": q}})
+    return {"ok": not failures, "group": "U", "N": N, "size_cap": size_cap,
+            "entries": entries, "failures": failures}
+
+
+def _swap_sides(irr, N):
+    s = irrep_U_to_sector(irr, N)
+    return complex_sector(s.y_minus, s.y_plus, N)
+
+
+def _refuse_negative_charge(irr, N):
+    if irr.q < 0:
+        raise ValueError("planted: negative charge refused")
+    return irrep_U_to_sector(irr, N)
+
+
+def _misread_vacuum(irr, N):
+    if irr.young == EMPTY and irr.q == 0:
+        return complex_sector(diagram(1), EMPTY, N)
+    return irrep_U_to_sector(irr, N)
+
+
+def _shift_charge(s):
+    irr = sector_to_irrep_U(s)
+    return irr._replace(q=irr.q + s.N)
+
+
+# name: (function replaced, planted map, smallest N at which it fails)
+PLANTED_U_FAULTS = {
+    "swap": ("irrep_U_to_sector", _swap_sides, 1),
+    "refuse": ("irrep_U_to_sector", _refuse_negative_charge, 1),
+    "vacuum": ("irrep_U_to_sector", _misread_vacuum, 0),
+    "shift": ("sector_to_irrep_U", _shift_charge, 1),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *PLANTED_U_FAULTS])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_bijection_U_scan_matches_every_charge_scan(monkeypatch, N, fault):
+    """The totality scan tries only q = |Y| - N k, k <= size_cap (one label
+    at N = 0), and gives the report of the scan over every charge, failures
+    in the same order, also when a planted map makes it fail."""
+    fails_from = None
+    if fault:
+        name, planted, fails_from = PLANTED_U_FAULTS[fault]
+        monkeypatch.setattr(young, name, planted)
+    failing = False
+    for cap in range(5):
+        report = bijection_roundtrip_check("U", N, cap)
+        assert report == reference_roundtrip_U(N, cap), (N, cap)
+        failing |= not report["ok"]
+    assert failing == (fails_from is not None and N >= fails_from)
