@@ -179,15 +179,14 @@ class OperatorExpr(Combination):
         return OperatorExpr._wrap({tuple(dagger_label(g) for g in reversed(w)): c
                                    for w, c in self.terms.items()})
 
-    def apply(self, ctx: FockContext, v: FockVector,
-              realization: Callable = apply_generator) -> FockVector:
+    def apply(self, ctx: FockContext, v: FockVector) -> FockVector:
         pieces = []
         for w, c in self.terms.items():
             piece = v
             for g in reversed(w):
                 if piece.is_zero():
                     break
-                piece = realization(ctx, g, piece)
+                piece = apply_generator(ctx, g, piece)
             pieces.append((c, piece))
         return zero(ctx).plus(pieces)
 

@@ -46,6 +46,7 @@ from .fock import (
     FockVector,
     inner_product,
     norm_sq,
+    occupation_profile,
 )
 from .sectors import (
     Weight,
@@ -168,74 +169,64 @@ def unitarity_bound(s: SectorLabel) -> bool:
 # compact modules and the gamma identity
 
 
-def _vector_weight(ctx: FockContext, v: FockVector, n: int):
-    """h_i = occupation + N/2 on the first n modes, one block per species."""
-    m = next(iter(v.monomials()))
-    half_n = linalg.quotient(ctx.N, 2)
-    return tuple(half_n + sum(1 for s in m if s.species == sp and s.mode == i)
-                 for sp in ctx.kind.species for i in range(1, n + 1))
-
-
 def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
-    """Span closure of the ground state under all E(i,j), i,j <= n, organized
-    as weight -> list of vectors.  Finite because E preserves particle
-    number.  Weights are keyed on the first n modes: exact when the ground
-    state is unoccupied above mode n, since the E(i,j), i,j <= n, keep
-    every vector unoccupied there."""
-    labels = []
-    for kind in ctx.kind.e_kinds:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    labels.append(GeneratorLabel(kind, i, j))
-    blocks = {}
-    spans = {}
-    queue = [ground]
-    wt0 = _vector_weight(ctx, ground, n)
-    blocks[wt0] = [ground]
-    spans[wt0] = linalg.RowSpan()
-    spans[wt0].add(dict(ground.items()))
+    """Span closure of the ground state under the lowering E(i,j), j < i <= n,
+    organized as occupation profile (``fock.occupation_profile``) -> list of
+    vectors.  Finite because E preserves particle number.
+
+    The input must be annihilated by every simple raising E(i,i+1), i < n,
+    hence by every raising E(i,j), i < j <= n (ValueError otherwise); then
+    U(k)|ground> = U(n-)|ground> (PBW), so lowering alone reaches the whole
+    module.  E(i,j) moves one particle of one species from mode j to mode
+    i, so all monomials of a vector share one profile and the key is exact."""
+    for g in simple_raising_labels(ctx, n):
+        if not apply_generator(ctx, g, ground).is_zero():
+            raise ValueError(f"{g} does not annihilate the input vector")
+    lowering = [GeneratorLabel(kind, i, j) for kind in ctx.kind.e_kinds
+                for i in range(1, n + 1) for j in range(1, i)]
+    blocks, spans, queue = {}, {}, []
+
+    def add(v):
+        key = occupation_profile(next(iter(v.monomials())), ctx)
+        if spans.setdefault(key, linalg.RowSpan()).add(dict(v.items())):
+            blocks.setdefault(key, []).append(v)
+            queue.append(v)
+
+    add(ground)
     while queue:
         v = queue.pop()
-        for g in labels:
+        for g in lowering:
             img = apply_generator(ctx, g, v)
-            if img.is_zero():
-                continue
-            wt = _vector_weight(ctx, img, n)
-            span = spans.setdefault(wt, linalg.RowSpan())
-            if span.add(dict(img.items())):
-                blocks.setdefault(wt, []).append(img)
-                queue.append(img)
+            if not img.is_zero():
+                add(img)
     return blocks
-
-
-def _raised_weight_candidates(ctx, n):
-    """(k, l, weight shift) for Xstar(k,l) within the rank-n subalgebra: one
-    unit at mode k of the i-leg species and one at mode l of the j-leg one."""
-    species, legs = ctx.kind.species, ctx.kind.x_legs
-    out = []
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            shift = [0] * (len(species) * n)
-            for sp, mode in zip(legs, (k, l)):
-                shift[species.index(sp) * n + mode - 1] += 1
-            out.append((k, l, tuple(shift)))
-    return out
 
 
 def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> list:
     """Compact highest-weight vectors of weight lam inside the level-one
-    raised subspace Xstar * (compact module of the ground state)."""
-    lam = tuple(linalg.rational(x) for x in lam)
+    raised subspace Xstar * (compact module of the ground state).
+
+    lam has n coordinates per species and h_i = occupation + N/2, so its
+    occupation profile is lam_i - N/2 on the first n modes of each species
+    and zero above.  Xstar(k,l) creates one particle at mode k of the
+    i-leg species and one at mode l of the j-leg species, so it raises
+    exactly the compact-module block whose profile lacks those two."""
+    half_n, species = linalg.quotient(ctx.N, 2), ctx.kind.species
+    target = [[0] * ctx.M, [0] * ctx.M]  # occupation_profile's (a, b) layout
+    for i, x in enumerate(lam):
+        target[i // n][i % n] = linalg.rational(x - half_n)
     blocks = compact_module(ctx, ground, n)
     raised = []
     span = linalg.RowSpan()
-    for k, l, shift in _raised_weight_candidates(ctx, n):
-        need = tuple(a - b for a, b in zip(lam, shift))
-        for u in blocks.get(need, ()):
-            v = apply_generator(ctx, Xstar(k, l), u)
-            if span.add(dict(v.items())):
-                raised.append(v)
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            need = [list(occ) for occ in target]
+            for sp, mode in zip(ctx.kind.x_legs, (k, l)):
+                need[species.index(sp)][mode - 1] -= 1
+            for u in blocks.get(tuple(map(tuple, need)), ()):
+                v = apply_generator(ctx, Xstar(k, l), u)
+                if span.add(dict(v.items())):
+                    raised.append(v)
     # E preserves particle number, so the simple E(i,i+1) cut out the same
     # kernel as every raising E(i,j), i < j <= n
     return joint_kernel(ctx, simple_raising_labels(ctx, n), raised)

@@ -266,13 +266,18 @@ def cmd_gram(args) -> int:
     if args.level < 0:
         raise UsageError("level must be >= 0")
     if ctx.field_kind == COMPLEX:
-        s = complex_sector(_parse_rows(args.yplus), _parse_rows(args.yminus), ctx.N)
+        s, foreign = complex_sector(_parse_rows(args.yplus), _parse_rows(args.yminus), ctx.N), ("y",)
     else:
-        s = real_sector(_parse_rows(args.y), ctx.N)
+        s, foreign = real_sector(_parse_rows(args.y), ctx.N), ("yplus", "yminus")
+    for flag in foreign:
+        if getattr(args, flag).strip():
+            raise UsageError(f"--{flag} does not apply to a {ctx.field_kind} sector")
     violation = s.bound_violation()
     if violation:
         _emit(args, {"ok": False, "error": f"sector out of bound: {violation}"})
         return 1
+    if s.total_boxes() + 2 * args.level > ctx.P:
+        raise UsageError(f"level {args.level} over {s} needs P >= {s.total_boxes() + 2 * args.level}")
     ground = sectors.build_ground_state(ctx, s)
     words = list(
         combinations_with_replacement(

@@ -210,7 +210,10 @@ def positive_semidefinite(a) -> bool:
     dependent or leads at its diagonal with a positive pivot.  (If a = G^T G,
     row k reduces to <h, g_l>, h the part of g_k orthogonal to the earlier
     g: 0 before column k, |h|^2 at k.  Conversely the independent rows span
-    a, and their pivots are those of its principal block on them.)"""
+    a, and their pivots are those of its principal block on them.)  A
+    non-square or non-symmetric input raises ValueError."""
+    if [list(col) for col in zip(*a)] != [list(row) for row in a]:
+        raise ValueError("positive_semidefinite needs a symmetric matrix")
     span = RowSpan()
     for k, row in enumerate(a):
         lead, pivot = span._push(_sparse(row))

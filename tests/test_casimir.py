@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilocal import casimir
 from bilocal.algebra import Eminus, Eplus, GeneratorLabel, OperatorExpr, X, Xstar, apply_generator
@@ -172,7 +173,7 @@ def test_gamma_dominance_guard():
         pytest.param(REAL, 1, None, 2, id="real-1-None"),
         pytest.param(REAL, 2, None, 2, id="real-2-None"),
         pytest.param(REAL, 2, (1,), 2, id="real-2-rows5"),
-        # rank below the mode cutoff: weights are compared on the first n modes
+        # rank below the mode cutoff: lambda's occupation profile is zero above mode n
         pytest.param(COMPLEX, 2, None, 1, id="complex-2-None-n1"),
     ],
 )
@@ -224,14 +225,56 @@ def _hw_cases():
     return list(workloads.hw_cases())
 
 
+def reference_vector_weight(ctx, v, n):
+    """h_i = occupation + N/2 on the first n modes, one block per species."""
+    m = next(iter(v.monomials()))
+    return tuple(Fraction(ctx.N, 2) + sum(1 for s in m if s.species == sp and s.mode == i)
+                 for sp in ctx.kind.species for i in range(1, n + 1))
+
+
+def reference_compact_module(ctx, ground, n):
+    """Span closure of the ground state under every E(i,j), i != j <= n,
+    raising and lowering, keyed by Fraction weights on the first n modes."""
+    labels = [GeneratorLabel(kind, i, j) for kind in ctx.kind.e_kinds
+              for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    wt0 = reference_vector_weight(ctx, ground, n)
+    blocks, spans, queue = {wt0: [ground]}, {wt0: RowSpan()}, [ground]
+    spans[wt0].add(dict(ground.items()))
+    while queue:
+        v = queue.pop()
+        for g in labels:
+            img = apply_generator(ctx, g, v)
+            if img.is_zero():
+                continue
+            wt = reference_vector_weight(ctx, img, n)
+            if spans.setdefault(wt, RowSpan()).add(dict(img.items())):
+                blocks.setdefault(wt, []).append(img)
+                queue.append(img)
+    return blocks
+
+
+def reference_raised_weight_candidates(ctx, n):
+    """(k, l, weight shift) for Xstar(k,l): one unit at mode k of the i-leg
+    species and one at mode l of the j-leg one."""
+    species, out = ctx.kind.species, []
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            shift = [0] * (len(species) * n)
+            for sp, mode in zip(ctx.kind.x_legs, (k, l)):
+                shift[species.index(sp) * n + mode - 1] += 1
+            out.append((k, l, tuple(shift)))
+    return out
+
+
 def reference_hw_vectors_at_weight(ctx, ground, n, lam):
-    """hw_vectors_at_weight as first written: the kernel of every raising
-    E(i,j), i < j <= n, on the raised vectors."""
+    """hw_vectors_at_weight as first written: the all-E compact module keyed
+    by weight, and the kernel of every raising E(i,j), i < j <= n, on the
+    raised vectors."""
     lam = tuple(Fraction(x) for x in lam)
-    blocks = casimir.compact_module(ctx, ground, n)
+    blocks = reference_compact_module(ctx, ground, n)
     raised = []
     span = RowSpan()
-    for k, l, shift in casimir._raised_weight_candidates(ctx, n):
+    for k, l, shift in reference_raised_weight_candidates(ctx, n):
         need = tuple(a - b for a, b in zip(lam, shift))
         for u in blocks.get(need, ()):
             v = apply_generator(ctx, Xstar(k, l), u)
@@ -253,3 +296,41 @@ def test_hw_vectors_from_simple_raising_match_every_raising():
         assert [list(v.items()) for v in got] == [list(v.items()) for v in want], (str(s), n)
         found += len(got)
     assert found
+
+
+def _spans_inside(vectors, others):
+    span = RowSpan()
+    for v in others:
+        span.add(dict(v.items()))
+    return all(not span.add(dict(v.items())) for v in vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 3))
+def test_hw_vectors_span_all_e_closure_on_small_contexts(data, kind, N):
+    # sectors of <= 3 boxes, n = rows + 1..3, M = n and n + 1
+    def rows(s):
+        return max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+
+    s = data.draw(st.sampled_from([s for s in enumerate_sectors(kind, N, 3)
+                                   if s.total_boxes() <= 3 and rows(s) < 3]))
+    n = data.draw(st.integers(rows(s) + 1, 3))
+    ctx = FockContext(kind, N, data.draw(st.sampled_from([n, n + 1])), s.total_boxes() + 2).validate()
+    ground, lam = build_ground_state(ctx, s), canonical_lambda(s, n)
+    got = hw_vectors_at_weight(ctx, ground, n, lam)
+    want = reference_hw_vectors_at_weight(ctx, ground, n, lam)
+    assert len(got) == len(want)
+    assert _spans_inside(got, want) and _spans_inside(want, got)
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+def test_compact_module_refuses_vector_a_raising_e_moves(kind):
+    s = complex_sector(diagram(1), EMPTY, 2) if kind == COMPLEX else real_sector(diagram(1), 2)
+    ctx = FockContext(kind, 2, 2, 4).validate()
+    ground = build_ground_state(ctx, s)
+    assert casimir.compact_module(ctx, ground, 2)
+    # E+(2,1) (complex) or E(2,1) (real) moves the a-particle to mode 2
+    lowered = apply_generator(ctx, GeneratorLabel(next(iter(ctx.kind.e_kinds)), 2, 1), ground)
+    assert not lowered.is_zero()
+    with pytest.raises(ValueError):
+        casimir.compact_module(ctx, lowered, 2)

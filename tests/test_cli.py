@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,10 @@ USAGE_ERRORS = [
     # a context too small for the request
     ["classify", "--N", "1", "--P", "2", "--cutoff", "5"],
     ["gram", "--N", "2", "--M", "2", "--P", "2", "--yplus", "2,1"],
+    ["gram", "--kind", "complex", "--N", "2", "--M", "2", "--P", "3", "--level", "2"],
+    # a diagram flag of the other field kind
+    ["gram", "--kind", "real", "--N", "2", "--M", "2", "--P", "6", "--level", "2", "--yplus", "1"],
+    ["gram", "--kind", "complex", "--N", "2", "--M", "2", "--P", "6", "--level", "2", "--y", "2"],
     # negative sizes
     ["gram", "--N", "1", "--level", "-1"],
     ["map-irreps", "--group", "U", "--N", "2", "--cap", "-1"],
@@ -110,6 +116,21 @@ def test_usage_error_exit_2(capsys):
     for argv in USAGE_ERRORS:
         code, out = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bilocal ")]
+
+
+def test_readme_examples_keep_their_exit_codes(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 8
+    for argv in examples:
+        code, out = run_cli(capsys, *argv)
+        assert code == (1 if "--inject-fault" in argv else 0), argv
+        assert json.loads(out), argv
 
 
 def test_guard_requires_unsafe_large(capsys):

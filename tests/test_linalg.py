@@ -138,6 +138,13 @@ def test_leading_principal_minors():
     assert not positive_semidefinite([[0, 0], [0, -1]])  # invisible to leading minors
 
 
+@pytest.mark.parametrize("a", [[[1, 5], [0, 1]], [[1, 0], [5, 1]], [[1, 0]], [[1], [0, 1]]],
+                         ids=["upper", "lower", "wide", "ragged"])
+def test_positive_semidefinite_refuses_non_symmetric_input(a):
+    with pytest.raises(ValueError):
+        positive_semidefinite(a)
+
+
 def symmetric_matrices(n):
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     for values in product(ENTRIES, repeat=len(cells)):
