@@ -15,6 +15,7 @@ from .algebra import (
     apply_generator,
     apply_hamiltonian,
     canonical_hamiltonian,
+    generator_images,
     verify_structure_constants,
 )
 from .fock import (

@@ -19,10 +19,11 @@ are independent of N.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, NamedTuple
 
+from . import fock
 from .fock import (
     COMPLEX,
     E_KIND,
@@ -31,6 +32,7 @@ from .fock import (
     FIELD_KINDS,
     X_KIND,
     XSTAR_KIND,
+    ContextMismatch,
     ContextViolation,
     FockContext,
     FockVector,
@@ -40,7 +42,6 @@ from .fock import (
     apply_normal_ordered,
     basis_monomials,
     monomial_str,
-    unit,
     zero,
 )
 from .linalg import Combination, add_scaled, canonical, quotient, rational
@@ -124,18 +125,9 @@ def _generator_terms(ctx: FockContext, g: GeneratorLabel, shift: bool) -> tuple:
     return tuple(terms)
 
 
-def _apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector, shift: bool) -> FockVector:
-    return apply_normal_ordered(ctx, _generator_terms(ctx, g, shift), v)
-
-
 def apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector) -> FockVector:
     """Exact image of ``v`` under the realized generator ``g``."""
-    return _apply_generator(ctx, g, v, shift=True)
-
-
-def apply_generator_unshifted(ctx: FockContext, g: GeneratorLabel, v: FockVector) -> FockVector:
-    """Deliberately wrong realization (E without the N/2 shift); negative control."""
-    return _apply_generator(ctx, g, v, shift=False)
+    return apply_normal_ordered(ctx, _generator_terms(ctx, g, True), v)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +272,10 @@ def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Cal
     (m, (ab - ba) m, c m) of FockVectors, or None.
 
     a, b and c map a monomial to its image, a {monomial: coefficient} dict
-    with no zero stored; the products are their linear extensions,
-    ab m = sum over t of (b m)_t a t.  c = None is the zero operator."""
+    with no zero stored, such as an ``ImageCache`` table; the products are
+    their linear extensions, ab m = sum over t of (b m)_t a t.  c = None is
+    the zero operator.  A scalar part of a or b cancels from ab - ba, so
+    tables that leave it out give the same left side."""
     for m in basis:
         lhs = {}
         for t, f in b(m).items():
@@ -295,53 +289,78 @@ def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Cal
 
 
 class _Table(dict):
-    """{monomial: image}, each image computed on its first lookup."""
+    """{monomial m: image of m under the terms ``body``}, each image computed
+    on its first lookup by ``fock.normal_ordered_action`` on ((m, 1),)."""
 
-    __slots__ = ("_image",)
+    __slots__ = ("ctx", "body")
 
-    def __init__(self, image: Callable):
-        self._image = image
+    def __init__(self, ctx: FockContext, body: tuple):
+        self.ctx, self.body = ctx, body
 
     def __missing__(self, m):
-        out = self[m] = self._image(m)
+        out = self[m] = fock.normal_ordered_action(self.ctx, self.body, ((m, 1),))
         return out
 
 
 class ImageCache:
-    """Images of unit monomials under ``realization(ctx, label, v)``, each
-    computed once and kept as the plain {monomial: coefficient} dict of the
-    realized vector.
+    """Image tables of operators given as normal-ordered term lists:
+    ``terms(label)`` is the (f, rem, ins) list of the operator ``label``.
 
-    Coefficients are canonical, so an image holds a Fraction only where
-    the realization yields a true quotient, the N/2 shift of a diagonal E
-    at odd N, and composing images runs on ints."""
+    A label's table maps a monomial m to the image of the label's
+    non-scalar terms, computed once by ``fock.normal_ordered_action`` on
+    ((m, 1),) and kept as its canonical {monomial: coefficient} dict
+    (``fock`` is read at call time, so a replaced loop reaches the tables
+    and ``apply_normal_ordered`` alike).  The scalar terms (the N/2 shift
+    of a diagonal E) are summed into one number per label,
+    ``scalar(label)``.  A scalar commutes with every operator, so it
+    cancels from every commutator and only the expected side of a
+    structure constant adds it.  Every realized operator has integer
+    non-scalar coefficients, so every table holds ints only, at every N."""
 
-    def __init__(self, ctx: FockContext, realization: Callable = apply_generator):
-        self.ctx, self.realization, self._tables = ctx, realization, {}
+    def __init__(self, ctx: FockContext, terms: Callable):
+        self.ctx, self.terms, self._entries = ctx, terms, {}
 
-    def _image(self, label, m: Monomial) -> dict:
-        return self.realization(self.ctx, label, unit(self.ctx, m)).terms
+    def _entry(self, label) -> tuple:
+        entry = self._entries.get(label)
+        if entry is None:
+            terms = self.terms(label)
+            body = tuple(t for t in terms if t[1] or t[2])
+            scalar = rational(sum(f for f, rem, ins in terms if not (rem or ins)))
+            entry = self._entries[label] = (_Table(self.ctx, body), scalar)
+        return entry
 
     def table(self, label) -> Callable:
-        """The map from a monomial to its image under ``label``."""
-        images = self._tables.get(label)
-        if images is None:
-            images = self._tables[label] = _Table(partial(self._image, label))
-        return images.__getitem__
+        """The map from a monomial to its image under the non-scalar part of
+        ``label``."""
+        return self._entry(label)[0].__getitem__
+
+    def scalar(self, label):
+        """The scalar part of ``label``."""
+        return self._entry(label)[1]
+
+
+def generator_images(ctx: FockContext, shift: bool) -> ImageCache:
+    """Image tables of the realized generators.  shift=False leaves out the
+    N/2 shift of the diagonal E: the negative control of ``bilocal verify``,
+    which changes the scalars and no table."""
+    return ImageCache(ctx, lambda g: _generator_terms(ctx, g, shift))
 
 
 def _expr_map(images: ImageCache, expr: OperatorExpr) -> Callable:
-    """The map from a monomial to its image under a degree-one ``expr``."""
-    terms = []
+    """The map from a monomial to its image under a degree-one ``expr``,
+    scalar parts included."""
+    terms, scalar = [], 0
     for w, coeff in expr.items():
         if len(w) != 1:
             raise ValueError(f"{expr!r} is not of degree one")
         terms.append((coeff, images.table(w[0])))
+        scalar += coeff * images.scalar(w[0])
 
     def image(m):
         out = {}
         for coeff, table in terms:
             add_scaled(out, table(m), coeff)
+        add_scaled(out, {m: 1}, scalar)
         return out
 
     return image
@@ -350,10 +369,12 @@ def _expr_map(images: ImageCache, expr: OperatorExpr) -> Callable:
 MAX_FAILURES = 10  # structure-constant failures listed before the check stops
 
 
-def verify_structure_constants(ctx: FockContext, margin: int = 2,
-                               realization: Callable = apply_generator) -> dict:
+def verify_structure_constants(ctx: FockContext, images: ImageCache, margin: int = 2) -> dict:
     """Check [g1,g2] against the abstract relations on every monomial with at
-    most P - margin particles, for every unordered generator pair.
+    most P - margin particles, for every unordered generator pair, on the
+    generator tables ``images`` of ctx (``generator_images``; tables of
+    another context raise ContextMismatch).  The scalar parts enter only
+    the expected side: they cancel from [g1,g2].
 
     A margin of 2 guarantees the truncated commutators are exact.
     """
@@ -361,14 +382,16 @@ def verify_structure_constants(ctx: FockContext, margin: int = 2,
         raise ValueError("margin must be >= 2")
     if margin > ctx.P:
         raise ValueError(f"margin {margin} empties the basis (P = {ctx.P})")
+    if images.ctx != ctx:
+        raise ContextMismatch(f"tables of {images.ctx} checked in {ctx}")
     ctx.validate()
     basis = list(basis_monomials(ctx, ctx.P - margin))
-    images = ImageCache(ctx, realization)
     failures = []
     pairs = 0
     for g1, g2 in combinations_with_replacement(sorted(set(generators(ctx))), 2):
         pairs += 1
-        expected = _expr_map(images, abstract_commutator(g1, g2, ctx.field_kind))
+        expr = abstract_commutator(g1, g2, ctx.field_kind)
+        expected = _expr_map(images, expr) if expr else None
         hit = commutator_counterexample(ctx, images.table(g1), images.table(g2), expected, basis)
         if hit:
             m, lhs, rhs = hit
@@ -433,13 +456,15 @@ def apply_hamiltonian(ctx: FockContext, spec: HamiltonianSpec, v: FockVector) ->
     return FockVector(ctx, {m: c * (monomial_energy(m, spec) + const) for m, c in v.items()})
 
 
-def apply_charge(ctx: FockContext, v: FockVector) -> FockVector:
-    """Q: (#a-slots - #b-slots) per monomial; complex contexts only."""
+@lru_cache(maxsize=None)
+def charge_terms(ctx: FockContext) -> tuple:
+    """The charge Q = sum over slots of a*a - b*b as normal-ordered terms,
+    built once per context; complex contexts only."""
     if ctx.field_kind != COMPLEX:
         raise ContextViolation("no charge operator in the real case")
-    out = {}
-    for m, c in v.items():
-        q = sum(1 if s.species == SPECIES_A else -1 for s in m)
-        if q:
-            out[m] = c * q
-    return FockVector(ctx, out)
+    return tuple((1 if s.species == SPECIES_A else -1, (s,), (s,)) for s in ctx.slots())
+
+
+def apply_charge(ctx: FockContext, v: FockVector) -> FockVector:
+    """Q: (#a-slots - #b-slots) per monomial; complex contexts only."""
+    return apply_normal_ordered(ctx, charge_terms(ctx), v)

@@ -114,14 +114,23 @@ def casimir_k_eigenvalue(lam, n: int, field_kind: str = COMPLEX) -> Fraction:
 
 
 def gamma_value(h: Weight, lam, n: int) -> Fraction:
-    """(lam+delta, lam+delta) - (h+delta, h+delta)."""
+    """(lam+delta, lam+delta) - (h+delta, h+delta).  lam must be dominant,
+    with 2n coordinates (complex) or n (real); ValueError otherwise."""
     data = weyl_data(h.field_kind, n)
     lam = tuple(linalg.rational(x) for x in lam)
+    _check_length(lam, h.field_kind, n)
     _check_dominant(lam, h.field_kind, n)
     hv = h.coords(n)
     a = tuple(x + d for x, d in zip(lam, data.delta))
     b = tuple(x + d for x, d in zip(hv, data.delta))
     return _dot(a, a) - _dot(b, b)
+
+
+def _check_length(lam, field_kind, n):
+    """lam has n coordinates per oscillator species: 2n complex, n real."""
+    want = len(FIELD_KINDS[field_kind].species) * n
+    if len(lam) != want:
+        raise ValueError(f"weight length {len(lam)} != {want}")
 
 
 def _check_dominant(lam, field_kind, n):
@@ -206,11 +215,12 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
     """Compact highest-weight vectors of weight lam inside the level-one
     raised subspace Xstar * (compact module of the ground state).
 
-    lam has n coordinates per species and h_i = occupation + N/2, so its
-    occupation profile is lam_i - N/2 on the first n modes of each species
-    and zero above.  Xstar(k,l) creates one particle at mode k of the
+    lam has n coordinates per species (2n complex, n real; ValueError
+    otherwise) and h_i = occupation + N/2, so its occupation profile is
+    lam_i - N/2 on the first n modes of each species and zero above.  Xstar(k,l) creates one particle at mode k of the
     i-leg species and one at mode l of the j-leg species, so it raises
     exactly the compact-module block whose profile lacks those two."""
+    _check_length(lam, ctx.field_kind, n)
     half_n, species = linalg.quotient(ctx.N, 2), ctx.kind.species
     target = [[0] * ctx.M, [0] * ctx.M]  # occupation_profile's (a, b) layout
     for i, x in enumerate(lam):

@@ -14,17 +14,17 @@ import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from . import linalg, modes, sectors, young
+from . import algebra, fock, linalg, modes, sectors, young
 from .algebra import (
     ImageCache,
     Xstar,
     apply_charge,
     apply_generator,
-    apply_generator_unshifted,
     apply_hamiltonian,
     canonical_hamiltonian,
     commutator_counterexample,
     dagger_label,
+    generator_images,
     generators,
     verify_structure_constants,
 )
@@ -34,8 +34,6 @@ from .fock import (
     ContextViolation,
     FockContext,
     TruncationError,
-    apply_annihilation,
-    apply_creation,
     basis_monomials,
     gram_matrix,
     monomial_self_overlap,
@@ -103,6 +101,11 @@ def _print_table(payload, indent=0):
 
 # ---------------------------------------------------------------------------
 # verify
+#
+# The checks build their tables from the operators' term lists, read off
+# their modules at call time (fock.creation_terms, algebra.charge_terms,
+# young.gauge_terms, ...): the apply_* functions read the same names, so a
+# replaced term list reaches a table and the vector-level operator alike.
 
 
 def _commutator_report(ctx, margin, identities) -> dict:
@@ -121,22 +124,24 @@ def _commutator_report(ctx, margin, identities) -> dict:
 
 
 def _check_ccr(ctx, margin=2) -> dict:
+    """[a(s), a*(t)] = delta_st on the ladder tables of every slot pair."""
     slots = ctx.slots()
-    down = ImageCache(ctx, apply_annihilation)
-    up = ImageCache(ctx, apply_creation)
+    down = ImageCache(ctx, fock.annihilation_terms)
+    up = ImageCache(ctx, fock.creation_terms)
     return _commutator_report(ctx, margin, (
         ({"slots": [str(s), str(t)]}, down.table(s), up.table(t),
          (lambda m: {m: 1}) if s == t else None)
         for s in slots for t in slots))
 
 
-def _check_adjointness(ctx, margin=2) -> dict:
+def _check_adjointness(ctx, images, margin=2) -> dict:
     """<g m, n> = <m, g† n> for all basis monomials m, n.  The metric
     w(m) = <m|m> is diagonal, so this reads G[n,m] w(n) = G†[m,n] w(m) off
-    the image tables of g and g†; a pair where both sides vanish passes."""
+    the generator tables ``images`` of g and g†; a pair where both sides
+    vanish passes.  A scalar part adds the same c w(m) to both sides, so
+    the tables leave it out."""
     basis = list(basis_monomials(ctx, ctx.P - margin))
     weight = {m: monomial_self_overlap(m) for m in basis}
-    images = ImageCache(ctx, apply_generator)
 
     def mismatch(g, h):
         image_g, image_h = images.table(g), images.table(h)
@@ -151,6 +156,8 @@ def _check_adjointness(ctx, margin=2) -> dict:
 
 
 def _check_vacuum_cartan(ctx) -> dict:
+    """The E generators, the charge and the canonical Hamiltonian on the
+    vacuum, by vector-level action, N/2 shift included."""
     vac = vacuum(ctx)
     failures = []
     half_n = Fraction(ctx.N, 2)
@@ -168,20 +175,22 @@ def _check_vacuum_cartan(ctx) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def _check_charge_commutes(ctx, margin=2) -> dict:
+def _check_charge_commutes(ctx, images, margin=2) -> dict:
+    """[Q, g] = 0 for every generator g, on the charge's table and the
+    generator tables ``images`` (a scalar part commutes)."""
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
-    charge = ImageCache(ctx, lambda ctx, _, v: apply_charge(ctx, v)).table(None)
-    images = ImageCache(ctx, apply_generator)
+    charge = ImageCache(ctx, lambda _: algebra.charge_terms(ctx)).table(None)
     return _commutator_report(ctx, margin, (
         ({"generator": str(g)}, charge, images.table(g), None)
         for g in generators(ctx)))
 
 
-def _check_gauge_commutant(ctx, margin=2) -> dict:
+def _check_gauge_commutant(ctx, images, margin=2) -> dict:
+    """[E^{pq}, g] = 0 for every gauge pair (p, q) and generator g, on the
+    gauge tables and the generator tables ``images``."""
     flavors = range(1, ctx.N + 1)
-    gauge = ImageCache(ctx, lambda ctx, pq, v: young.apply_gauge_generator(ctx, *pq, v))
-    images = ImageCache(ctx, apply_generator)
+    gauge = ImageCache(ctx, lambda pq: young.gauge_terms(ctx, *pq))
     return _commutator_report(ctx, margin, (
         ({"gauge": [p, q], "generator": str(g)}, gauge.table((p, q)), images.table(g), None)
         for p in flavors for q in flavors for g in generators(ctx)))
@@ -191,17 +200,19 @@ def cmd_verify(args) -> int:
     ctx = _context(args)
     if not 2 <= args.margin <= ctx.P:
         raise UsageError(f"margin must lie in 2..P = {ctx.P}")
-    realization = apply_generator
-    if args.inject_fault == "drop-e-shift":
-        realization = apply_generator_unshifted
+    # One set of generator tables for every check.  drop-e-shift changes
+    # only the scalars, which only structure constants reads.  Structure
+    # constants runs last: it alone fills the tables past P - margin
+    # particles, and by then the charge and gauge tables, which the other
+    # checks fill that far, are freed.  The payload sorts its keys.
+    images = generator_images(ctx, shift=args.inject_fault != "drop-e-shift")
     checks = {
-        "structure_constants": verify_structure_constants(ctx, margin=args.margin,
-                                                          realization=realization),
         "ccr": _check_ccr(ctx, args.margin),
-        "adjointness": _check_adjointness(ctx, args.margin),
+        "adjointness": _check_adjointness(ctx, images, args.margin),
         "vacuum_cartan": _check_vacuum_cartan(ctx),
-        "charge_commutes": _check_charge_commutes(ctx, args.margin),
-        "gauge_commutant": _check_gauge_commutant(ctx, args.margin),
+        "charge_commutes": _check_charge_commutes(ctx, images, args.margin),
+        "gauge_commutant": _check_gauge_commutant(ctx, images, args.margin),
+        "structure_constants": verify_structure_constants(ctx, images, args.margin),
     }
     ok = all(c.get("ok") for c in checks.values())
     payload = {"context": {"kind": ctx.field_kind, "N": ctx.N, "M": ctx.M, "P": ctx.P},
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--margin", type=int, default=2)
     p.add_argument("--inject-fault", choices=["none", "drop-e-shift"], default="none",
-                   help="negative control: corrupt the realization and expect failure")
+                   help="negative control: drop the N/2 shift of the E generators and expect failure")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="enumerate sectors below an energy cutoff")

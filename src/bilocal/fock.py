@@ -225,16 +225,20 @@ def unit(ctx: FockContext, m: Monomial) -> FockVector:
     return FockVector._wrap({m: 1}, ctx)
 
 
-def apply_normal_ordered(ctx: FockContext, terms, v: FockVector) -> FockVector:
-    """Sum of f * (creators of ins)(annihilators of rem) v over the
-    (f, rem, ins) in ``terms``: the one oscillator action on monomials.
+def normal_ordered_action(ctx: FockContext, terms, items) -> dict:
+    """Sum of f * (creators of ins)(annihilators of rem) over the (f, rem, ins)
+    in ``terms``, applied to the combination of the (monomial, coefficient)
+    pairs in ``items`` (iterated once per term): the one oscillator action on
+    monomials.  Returns the canonical {monomial: coefficient} dict.
 
     Each slot of ``rem`` removes one matching copy, weighted by its
     multiplicity (the Wick count); then ``ins`` is inserted, and monomials
     beyond the particle cutoff P are dropped.  A term is injective on
-    monomials.  Slots are not checked: callers validate once per call.
+    monomials.  The loop runs term by term, so the key order is that of the
+    chained sums over the terms.  Slots are not checked: callers validate
+    once per call.
     """
-    out, items = {}, v.terms.items()
+    out = {}
     for f, rem, ins in terms:
         image = {}
         for m, c in items:
@@ -251,21 +255,37 @@ def apply_normal_ordered(ctx: FockContext, terms, v: FockVector) -> FockVector:
                     image[tuple(sorted(m + ins))] = c
         if image:
             add_scaled(out, image, f)
-    return FockVector._wrap(canonical(out), ctx)
+    return canonical(out)
+
+
+def apply_normal_ordered(ctx: FockContext, terms, v: FockVector) -> FockVector:
+    """The operator given by its normal-ordered (f, rem, ins) ``terms``,
+    applied to ``v`` (``normal_ordered_action`` on its terms)."""
+    return FockVector._wrap(normal_ordered_action(ctx, terms, v.terms.items()), ctx)
+
+
+def creation_terms(slot: ModeSlot) -> tuple:
+    """a*[slot] as normal-ordered terms."""
+    return ((1, (), (slot,)),)
+
+
+def annihilation_terms(slot: ModeSlot) -> tuple:
+    """a[slot] as normal-ordered terms."""
+    return ((1, (slot,), ()),)
 
 
 def apply_creation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
     """Apply the creation operator for ``slot``; monomials that would exceed
     the particle cutoff P are dropped."""
     ctx.check_slot(slot)
-    return apply_normal_ordered(ctx, ((1, (), (slot,)),), v)
+    return apply_normal_ordered(ctx, creation_terms(slot), v)
 
 
 def apply_annihilation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
     """Apply the annihilation operator for ``slot``, weighted by the slot's
     multiplicity in each monomial."""
     ctx.check_slot(slot)
-    return apply_normal_ordered(ctx, ((1, (slot,), ()),), v)
+    return apply_normal_ordered(ctx, annihilation_terms(slot), v)
 
 
 def inner_product(v1: FockVector, v2: FockVector):

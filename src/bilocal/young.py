@@ -516,11 +516,11 @@ def apply_gauge_generator(ctx: FockContext, p: int, q: int, v: FockVector) -> Fo
     Real:    M^{pq} = sum_i (a*[i,p] a[i,q] - a*[i,q] a[i,p]).
     The second term acts on the last oscillator species of the field kind.
     """
-    return apply_normal_ordered(ctx, _gauge_terms(ctx, p, q), v)
+    return apply_normal_ordered(ctx, gauge_terms(ctx, p, q), v)
 
 
 @lru_cache(maxsize=None)
-def _gauge_terms(ctx: FockContext, p: int, q: int) -> tuple:
+def gauge_terms(ctx: FockContext, p: int, q: int) -> tuple:
     """The normal-ordered terms of the gauge generator (p, q), built once per
     context and flavor pair (an invalid pair is not cached, so it raises on
     every call)."""

@@ -13,17 +13,18 @@ from bilocal.algebra import (
     abstract_commutator,
     apply_charge,
     apply_generator,
-    apply_generator_unshifted,
     apply_hamiltonian,
     canonical_hamiltonian,
     commutator_counterexample,
     dagger_label,
+    generator_images,
     generators,
     verify_structure_constants,
 )
 from bilocal.fock import (
     COMPLEX,
     REAL,
+    ContextMismatch,
     ContextViolation,
     FockContext,
     a_slot,
@@ -102,13 +103,13 @@ def test_commutator_antisymmetry():
 @pytest.mark.parametrize("kind,N", [(COMPLEX, 1), (REAL, 2)])
 def test_verify_structure_constants_small(kind, N):
     ctx = FockContext(kind, N, 2, 4).validate()
-    report = verify_structure_constants(ctx, margin=2)
+    report = verify_structure_constants(ctx, generator_images(ctx, shift=True), margin=2)
     assert report["ok"], report["failures"][:1]
 
 
 def test_corrupted_realization_fails_on_x_xstar():
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
-    report = verify_structure_constants(ctx, margin=2, realization=apply_generator_unshifted)
+    report = verify_structure_constants(ctx, generator_images(ctx, shift=False), margin=2)
     assert not report["ok"]
     kinds = {tuple(sorted(p.split("(")[0] for p in f["pair"])) for f in report["failures"]}
     assert ("X", "Xstar") in kinds
@@ -117,7 +118,13 @@ def test_corrupted_realization_fails_on_x_xstar():
 def test_margin_precondition():
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
     with pytest.raises(ValueError):
-        verify_structure_constants(ctx, margin=1)
+        verify_structure_constants(ctx, generator_images(ctx, shift=True), margin=1)
+
+
+def test_structure_constants_refuse_tables_of_another_context():
+    ctx = FockContext(COMPLEX, 1, 2, 4).validate()
+    with pytest.raises(ContextMismatch):
+        verify_structure_constants(ctx, generator_images(ctx._replace(P=5), shift=True))
 
 
 def test_commutator_counterexample_returns_first_failing_monomial():

@@ -164,6 +164,25 @@ def test_gamma_dominance_guard():
         gamma_value(h, (1, 2, 1, 1), 2)
 
 
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+def test_weight_length_guard(kind):
+    """lam has 2n coordinates (complex) or n (real): a shorter one was
+    truncated by zip, and a longer one filled the unused profile row or
+    raised IndexError."""
+    N = n = 2
+    s = complex_sector(diagram(1), EMPTY, N) if kind == COMPLEX else real_sector(diagram(1), N)
+    ctx = FockContext(kind, N, n, s.total_boxes() + 2).validate()
+    h, lam, ground = weight_from_sector(s), canonical_lambda(s, n), build_ground_state(ctx, s)
+    assert len(lam) == len(ctx.kind.species) * n
+    gamma_value(h, lam, n)
+    hw_vectors_at_weight(ctx, ground, n, lam)
+    for bad in (lam[:-1], lam + (lam[-1],), lam + (lam[-1],) * n):
+        with pytest.raises(ValueError, match="length"):
+            gamma_value(h, bad, n)
+        with pytest.raises(ValueError, match="length"):
+            hw_vectors_at_weight(ctx, ground, n, bad)
+
+
 @pytest.mark.parametrize(
     "kind,N,rows,n",
     [

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bilocal import cli, fock, young
+from bilocal import algebra, cli, fock, young
 from bilocal.cli import main
 from bilocal.fock import COMPLEX, FockContext, a_slot, basis_monomials, monomial_str
 from bilocal.serialize import dumps, jsonable, parse_rational
@@ -56,35 +56,36 @@ def test_verify_margin_reaches_every_check(capsys, monkeypatch):
     assert seen == [1, 1, 1, 1]
 
 
-def _annihilate_a11(ctx, v):
-    return fock.apply_annihilation(ctx, a_slot(1, 1), v)
-
+# a(1,1) as normal-ordered terms: an operator that commutes with no X*
+ANNIHILATE_A11 = ((1, (a_slot(1, 1),), ()),)
 
 # Each verify check must fail when its identity is broken.  A fault is planted
-# by replacing one name the check reads: (owner, attribute, faulty stand-in).
+# by replacing one name the check reads, a term list or the dagger:
+# (owner, attribute, faulty stand-in).  The fault reaches that check only.
 # A failing identity is reported once, and at most five are reported.
 NEGATIVE_CONTROLS = [
-    pytest.param("_check_ccr", (cli, "apply_creation",
-                                lambda ctx, slot, v: 2 * fock.apply_creation(ctx, slot, v)),
+    pytest.param("ccr", (fock, "creation_terms", lambda slot: ((2, (), (slot,)),)),
                  {"slots", "monomial"}, 5, id="ccr-doubled-creation"),
-    pytest.param("_check_adjointness", (cli, "dagger_label", lambda g: g),
+    pytest.param("adjointness", (cli, "dagger_label", lambda g: g),
                  {"generator"}, 5, id="adjointness-identity-dagger"),
-    pytest.param("_check_charge_commutes", (cli, "apply_charge", _annihilate_a11),
+    pytest.param("charge_commutes", (algebra, "charge_terms", lambda ctx: ANNIHILATE_A11),
                  {"generator", "monomial"}, 4, id="charge-noncommuting"),
-    pytest.param("_check_gauge_commutant", (young, "apply_gauge_generator",
-                                            lambda ctx, p, q, v: _annihilate_a11(ctx, v)),
+    pytest.param("gauge_commutant", (young, "gauge_terms", lambda ctx, p, q: ANNIHILATE_A11),
                  {"gauge", "generator", "monomial"}, 5, id="gauge-noncommuting"),
 ]
 
 
 @pytest.mark.parametrize("check,fault,keys,count", NEGATIVE_CONTROLS)
-def test_verify_check_fails_on_planted_fault(monkeypatch, check, fault, keys, count):
-    ctx = FockContext(COMPLEX, 2, 2, 4).validate()
+def test_verify_check_fails_on_planted_fault(capsys, monkeypatch, check, fault, keys, count):
     monkeypatch.setattr(*fault)
-    report = getattr(cli, check)(ctx)
-    assert report["ok"] is False
+    code, out = run_cli(capsys, "verify", "--kind", "complex", "--N", "2", "--M", "2", "--P", "4")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [name for name, c in checks.items() if not c["ok"]] == [check]
+    report = checks[check]
     assert len(report["failures"]) == count
     assert all(set(f) == keys for f in report["failures"])
+    ctx = FockContext(COMPLEX, 2, 2, 4).validate()
     monomials = {monomial_str(m) for m in basis_monomials(ctx, 2)}
     assert all(f["monomial"] in monomials for f in report["failures"] if "monomial" in f)
     identities = [str(sorted((k, str(v)) for k, v in f.items() if k != "monomial"))

@@ -1,0 +1,147 @@
+"""The one oscillator loop and verify's image tables.
+
+``fock.normal_ordered_action`` is the loop that ``apply_normal_ordered``
+ran inside itself, moved into a function over (monomial, coefficient)
+pairs; ``reference_apply_normal_ordered`` below is a copy of that
+``apply_normal_ordered`` on FockVectors.  The two must agree, key order
+included.  ``ImageCache`` tables are that loop on one monomial, for the
+non-scalar terms of an operator, with the scalar terms kept apart."""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bilocal import algebra, cli, fock, young
+from bilocal.algebra import apply_generator, charge_terms, generator_images, generators
+from bilocal.fock import (
+    COMPLEX,
+    REAL,
+    FockContext,
+    FockVector,
+    annihilation_terms,
+    basis_monomials,
+    creation_terms,
+    normal_ordered_action,
+    unit,
+)
+from bilocal.linalg import add_scaled, canonical
+
+
+def reference_apply_normal_ordered(ctx, terms, v):
+    out, items = {}, v.terms.items()
+    for f, rem, ins in terms:
+        image = {}
+        for m, c in items:
+            for s in rem:
+                k = m.count(s)
+                if not k:
+                    break
+                idx = m.index(s)
+                m, c = m[:idx] + m[idx + 1 :], c if k == 1 else c * k
+            else:
+                if not ins:
+                    image[m] = c
+                elif len(m) + len(ins) <= ctx.P:
+                    image[tuple(sorted(m + ins))] = c
+        if image:
+            add_scaled(out, image, f)
+    return FockVector._wrap(canonical(out), ctx)
+
+
+def same(got: dict, want: FockVector):
+    """Equal, with the same key order."""
+    return list(got.items()) == list(want.items())
+
+
+# the contexts of the verify gates in bench/gates.json
+GATE_CONTEXTS = [(COMPLEX, 1, 2, 4), (COMPLEX, 1, 3, 4), (COMPLEX, 2, 2, 4), (REAL, 2, 3, 4)]
+
+
+def verify_term_lists(ctx):
+    """Every term list a verify check reads: the generators with and
+    without the N/2 shift, the gauge generators, the ladders and the
+    charge."""
+    for g in generators(ctx):
+        for shift in (True, False):
+            yield algebra._generator_terms(ctx, g, shift)
+    flavors = range(1, ctx.N + 1)
+    for p in flavors:
+        for q in flavors:
+            yield young.gauge_terms(ctx, p, q)
+    for s in ctx.slots():
+        yield creation_terms(s)
+        yield annihilation_terms(s)
+    if ctx.field_kind == COMPLEX:
+        yield charge_terms(ctx)
+
+
+@st.composite
+def contexts_and_terms(draw):
+    ctx = FockContext(draw(st.sampled_from([COMPLEX, REAL])), draw(st.integers(1, 2)),
+                      draw(st.integers(1, 2)), draw(st.integers(0, 4))).validate()
+    slots = st.lists(st.sampled_from(ctx.slots()), max_size=3).map(tuple)  # repeats allowed
+    factor = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    # scalar terms come from empty rem and ins
+    terms = draw(st.lists(st.tuples(factor, slots, slots), max_size=5))
+    monomials = list(basis_monomials(ctx))  # up to the P cutoff
+    return ctx, terms, draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(contexts_and_terms())
+def test_loop_matches_reference_on_drawn_terms(data):
+    ctx, terms, monomials = data
+    for m in monomials:
+        assert same(normal_ordered_action(ctx, terms, ((m, 1),)),
+                    reference_apply_normal_ordered(ctx, terms, unit(ctx, m))), (terms, m)
+    v = FockVector(ctx, {m: Fraction(k + 1, 2) for k, m in enumerate(monomials)})
+    want = reference_apply_normal_ordered(ctx, terms, v)
+    assert same(normal_ordered_action(ctx, terms, v.items()), want)
+    assert same(fock.apply_normal_ordered(ctx, terms, v).terms, want)
+
+
+@pytest.mark.parametrize("context", GATE_CONTEXTS, ids=str)
+def test_loop_matches_reference_on_verify_term_lists(context):
+    ctx = FockContext(*context).validate()
+    basis = list(basis_monomials(ctx))
+    for terms in verify_term_lists(ctx):
+        for m in basis:
+            assert same(normal_ordered_action(ctx, terms, ((m, 1),)),
+                        reference_apply_normal_ordered(ctx, terms, unit(ctx, m))), (terms, m)
+
+
+@pytest.mark.parametrize("context", GATE_CONTEXTS, ids=str)
+def test_table_plus_scalar_is_the_generator_image(context):
+    ctx = FockContext(*context).validate()
+    images = generator_images(ctx, shift=True)
+    for g in generators(ctx):
+        table, scalar = images.table(g), images.scalar(g)
+        for m in basis_monomials(ctx):
+            image = dict(table(m))
+            assert {type(c) for c in image.values()} <= {int}
+            add_scaled(image, {m: 1}, scalar)
+            assert same(canonical(image), apply_generator(ctx, g, unit(ctx, m))), (g, m)
+
+
+GATES = json.loads((Path(__file__).resolve().parent.parent / "bench" / "gates.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(c for c in GATES if c.startswith("verify ")))
+def test_verify_computes_each_image_once(monkeypatch, capsys, command):
+    """Every table image of a run, keyed by the terms it applies and its
+    monomial, is computed once: the checks share one generator cache."""
+    seen = []
+    compute = algebra._Table.__missing__
+
+    def recording_compute(self, m):
+        seen.append((self.body, m))
+        return compute(self, m)
+
+    monkeypatch.setattr(algebra._Table, "__missing__", recording_compute)
+    cli.main(command.split())
+    capsys.readouterr()
+    assert seen
+    assert len(set(seen)) == len(seen)

@@ -19,8 +19,8 @@ from bilocal.algebra import (
     EMINUS_KIND,
     X_KIND,
     XSTAR_KIND,
+    _generator_terms,
     apply_generator,
-    apply_generator_unshifted,
     generators,
 )
 from bilocal.fock import (
@@ -33,6 +33,7 @@ from bilocal.fock import (
     ModeSlot,
     apply_annihilation,
     apply_creation,
+    apply_normal_ordered,
     basis_monomials,
     unit,
     vacuum,
@@ -127,6 +128,12 @@ def reference_gauge(ctx, p, q, v):
                 reference_annihilation(ctx, ModeSlot(SPECIES_A, i, p), v)
             )
     return out
+
+
+def apply_generator_unshifted(ctx, g, v):
+    """g without the N/2 shift, as the drop-e-shift negative control reads
+    its terms."""
+    return apply_normal_ordered(ctx, _generator_terms(ctx, g, False), v)
 
 
 def same(got, want):

@@ -3,13 +3,16 @@
 The reference below is the commutator check as first written: every
 operand maps a FockVector to a FockVector, each basis monomial is wrapped
 as a unit vector, images are summed as FockVectors and the expected side
-applies the abstract commutator as an ``OperatorExpr``.  The library now
-composes {monomial: coefficient} dicts held in ``ImageCache`` tables; the
-reports, failures and their printed vectors included, must not change.
+applies the abstract commutator generator by generator, N/2 shift
+included.  The library composes {monomial: int} dicts held in
+``ImageCache`` tables, built from the operators' term lists with the
+scalar parts kept apart; the reports, failures and their printed vectors
+included, must not change.
 
-The reference checks read the realized operators off ``cli`` at call
-time, as the library's checks do, so a fault planted there reaches both
-sides."""
+The references act with the vector-level operators (``apply_generator``,
+the ladders, ``apply_charge``, ``apply_gauge_generator``).  They read the
+same term lists as the tables and run the same oscillator loop, so a
+fault planted in the term data, or in the loop, reaches both sides."""
 
 from fractions import Fraction
 from functools import partial
@@ -18,16 +21,17 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bilocal import cli, fock, young
+from bilocal import algebra, cli, fock, young
 from bilocal.algebra import (
     E_KIND,
     EMINUS_KIND,
     EPLUS_KIND,
-    ImageCache,
     X,
     abstract_commutator,
+    apply_charge,
     apply_generator,
-    apply_generator_unshifted,
+    dagger_label,
+    generator_images,
     generators,
     verify_structure_constants,
 )
@@ -37,6 +41,8 @@ from bilocal.fock import (
     FockContext,
     FockVector,
     a_slot,
+    apply_annihilation,
+    apply_creation,
     basis_monomials,
     monomial_self_overlap,
     monomial_str,
@@ -76,9 +82,9 @@ class ReferenceImages:
         return FockVector._wrap(out, self.ctx)
 
 
-def reference_structure_constants(ctx, margin, realization, max_failures=10):
+def reference_structure_constants(ctx, margin, max_failures=10):
     basis = list(basis_monomials(ctx, ctx.P - margin))
-    images = ReferenceImages(ctx, realization)
+    images = ReferenceImages(ctx, apply_generator)
 
     def degree_one(expr, v):
         """sum c g v over the terms c g of a linear combination of generators"""
@@ -115,15 +121,15 @@ def reference_report(ctx, margin, identities):
 def reference_ccr(ctx, margin):
     slots = ctx.slots()
     return reference_report(ctx, margin, (
-        ({"slots": [str(s), str(t)]}, partial(cli.apply_annihilation, ctx, s),
-         partial(cli.apply_creation, ctx, t), (lambda v: v) if s == t else None)
+        ({"slots": [str(s), str(t)]}, partial(apply_annihilation, ctx, s),
+         partial(apply_creation, ctx, t), (lambda v: v) if s == t else None)
         for s in slots for t in slots))
 
 
 def reference_adjointness(ctx, margin):
     basis = list(basis_monomials(ctx, ctx.P - margin))
     weight = {m: monomial_self_overlap(m) for m in basis}
-    images = ReferenceImages(ctx, cli.apply_generator)
+    images = ReferenceImages(ctx, apply_generator)
 
     def mismatch(g, h):
         return any(c * weight[n] != images.image(h, n).coefficient(m) * weight[m]
@@ -131,7 +137,7 @@ def reference_adjointness(ctx, margin):
 
     failures = []
     for g in generators(ctx):
-        if mismatch(g, cli.dagger_label(g)) or mismatch(cli.dagger_label(g), g):
+        if mismatch(g, dagger_label(g)) or mismatch(dagger_label(g), g):
             failures.append({"generator": str(g)})
     return {"ok": not failures, "failures": failures[:5]}
 
@@ -139,35 +145,52 @@ def reference_adjointness(ctx, margin):
 def reference_charge_commutes(ctx, margin):
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
-    images = ReferenceImages(ctx, cli.apply_generator)
+    images = ReferenceImages(ctx, apply_generator)
     return reference_report(ctx, margin, (
-        ({"generator": str(g)}, partial(cli.apply_charge, ctx), partial(images.apply, g), None)
+        ({"generator": str(g)}, partial(apply_charge, ctx), partial(images.apply, g), None)
         for g in generators(ctx)))
 
 
 def reference_gauge_commutant(ctx, margin):
     flavors = range(1, ctx.N + 1)
     gauge = ReferenceImages(ctx, lambda ctx, pq, v: young.apply_gauge_generator(ctx, *pq, v))
-    images = ReferenceImages(ctx, cli.apply_generator)
+    images = ReferenceImages(ctx, apply_generator)
     return reference_report(ctx, margin, (
         ({"gauge": [p, q], "generator": str(g)}, partial(gauge.apply, (p, q)),
          partial(images.apply, g), None)
         for p in flavors for q in flavors for g in generators(ctx)))
 
 
-CHECKS = [
-    (cli._check_ccr, reference_ccr),
-    (cli._check_adjointness, reference_adjointness),
-    (cli._check_charge_commutes, reference_charge_commutes),
-    (cli._check_gauge_commutant, reference_gauge_commutant),
-]
+def reference_reports(ctx, margin):
+    return {"structure_constants": reference_structure_constants(ctx, margin),
+            "ccr": reference_ccr(ctx, margin),
+            "adjointness": reference_adjointness(ctx, margin),
+            "charge_commutes": reference_charge_commutes(ctx, margin),
+            "gauge_commutant": reference_gauge_commutant(ctx, margin)}
 
 
-def assert_matches_reference(ctx, margin, realization=apply_generator):
-    assert (verify_structure_constants(ctx, margin, realization)
-            == reference_structure_constants(ctx, margin, realization))
-    for check, reference in CHECKS:
-        assert check(ctx, margin) == reference(ctx, margin), check.__name__
+def library_reports(ctx, margin, shift=True):
+    """The library checks as ``bilocal verify`` runs them, on one set of
+    generator tables."""
+    images = generator_images(ctx, shift)
+    return {"ccr": cli._check_ccr(ctx, margin),
+            "adjointness": cli._check_adjointness(ctx, images, margin),
+            "charge_commutes": cli._check_charge_commutes(ctx, images, margin),
+            "gauge_commutant": cli._check_gauge_commutant(ctx, images, margin),
+            "structure_constants": verify_structure_constants(ctx, images, margin)}
+
+
+def assert_matches_reference(ctx, margin):
+    got, want = library_reports(ctx, margin), reference_reports(ctx, margin)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def drop_e_shift(mp):
+    """Plant the drop-e-shift fault in the term data: every diagonal E
+    loses its N/2 shift, in the tables and in ``apply_generator`` alike."""
+    terms = algebra._generator_terms
+    mp.setattr(algebra, "_generator_terms", lambda ctx, g, shift: terms(ctx, g, False))
 
 
 # the contexts of the verify gates in bench/gates.json
@@ -183,27 +206,32 @@ def test_verify_checks_match_reference_on_gate_contexts(context):
                          ids=str)
 def test_verify_checks_match_reference_without_e_shift(monkeypatch, context):
     ctx = FockContext(*context).validate()
-    monkeypatch.setattr(cli, "apply_generator", apply_generator_unshifted)
-    assert not verify_structure_constants(ctx, 2, apply_generator_unshifted)["ok"]
-    assert_matches_reference(ctx, 2, apply_generator_unshifted)
+    # the CLI's negative control: tables without the shift's scalars
+    unshifted = library_reports(ctx, 2, shift=False)
+    assert not unshifted["structure_constants"]["ok"]
+    drop_e_shift(monkeypatch)
+    assert_matches_reference(ctx, 2)
+    assert unshifted == reference_reports(ctx, 2)
 
 
-def _doubled_creation(ctx, slot, v):
-    return 2 * fock.apply_creation(ctx, slot, v)
+def _doubled_creation(slot):
+    return ((2, (), (slot,)),)
 
 
-def _noncommuting_gauge(ctx, p, q, v):
-    return fock.apply_annihilation(ctx, a_slot(1, 1), v)
+def _noncommuting_gauge(ctx, p, q):
+    return ((1, (a_slot(1, 1),), ()),)
 
 
-@pytest.mark.parametrize("fault", [(cli, "apply_creation", _doubled_creation),
-                                   (young, "apply_gauge_generator", _noncommuting_gauge)],
-                         ids=lambda fault: fault[1])
+@pytest.mark.parametrize("fault", [
+    pytest.param((fock, "creation_terms", _doubled_creation), id="apply_creation"),
+    pytest.param((young, "gauge_terms", _noncommuting_gauge), id="apply_gauge_generator"),
+])
 def test_failing_checks_match_reference(monkeypatch, fault):
     ctx = FockContext(COMPLEX, 2, 2, 4).validate()
     monkeypatch.setattr(*fault)
-    for check, reference in CHECKS:
-        assert check(ctx, 2) == reference(ctx, 2), check.__name__
+    got = library_reports(ctx, 2)
+    assert not all(report["ok"] for report in got.values())
+    assert got == reference_reports(ctx, 2)
 
 
 @settings(max_examples=12, deadline=None)
@@ -212,17 +240,16 @@ def test_failing_checks_match_reference(monkeypatch, fault):
 def test_verify_checks_match_reference_on_drawn_contexts(kind, N, M, P, margin, shifted):
     assume(margin <= P)
     ctx = FockContext(kind, N, M, P).validate()
-    realization = apply_generator if shifted else apply_generator_unshifted
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "apply_generator", realization)
-        assert_matches_reference(ctx, margin, realization)
+        if not shifted:
+            drop_e_shift(mp)
+        assert_matches_reference(ctx, margin)
 
 
-def _table_coefficients(ctx, realization=apply_generator):
-    images = ImageCache(ctx, realization)
-    for g in generators(ctx):
+def _table_coefficients(images):
+    for g in generators(images.ctx):
         table = images.table(g)
-        for m in basis_monomials(ctx):
+        for m in basis_monomials(images.ctx):
             for n, c in table(m).items():
                 yield g, m, n, c
 
@@ -231,32 +258,39 @@ def _table_coefficients(ctx, realization=apply_generator):
                          ids=str)
 def test_even_n_tables_hold_only_ints(context):
     ctx = FockContext(*context).validate()
-    assert {type(c) for *_, c in _table_coefficients(ctx)} == {int}
+    images = generator_images(ctx, shift=True)
+    assert {type(c) for *_, c in _table_coefficients(images)} == {int}
 
 
 @pytest.mark.parametrize("context", [(COMPLEX, 1, 2, 4), (REAL, 3, 2, 3)], ids=str)
-def test_odd_n_tables_hold_fractions_only_on_the_shift(context):
+def test_odd_n_tables_hold_only_ints(context):
+    """The N/2 shift is the one true quotient, and it is kept apart as the
+    scalar of each diagonal E."""
     ctx = FockContext(*context).validate()
+    images = generator_images(ctx, shift=True)
+    assert {type(c) for *_, c in _table_coefficients(images)} == {int}
     diagonal_e = {EPLUS_KIND, EMINUS_KIND, E_KIND}
-    for g, m, n, c in _table_coefficients(ctx):
-        if type(c) is not int:
-            assert (type(c), c.denominator) == (Fraction, 2)
-            assert g.kind in diagonal_e and g.i == g.j and n == m
+    for g in generators(ctx):
+        want = Fraction(ctx.N, 2) if g.kind in diagonal_e and g.i == g.j else 0
+        assert (images.scalar(g), type(images.scalar(g))) == (want, type(want)), g
 
 
-def test_planted_off_by_one_table_entry_fails_structure_constants():
+def test_planted_off_by_one_table_entry_fails_structure_constants(monkeypatch):
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
     target, m0 = X(1, 2), (a_slot(1, 1),)  # an a-only monomial, which X annihilates
     assert apply_generator(ctx, target, unit(ctx, m0)).is_zero()
+    target_terms, action = algebra._generator_terms(ctx, target, True), fock.normal_ordered_action
 
-    def off_by_one(ctx, g, v):
-        out = apply_generator(ctx, g, v)
-        if g == target and set(v.monomials()) == {m0}:
-            out = out + unit(ctx, ())
+    def off_by_one(ctx, terms, items):
+        out = action(ctx, terms, items)
+        if terms == target_terms and [m for m, _ in items] == [m0]:
+            add_scaled(out, {(): 1})
         return out
 
-    report = verify_structure_constants(ctx, 2, off_by_one)
-    assert report == reference_structure_constants(ctx, 2, off_by_one)
+    monkeypatch.setattr(fock, "normal_ordered_action", off_by_one)
+    assert apply_generator(ctx, target, unit(ctx, m0)) == unit(ctx, ())
+    report = verify_structure_constants(ctx, generator_images(ctx, shift=True), 2)
+    assert report == reference_structure_constants(ctx, 2)
     assert not report["ok"]
     # the entry enters both as an operand and on the expected side
     assert any(str(target) in f["pair"] for f in report["failures"])
