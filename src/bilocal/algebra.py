@@ -18,9 +18,9 @@ are independent of N.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from numbers import Rational
 from typing import Callable, Iterator, NamedTuple
 
 from . import fock
@@ -83,12 +83,11 @@ def check_generator(ctx: FockContext, g: GeneratorLabel):
     ctx.check_mode(g.j)
 
 
-def generators(ctx: FockContext, max_mode=None) -> Iterator[GeneratorLabel]:
-    """All generator labels with indices up to max_mode (default M)."""
-    top = ctx.M if max_mode is None else max_mode
+def generators(ctx: FockContext) -> Iterator[GeneratorLabel]:
+    """All generator labels with indices up to M."""
     for kind in ctx.kind.generator_kinds:
-        for i in range(1, top + 1):
-            for j in range(1, top + 1):
+        for i in range(1, ctx.M + 1):
+            for j in range(1, ctx.M + 1):
                 yield GeneratorLabel(kind, i, j)
 
 
@@ -172,6 +171,10 @@ class OperatorExpr(Combination):
                                    for w, c in self.terms.items()})
 
     def apply(self, ctx: FockContext, v: FockVector) -> FockVector:
+        """The expression acting on ``v``; a letter invalid in ctx raises
+        ContextViolation, also where a partial image vanishes first."""
+        for g in {g for w in self.terms for g in w}:
+            check_generator(ctx, g)
         pieces = []
         for w, c in self.terms.items():
             piece = v
@@ -414,8 +417,12 @@ class HamiltonianSpec(NamedTuple):
     subtractions: tuple
 
     def validate(self, ctx: FockContext):
+        """Raise ContextViolation on a spec that does not fit ctx, and
+        TypeError on an entry that is not exact (a float above all)."""
         if len(self.energies) < ctx.M or len(self.subtractions) < ctx.M:
             raise ContextViolation("hamiltonian spec shorter than mode cutoff")
+        for x in (*self.energies, *self.subtractions):
+            rational(x)
         prev = None
         for e in self.energies:
             if e <= 0:
@@ -435,25 +442,29 @@ def canonical_hamiltonian(ctx: FockContext, energies=None) -> HamiltonianSpec:
     return HamiltonianSpec(energies, (ctx.kind.n0(ctx.N),) * len(energies))
 
 
-def hamiltonian_constant(ctx: FockContext, spec: HamiltonianSpec) -> Fraction:
+def hamiltonian_constant(ctx: FockContext, spec: HamiltonianSpec) -> Rational:
     """The c-number part, truncated to modes <= M: sum_i eps_i (n0 - g_i)
     where n0 is the Cartan-sum vacuum eigenvalue (N complex, N/2 real)."""
     n0 = ctx.kind.n0(ctx.N)
-    return sum(
-        (Fraction(spec.energies[i]) * (n0 - Fraction(spec.subtractions[i])) for i in range(ctx.M)),
-        Fraction(0),
-    )
+    return rational(sum(spec.energies[i] * (n0 - spec.subtractions[i]) for i in range(ctx.M)))
 
 
-def monomial_energy(m: Monomial, spec: HamiltonianSpec) -> Fraction:
-    return sum((Fraction(spec.energies[s.mode - 1]) for s in m), Fraction(0))
+def monomial_energy(m: Monomial, spec: HamiltonianSpec) -> Rational:
+    """The closed form of H without its c-number: the sum of slot energies."""
+    return rational(sum(spec.energies[s.mode - 1] for s in m))
+
+
+def hamiltonian_terms(ctx: FockContext, spec: HamiltonianSpec) -> tuple:
+    """H = sum over slots of eps_mode a*a, plus the c-number, as
+    normal-ordered terms; the spec is validated first."""
+    spec.validate(ctx)
+    terms = [(spec.energies[s.mode - 1], (s,), (s,)) for s in ctx.slots()]
+    return tuple(terms) + ((hamiltonian_constant(ctx, spec), (), ()),)
 
 
 def apply_hamiltonian(ctx: FockContext, spec: HamiltonianSpec, v: FockVector) -> FockVector:
-    """Diagonal action: eigenvalue = sum of slot energies + the c-number."""
-    spec.validate(ctx)
-    const = hamiltonian_constant(ctx, spec)
-    return FockVector(ctx, {m: c * (monomial_energy(m, spec) + const) for m, c in v.items()})
+    """H acting on ``v`` through its term list (``hamiltonian_terms``)."""
+    return apply_normal_ordered(ctx, hamiltonian_terms(ctx, spec), v)
 
 
 @lru_cache(maxsize=None)

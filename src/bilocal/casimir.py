@@ -26,8 +26,8 @@ the canonical lam forces the unitarity bound r+ + r- <= 2 h_inf.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from numbers import Rational
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import (
@@ -68,52 +68,49 @@ class WeylData(NamedTuple):
 
 
 def weyl_data(field_kind: str, n: int) -> WeylData:
+    rho = tuple(linalg.quotient(n + 1 - 2 * i, 2) for i in range(1, n + 1))
     if field_kind == COMPLEX:
-        rho_block = tuple(Fraction(n + 1 - 2 * i, 2) for i in range(1, n + 1))
-        rho = rho_block + rho_block
-        delta = tuple(r - Fraction(n, 2) for r in rho)
+        rho = rho + rho
+        delta = tuple(r - linalg.quotient(n, 2) for r in rho)
     else:
-        rho = tuple(Fraction(n + 1 - 2 * i, 2) for i in range(1, n + 1))
-        delta = tuple(Fraction(-i) for i in range(1, n + 1))
+        delta = tuple(-i for i in range(1, n + 1))
     return WeylData(n, rho, delta)
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _dot(u, v) -> Rational:
+    return sum(a * b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
 # operators
 
 
-def casimir_k(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None) -> OperatorExpr:
-    if max_mode is not None and n > max_mode:
-        raise ContextViolation(f"rank {n} exceeds mode cutoff {max_mode}")
+def casimir_k(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
     rng, e_kinds = range(1, n + 1), FIELD_KINDS[field_kind].e_kinds
     return OperatorExpr().plus(
         (1, OperatorExpr.of(GeneratorLabel(kind, i, j)) * OperatorExpr.of(GeneratorLabel(kind, j, i)))
         for i in rng for j in rng for kind in e_kinds)
 
 
-def casimir_g(n: int, field_kind: str = COMPLEX, max_mode: Optional[int] = None) -> OperatorExpr:
-    half = Fraction(1, 2) if field_kind == REAL else 1
+def casimir_g(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
+    half = linalg.quotient(1, 2) if field_kind == REAL else 1
     rng = range(1, n + 1)
     cross = [(OperatorExpr.of(Xstar(i, j)), OperatorExpr.of(X(i, j))) for i in rng for j in rng]
-    return casimir_k(n, field_kind, max_mode).plus(
+    return casimir_k(n, field_kind).plus(
         (-half, word) for xs, x in cross for word in (xs * x, x * xs))
 
 
-def casimir_k_eigenvalue(lam, n: int, field_kind: str = COMPLEX) -> Fraction:
+def casimir_k_eigenvalue(lam, n: int, field_kind: str = COMPLEX) -> Rational:
     """(lam+rho, lam+rho) - (rho, rho) in the orthonormal e-basis."""
     data = weyl_data(field_kind, n)
     lam = tuple(linalg.rational(x) for x in lam)
     if len(lam) != len(data.rho):
         raise ValueError(f"weight length {len(lam)} != {len(data.rho)}")
     shifted = tuple(a + b for a, b in zip(lam, data.rho))
-    return _dot(shifted, shifted) - _dot(data.rho, data.rho)
+    return linalg.rational(_dot(shifted, shifted) - _dot(data.rho, data.rho))
 
 
-def gamma_value(h: Weight, lam, n: int) -> Fraction:
+def gamma_value(h: Weight, lam, n: int) -> Rational:
     """(lam+delta, lam+delta) - (h+delta, h+delta).  lam must be dominant,
     with 2n coordinates (complex) or n (real); ValueError otherwise."""
     data = weyl_data(h.field_kind, n)
@@ -123,7 +120,7 @@ def gamma_value(h: Weight, lam, n: int) -> Fraction:
     hv = h.coords(n)
     a = tuple(x + d for x, d in zip(lam, data.delta))
     b = tuple(x + d for x, d in zip(hv, data.delta))
-    return _dot(a, a) - _dot(b, b)
+    return linalg.rational(_dot(a, a) - _dot(b, b))
 
 
 def _check_length(lam, field_kind, n):
@@ -161,12 +158,12 @@ def canonical_lambda(s: SectorLabel, n: int):
     return tuple(coords)
 
 
-def gamma_closed_form(s: SectorLabel) -> Fraction:
+def gamma_closed_form(s: SectorLabel) -> int:
     """2(2 h_inf - r+ - r-), with r, s the first two column heights in the
     real normalization."""
     if s.field_kind == COMPLEX:
-        return Fraction(2) * (s.N - s.y_plus.column(1) - s.y_minus.column(1))
-    return Fraction(2) * (s.N - s.y_plus.column(1) - s.y_plus.column(2))
+        return 2 * (s.N - s.y_plus.column(1) - s.y_minus.column(1))
+    return 2 * (s.N - s.y_plus.column(1) - s.y_plus.column(2))
 
 
 def unitarity_bound(s: SectorLabel) -> bool:
@@ -302,28 +299,28 @@ def cg_eigenvalue_oracle(ctx: FockContext, s: SectorLabel, n: int):
     ground = build_ground_state(ctx, s)
     if ground.max_particles() + 2 > ctx.P:
         raise ContextViolation("need two spare particle slots for the cross terms")
-    img = casimir_g(n, ctx.field_kind, max_mode=ctx.M).apply(ctx, ground)
+    img = casimir_g(n, ctx.field_kind).apply(ctx, ground)
     value = linalg.quotient(inner_product(ground, img), norm_sq(ground))
     if img != ground * value:
         raise ArithmeticError(f"C_g does not act as a scalar on {s}")
     return value
 
 
-def cg_candidate_shifted_delta(h: Weight, n: int) -> Fraction:
+def cg_candidate_shifted_delta(h: Weight, n: int) -> Rational:
     """(h+delta, h+delta) - (delta, delta)."""
     data = weyl_data(h.field_kind, n)
     hv = h.coords(n)
     shifted = tuple(a + d for a, d in zip(hv, data.delta))
-    return _dot(shifted, shifted) - _dot(data.delta, data.delta)
+    return linalg.rational(_dot(shifted, shifted) - _dot(data.delta, data.delta))
 
 
-def cg_candidate_printed(h: Weight, n: int) -> Fraction:
+def cg_candidate_printed(h: Weight, n: int) -> Rational:
     """(h+delta, h+delta) - (h, h): the formula with the ambiguous second
     term read as the plain weight norm."""
     data = weyl_data(h.field_kind, n)
     hv = h.coords(n)
     shifted = tuple(a + d for a, d in zip(hv, data.delta))
-    return _dot(shifted, shifted) - _dot(hv, hv)
+    return linalg.rational(_dot(shifted, shifted) - _dot(hv, hv))
 
 
 def resolve_cg_closed_form(cases) -> dict:

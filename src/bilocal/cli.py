@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import algebra, fock, linalg, modes, sectors, young
@@ -160,7 +159,7 @@ def _check_vacuum_cartan(ctx) -> dict:
     vacuum, by vector-level action, N/2 shift included."""
     vac = vacuum(ctx)
     failures = []
-    half_n = Fraction(ctx.N, 2)
+    half_n = linalg.quotient(ctx.N, 2)
     e_kinds = ctx.kind.e_kinds
     for g in generators(ctx):
         if g.kind in e_kinds:
@@ -187,13 +186,15 @@ def _check_charge_commutes(ctx, images, margin=2) -> dict:
 
 
 def _check_gauge_commutant(ctx, images, margin=2) -> dict:
-    """[E^{pq}, g] = 0 for every gauge pair (p, q) and generator g, on the
-    gauge tables and the generator tables ``images``."""
+    """[E^{pq}, g] = 0 for every generator g and gauge basis element: all
+    E^{pq} of u(N) (complex), the M^{pq}, p < q, of o(N) (real; M^{pp} = 0
+    and M^{qp} = -M^{pq}), on the tables of ``images`` and the gauge."""
     flavors = range(1, ctx.N + 1)
+    pairs = [(p, q) for p in flavors for q in flavors if p < q or ctx.field_kind == COMPLEX]
     gauge = ImageCache(ctx, lambda pq: young.gauge_terms(ctx, *pq))
     return _commutator_report(ctx, margin, (
         ({"gauge": [p, q], "generator": str(g)}, gauge.table((p, q)), images.table(g), None)
-        for p in flavors for q in flavors for g in generators(ctx)))
+        for p, q in pairs for g in generators(ctx)))
 
 
 def cmd_verify(args) -> int:

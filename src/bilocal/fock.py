@@ -18,13 +18,13 @@ commutators must stay a margin of 2 particles below P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, groupby
 from math import factorial
+from numbers import Rational
 from typing import Iterable, Iterator, NamedTuple
 
-from .linalg import Combination, add_scaled, canonical, rational
+from .linalg import Combination, add_scaled, canonical, quotient, rational
 
 SPECIES_A = "a"
 SPECIES_B = "b"
@@ -65,10 +65,10 @@ class FieldKind:
         """X(i,j) = X(j,i): both legs carry the same species."""
         return self.x_legs[0] == self.x_legs[1]
 
-    def n0(self, N) -> Fraction:
+    def n0(self, N) -> Rational:
         """Vacuum eigenvalue of the Cartan sum over all E kinds at one mode:
         N/2 per species."""
-        return Fraction(len(self.species) * N, 2)
+        return quotient(len(self.species) * N, 2)
 
 
 FIELD_KINDS = {

@@ -12,12 +12,13 @@ convention; any fixed order works.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from numbers import Rational
 from typing import NamedTuple
 
 from .algebra import HamiltonianSpec, apply_hamiltonian, canonical_hamiltonian, monomial_energy
 from .fock import FockContext, basis_monomials, unit, vacuum
+from .linalg import quotient
 
 
 class ModeError(ValueError):
@@ -30,11 +31,11 @@ class ModeLabel(NamedTuple):
     mu: int
 
     @property
-    def d0(self) -> Fraction:
-        return Fraction(self.D - 2, 2)
+    def d0(self) -> Rational:
+        return quotient(self.D - 2, 2)
 
     @property
-    def energy(self) -> Fraction:
+    def energy(self) -> Rational:
         return self.ell + self.d0
 
 
@@ -73,22 +74,20 @@ def enumerate_modes(D: int, count: int) -> list:
     return out
 
 
-def oscillator_normalization(ell: int, D: int) -> Fraction:
+def oscillator_normalization(ell: int, D: int) -> Rational:
     """Squared rescaling (ell+d0)/d0 turning field modes into canonical
     oscillators; its product with the mode commutator coefficient
     d0/(ell+d0) is exactly 1."""
     _check_dimension(D)
     if ell < 0:
         raise ModeError("ell must be >= 0")
-    d0 = Fraction(D - 2, 2)
-    return (ell + d0) / d0
+    return quotient(2 * ell + D - 2, D - 2)
 
 
-def mode_ccr_coefficient(ell: int, D: int) -> Fraction:
+def mode_ccr_coefficient(ell: int, D: int) -> Rational:
     """d0/(ell+d0), the coefficient in the raw mode commutator."""
     _check_dimension(D)
-    d0 = Fraction(D - 2, 2)
-    return d0 / (ell + d0)
+    return quotient(D - 2, 2 * ell + D - 2)
 
 
 def appendix_spectrum(ctx: FockContext, D: int) -> HamiltonianSpec:
@@ -98,9 +97,9 @@ def appendix_spectrum(ctx: FockContext, D: int) -> HamiltonianSpec:
 
 def conformal_spectrum_check(ctx: FockContext, D: int, count: int,
                              max_particles: int = 2) -> dict:
-    """Verify the mode-form Hamiltonian is diagonal with eigenvalue equal to
-    the sum of slot energies, and that one-particle degeneracies match
-    N * h_ell per species (complete ell-levels only)."""
+    """Verify the Hamiltonian's oscillator action is diagonal with eigenvalue
+    the closed form ``monomial_energy``, and that one-particle degeneracies
+    match N * h_ell per species (complete ell-levels only)."""
     if ctx.M != count:
         raise ModeError(f"context mode cutoff {ctx.M} must equal count {count}")
     spec = appendix_spectrum(ctx, D)
@@ -123,7 +122,7 @@ def conformal_spectrum_check(ctx: FockContext, D: int, count: int,
         if cumulative + h > count:
             break
         cumulative += h
-        energy = ell + Fraction(D - 2, 2)
+        energy = ell + quotient(D - 2, 2)
         per_species = [
             sum(
                 1
@@ -159,7 +158,7 @@ def spectrum_table(D: int, count: int) -> list:
     while cumulative < count:
         h = harmonic_count(D, ell)
         cumulative = min(cumulative + h, count)
-        rows.append({"ell": ell, "h": h, "energy": ell + Fraction(D - 2, 2),
+        rows.append({"ell": ell, "h": h, "energy": ell + quotient(D - 2, 2),
                      "cumulative": cumulative})
         ell += 1
     return rows

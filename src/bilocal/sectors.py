@@ -19,9 +19,9 @@ checked against brute-force oscillator computations elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import gcd
+from math import factorial, gcd, lcm, prod
+from numbers import Rational
 from typing import Optional
 
 from . import linalg
@@ -64,19 +64,20 @@ class Weight:
     """Cartan eigenvalue data: finite heads strictly above a stabilized tail.
 
     Complex weights carry two heads (plus/minus species); real weights a
-    single head stored in ``head_plus``.
+    single head stored in ``head_plus``.  Entries are stored in canonical
+    form (``linalg.rational``); a float raises TypeError.
     """
 
     field_kind: str
     head_plus: tuple
     head_minus: Optional[tuple]
-    tail: Fraction
+    tail: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "head_plus", tuple(Fraction(x) for x in self.head_plus))
+        object.__setattr__(self, "head_plus", tuple(map(linalg.rational, self.head_plus)))
         if self.head_minus is not None:
-            object.__setattr__(self, "head_minus", tuple(Fraction(x) for x in self.head_minus))
-        object.__setattr__(self, "tail", Fraction(self.tail))
+            object.__setattr__(self, "head_minus", tuple(map(linalg.rational, self.head_minus)))
+        object.__setattr__(self, "tail", linalg.rational(self.tail))
         if self.tail < 0:
             raise ValueError("tail h_inf must be nonnegative")
         for head in self._heads():
@@ -93,7 +94,7 @@ class Weight:
     def _heads(self):
         return (self.head_plus,) if self.head_minus is None else (self.head_plus, self.head_minus)
 
-    def component(self, i: int, side: str = "plus") -> Fraction:
+    def component(self, i: int, side: str = "plus") -> Rational:
         """h_i on one side; a weight with a single head ignores ``side``."""
         head = self.head_plus if side == "plus" or self.head_minus is None else self.head_minus
         return head[i - 1] if i <= len(head) else self.tail
@@ -116,26 +117,20 @@ class Weight:
 def weight_from_sector(s: SectorLabel) -> Weight:
     """Cartan data of the sector's ground state: h_i = m_i + N/2."""
     s.check_bound()
-    half_n = Fraction(s.N, 2)
-    if s.field_kind == COMPLEX:
-        return Weight(
-            COMPLEX,
-            tuple(Fraction(r) + half_n for r in s.y_plus.rows),
-            tuple(Fraction(r) + half_n for r in s.y_minus.rows),
-            half_n,
-        )
-    return Weight(REAL, tuple(Fraction(r) + half_n for r in s.y_plus.rows), None, half_n)
+    return _shifted_weight(s.field_kind, s.N, s.y_plus.rows, s.y_minus and s.y_minus.rows)
 
 
 def weight_from_profile(ctx: FockContext, a_occ, b_occ) -> Weight:
-    """Weight of a dominant occupation profile: h_i = occ_i + N/2, with
-    trailing tail-value entries trimmed off the heads."""
-    half_n = Fraction(ctx.N, 2)
-    a_head = _trim(tuple(Fraction(k) + half_n for k in a_occ), half_n)
-    if ctx.field_kind == COMPLEX:
-        b_head = _trim(tuple(Fraction(k) + half_n for k in b_occ), half_n)
-        return Weight(COMPLEX, a_head, b_head, half_n)
-    return Weight(REAL, a_head, None, half_n)
+    """Weight of a dominant occupation profile: h_i = occ_i + N/2."""
+    return _shifted_weight(ctx.field_kind, ctx.N, a_occ, b_occ)
+
+
+def _shifted_weight(field_kind: str, N: int, a_occ, b_occ) -> Weight:
+    """h_i = occ_i + N/2 per species (b only complex), with the trailing
+    tail-value entries (occupation 0) trimmed off the heads."""
+    half_n = linalg.quotient(N, 2)
+    heads = [tuple(k + half_n for k in _trim(tuple(occ or ()), 0)) for occ in (a_occ, b_occ)]
+    return Weight(field_kind, heads[0], heads[1] if field_kind == COMPLEX else None, half_n)
 
 
 def _trim(head, tail):
@@ -224,14 +219,8 @@ def _project_onto(basis, v):
 
 def _canonical_integer_scale(v: FockVector) -> FockVector:
     items = sorted(v.items())
-    denom = 1
-    for _, c in items:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    nums = [int(c * denom) for _, c in items]
-    g = 0
-    for x in nums:
-        g = gcd(g, abs(x))
-    scale = Fraction(denom, g)
+    denom = lcm(*(c.denominator for _, c in items))
+    scale = linalg.quotient(denom, gcd(*(int(c * denom) for _, c in items)))
     if items and items[0][1] < 0:
         scale = -scale
     return v * scale
@@ -344,7 +333,7 @@ def verify_hw_conditions(ctx: FockContext, v: FockVector, expected: Weight) -> d
 
 
 def norm_recursion_oracle(w: Weight, kind: str, i: int, j: int, n: int = 1,
-                          side: str = "plus") -> Fraction:
+                          side: str = "plus") -> Rational:
     """Closed-form values of <h| ... |h> for the elementary raised vectors.
 
     recX: <h| X(i,j) Xstar(i,j) |h> = h+_j + h-_i (complex); the real form
@@ -354,19 +343,14 @@ def norm_recursion_oracle(w: Weight, kind: str, i: int, j: int, n: int = 1,
     """
     if kind == "recX":
         if w.field_kind == COMPLEX:
-            return w.component(j, "plus") + w.component(i, "minus")
+            return linalg.rational(w.component(j, "plus") + w.component(i, "minus"))
         base = w.component(i) + w.component(j)
-        return base * 2 if i == j else base
+        return linalg.rational(base * 2 if i == j else base)
     if kind == "recE":
         if i >= j:
             raise ValueError("recE needs i < j")
         d = w.component(i, side) - w.component(j, side)
-        out = Fraction(1)
-        for k in range(n):
-            out *= d - k
-        for k in range(1, n + 1):
-            out *= k
-        return out
+        return linalg.rational(factorial(n) * prod(d - k for k in range(n)))
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
@@ -379,30 +363,28 @@ def null_vector_order(w: Weight, i: int, j: int, side: str = "plus") -> int:
 # determinant operators
 
 
-def determinant_operator(n: int, offset: int = 0, max_mode: Optional[int] = None) -> OperatorExpr:
+def determinant_operator(n: int, offset: int = 0) -> OperatorExpr:
     """det(X(i,j)) over modes offset+1 .. offset+n, expanded into n! words.
 
     Well defined without an ordering convention because the X(i,j)
     commute among themselves.
     """
-    if max_mode is not None and offset + n > max_mode:
-        raise ContextViolation(f"determinant needs modes up to {offset + n} > M = {max_mode}")
     return OperatorExpr({
         tuple(X(offset + i + 1, offset + perm[i] + 1) for i in range(n)): _perm_sign(perm)
         for perm in permutations(range(n))
     })
 
 
-def determinant_recursion_coefficient(w: Weight, n: int) -> Fraction:
+def determinant_recursion_coefficient(w: Weight, n: int) -> Rational:
     """Closed form for X(1,1)...X(n,n) Dn* |h>: the product over m <= n of
     (h+_m + h-_m - m + 1), doubled per factor in the real case."""
-    out = Fraction(1)
+    out = 1
     for m in range(1, n + 1):
         if w.field_kind == COMPLEX:
             out *= w.component(m, "plus") + w.component(m, "minus") - m + 1
         else:
             out *= 2 * (2 * w.component(m) - m + 1)
-    return out
+    return linalg.rational(out)
 
 
 def determinant_recursion_check(ctx: FockContext, s: SectorLabel, n: int) -> dict:
@@ -412,7 +394,7 @@ def determinant_recursion_check(ctx: FockContext, s: SectorLabel, n: int) -> dic
     if ground.max_particles() + 2 * n > ctx.P:
         raise TruncationError(f"need P >= {ground.max_particles() + 2 * n}")
     w = weight_from_sector(s)
-    dn_star = determinant_operator(n, max_mode=ctx.M).dagger()
+    dn_star = determinant_operator(n).dagger()
     v = dn_star.apply(ctx, ground)
     for m in range(n, 0, -1):
         v = apply_generator(ctx, X(m, m), v)
@@ -436,7 +418,7 @@ def p_polynomial_check(n: int, r: int = 0, n_values=None, field_kind: str = COMP
     values = []
     for N in n_values:
         ctx = FockContext(field_kind, N, r + n, 2 * n).validate()
-        d = determinant_operator(n, offset=r, max_mode=ctx.M).dagger()
+        d = determinant_operator(n, offset=r).dagger()
         values.append(norm_sq(d.apply(ctx, vacuum(ctx))))
     failures = []
     for N, val in zip(n_values, values):
@@ -464,15 +446,16 @@ def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[Hamiltonia
     Shards by occupation profile (a refinement of the energy eigenspaces,
     since the Cartan operators are diagonal on monomials) and solves for
     the joint kernel of the ground-state conditions in each shard.
-    Returns (sector, weight, multiplicity, energy) entries.
+    Returns (sector, weight, multiplicity, energy) entries.  A float
+    cutoff or spec entry raises TypeError.
     """
-    energy_cutoff = Fraction(energy_cutoff)
+    energy_cutoff = linalg.rational(energy_cutoff)
     if spec is None:
         spec = canonical_hamiltonian(ctx)
     spec.validate(ctx)
-    energies = [Fraction(e) for e in spec.energies[: ctx.M]]
+    energies = spec.energies[: ctx.M]
     if energies and energy_cutoff >= 0:
-        max_particles = int(energy_cutoff / min(energies))
+        max_particles = energy_cutoff // min(energies)
         if max_particles > ctx.P:
             raise TruncationError(
                 f"cutoff {energy_cutoff} can reach {max_particles} particles, cutoff P = {ctx.P}"
@@ -482,10 +465,8 @@ def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[Hamiltonia
         kernel = hw_kernel_in_profile(ctx, a_occ, b_occ)
         if not kernel:
             continue
-        energy = sum(
-            (energies[i] * (a_occ[i] + (b_occ[i] if b_occ else 0)) for i in range(ctx.M)),
-            Fraction(0),
-        )
+        energy = linalg.rational(sum(
+            energies[i] * (a_occ[i] + (b_occ[i] if b_occ else 0)) for i in range(ctx.M)))
         weight = weight_from_profile(ctx, a_occ, b_occ)
         sector = _profile_to_sector(ctx, a_occ, b_occ)
         results.append(
@@ -511,7 +492,7 @@ def _profiles_below(ctx: FockContext, energies, cutoff):
             vecs = [
                 (v + (k,), rem - k * e, cap - k)
                 for (v, rem, cap) in vecs
-                for k in range(int(min(rem / e, cap)) + 1)
+                for k in range(min(rem // e, cap) + 1)
             ]
         return [(v, rem) for (v, rem, _) in vecs]
 

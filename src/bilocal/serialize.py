@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from numbers import Rational
+
+from .linalg import rational
 
 
 def jsonable(obj):
@@ -26,9 +29,9 @@ def dumps(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer string; rejects floats."""
+def parse_rational(text: str) -> Rational:
+    """Parse "p/q" or a bare integer string, canonical; rejects floats."""
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"rational expected, got {text!r}")
-    return Fraction(text)
+    return rational(Fraction(text))

@@ -152,8 +152,8 @@ def test_criterion_4_determinant_relations():
     for kind in (COMPLEX, REAL):
         for N in (1, 2):
             ctx = FockContext(kind, N, N + 1, 2 * (N + 1)).validate()
-            d_n = determinant_operator(N, max_mode=ctx.M).dagger().apply(ctx, vacuum(ctx))
-            d_n1 = determinant_operator(N + 1, max_mode=ctx.M).dagger().apply(ctx, vacuum(ctx))
+            d_n = determinant_operator(N).dagger().apply(ctx, vacuum(ctx))
+            d_n1 = determinant_operator(N + 1).dagger().apply(ctx, vacuum(ctx))
             ok = ok and norm_sq(d_n) > 0 and norm_sq(d_n1) == 0
     for kind, s, n, ctx in (
         (COMPLEX, vacuum_sector(COMPLEX, 2), 2, FockContext(COMPLEX, 2, 3, 6)),
@@ -181,7 +181,7 @@ def test_criterion_5_casimir_and_gamma():
                     ctx = FockContext(kind, N, max(n, 2), s.total_boxes() + 2).validate()
                     ground = build_ground_state(ctx, s)
                     ev = casimir_k_eigenvalue(weight_from_sector(s).coords(n), n, kind)
-                    ok = ok and casimir_k(n, kind, max_mode=ctx.M).apply(ctx, ground) == ground * ev
+                    ok = ok and casimir_k(n, kind).apply(ctx, ground) == ground * ev
     # gamma identity on the stated sectors
     gamma_cases = []
     for N in (1, 2):

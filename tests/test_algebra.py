@@ -239,6 +239,17 @@ def test_operator_expr_apply_and_dagger():
     assert mixed.dagger() == OperatorExpr.of(Eplus(2, 1)) * OperatorExpr.of(Xstar(1, 2))
 
 
+def test_operator_expr_apply_checks_every_letter():
+    # X(1,1) annihilates the vacuum, so no letter after it acts, and the
+    # invalid X(5,5) must still raise
+    ctx = FockContext(COMPLEX, 1, 2, 4).validate()
+    expr = OperatorExpr.of(X(5, 5)) * OperatorExpr.of(X(1, 1))
+    with pytest.raises(ContextViolation):
+        expr.apply(ctx, vacuum(ctx))
+    with pytest.raises(ContextViolation):
+        OperatorExpr.of(E(1, 1)).apply(ctx, zero(ctx))
+
+
 def test_scalar_word_in_expr():
     ctx = FockContext(COMPLEX, 1, 1, 2).validate()
     expr = OperatorExpr.scalar(Fraction(3, 2))

@@ -90,7 +90,7 @@ def test_casimir_k_matches_action_on_ground_states(kind):
                 ground = build_ground_state(ctx, s)
                 lam = weight_from_sector(s).coords(n)
                 ev = casimir_k_eigenvalue(lam, n, kind)
-                got = casimir_k(n, kind, max_mode=ctx.M).apply(ctx, ground)
+                got = casimir_k(n, kind).apply(ctx, ground)
                 assert got == ground * ev, (str(s), n)
 
 

@@ -1,8 +1,11 @@
+import io
 import json
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilocal import algebra, cli, fock, young
 from bilocal.cli import main
@@ -93,6 +96,20 @@ def test_verify_check_fails_on_planted_fault(capsys, monkeypatch, check, fault, 
     assert len(set(identities)) == len(identities)
 
 
+def test_real_gauge_commutant_fails_on_planted_fault(capsys, monkeypatch):
+    """The real check runs over the basis M^{pq}, p < q, of o(N) and still
+    fails when each M^{pq} loses its second term (a u(N) generator, which
+    commutes with no real X)."""
+    terms = young.gauge_terms
+    monkeypatch.setattr(young, "gauge_terms", lambda ctx, p, q: terms(ctx, p, q)[::2])
+    code, out = run_cli(capsys, "verify", "--kind", "real", "--N", "3", "--M", "2", "--P", "4")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [name for name, c in checks.items() if not c["ok"]] == ["gauge_commutant"]
+    failures = checks["gauge_commutant"]["failures"]
+    assert len(failures) == 5 and all(p < q for p, q in (f["gauge"] for f in failures))
+
+
 USAGE_ERRORS = [
     ["verify", "--N", "-1", "--M", "2", "--P", "4"],
     ["classify", "--N", "1", "--cutoff", "1.5"],
@@ -117,6 +134,65 @@ def test_usage_error_exit_2(capsys):
     for argv in USAGE_ERRORS:
         code, out = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
+
+
+MALFORMED = ["1/2", "1.5", "abc", ""]
+
+
+@st.composite
+def _values(draw, good, *bad):
+    """An option value: mostly one of ``good``, else a fractional or
+    malformed one or one of ``bad``."""
+    if draw(st.integers(0, 4)):
+        return str(draw(st.sampled_from(good)))
+    return draw(st.sampled_from(MALFORMED + list(bad)))
+
+
+DIAGRAMS = _values(["", "1", "2", "1,1", "2,1"], "1,2", "0", "-1")
+
+# (flag, values) per subcommand: mostly valid, else negative, zero,
+# fractional or malformed.  Sizes are bounded (N <= 2, M <= 2, P <= 4,
+# cap <= 3, count <= 5) so that every run is fast with the size guard on.
+CONTEXT_OPTIONS = [("--kind", _values(["complex", "real"])), ("--N", _values(range(3), "-1")),
+                   ("--M", _values([1, 2], "0", "-1")), ("--P", _values(range(5), "-1"))]
+SUBCOMMAND_OPTIONS = {
+    "verify": CONTEXT_OPTIONS + [("--margin", _values(range(2, 5), "0", "-1"))],
+    "classify": CONTEXT_OPTIONS + [
+        ("--cutoff", _values([0, 1, 2, 3, 4, "1/2", "5/2"], "-1", "-1/2", "1/0")),
+        ("--D", _values([4, 6], "0", "-2", "3"))],
+    "gram": CONTEXT_OPTIONS + [("--level", _values(range(3), "-1")), ("--yplus", DIAGRAMS),
+                               ("--yminus", DIAGRAMS), ("--y", DIAGRAMS)],
+    "map-irreps": [("--group", _values(["U", "O"])), ("--N", _values(range(3), "-1")),
+                   ("--cap", _values(range(4), "-1"))],
+    "spectrum": [("--D", _values([4, 6], "0", "-2", "3")), ("--count", _values(range(6), "-1"))],
+}
+
+
+@st.composite
+def small_argv(draw):
+    """A subcommand with each of its options present or not (a required one
+    missing is a usage error too)."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)))
+    argv = [command]
+    for flag, values in SUBCOMMAND_OPTIONS[command]:
+        if draw(st.integers(0, 5)):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_argv())
+def test_exit_code_contract_holds_on_small_argv(argv):
+    """0 = pass, 1 = a counterexample in the JSON payload, 2 = usage error
+    with nothing on stdout; never a traceback."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+    else:
+        assert json.loads(out.getvalue()), argv
 
 
 def _readme_examples():

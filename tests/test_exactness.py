@@ -1,13 +1,17 @@
-"""Exact coefficients: an int when the value is integral, a Fraction with
-denominator > 1 otherwise, never a float.
+"""Exact numbers: an int when the value is integral, a Fraction with
+denominator > 1 otherwise, never a float; for the coefficients of a
+combination and for scalars alike.
 
-- Every true division in the library is audited: two ints divide to a
-  float, so each site below has a Fraction operand.
-- Floats are refused where coefficients enter a combination.
+- Exact numbers are made one way: ``Fraction`` is named only in
+  ``linalg.py`` and ``serialize.py``, and the one true division in the
+  library is the one inside ``linalg.quotient``.
+- Floats are refused where coefficients enter a combination and at the
+  scalar entry points (weights, Hamiltonian specs, the energy cutoff).
 - The int-first combination and the reduced echelon agree, values and key
   order, with copies of their all-Fraction forms, and the PSD test with a
   dense symmetric elimination (Schur complements).
-- The outputs of the hw and verify paths are in canonical form."""
+- The outputs of the hw and verify paths, scalars included, are in
+  canonical form."""
 
 import ast
 import importlib.util
@@ -19,10 +23,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilocal import algebra, cli
-from bilocal.algebra import Eplus, OperatorExpr, X, apply_generator, canonical_hamiltonian
-from bilocal.casimir import canonical_lambda, casimir_k_eigenvalue, gamma_value, hw_vectors_at_weight
+from bilocal.algebra import (
+    Eplus,
+    HamiltonianSpec,
+    OperatorExpr,
+    X,
+    apply_generator,
+    apply_hamiltonian,
+    canonical_hamiltonian,
+)
+from bilocal.casimir import (
+    canonical_lambda,
+    casimir_k_eigenvalue,
+    cg_candidate_printed,
+    cg_candidate_shifted_delta,
+    gamma_value,
+    hw_vectors_at_weight,
+)
 from bilocal.fock import (
     COMPLEX,
+    REAL,
     FockContext,
     FockVector,
     a_slot,
@@ -39,35 +59,44 @@ from bilocal.linalg import (
     positive_semidefinite,
     solve,
 )
-from bilocal.sectors import build_ground_state, hw_kernel_in_profile, joint_kernel, weight_from_sector
+from bilocal.sectors import (
+    Weight,
+    build_ground_state,
+    classify_spectrum,
+    determinant_recursion_coefficient,
+    hw_kernel_in_profile,
+    joint_kernel,
+    norm_recursion_oracle,
+    weight_from_sector,
+)
 from bilocal.young import vacuum_sector
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bilocal"
 
 # ---------------------------------------------------------------------------
-# every "/" in src/bilocal, audited
+# one way to make an exact number: Fraction in linalg and serialize only,
+# every "/" through linalg.quotient
 
 # (file, enclosing function, expression): why an operand is a Fraction
 AUDITED_DIVISIONS = {
     ("linalg.py", "quotient", "Fraction(a) / b"): "the dividend is taken as a Fraction",
-    ("modes.py", "oscillator_normalization", "(ell + d0) / d0"): "d0 = Fraction(D - 2, 2)",
-    ("modes.py", "mode_ccr_coefficient", "d0 / (ell + d0)"): "d0 = Fraction(D - 2, 2)",
-    ("sectors.py", "classify_spectrum", "energy_cutoff / min(energies)"):
-        "energy_cutoff and the energies are converted with Fraction",
-    ("sectors.py", "_profiles_below.occ_vectors", "rem / e"):
-        "the energies are Fractions (classify_spectrum converts them)",
 }
 
+# linalg makes every exact number (rational, quotient); serialize prints
+# and parses them
+FRACTION_MODULES = {"linalg.py", "serialize.py"}
 
-def _divisions(path: Path):
-    """(enclosing function, expression) of every true division in a file."""
+
+def _sites(path: Path, hit):
+    """(enclosing function, source) of every node of a file that ``hit``
+    selects."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        if hit(node):
             found.append((".".join(scope) or "<module>", ast.unparse(node)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -76,10 +105,33 @@ def _divisions(path: Path):
     return found
 
 
+def _divisions(path: Path):
+    """Every true division in a file."""
+    return _sites(path, lambda node: isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div))
+
+
+def _names_fraction(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "Fraction"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "Fraction"
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return (getattr(node, "module", None) == "fractions"
+                or any(a.name in ("fractions", "Fraction") for a in node.names))
+    return False
+
+
+def _fraction_names(path: Path):
+    """Every import of ``fractions`` and every use of the name ``Fraction``
+    in a file, annotations included."""
+    return _sites(path, _names_fraction)
+
+
 def test_every_division_is_audited():
     sites = [(p.name, fn, expr) for p in sorted(SRC.glob("*.py")) for fn, expr in _divisions(p)]
     unaudited = [s for s in sites if s not in AUDITED_DIVISIONS]
-    assert not unaudited, f"divisions without a Fraction operand on record: {unaudited}"
+    assert not unaudited, f"divisions outside linalg.quotient: {unaudited}"
     assert set(AUDITED_DIVISIONS) <= set(sites), "stale allowlist entries"
 
 
@@ -88,6 +140,25 @@ def test_division_guard_sees_planted_sites(tmp_path):
     planted.write_text("class R:\n    def push(self, c, pivot):\n        c /= pivot\n"
                        "        return {k: c / pivot for k in ()}\n")
     assert _divisions(planted) == [("R.push", "c /= pivot"), ("R.push", "c / pivot")]
+
+
+def test_fraction_is_named_only_in_linalg_and_serialize():
+    sites = {p.name: _fraction_names(p) for p in sorted(SRC.glob("*.py"))}
+    outside = {name: found for name, found in sites.items()
+               if found and name not in FRACTION_MODULES}
+    assert not outside, f"Fraction named outside {sorted(FRACTION_MODULES)}: {outside}"
+    assert all(sites[name] for name in FRACTION_MODULES), "stale module entries"
+
+
+def test_fraction_guard_sees_planted_sites(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("import fractions\nfrom fractions import Fraction as F\n"
+                       "class W:\n    tail: Fraction\n"
+                       "    def half(self, n) -> Fraction:\n"
+                       "        return fractions.Fraction(n, 2)\n")
+    assert _fraction_names(planted) == [
+        ("<module>", "import fractions"), ("<module>", "from fractions import Fraction as F"),
+        ("W", "Fraction"), ("W.half", "fractions.Fraction"), ("W.half", "Fraction")]
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +183,17 @@ MONO = (a_slot(1, 1),)
     lambda: casimir_k_eigenvalue((0.1, 0), 1),
     lambda: gamma_value(weight_from_sector(vacuum_sector(COMPLEX, 1)), (0.5, 0), 1),
     lambda: canonical_hamiltonian(CTX, (0.1, 0.2)),
+    lambda: Weight(COMPLEX, (1.5,), (), 0.5),
+    lambda: Weight(COMPLEX, (2,), (1,), 0.5),
+    lambda: HamiltonianSpec((0.1, 0.2), (1, 1)).validate(CTX),
+    lambda: HamiltonianSpec((1, 2), (1, 0.5)).validate(CTX),
+    lambda: apply_hamiltonian(CTX, HamiltonianSpec((0.1, 0.2), (1, 1)), vacuum(CTX)),
+    lambda: classify_spectrum(CTX, 0.3),
+    lambda: classify_spectrum(CTX, 1, HamiltonianSpec((0.5, 1), (1, 1))),
 ], ids=["Combination", "FockVector", "mul", "rmul", "plus", "scalar", "of", "expr-mul",
         "nullspace", "solve", "positive_semidefinite", "casimir_k_eigenvalue", "gamma_value",
-        "canonical_hamiltonian"])
+        "canonical_hamiltonian", "Weight-head", "Weight-tail", "HamiltonianSpec-energy",
+        "HamiltonianSpec-subtraction", "apply_hamiltonian", "classify-cutoff", "classify-spec"])
 def test_float_coefficients_raise_type_error(entry):
     with pytest.raises(TypeError):
         entry()
@@ -367,6 +446,24 @@ def test_hw_path_coefficients_are_canonical():
         for name, vs in (("hw_vectors", vectors), ("profile", profile), ("kernel", kernel)):
             _assert_canonical((name, tag), [c for v in vs for c in v.terms.values()])
             _assert_canonical((name + " gram", tag), [c for row in gram_matrix(vs) for c in row])
+        w, lam = weight_from_sector(s), canonical_lambda(s, n)
+        _assert_canonical(("scalars", tag), [
+            *w.coords(n), *lam, gamma_value(w, lam, n), casimir_k_eigenvalue(lam, n, ctx.field_kind),
+            cg_candidate_shifted_delta(w, n), cg_candidate_printed(w, n),
+            determinant_recursion_coefficient(w, n), norm_recursion_oracle(w, "recX", 1, n),
+            norm_recursion_oracle(w, "recE", 1, n + 1, 2)])
+
+
+@pytest.mark.parametrize("ctx,energies", [
+    (FockContext(COMPLEX, 3, 3, 4), None),
+    (FockContext(REAL, 3, 2, 5), (Fraction(1, 2), Fraction(3, 2))),
+], ids=["complex", "real-halves"])
+def test_classify_scalars_are_canonical(ctx, energies):
+    spec = canonical_hamiltonian(ctx, energies)
+    results = classify_spectrum(ctx, Fraction(5, 2), spec)
+    assert results
+    _assert_canonical(ctx, [*spec.energies, *spec.subtractions] + [
+        x for r in results for x in (r["energy"], *r["weight"].coords(ctx.M))])
 
 
 def _profile(ctx, s):

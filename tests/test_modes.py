@@ -1,6 +1,7 @@
 import pytest
 
-from bilocal.fock import COMPLEX, REAL, FockContext
+from bilocal import algebra
+from bilocal.fock import COMPLEX, REAL, FockContext, a_slot
 from bilocal.modes import (
     ModeError,
     conformal_spectrum_check,
@@ -76,6 +77,26 @@ def test_conformal_spectrum_check_flavor_doubling():
     report = conformal_spectrum_check(ctx, 4, 5)
     assert report["ok"]
     assert report["levels"][0]["per_species"] == [2, 2]
+
+
+def test_conformal_spectrum_check_fails_on_a_term_on_the_wrong_mode(monkeypatch):
+    # the oscillator action is compared with the closed form, so a term of
+    # the Hamiltonian planted on the wrong mode fails the diagonal check
+    terms = algebra.hamiltonian_terms
+
+    def misplaced(ctx, spec):
+        out = list(terms(ctx, spec))
+        assert out[0][1] == (a_slot(1, 1),)
+        out[0] = (out[0][0], (a_slot(2, 1),), (a_slot(2, 1),))
+        return tuple(out)
+
+    monkeypatch.setattr(algebra, "hamiltonian_terms", misplaced)
+    ctx = FockContext(COMPLEX, 1, 5, 2).validate()
+    report = conformal_spectrum_check(ctx, 4, 5)
+    assert not report["ok"]
+    failing = {f["monomial"] for f in report["failures"]}
+    assert str((a_slot(1, 1),)) in failing and str((a_slot(2, 1),)) in failing
+    assert all("vacuum_energy" not in f for f in report["failures"])
 
 
 def test_conformal_spectrum_check_real_single_species():

@@ -10,6 +10,7 @@ from bilocal.fock import (
     REAL,
     X_KIND,
     XSTAR_KIND,
+    ContextViolation,
     FockContext,
     TruncationError,
     a_slot,
@@ -233,8 +234,10 @@ def test_determinant_operator_small():
         (X(1, 1), X(2, 2)): Fraction(1),
         (X(1, 2), X(2, 1)): Fraction(-1),
     }
-    with pytest.raises(Exception):
-        determinant_operator(3, max_mode=2)
+    # D_3* needs modes 1..3
+    ctx = FockContext(COMPLEX, 2, 2, 6).validate()
+    with pytest.raises(ContextViolation):
+        determinant_operator(3).dagger().apply(ctx, vacuum(ctx))
 
 
 def test_determinant_recursion_examples():
@@ -354,6 +357,15 @@ def test_classify_vacuum_unique_at_energy_zero():
         assert len(results) == 1
         assert results[0]["multiplicity"] == 1
         assert results[0]["sector"] == vacuum_sector(ctx)
+
+
+def test_classify_negative_cutoff_lists_nothing():
+    # every profile has energy >= 0; the particle count bound is a floor
+    # division, so a cutoff in (-min energy, 0) no longer admits the vacuum
+    for kind in (COMPLEX, REAL):
+        ctx = FockContext(kind, 1, 2, 4).validate()
+        for cutoff in (Fraction(-1, 2), -1):
+            assert classify_spectrum(ctx, cutoff) == []
 
 
 def test_classify_infeasible_cutoff():
