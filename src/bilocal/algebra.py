@@ -105,7 +105,7 @@ def dagger_label(g: GeneratorLabel) -> GeneratorLabel:
 
 
 @lru_cache(maxsize=None)
-def _generator_terms(ctx: FockContext, g: GeneratorLabel, shift: bool) -> tuple:
+def _generator_terms(ctx: FockContext, g: GeneratorLabel) -> tuple:
     """The normal-ordered terms of ``g``, built once per context and label
     (an invalid label is not cached, so it raises on every call)."""
     check_generator(ctx, g)
@@ -119,14 +119,14 @@ def _generator_terms(ctx: FockContext, g: GeneratorLabel, shift: bool) -> tuple:
     # E generators: number-type bilinears plus the N/2 diagonal shift
     species = ctx.kind.e_kinds[g.kind]
     terms = [(1, (ModeSlot(species, j, p),), (ModeSlot(species, i, p),)) for p in flavors]
-    if shift and i == j:
+    if i == j:
         terms.append((quotient(ctx.N, 2), (), ()))
     return tuple(terms)
 
 
 def apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector) -> FockVector:
     """Exact image of ``v`` under the realized generator ``g``."""
-    return apply_normal_ordered(ctx, _generator_terms(ctx, g, True), v)
+    return apply_normal_ordered(ctx, _generator_terms(ctx, g), v)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +275,10 @@ def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Cal
     (m, (ab - ba) m, c m) of FockVectors, or None.
 
     a, b and c map a monomial to its image, a {monomial: coefficient} dict
-    with no zero stored, such as an ``ImageCache`` table; the products are
-    their linear extensions, ab m = sum over t of (b m)_t a t.  c = None is
-    the zero operator.  A scalar part of a or b cancels from ab - ba, so
-    tables that leave it out give the same left side."""
+    with no zero stored, such as an ``ImageTable``'s ``__getitem__``; the
+    products are their linear extensions, ab m = sum over t of (b m)_t a t.
+    c = None is the zero operator.  A scalar part of a or b cancels from
+    ab - ba, so tables that leave it out give the same left side."""
     for m in basis:
         lhs = {}
         for t, f in b(m).items():
@@ -291,73 +291,44 @@ def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Cal
     return None
 
 
-class _Table(dict):
-    """{monomial m: image of m under the terms ``body``}, each image computed
-    on its first lookup by ``fock.normal_ordered_action`` on ((m, 1),)."""
+class ImageTable(dict):
+    """{monomial m: image of m under the non-scalar terms of an operator's
+    normal-ordered (f, rem, ins) term list}: ``fock.normal_ordered_action``
+    on ((m, 1),), computed on the first lookup (``fock`` is read at call
+    time, so a replaced loop reaches the tables too).  The scalar terms (the
+    N/2 shift of a diagonal E) are summed into ``scalar``: a scalar cancels
+    from every commutator, so only the expected side of a structure constant
+    adds it, and every table holds ints only, at every N."""
 
-    __slots__ = ("ctx", "body")
+    __slots__ = ("ctx", "body", "scalar")
 
-    def __init__(self, ctx: FockContext, body: tuple):
-        self.ctx, self.body = ctx, body
+    def __init__(self, ctx: FockContext, terms):
+        self.ctx = ctx
+        self.body = tuple(t for t in terms if t[1] or t[2])
+        self.scalar = rational(sum(f for f, rem, ins in terms if not (rem or ins)))
 
     def __missing__(self, m):
         out = self[m] = fock.normal_ordered_action(self.ctx, self.body, ((m, 1),))
         return out
 
 
-class ImageCache:
-    """Image tables of operators given as normal-ordered term lists:
-    ``terms(label)`` is the (f, rem, ins) list of the operator ``label``.
-
-    A label's table maps a monomial m to the image of the label's
-    non-scalar terms, computed once by ``fock.normal_ordered_action`` on
-    ((m, 1),) and kept as its canonical {monomial: coefficient} dict
-    (``fock`` is read at call time, so a replaced loop reaches the tables
-    and ``apply_normal_ordered`` alike).  The scalar terms (the N/2 shift
-    of a diagonal E) are summed into one number per label,
-    ``scalar(label)``.  A scalar commutes with every operator, so it
-    cancels from every commutator and only the expected side of a
-    structure constant adds it.  Every realized operator has integer
-    non-scalar coefficients, so every table holds ints only, at every N."""
-
-    def __init__(self, ctx: FockContext, terms: Callable):
-        self.ctx, self.terms, self._entries = ctx, terms, {}
-
-    def _entry(self, label) -> tuple:
-        entry = self._entries.get(label)
-        if entry is None:
-            terms = self.terms(label)
-            body = tuple(t for t in terms if t[1] or t[2])
-            scalar = rational(sum(f for f, rem, ins in terms if not (rem or ins)))
-            entry = self._entries[label] = (_Table(self.ctx, body), scalar)
-        return entry
-
-    def table(self, label) -> Callable:
-        """The map from a monomial to its image under the non-scalar part of
-        ``label``."""
-        return self._entry(label)[0].__getitem__
-
-    def scalar(self, label):
-        """The scalar part of ``label``."""
-        return self._entry(label)[1]
+def generator_images(ctx: FockContext, shift: bool) -> dict:
+    """{g: ImageTable} over ``generators(ctx)``.  shift=False drops the
+    scalar terms, the N/2 shift of the diagonal E: the negative control of
+    ``bilocal verify``, which changes the scalars and no table."""
+    return {g: ImageTable(ctx, [t for t in _generator_terms(ctx, g) if shift or t[1] or t[2]])
+            for g in generators(ctx)}
 
 
-def generator_images(ctx: FockContext, shift: bool) -> ImageCache:
-    """Image tables of the realized generators.  shift=False leaves out the
-    N/2 shift of the diagonal E: the negative control of ``bilocal verify``,
-    which changes the scalars and no table."""
-    return ImageCache(ctx, lambda g: _generator_terms(ctx, g, shift))
-
-
-def _expr_map(images: ImageCache, expr: OperatorExpr) -> Callable:
-    """The map from a monomial to its image under a degree-one ``expr``,
-    scalar parts included."""
+def _expr_map(images: dict, expr: OperatorExpr) -> Callable:
+    """The map from a monomial to its image under a degree-one ``expr`` on
+    the tables ``images``, scalar parts included."""
     terms, scalar = [], 0
     for w, coeff in expr.items():
         if len(w) != 1:
             raise ValueError(f"{expr!r} is not of degree one")
-        terms.append((coeff, images.table(w[0])))
-        scalar += coeff * images.scalar(w[0])
+        terms.append((coeff, images[w[0]].__getitem__))
+        scalar += coeff * images[w[0]].scalar
 
     def image(m):
         out = {}
@@ -372,7 +343,7 @@ def _expr_map(images: ImageCache, expr: OperatorExpr) -> Callable:
 MAX_FAILURES = 10  # structure-constant failures listed before the check stops
 
 
-def verify_structure_constants(ctx: FockContext, images: ImageCache, margin: int = 2) -> dict:
+def verify_structure_constants(ctx: FockContext, images: dict, margin: int = 2) -> dict:
     """Check [g1,g2] against the abstract relations on every monomial with at
     most P - margin particles, for every unordered generator pair, on the
     generator tables ``images`` of ctx (``generator_images``; tables of
@@ -385,8 +356,9 @@ def verify_structure_constants(ctx: FockContext, images: ImageCache, margin: int
         raise ValueError("margin must be >= 2")
     if margin > ctx.P:
         raise ValueError(f"margin {margin} empties the basis (P = {ctx.P})")
-    if images.ctx != ctx:
-        raise ContextMismatch(f"tables of {images.ctx} checked in {ctx}")
+    for table in images.values():
+        if table.ctx != ctx:
+            raise ContextMismatch(f"tables of {table.ctx} checked in {ctx}")
     ctx.validate()
     basis = list(basis_monomials(ctx, ctx.P - margin))
     failures = []
@@ -395,7 +367,8 @@ def verify_structure_constants(ctx: FockContext, images: ImageCache, margin: int
         pairs += 1
         expr = abstract_commutator(g1, g2, ctx.field_kind)
         expected = _expr_map(images, expr) if expr else None
-        hit = commutator_counterexample(ctx, images.table(g1), images.table(g2), expected, basis)
+        hit = commutator_counterexample(ctx, images[g1].__getitem__, images[g2].__getitem__,
+                                        expected, basis)
         if hit:
             m, lhs, rhs = hit
             failures.append({"pair": [str(g1), str(g2)], "monomial": monomial_str(m),

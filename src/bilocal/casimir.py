@@ -44,6 +44,7 @@ from .fock import (
     ContextViolation,
     FockContext,
     FockVector,
+    TruncationError,
     inner_product,
     norm_sq,
     occupation_profile,
@@ -184,7 +185,10 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
     hence by every raising E(i,j), i < j <= n (ValueError otherwise); then
     U(k)|ground> = U(n-)|ground> (PBW), so lowering alone reaches the whole
     module.  E(i,j) moves one particle of one species from mode j to mode
-    i, so all monomials of a vector share one profile and the key is exact."""
+    i, so all monomials of a vector share one profile and the key is exact.
+    The zero vector spans no module (ValueError)."""
+    if ground.is_zero():
+        raise ValueError("the zero vector spans no module")
     for g in simple_raising_labels(ctx, n):
         if not apply_generator(ctx, g, ground).is_zero():
             raise ValueError(f"{g} does not annihilate the input vector")
@@ -239,6 +243,15 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
     return joint_kernel(ctx, simple_raising_labels(ctx, n), raised)
 
 
+def _raisable_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
+    """The sector's ground state, with room below P for the two particles
+    one Xstar creates (TruncationError otherwise: they would be dropped)."""
+    ground = build_ground_state(ctx, s)
+    if ground.max_particles() + 2 > ctx.P:
+        raise TruncationError(f"need P >= {ground.max_particles() + 2} to raise {s} by one Xstar")
+    return ground
+
+
 def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
     """Exact check of the Casimir-difference identity at the canonical lam.
 
@@ -248,7 +261,7 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
     """
     if n > ctx.M:
         raise ContextViolation(f"rank {n} exceeds mode cutoff {ctx.M}")
-    ground = build_ground_state(ctx, s)
+    ground = _raisable_ground_state(ctx, s)
     h = weight_from_sector(s)
     lam = canonical_lambda(s, n)
     gamma = gamma_value(h, lam, n)
@@ -296,9 +309,7 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
 def cg_eigenvalue_oracle(ctx: FockContext, s: SectorLabel, n: int):
     """Measured C_g eigenvalue on the sector's ground state (raises if the
     action is not an exact multiple of the state)."""
-    ground = build_ground_state(ctx, s)
-    if ground.max_particles() + 2 > ctx.P:
-        raise ContextViolation("need two spare particle slots for the cross terms")
+    ground = _raisable_ground_state(ctx, s)
     img = casimir_g(n, ctx.field_kind).apply(ctx, ground)
     value = linalg.quotient(inner_product(ground, img), norm_sq(ground))
     if img != ground * value:

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 from . import algebra, fock, linalg, modes, sectors, young
 from .algebra import (
-    ImageCache,
+    ImageTable,
     Xstar,
     apply_charge,
     apply_generator,
@@ -125,10 +125,10 @@ def _commutator_report(ctx, margin, identities) -> dict:
 def _check_ccr(ctx, margin=2) -> dict:
     """[a(s), a*(t)] = delta_st on the ladder tables of every slot pair."""
     slots = ctx.slots()
-    down = ImageCache(ctx, fock.annihilation_terms)
-    up = ImageCache(ctx, fock.creation_terms)
+    down = {s: ImageTable(ctx, fock.annihilation_terms(s)) for s in slots}
+    up = {s: ImageTable(ctx, fock.creation_terms(s)) for s in slots}
     return _commutator_report(ctx, margin, (
-        ({"slots": [str(s), str(t)]}, down.table(s), up.table(t),
+        ({"slots": [str(s), str(t)]}, down[s].__getitem__, up[t].__getitem__,
          (lambda m: {m: 1}) if s == t else None)
         for s in slots for t in slots))
 
@@ -143,9 +143,9 @@ def _check_adjointness(ctx, images, margin=2) -> dict:
     weight = {m: monomial_self_overlap(m) for m in basis}
 
     def mismatch(g, h):
-        image_g, image_h = images.table(g), images.table(h)
-        return any(c * weight[n] != image_h(n).get(m, 0) * weight[m]
-                   for m in basis for n, c in image_g(m).items() if n in weight)
+        table_g, table_h = images[g], images[h]
+        return any(c * weight[n] != table_h[n].get(m, 0) * weight[m]
+                   for m in basis for n, c in table_g[m].items() if n in weight)
 
     failures = []
     for g in generators(ctx):
@@ -179,9 +179,9 @@ def _check_charge_commutes(ctx, images, margin=2) -> dict:
     generator tables ``images`` (a scalar part commutes)."""
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
-    charge = ImageCache(ctx, lambda _: algebra.charge_terms(ctx)).table(None)
+    charge = ImageTable(ctx, algebra.charge_terms(ctx)).__getitem__
     return _commutator_report(ctx, margin, (
-        ({"generator": str(g)}, charge, images.table(g), None)
+        ({"generator": str(g)}, charge, images[g].__getitem__, None)
         for g in generators(ctx)))
 
 
@@ -191,9 +191,10 @@ def _check_gauge_commutant(ctx, images, margin=2) -> dict:
     and M^{qp} = -M^{pq}), on the tables of ``images`` and the gauge."""
     flavors = range(1, ctx.N + 1)
     pairs = [(p, q) for p in flavors for q in flavors if p < q or ctx.field_kind == COMPLEX]
-    gauge = ImageCache(ctx, lambda pq: young.gauge_terms(ctx, *pq))
+    gauge = {pq: ImageTable(ctx, young.gauge_terms(ctx, *pq)) for pq in pairs}
     return _commutator_report(ctx, margin, (
-        ({"gauge": [p, q], "generator": str(g)}, gauge.table((p, q)), images.table(g), None)
+        ({"gauge": [p, q], "generator": str(g)}, gauge[p, q].__getitem__,
+         images[g].__getitem__, None)
         for p, q in pairs for g in generators(ctx)))
 
 

@@ -95,17 +95,18 @@ def appendix_spectrum(ctx: FockContext, D: int) -> HamiltonianSpec:
     return canonical_hamiltonian(ctx, [e for _, e in enumerate_modes(D, ctx.M)])
 
 
-def conformal_spectrum_check(ctx: FockContext, D: int, count: int,
-                             max_particles: int = 2) -> dict:
-    """Verify the Hamiltonian's oscillator action is diagonal with eigenvalue
-    the closed form ``monomial_energy``, and that one-particle degeneracies
+DIAGONAL_PARTICLES = 2
+
+
+def conformal_spectrum_check(ctx: FockContext, D: int) -> dict:
+    """Verify the Hamiltonian's oscillator action on the ctx.M conformal
+    modes is diagonal, with eigenvalue the closed form ``monomial_energy``
+    up to DIAGONAL_PARTICLES particles, and that one-particle degeneracies
     match N * h_ell per species (complete ell-levels only)."""
-    if ctx.M != count:
-        raise ModeError(f"context mode cutoff {ctx.M} must equal count {count}")
     spec = appendix_spectrum(ctx, D)
     failures = []
     checked = 0
-    for m in basis_monomials(ctx, max_particles):
+    for m in basis_monomials(ctx, DIAGONAL_PARTICLES):
         v = unit(ctx, m)
         got = apply_hamiltonian(ctx, spec, v)
         want = v * monomial_energy(m, spec)
@@ -119,7 +120,7 @@ def conformal_spectrum_check(ctx: FockContext, D: int, count: int,
     ell = 0
     while True:
         h = harmonic_count(D, ell)
-        if cumulative + h > count:
+        if cumulative + h > ctx.M:
             break
         cumulative += h
         energy = ell + quotient(D - 2, 2)

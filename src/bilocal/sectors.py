@@ -95,7 +95,9 @@ class Weight:
         return (self.head_plus,) if self.head_minus is None else (self.head_plus, self.head_minus)
 
     def component(self, i: int, side: str = "plus") -> Rational:
-        """h_i on one side; a weight with a single head ignores ``side``."""
+        """h_i, i >= 1, on one side; a weight with a single head ignores ``side``."""
+        if i < 1:
+            raise ValueError(f"weight index {i} must be >= 1")
         head = self.head_plus if side == "plus" or self.head_minus is None else self.head_minus
         return head[i - 1] if i <= len(head) else self.tail
 
@@ -363,12 +365,19 @@ def null_vector_order(w: Weight, i: int, j: int, side: str = "plus") -> int:
 # determinant operators
 
 
+def _check_order(n: int):
+    """A determinant has order n >= 0 (n = 0 is the empty one, 1)."""
+    if n < 0:
+        raise ValueError(f"determinant order {n} must be >= 0")
+
+
 def determinant_operator(n: int, offset: int = 0) -> OperatorExpr:
     """det(X(i,j)) over modes offset+1 .. offset+n, expanded into n! words.
 
     Well defined without an ordering convention because the X(i,j)
     commute among themselves.
     """
+    _check_order(n)
     return OperatorExpr({
         tuple(X(offset + i + 1, offset + perm[i] + 1) for i in range(n)): _perm_sign(perm)
         for perm in permutations(range(n))
@@ -378,6 +387,7 @@ def determinant_operator(n: int, offset: int = 0) -> OperatorExpr:
 def determinant_recursion_coefficient(w: Weight, n: int) -> Rational:
     """Closed form for X(1,1)...X(n,n) Dn* |h>: the product over m <= n of
     (h+_m + h-_m - m + 1), doubled per factor in the real case."""
+    _check_order(n)
     out = 1
     for m in range(1, n + 1):
         if w.field_kind == COMPLEX:
@@ -390,6 +400,7 @@ def determinant_recursion_coefficient(w: Weight, n: int) -> Rational:
 def determinant_recursion_check(ctx: FockContext, s: SectorLabel, n: int) -> dict:
     """Brute-force the diagonal string against the adjoint determinant and
     compare with the closed-form coefficient, exactly."""
+    _check_order(n)
     ground = build_ground_state(ctx, s)
     if ground.max_particles() + 2 * n > ctx.P:
         raise TruncationError(f"need P >= {ground.max_particles() + 2 * n}")
@@ -413,6 +424,7 @@ def p_polynomial_check(n: int, r: int = 0, n_values=None, field_kind: str = COMP
     """Norms |Dn^(r)* |0>|^2 across integer N: zero below N = n, positive
     from N = n on, and a single degree-n polynomial in N (order n+1 finite
     differences vanish)."""
+    _check_order(n)
     if n_values is None:
         n_values = list(range(0, n + 3))
     values = []

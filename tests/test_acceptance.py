@@ -289,7 +289,7 @@ def test_criterion_9_mode_spectrum():
             ok = ok and oscillator_normalization(ell, D) * mode_ccr_coefficient(ell, D) == 1
     for kind, N in ((COMPLEX, 1), (COMPLEX, 2), (REAL, 1)):
         ctx = FockContext(kind, N, 5, 2).validate()
-        report = conformal_spectrum_check(ctx, 4, 5)
+        report = conformal_spectrum_check(ctx, 4)
         ok = ok and report["ok"]
         for lvl in report["levels"]:
             ok = ok and all(x == N * lvl["h"] for x in lvl["per_species"])

@@ -23,7 +23,7 @@ from bilocal.casimir import (
     verify_gamma_identity,
     weyl_data,
 )
-from bilocal.fock import COMPLEX, REAL, FockContext, basis_monomials, unit
+from bilocal.fock import COMPLEX, REAL, FockContext, TruncationError, basis_monomials, unit, zero
 from bilocal.linalg import RowSpan
 from bilocal.sectors import build_ground_state, joint_kernel, weight_from_sector
 from bilocal.young import EMPTY, complex_sector, diagram, enumerate_sectors, real_sector, vacuum_sector
@@ -226,6 +226,31 @@ def test_verify_gamma_identity_null_boundary():
     ctx = FockContext(REAL, 1, 2, 6).validate()
     report = verify_gamma_identity(ctx, real_sector(diagram(1), 1), 2)
     assert report["ok"] and report["case"] == "null_vector" and report["gamma"] == 0
+
+
+@pytest.mark.parametrize("kind, N, P",
+                         [(COMPLEX, 2, 1), (COMPLEX, 2, 2), (REAL, 3, 1), (REAL, 3, 2)])
+def test_gamma_identity_needs_room_for_one_xstar(kind, N, P):
+    # Xstar creates two particles; past P they would be dropped and the
+    # identity would report a false counterexample (no_vector_found)
+    s = complex_sector(diagram(1), EMPTY, N) if kind == COMPLEX else real_sector(diagram(1), N)
+    ctx = FockContext(kind, N, 2, P).validate()
+    with pytest.raises(TruncationError, match="need P >= 3"):
+        verify_gamma_identity(ctx, s, 2)
+    with pytest.raises(TruncationError, match="need P >= 3"):
+        cg_eigenvalue_oracle(ctx, s, 2)
+    report = verify_gamma_identity(FockContext(kind, N, 2, 3).validate(), s, 2)
+    assert report["ok"] and report["case"] == "identity"
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+def test_zero_input_spans_no_module(kind):
+    ctx = FockContext(kind, 2, 2, 4).validate()
+    lam = canonical_lambda(vacuum_sector(kind, 2), 2)
+    with pytest.raises(ValueError, match="zero vector"):
+        casimir.compact_module(ctx, zero(ctx), 2)
+    with pytest.raises(ValueError, match="zero vector"):
+        hw_vectors_at_weight(ctx, zero(ctx), 2, lam)
 
 
 def test_unitarity_bound():

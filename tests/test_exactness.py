@@ -482,20 +482,32 @@ VERIFY_GATES = [
 
 @pytest.mark.parametrize("command", VERIFY_GATES)
 def test_verify_image_tables_are_canonical(monkeypatch, capsys, command):
-    caches = []
-    init = algebra.ImageCache.__init__
+    tables, generator_tables = [], []
+    init, build = algebra.ImageTable.__init__, algebra.generator_images
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        caches.append(self)
+        tables.append(self)
 
-    monkeypatch.setattr(algebra.ImageCache, "__init__", recording_init)
+    def recording_build(*args, **kwargs):
+        generator_tables.append(build(*args, **kwargs))
+        return generator_tables[-1]
+
+    monkeypatch.setattr(algebra.ImageTable, "__init__", recording_init)
+    monkeypatch.setattr(cli, "generator_images", recording_build)
     cli.main(command.split())
     capsys.readouterr()
-    # one generator cache, ccr (2), gauge and, complex only, charge
-    assert len(caches) == (5 if "complex" in command else 4)
-    values = [c for cache in caches for table, _ in cache._entries.values()
-              for image in table.values() for c in image.values()]
+    # exactly one table per generator label per run; the others are one
+    # per slot for each ladder (ccr), one per gauge basis element and,
+    # complex only, the charge's
+    ctx = cli._context(cli.build_parser().parse_args(command.split()))
+    (images,) = generator_tables
+    assert list(images) == list(algebra.generators(ctx))
+    complex_ = ctx.field_kind == COMPLEX
+    gauge = ctx.N ** 2 if complex_ else ctx.N * (ctx.N - 1) // 2
+    assert len(tables) == len(images) + 2 * len(ctx.slots()) + gauge + complex_
+    assert {id(t) for t in images.values()} <= {id(t) for t in tables}
+    values = [c for table in tables for image in table.values() for c in image.values()]
     assert values
     _assert_canonical(command, values)
     # the N/2 shift is kept apart as a scalar, so tables hold ints at every N

@@ -4,7 +4,7 @@
 ran inside itself, moved into a function over (monomial, coefficient)
 pairs; ``reference_apply_normal_ordered`` below is a copy of that
 ``apply_normal_ordered`` on FockVectors.  The two must agree, key order
-included.  ``ImageCache`` tables are that loop on one monomial, for the
+included.  An ``ImageTable`` is that loop on one monomial, for the
 non-scalar terms of an operator, with the scalar terms kept apart."""
 
 import json
@@ -65,8 +65,9 @@ def verify_term_lists(ctx):
     without the N/2 shift, the gauge generators, the ladders and the
     charge."""
     for g in generators(ctx):
-        for shift in (True, False):
-            yield algebra._generator_terms(ctx, g, shift)
+        terms = algebra._generator_terms(ctx, g)
+        yield terms
+        yield tuple(t for t in terms if t[1] or t[2])
     flavors = range(1, ctx.N + 1)
     for p in flavors:
         for q in flavors:
@@ -118,9 +119,9 @@ def test_table_plus_scalar_is_the_generator_image(context):
     ctx = FockContext(*context).validate()
     images = generator_images(ctx, shift=True)
     for g in generators(ctx):
-        table, scalar = images.table(g), images.scalar(g)
+        table, scalar = images[g], images[g].scalar
         for m in basis_monomials(ctx):
-            image = dict(table(m))
+            image = dict(table[m])
             assert {type(c) for c in image.values()} <= {int}
             add_scaled(image, {m: 1}, scalar)
             assert same(canonical(image), apply_generator(ctx, g, unit(ctx, m))), (g, m)
@@ -132,15 +133,16 @@ GATES = json.loads((Path(__file__).resolve().parent.parent / "bench" / "gates.js
 @pytest.mark.parametrize("command", sorted(c for c in GATES if c.startswith("verify ")))
 def test_verify_computes_each_image_once(monkeypatch, capsys, command):
     """Every table image of a run, keyed by the terms it applies and its
-    monomial, is computed once: the checks share one generator cache."""
+    monomial, is computed once: the checks share one set of generator
+    tables."""
     seen = []
-    compute = algebra._Table.__missing__
+    compute = algebra.ImageTable.__missing__
 
     def recording_compute(self, m):
         seen.append((self.body, m))
         return compute(self, m)
 
-    monkeypatch.setattr(algebra._Table, "__missing__", recording_compute)
+    monkeypatch.setattr(algebra.ImageTable, "__missing__", recording_compute)
     cli.main(command.split())
     capsys.readouterr()
     assert seen

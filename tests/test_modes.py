@@ -65,7 +65,7 @@ def test_oscillator_normalization():
 
 def test_conformal_spectrum_check_complex():
     ctx = FockContext(COMPLEX, 1, 5, 2).validate()
-    report = conformal_spectrum_check(ctx, 4, 5)
+    report = conformal_spectrum_check(ctx, 4)
     assert report["ok"]
     by_ell = {lvl["ell"]: lvl for lvl in report["levels"]}
     assert by_ell[0]["per_species"] == [1, 1]  # one a and one b at energy 1
@@ -74,7 +74,7 @@ def test_conformal_spectrum_check_complex():
 
 def test_conformal_spectrum_check_flavor_doubling():
     ctx = FockContext(COMPLEX, 2, 5, 2).validate()
-    report = conformal_spectrum_check(ctx, 4, 5)
+    report = conformal_spectrum_check(ctx, 4)
     assert report["ok"]
     assert report["levels"][0]["per_species"] == [2, 2]
 
@@ -92,7 +92,7 @@ def test_conformal_spectrum_check_fails_on_a_term_on_the_wrong_mode(monkeypatch)
 
     monkeypatch.setattr(algebra, "hamiltonian_terms", misplaced)
     ctx = FockContext(COMPLEX, 1, 5, 2).validate()
-    report = conformal_spectrum_check(ctx, 4, 5)
+    report = conformal_spectrum_check(ctx, 4)
     assert not report["ok"]
     failing = {f["monomial"] for f in report["failures"]}
     assert str((a_slot(1, 1),)) in failing and str((a_slot(2, 1),)) in failing
@@ -101,7 +101,7 @@ def test_conformal_spectrum_check_fails_on_a_term_on_the_wrong_mode(monkeypatch)
 
 def test_conformal_spectrum_check_real_single_species():
     ctx = FockContext(REAL, 1, 5, 2).validate()
-    report = conformal_spectrum_check(ctx, 4, 5)
+    report = conformal_spectrum_check(ctx, 4)
     assert report["ok"]
     assert report["levels"][0]["per_species"] == [1]
 

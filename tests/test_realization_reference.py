@@ -133,7 +133,8 @@ def reference_gauge(ctx, p, q, v):
 def apply_generator_unshifted(ctx, g, v):
     """g without the N/2 shift, as the drop-e-shift negative control reads
     its terms."""
-    return apply_normal_ordered(ctx, _generator_terms(ctx, g, False), v)
+    terms = _generator_terms(ctx, g)
+    return apply_normal_ordered(ctx, tuple(t for t in terms if t[1] or t[2]), v)
 
 
 def same(got, want):

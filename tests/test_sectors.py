@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilocal.algebra import GeneratorLabel, X, Xstar, abstract_commutator, apply_generator
+from bilocal.algebra import (
+    GeneratorLabel,
+    OperatorExpr,
+    X,
+    Xstar,
+    abstract_commutator,
+    apply_generator,
+)
 from bilocal.fock import (
     COMPLEX,
     FIELD_KINDS,
@@ -29,6 +36,7 @@ from bilocal.sectors import (
     classify_spectrum,
     determinant_operator,
     determinant_recursion_check,
+    determinant_recursion_coefficient,
     ground_state_generators,
     hw_kernel_in_profile,
     joint_kernel,
@@ -176,6 +184,19 @@ def test_null_vector_order():
     assert null_vector_order(w, 1, 2, "minus") == 1
 
 
+def test_weight_index_below_one_raises():
+    # an index i <= 0 would read the head from its end
+    w = Weight(COMPLEX, (3, 2), (2,), 1)
+    assert [w.component(i) for i in (1, 2, 3)] == [3, 2, 1]
+    for i in (0, -1):
+        with pytest.raises(ValueError):
+            w.component(i)
+    with pytest.raises(ValueError):
+        norm_recursion_oracle(w, "recX", 0, 1)
+    with pytest.raises(ValueError):
+        null_vector_order(w, 0, 2)
+
+
 def _raise_e(ctx, side, j, i, n, v):
     kind = {"plus": "Eplus", "minus": "Eminus", "real": "E"}[side]
     for _ in range(n):
@@ -272,6 +293,25 @@ def test_p_polynomial_small():
 def test_p_polynomial_offset_matches():
     # the window of modes is immaterial: same polynomial at offset 1
     assert p_polynomial_check(2, r=1)["norms"] == p_polynomial_check(2, r=0)["norms"]
+
+
+def test_negative_determinant_order_raises():
+    # permutations(range(-1)) yields the empty permutation, which read as
+    # the empty determinant 1
+    ctx = FockContext(COMPLEX, 2, 2, 4).validate()
+    s = complex_sector(EMPTY, EMPTY, 2)
+    w = weight_from_sector(s)
+    for call in (lambda: determinant_operator(-1),
+                 lambda: determinant_recursion_coefficient(w, -1),
+                 lambda: determinant_recursion_check(ctx, s, -1),
+                 lambda: p_polynomial_check(-1)):
+        with pytest.raises(ValueError, match="order -1"):
+            call()
+    # n = 0, the empty determinant, is the scalar 1
+    assert determinant_operator(0) == OperatorExpr.scalar(1)
+    assert determinant_recursion_coefficient(w, 0) == 1
+    assert determinant_recursion_check(ctx, s, 0)["ok"]
+    assert p_polynomial_check(0, r=1)["norms"] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
