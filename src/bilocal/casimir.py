@@ -44,15 +44,14 @@ from .fock import (
     ContextViolation,
     FockContext,
     FockVector,
-    TruncationError,
     inner_product,
     norm_sq,
     occupation_profile,
 )
 from .sectors import (
     Weight,
-    build_ground_state,
     joint_kernel,
+    raisable_ground_state,
     simple_raising_labels,
     weight_from_sector,
 )
@@ -243,15 +242,6 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
     return joint_kernel(ctx, simple_raising_labels(ctx, n), raised)
 
 
-def _raisable_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
-    """The sector's ground state, with room below P for the two particles
-    one Xstar creates (TruncationError otherwise: they would be dropped)."""
-    ground = build_ground_state(ctx, s)
-    if ground.max_particles() + 2 > ctx.P:
-        raise TruncationError(f"need P >= {ground.max_particles() + 2} to raise {s} by one Xstar")
-    return ground
-
-
 def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
     """Exact check of the Casimir-difference identity at the canonical lam.
 
@@ -261,7 +251,7 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
     """
     if n > ctx.M:
         raise ContextViolation(f"rank {n} exceeds mode cutoff {ctx.M}")
-    ground = _raisable_ground_state(ctx, s)
+    ground = raisable_ground_state(ctx, s, 1)
     h = weight_from_sector(s)
     lam = canonical_lambda(s, n)
     gamma = gamma_value(h, lam, n)
@@ -309,7 +299,7 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
 def cg_eigenvalue_oracle(ctx: FockContext, s: SectorLabel, n: int):
     """Measured C_g eigenvalue on the sector's ground state (raises if the
     action is not an exact multiple of the state)."""
-    ground = _raisable_ground_state(ctx, s)
+    ground = raisable_ground_state(ctx, s, 1)
     img = casimir_g(n, ctx.field_kind).apply(ctx, ground)
     value = linalg.quotient(inner_product(ground, img), norm_sq(ground))
     if img != ground * value:

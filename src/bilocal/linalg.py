@@ -182,8 +182,18 @@ def solve(a, b):
     return [x.get(j, 0) for j in range(n)]
 
 
+def _check_square(a):
+    """ValueError unless each dense row has len(a) entries and each sparse
+    row keys inside columns 0..len(a)-1."""
+    for row in a:
+        if not (row.keys() <= set(range(len(a))) if isinstance(row, dict) else len(row) == len(a)):
+            raise ValueError(f"square matrix expected: {len(a)} rows, one of them {row!r}")
+
+
 def det(a):
-    """Signed product of the pivots met while pushing the rows in order."""
+    """Signed product of the pivots met while pushing the rows in order; a
+    must be square."""
+    _check_square(a)
     span = RowSpan()
     leads = []
     out = 1
@@ -201,6 +211,7 @@ def det(a):
 
 
 def leading_principal_minors(a):
+    _check_square(a)
     n = len(a)
     return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
 

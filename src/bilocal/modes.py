@@ -17,7 +17,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .algebra import HamiltonianSpec, apply_hamiltonian, canonical_hamiltonian, monomial_energy
-from .fock import FockContext, basis_monomials, unit, vacuum
+from .fock import FockContext, basis_monomials, monomial_str, unit, vacuum
 from .linalg import quotient
 
 
@@ -112,7 +112,7 @@ def conformal_spectrum_check(ctx: FockContext, D: int) -> dict:
         want = v * monomial_energy(m, spec)
         checked += 1
         if got != want:
-            failures.append({"monomial": str(m), "expected": repr(want), "got": repr(got)})
+            failures.append({"monomial": monomial_str(m), "expected": repr(want), "got": repr(got)})
     # one-particle level degeneracies, per complete harmonic level
     species_count = len(ctx.kind.species)
     degeneracies = []

@@ -19,7 +19,7 @@ checked against brute-force oscillator computations elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 from numbers import Rational
 from typing import Optional
@@ -145,35 +145,19 @@ def _trim(head, tail):
 # ground states
 
 
-def _slot_determinant(ctx: FockContext, species: str, height: int, flavors) -> list:
-    """det(c*[mode i, flavor p]) over modes 1..height and the given flavor
-    list, as creation-only terms (sign, (), slots) of ``apply_normal_ordered``."""
+def _slot_determinant(species: str, modes, flavors) -> list:
+    """det(c*[modes[i], flavors[k]]) over equally many modes and flavors, as
+    creation-only terms (sign, (), slots) of ``apply_normal_ordered``."""
     terms = []
-    for perm in permutations(range(height)):
-        slots = tuple(ModeSlot(species, i + 1, flavors[perm[i]]) for i in range(height))
+    for perm in permutations(range(len(modes))):
+        slots = tuple(ModeSlot(species, mode, flavors[k]) for mode, k in zip(modes, perm))
         terms.append((_perm_sign(perm), (), slots))
     return terms
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _apply_det_factor(ctx, v, species, height, flavors):
-    return apply_normal_ordered(ctx, _slot_determinant(ctx, species, height, flavors), v)
+    """(-1) to the number of inversions."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
 def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
@@ -196,20 +180,29 @@ def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
         raise TruncationError(f"need particle cutoff P >= {s.total_boxes()}, have {ctx.P}")
 
     v = vacuum(ctx)
+    for h in s.y_plus.column_heights():
+        modes = range(1, h + 1)
+        v = apply_normal_ordered(ctx, _slot_determinant(SPECIES_A, modes, modes), v)
     if ctx.field_kind == COMPLEX:
-        for h in s.y_plus.column_heights():
-            v = _apply_det_factor(ctx, v, SPECIES_A, h, list(range(1, h + 1)))
         for h in s.y_minus.column_heights():
-            v = _apply_det_factor(ctx, v, SPECIES_B, h, list(range(ctx.N + 1 - h, ctx.N + 1)))
+            flavors = range(ctx.N + 1 - h, ctx.N + 1)
+            v = apply_normal_ordered(ctx, _slot_determinant(SPECIES_B, range(1, h + 1), flavors), v)
         return v
 
-    for h in s.y_plus.column_heights():
-        v = _apply_det_factor(ctx, v, SPECIES_A, h, list(range(1, h + 1)))
     kernel = hw_kernel_in_profile(ctx, tuple(s.y_plus.row(i) for i in range(1, ctx.M + 1)), None)
     proj = _project_onto(kernel, v)
     if proj.is_zero():
         raise TruncationError(f"no highest-weight vector for {s} in the window")
     return _canonical_integer_scale(proj)
+
+
+def raisable_ground_state(ctx: FockContext, s: SectorLabel, n: int) -> FockVector:
+    """The sector's ground state, with room below P for the 2n particles that
+    n Xstar create (TruncationError otherwise: they would be dropped)."""
+    ground = build_ground_state(ctx, s)
+    if ground.max_particles() + 2 * n > ctx.P:
+        raise TruncationError(f"need P >= {ground.max_particles() + 2 * n} to raise {s} by {n} Xstar")
+    return ground
 
 
 def _project_onto(basis, v):
@@ -358,6 +351,8 @@ def norm_recursion_oracle(w: Weight, kind: str, i: int, j: int, n: int = 1,
 
 def null_vector_order(w: Weight, i: int, j: int, side: str = "plus") -> int:
     """Smallest n with E(j,i)^n |h> = 0 (i < j): h_i - h_j + 1."""
+    if i >= j:
+        raise ValueError("null_vector_order needs i < j")
     return int(w.component(i, side) - w.component(j, side)) + 1
 
 
@@ -371,17 +366,33 @@ def _check_order(n: int):
         raise ValueError(f"determinant order {n} must be >= 0")
 
 
-def determinant_operator(n: int, offset: int = 0) -> OperatorExpr:
-    """det(X(i,j)) over modes offset+1 .. offset+n, expanded into n! words.
+def determinant_operator(n: int) -> OperatorExpr:
+    """det(X(i,j)) over modes 1..n, expanded into n! words.
 
     Well defined without an ordering convention because the X(i,j)
     commute among themselves.
     """
     _check_order(n)
     return OperatorExpr({
-        tuple(X(offset + i + 1, offset + perm[i] + 1) for i in range(n)): _perm_sign(perm)
+        tuple(X(i + 1, perm[i] + 1) for i in range(n)): _perm_sign(perm)
         for perm in permutations(range(n))
     })
+
+
+def adjoint_determinant_terms(ctx: FockContext, n: int, offset: int = 0) -> list:
+    """D_n* = det(Xstar(i,j)) over modes offset+1..offset+n as creation-only
+    terms.  Xstar(i,j) = sum_p c*[i,p] d*[j,p], with c and d the species of
+    the legs of X, is C D^T with commuting entries, so by Cauchy-Binet D_n*
+    is the sum of det(C_S) det(D_S) over the n-subsets S of the flavors."""
+    _check_order(n)
+    if offset < 0 or offset + n > ctx.M:
+        raise ContextViolation(f"modes {offset + 1}..{offset + n} outside 1..{ctx.M}")
+    modes = range(offset + 1, offset + n + 1)
+    terms = []
+    for flavors in combinations(range(1, ctx.N + 1), n):
+        c_det, d_det = (_slot_determinant(leg, modes, flavors) for leg in ctx.kind.x_legs)
+        terms += [(f * g, (), c + d) for f, _, c in c_det for g, _, d in d_det]
+    return terms
 
 
 def determinant_recursion_coefficient(w: Weight, n: int) -> Rational:
@@ -401,20 +412,17 @@ def determinant_recursion_check(ctx: FockContext, s: SectorLabel, n: int) -> dic
     """Brute-force the diagonal string against the adjoint determinant and
     compare with the closed-form coefficient, exactly."""
     _check_order(n)
-    ground = build_ground_state(ctx, s)
-    if ground.max_particles() + 2 * n > ctx.P:
-        raise TruncationError(f"need P >= {ground.max_particles() + 2 * n}")
-    w = weight_from_sector(s)
-    dn_star = determinant_operator(n).dagger()
-    v = dn_star.apply(ctx, ground)
+    ground = raisable_ground_state(ctx, s, n)
+    v = apply_normal_ordered(ctx, adjoint_determinant_terms(ctx, n), ground)
     for m in range(n, 0, -1):
         v = apply_generator(ctx, X(m, m), v)
-    expected = ground * determinant_recursion_coefficient(w, n)
+    coefficient = determinant_recursion_coefficient(weight_from_sector(s), n)
+    expected = ground * coefficient
     return {
         "ok": v == expected,
         "sector": str(s),
         "n": n,
-        "coefficient": determinant_recursion_coefficient(w, n),
+        "coefficient": coefficient,
         "lhs": repr(v),
         "expected": repr(expected),
     }
@@ -429,9 +437,9 @@ def p_polynomial_check(n: int, r: int = 0, n_values=None, field_kind: str = COMP
         n_values = list(range(0, n + 3))
     values = []
     for N in n_values:
-        ctx = FockContext(field_kind, N, r + n, 2 * n).validate()
-        d = determinant_operator(n, offset=r).dagger()
-        values.append(norm_sq(d.apply(ctx, vacuum(ctx))))
+        ctx = FockContext(field_kind, N, max(1, r + n), 2 * n).validate()
+        d_star = apply_normal_ordered(ctx, adjoint_determinant_terms(ctx, n, r), vacuum(ctx))
+        values.append(norm_sq(d_star))
     failures = []
     for N, val in zip(n_values, values):
         if N < n and val != 0:

@@ -151,6 +151,8 @@ class SectorLabel:
     y_minus: Optional[YoungDiagram] = None
 
     def __post_init__(self):
+        if type(self.N) is not int or self.N < 0:
+            raise ValueError(f"multiplet size N must be an int >= 0, got {self.N!r}")
         if self.field_kind == COMPLEX:
             if self.y_minus is None:
                 object.__setattr__(self, "y_minus", EMPTY)

@@ -1,6 +1,4 @@
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,15 +258,6 @@ def test_unitarity_bound():
     assert not unitarity_bound(real_sector(diagram(2, 2), 3))
 
 
-def _hw_cases():
-    """The (sector, rank, context, ...) cases of the benchmark's hw job."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return list(workloads.hw_cases())
-
-
 def reference_vector_weight(ctx, v, n):
     """h_i = occupation + N/2 on the first n modes, one block per species."""
     m = next(iter(v.monomials()))
@@ -329,11 +318,10 @@ def reference_hw_vectors_at_weight(ctx, ground, n, lam):
     return joint_kernel(ctx, raising, raised)
 
 
-def test_hw_vectors_from_simple_raising_match_every_raising():
-    cases = _hw_cases()
-    assert cases
+def test_hw_vectors_from_simple_raising_match_every_raising(hw_cases):
+    assert hw_cases
     found = 0
-    for s, n, ctx, _ in cases:
+    for s, n, ctx, _ in hw_cases:
         ground, lam = build_ground_state(ctx, s), canonical_lambda(s, n)
         got = hw_vectors_at_weight(ctx, ground, n, lam)
         want = reference_hw_vectors_at_weight(ctx, ground, n, lam)

@@ -14,7 +14,6 @@ combination and for scalars alike.
   canonical form."""
 
 import ast
-import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
@@ -420,23 +419,14 @@ def test_rowspan_pivot_one_keeps_row_and_divides_exactly():
 # canonical form on the hw and verify paths
 
 
-def _hw_cases():
-    path = ROOT / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return list(workloads.hw_cases())
-
-
 def _assert_canonical(where, values):
     bad = [c for c in values if not canonical(c)]
     assert not bad, (where, bad[:3])
 
 
-def test_hw_path_coefficients_are_canonical():
-    cases = _hw_cases()
-    assert cases
-    for s, n, ctx, _ in cases:
+def test_hw_path_coefficients_are_canonical(hw_cases):
+    assert hw_cases
+    for s, n, ctx, _ in hw_cases:
         tag = (str(s), ctx)
         ground = build_ground_state(ctx, s)
         _assert_canonical(("ground", tag), ground.terms.values())

@@ -138,6 +138,17 @@ def test_leading_principal_minors():
     assert not positive_semidefinite([[0, 0], [0, -1]])  # invisible to leading minors
 
 
+def test_non_square_determinants_raise():
+    # read row by row, a 2x3 matrix had det -3 and minors [1, -3], and a
+    # 3x2 matrix had det 0
+    wide, tall = [[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]
+    for a in (wide, tall, [[1, 2], [3]], sparse(wide), [{0: 1}, {1: 1, 2: 1}]):
+        with pytest.raises(ValueError, match="square"):
+            det(a)
+        with pytest.raises(ValueError, match="square"):
+            leading_principal_minors(a)
+
+
 @pytest.mark.parametrize("a", [[[1, 5], [0, 1]], [[1, 0], [5, 1]], [[1, 0]], [[1], [0, 1]]],
                          ids=["upper", "lower", "wide", "ragged"])
 def test_positive_semidefinite_refuses_non_symmetric_input(a):

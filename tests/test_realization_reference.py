@@ -39,7 +39,7 @@ from bilocal.fock import (
     vacuum,
     zero,
 )
-from bilocal.sectors import _apply_det_factor
+from bilocal.sectors import _slot_determinant
 from bilocal.young import apply_gauge_generator
 
 
@@ -175,15 +175,15 @@ def test_ladders_match_reference_copies(kind, N, M, P):
             assert same(apply_annihilation(ctx, s, v), reference_annihilation(ctx, s, v)), (s, v)
 
 
-def reference_det_factor(ctx, v, species, height, flavors):
-    """det(c*[mode i, flavor p]) v as the signed sum over permutations of
-    chained reference creations."""
+def reference_det_factor(ctx, v, species, modes, flavors):
+    """det(c*[mode, flavor p]) v over the given modes and flavors as the
+    signed sum over permutations of chained reference creations."""
     out = zero(ctx)
-    for perm in permutations(range(height)):
+    for perm in permutations(range(len(modes))):
         inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
         piece = v
-        for i in range(height):
-            piece = reference_creation(ctx, ModeSlot(species, i + 1, flavors[perm[i]]), piece)
+        for i, mode in enumerate(modes):
+            piece = reference_creation(ctx, ModeSlot(species, mode, flavors[perm[i]]), piece)
         out = out + (-1) ** inversions * piece
     return out
 
@@ -194,11 +194,13 @@ def test_det_factor_matches_chained_creations(kind, N, M, P):
     vectors = [vacuum(ctx)] + [unit(ctx, m) for m in basis_monomials(ctx, 2)] + [_all_basis(ctx)]
     for species in ctx.kind.species:
         for height in range(1, min(N, M) + 1):
-            for flavors in (list(range(1, height + 1)), list(range(N, N - height, -1))):
-                for v in vectors:
-                    assert same(_apply_det_factor(ctx, v, species, height, flavors),
-                                reference_det_factor(ctx, v, species, height, flavors)), \
-                        (species, height, flavors, v)
+            for modes in (range(1, height + 1), range(M + 1 - height, M + 1)):
+                for flavors in (list(range(1, height + 1)), list(range(N, N - height, -1))):
+                    terms = _slot_determinant(species, modes, flavors)
+                    for v in vectors:
+                        assert same(apply_normal_ordered(ctx, terms, v),
+                                    reference_det_factor(ctx, v, species, modes, flavors)), \
+                            (species, modes, flavors, v)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,16 +23,22 @@ from bilocal.fock import (
     TruncationError,
     a_slot,
     apply_creation,
+    apply_normal_ordered,
     b_slot,
+    basis_monomials,
     inner_product,
     norm_sq,
     unit,
     vacuum,
+    zero,
 )
+from bilocal.linalg import det
 from bilocal.modes import appendix_spectrum
 from bilocal.sectors import (
     Weight,
+    _perm_sign,
     _profiles_below,
+    adjoint_determinant_terms,
     build_ground_state,
     classify_spectrum,
     determinant_operator,
@@ -182,6 +189,10 @@ def test_null_vector_order():
     w = Weight(COMPLEX, (Fraction(2),), (), Fraction(1))
     assert null_vector_order(w, 1, 2, "plus") == 2
     assert null_vector_order(w, 1, 2, "minus") == 1
+    # (2, 1) read 0 and (1, 1) read 1 before the order was checked
+    for i, j in ((2, 1), (1, 1)):
+        with pytest.raises(ValueError, match="needs i < j"):
+            null_vector_order(w, i, j)
 
 
 def test_weight_index_below_one_raises():
@@ -261,6 +272,65 @@ def test_determinant_operator_small():
         determinant_operator(3).dagger().apply(ctx, vacuum(ctx))
 
 
+def _word_adjoint_determinant(ctx, n, offset, v):
+    """D_n^(r)* v the slow way: the words of D_n with every mode moved up by
+    r = offset, daggered and applied letter by letter."""
+    words = OperatorExpr({tuple(GeneratorLabel(g.kind, g.i + offset, g.j + offset) for g in w): c
+                          for w, c in determinant_operator(n).items()})
+    return words.dagger().apply(ctx, v)
+
+
+def _assert_adjoint_determinant_matches_words(ctx, vectors):
+    for n in range(ctx.N + 2):
+        for offset in range(ctx.M - n + 1):
+            terms = adjoint_determinant_terms(ctx, n, offset)
+            for v in vectors:
+                got = apply_normal_ordered(ctx, terms, v)
+                assert got == _word_adjoint_determinant(ctx, n, offset, v), (ctx, n, offset, v)
+                if n > ctx.N:
+                    assert got == zero(ctx)
+        if n > ctx.M:
+            with pytest.raises(ContextViolation):
+                _word_adjoint_determinant(ctx, n, 0, vacuum(ctx))
+            with pytest.raises(ContextViolation):
+                adjoint_determinant_terms(ctx, n)
+
+
+def test_adjoint_determinant_matches_words_on_hw_cases(hw_cases):
+    contexts = {}
+    for s, _, _, det_ctx in hw_cases:
+        contexts.setdefault(det_ctx, [vacuum(det_ctx)]).append(build_ground_state(det_ctx, s))
+    assert {ctx.field_kind for ctx in contexts} == {COMPLEX, REAL}
+    for ctx, vectors in contexts.items():
+        _assert_adjoint_determinant_matches_words(ctx, vectors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 3), M=st.integers(1, 3),
+       P=st.integers(0, 6))
+def test_adjoint_determinant_matches_words_on_drawn_contexts(kind, N, M, P):
+    ctx = FockContext(kind, N, M, P).validate()
+    units = [unit(ctx, m) for m in basis_monomials(ctx, 2)]
+    _assert_adjoint_determinant_matches_words(ctx, units + [zero(ctx).plus((1, u) for u in units)])
+
+
+def test_adjoint_determinant_modes_must_fit():
+    ctx = FockContext(COMPLEX, 2, 3, 6).validate()
+    assert len(adjoint_determinant_terms(ctx, 2, 1)) == 4
+    for n, offset in ((4, 0), (2, 2), (1, 3), (0, 4), (1, -1)):
+        with pytest.raises(ContextViolation, match="outside 1..3"):
+            adjoint_determinant_terms(ctx, n, offset)
+    with pytest.raises(ValueError, match="order -1"):
+        adjoint_determinant_terms(ctx, -1)
+
+
+def test_perm_sign_is_the_permutation_matrix_determinant():
+    for k in range(6):
+        for perm in permutations(range(k)):
+            matrix = [[int(perm[i] == j) for j in range(k)] for i in range(k)]
+            assert _perm_sign(perm) == det(matrix), perm
+
+
 def test_determinant_recursion_examples():
     ctx = FockContext(COMPLEX, 2, 3, 6).validate()
     assert determinant_recursion_check(ctx, vacuum_sector(ctx), 2)["coefficient"] == 2
@@ -312,6 +382,10 @@ def test_negative_determinant_order_raises():
     assert determinant_recursion_coefficient(w, 0) == 1
     assert determinant_recursion_check(ctx, s, 0)["ok"]
     assert p_polynomial_check(0, r=1)["norms"] == [1, 1, 1]
+    # at r = 0 the context had M = r + n = 0 modes and raised ContextViolation
+    for kind in (COMPLEX, REAL):
+        r = p_polynomial_check(0, field_kind=kind)
+        assert r["ok"] and r["norms"] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

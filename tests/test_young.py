@@ -19,8 +19,10 @@ from bilocal.young import (
     irrep_O_to_sector,
     irrep_U_to_sector,
     pieri_add_box,
+    real_sector,
     sector_to_irrep_O,
     sector_to_irrep_U,
+    vacuum_sector,
     weyl_dimension_U,
     young_diagrams,
 )
@@ -34,6 +36,21 @@ def test_diagram_validation():
     assert diagram(3, 1).column_heights() == (2, 1, 1)
     assert diagram(3, 1).conjugate() == diagram(2, 1, 1)
     assert YoungDiagram.from_columns((2, 1, 1)) == diagram(3, 1)
+
+
+def test_sector_label_needs_a_nonnegative_int_n():
+    # a label with N = None used to surface only as a TypeError in
+    # bound_violation, and N = -1 or 2.5 passed silently
+    for N in (None, -1, 2.5, "2"):
+        with pytest.raises(ValueError, match="N must be an int >= 0"):
+            complex_sector(EMPTY, EMPTY, N)
+        with pytest.raises(ValueError, match="N must be an int >= 0"):
+            real_sector(EMPTY, N)
+    for kind in (COMPLEX, REAL):
+        with pytest.raises(ValueError, match="N must be an int >= 0"):
+            vacuum_sector(kind)
+        assert vacuum_sector(kind, 0).N == 0
+        assert vacuum_sector(FockContext(kind, 2, 1, 1)) == vacuum_sector(kind, 2)
 
 
 def test_column_outside_the_diagram_is_zero():
