@@ -17,14 +17,13 @@ commutators must stay a margin of 2 particles below P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, groupby
 from math import factorial
 from numbers import Rational
 from typing import Iterable, Iterator, NamedTuple
 
-from .linalg import Combination, add_scaled, canonical, quotient, rational
+from .linalg import Combination, Record, add_scaled, canonical, quotient, rational
 
 SPECIES_A = "a"
 SPECIES_B = "b"
@@ -39,21 +38,21 @@ EMINUS_KIND = "Eminus"
 E_KIND = "E"
 
 
-@dataclass(frozen=True, eq=False)
-class FieldKind:
+class FieldKind(Record):
     """Everything the two bilocal field classes differ in as data.  They are
     the two instances of one dual pair: U(N) with u(inf,inf) (complex) and
     O(N) with sp(inf,R) (real).
 
     ``species`` are the oscillator species, ``x_legs`` the species of the i
     and j legs of X(i,j), and ``e_kinds`` maps each E kind, in generator
-    order, to the species it counts.  One record per kind, compared by
-    identity.
+    order, to the species it counts.  An immutable record, one per kind,
+    compared and hashed by identity.
     """
 
-    species: tuple
-    x_legs: tuple
-    e_kinds: dict
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, species: tuple, x_legs: tuple, e_kinds: dict):
+        self._set(species=species, x_legs=x_legs, e_kinds=e_kinds)
 
     @cached_property
     def generator_kinds(self) -> tuple:

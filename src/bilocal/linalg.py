@@ -23,6 +23,7 @@ order the rows arrive in.  ``nullspace``, ``solve``, ``det`` and
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from numbers import Rational
 
@@ -152,6 +153,39 @@ class Combination:
         return len(self.terms)
 
 
+def _by_fields(compare):
+    """A comparison of two records of one class by their field tuples."""
+    return lambda self, other: compare(self._key, other._key) if other.__class__ is self.__class__ else NotImplemented
+
+
+class Record:
+    """Base of the small immutable value types, which store their fields
+    once, in order, with ``_set``.  A record equals only a record of its own
+    class with equal fields, hashes as its field tuple, prints as
+    ``Name(field=value, ...)`` and refuses assignment with AttributeError."""
+
+    def _set(self, **fields):
+        self.__dict__.update(fields, _fields=tuple(fields), _key=tuple(fields.values()))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+    __eq__ = _by_fields(operator.eq)
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self._key))})"
+
+
+class OrderedRecord(Record):
+    """A record ordered by its field tuple."""
+
+    __lt__, __le__, __gt__, __ge__ = map(_by_fields, (operator.lt, operator.le, operator.gt, operator.ge))
+
+
 def _sparse(row) -> dict:
     return row if isinstance(row, dict) else dict(enumerate(row))
 
@@ -212,8 +246,8 @@ def det(a):
 
 def leading_principal_minors(a):
     _check_square(a)
-    n = len(a)
-    return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(n)]
+    rows = [_sparse(row) for row in a]
+    return [det([{j: x for j, x in row.items() if j <= k} for row in rows[: k + 1]]) for k in range(len(a))]
 
 
 def positive_semidefinite(a) -> bool:

@@ -18,7 +18,6 @@ checked against brute-force oscillator computations elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 from numbers import Rational
@@ -59,8 +58,7 @@ from .young import SectorLabel, YoungDiagram, complex_sector, real_sector
 # weights
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(linalg.Record):
     """Cartan eigenvalue data: finite heads strictly above a stabilized tail.
 
     Complex weights carry two heads (plus/minus species); real weights a
@@ -68,31 +66,21 @@ class Weight:
     form (``linalg.rational``); a float raises TypeError.
     """
 
-    field_kind: str
-    head_plus: tuple
-    head_minus: Optional[tuple]
-    tail: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "head_plus", tuple(map(linalg.rational, self.head_plus)))
-        if self.head_minus is not None:
-            object.__setattr__(self, "head_minus", tuple(map(linalg.rational, self.head_minus)))
-        object.__setattr__(self, "tail", linalg.rational(self.tail))
+    def __init__(self, field_kind: str, head_plus: tuple, head_minus: Optional[tuple], tail: Rational):
+        head_plus = tuple(map(linalg.rational, head_plus))
+        if head_minus is not None:
+            head_minus = tuple(map(linalg.rational, head_minus))
+        self._set(field_kind=field_kind, head_plus=head_plus, head_minus=head_minus, tail=linalg.rational(tail))
         if self.tail < 0:
             raise ValueError("tail h_inf must be nonnegative")
-        for head in self._heads():
+        for head in (head_plus, head_minus or ()):
             for a, b in zip(head, head[1:]):
                 if b > a:
                     raise ValueError("head not weakly decreasing")
             if head and head[-1] <= self.tail:
                 raise ValueError("head values must lie strictly above the tail")
-            for x in head:
-                d = x - self.tail
-                if d.denominator != 1 or d < 0:
-                    raise ValueError("head offsets from tail must be nonnegative integers")
-
-    def _heads(self):
-        return (self.head_plus,) if self.head_minus is None else (self.head_plus, self.head_minus)
+            if any((x - self.tail).denominator != 1 for x in head):
+                raise ValueError("head offsets from tail must be nonnegative integers")
 
     def component(self, i: int, side: str = "plus") -> Rational:
         """h_i, i >= 1, on one side; a weight with a single head ignores ``side``."""
@@ -383,16 +371,21 @@ def adjoint_determinant_terms(ctx: FockContext, n: int, offset: int = 0) -> list
     """D_n* = det(Xstar(i,j)) over modes offset+1..offset+n as creation-only
     terms.  Xstar(i,j) = sum_p c*[i,p] d*[j,p], with c and d the species of
     the legs of X, is C D^T with commuting entries, so by Cauchy-Binet D_n*
-    is the sum of det(C_S) det(D_S) over the n-subsets S of the flavors."""
+    is the sum of det(C_S) det(D_S) over the n-subsets S of the flavors.
+    Products with the same slot multiset are merged into one term (in the
+    real case C = D, and the permutation pairs (s, t) and (t, s) meet)."""
     _check_order(n)
     if offset < 0 or offset + n > ctx.M:
         raise ContextViolation(f"modes {offset + 1}..{offset + n} outside 1..{ctx.M}")
     modes = range(offset + 1, offset + n + 1)
-    terms = []
+    merged = {}
     for flavors in combinations(range(1, ctx.N + 1), n):
         c_det, d_det = (_slot_determinant(leg, modes, flavors) for leg in ctx.kind.x_legs)
-        terms += [(f * g, (), c + d) for f, _, c in c_det for g, _, d in d_det]
-    return terms
+        for f, _, c in c_det:
+            for g, _, d in d_det:
+                ins = tuple(sorted(c + d))
+                merged[ins] = merged.get(ins, 0) + f * g
+    return [(f, (), ins) for ins, f in merged.items() if f]
 
 
 def determinant_recursion_coefficient(w: Weight, n: int) -> Rational:

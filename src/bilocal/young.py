@@ -14,7 +14,6 @@ because they act on flavor indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional
 
@@ -28,21 +27,19 @@ from .fock import (
     ModeSlot,
     apply_normal_ordered,
 )
+from .linalg import OrderedRecord
 
 
 class BoundViolation(Exception):
     """A sector label breaks its unitarity bound."""
 
 
-@dataclass(frozen=True, order=True)
-class YoungDiagram:
+class YoungDiagram(OrderedRecord):
     """Weakly decreasing positive row lengths; () is the trivial diagram."""
 
-    rows: tuple = ()
-
-    def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple = ()):
+        rows = tuple(int(r) for r in rows)
+        self._set(rows=rows)
         for a, b in zip(rows, rows[1:]):
             if b > a:
                 raise ValueError(f"rows {rows} not weakly decreasing")
@@ -64,7 +61,7 @@ class YoungDiagram:
     @cached_property
     def _columns(self) -> tuple:
         """Column heights, computed once per instance.  Kept in the instance
-        dict, outside the dataclass fields, so eq, hash and order ignore it."""
+        dict, outside the record's fields, so eq, hash and order ignore it."""
         return _conjugate(self.rows)
 
     def column_heights(self) -> tuple:
@@ -141,26 +138,19 @@ def young_diagrams(max_boxes: int, max_rows: Optional[int] = None) -> Iterator[Y
 # sector labels
 
 
-@dataclass(frozen=True, order=True)
-class SectorLabel:
+class SectorLabel(OrderedRecord):
     """Ground-state label: (Y+, Y-, N) for complex, (Y, N) for real."""
 
-    field_kind: str
-    N: int
-    y_plus: YoungDiagram
-    y_minus: Optional[YoungDiagram] = None
-
-    def __post_init__(self):
-        if type(self.N) is not int or self.N < 0:
-            raise ValueError(f"multiplet size N must be an int >= 0, got {self.N!r}")
-        if self.field_kind == COMPLEX:
-            if self.y_minus is None:
-                object.__setattr__(self, "y_minus", EMPTY)
-        elif self.field_kind == REAL:
-            if self.y_minus is not None:
-                raise ValueError("real sectors carry a single diagram")
-        else:
-            raise ValueError(f"unknown field kind {self.field_kind!r}")
+    def __init__(self, field_kind: str, N: int, y_plus: YoungDiagram, y_minus: Optional[YoungDiagram] = None):
+        if type(N) is not int or N < 0:
+            raise ValueError(f"multiplet size N must be an int >= 0, got {N!r}")
+        if field_kind == COMPLEX:
+            y_minus = EMPTY if y_minus is None else y_minus
+        elif field_kind != REAL:
+            raise ValueError(f"unknown field kind {field_kind!r}")
+        elif y_minus is not None:
+            raise ValueError("real sectors carry a single diagram")
+        self._set(field_kind=field_kind, N=N, y_plus=y_plus, y_minus=y_minus)
 
     @property
     def y(self) -> YoungDiagram:
@@ -206,6 +196,8 @@ def real_sector(y: YoungDiagram, N: int) -> SectorLabel:
 
 def vacuum_sector(ctx_or_kind, N: Optional[int] = None) -> SectorLabel:
     if isinstance(ctx_or_kind, FockContext):
+        if N is not None and N != ctx_or_kind.N:
+            raise ValueError(f"N = {N} differs from the context's N = {ctx_or_kind.N}")
         kind, N = ctx_or_kind.field_kind, ctx_or_kind.N
     else:
         kind = ctx_or_kind

@@ -136,6 +136,12 @@ def test_leading_principal_minors():
     assert leading_principal_minors(a) == [2, 3, 4]
     assert leading_principal_minors([[0, 0], [0, -1]]) == [0, 0]
     assert not positive_semidefinite([[0, 0], [0, -1]])  # invisible to leading minors
+    # sparse dict rows give the dense result: their leading blocks are taken
+    # by key (slicing a dict raised TypeError)
+    assert leading_principal_minors([{0: 1}, {1: 1}]) == [1, 1]
+    for n in (1, 2, 3):
+        for b in matrices(n, n):
+            assert leading_principal_minors(sparse(b)) == leading_principal_minors(b)
 
 
 def test_non_square_determinants_raise():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +38,7 @@ from bilocal.sectors import (
     Weight,
     _perm_sign,
     _profiles_below,
+    _slot_determinant,
     adjoint_determinant_terms,
     build_ground_state,
     classify_spectrum,
@@ -296,13 +297,52 @@ def _assert_adjoint_determinant_matches_words(ctx, vectors):
                 adjoint_determinant_terms(ctx, n)
 
 
-def test_adjoint_determinant_matches_words_on_hw_cases(hw_cases):
+def _hw_determinant_vectors(hw_cases):
+    """{determinant context: its vacuum and the ground states built in it}
+    over the hw cases, both kinds present."""
     contexts = {}
     for s, _, _, det_ctx in hw_cases:
         contexts.setdefault(det_ctx, [vacuum(det_ctx)]).append(build_ground_state(det_ctx, s))
     assert {ctx.field_kind for ctx in contexts} == {COMPLEX, REAL}
-    for ctx, vectors in contexts.items():
+    return contexts
+
+
+def test_adjoint_determinant_matches_words_on_hw_cases(hw_cases):
+    for ctx, vectors in _hw_determinant_vectors(hw_cases).items():
         _assert_adjoint_determinant_matches_words(ctx, vectors)
+
+
+def _unmerged_adjoint_determinant_terms(ctx, n, offset=0):
+    """D_n* by Cauchy-Binet, one term per pair of slot-determinant terms,
+    with equal slot multisets left as separate terms."""
+    modes = range(offset + 1, offset + n + 1)
+    terms = []
+    for flavors in combinations(range(1, ctx.N + 1), n):
+        c_det, d_det = (_slot_determinant(leg, modes, flavors) for leg in ctx.kind.x_legs)
+        terms += [(f * g, (), c + d) for f, _, c in c_det for g, _, d in d_det]
+    return terms
+
+
+def test_merged_adjoint_determinant_acts_like_the_unmerged_expansion(hw_cases):
+    for ctx, vectors in _hw_determinant_vectors(hw_cases).items():
+        for n in range(min(ctx.N, ctx.M) + 1):
+            for offset in range(ctx.M - n + 1):
+                merged = adjoint_determinant_terms(ctx, n, offset)
+                unmerged = _unmerged_adjoint_determinant_terms(ctx, n, offset)
+                assert len(merged) == len({tuple(sorted(ins)) for _, _, ins in unmerged})
+                for v in vectors:
+                    assert apply_normal_ordered(ctx, merged, v) == apply_normal_ordered(ctx, unmerged, v)
+
+
+def test_real_adjoint_determinant_merges_equal_slot_multisets():
+    # det(A_S)^2 gives the permutation pairs (s, t) and (t, s) one slot
+    # multiset, so the real expansion has fewer distinct terms than products
+    for kind, N, n, merged, products in ((REAL, 3, 3, 21, 36), (REAL, 4, 3, 84, 144), (COMPLEX, 3, 3, 36, 36)):
+        ctx = FockContext(kind, N, n, 2 * n).validate()
+        assert len(_unmerged_adjoint_determinant_terms(ctx, n)) == products
+        terms = adjoint_determinant_terms(ctx, n)
+        assert len(terms) == merged
+        assert len({ins for _, _, ins in terms}) == merged and all(f for f, _, _ in terms)
 
 
 @settings(max_examples=30, deadline=None)

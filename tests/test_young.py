@@ -53,6 +53,16 @@ def test_sector_label_needs_a_nonnegative_int_n():
         assert vacuum_sector(FockContext(kind, 2, 1, 1)) == vacuum_sector(kind, 2)
 
 
+def test_vacuum_sector_refuses_an_n_that_differs_from_the_context():
+    # the given N used to be dropped for the context's without a word
+    for kind in (COMPLEX, REAL):
+        ctx = FockContext(kind, 2, 1, 1)
+        assert vacuum_sector(ctx, 2) == vacuum_sector(ctx)
+        for N in (0, 3):
+            with pytest.raises(ValueError, match="differs from the context's N = 2"):
+                vacuum_sector(ctx, N)
+
+
 def test_column_outside_the_diagram_is_zero():
     # column(0) and negative k used to count every row
     for y in (EMPTY, diagram(1), diagram(3, 1), diagram(2, 2, 1)):
