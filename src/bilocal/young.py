@@ -114,6 +114,13 @@ EMPTY = YoungDiagram(())
 def young_diagrams(max_boxes: int, max_rows: Optional[int] = None) -> Iterator[YoungDiagram]:
     """All diagrams with at most max_boxes boxes (and optionally bounded rows),
     by size, then rows in decreasing lexicographic order."""
+    for rows in _partitions(max_boxes, max_rows):
+        yield YoungDiagram(rows)
+
+
+def _partitions(max_boxes: int, max_rows: Optional[int] = None) -> Iterator[tuple]:
+    """The row tuples of ``young_diagrams``, in its order, with no diagram
+    built."""
 
     def parts(total, cap, rows):
         # partitions of total into at most ``rows`` parts, each <= cap; a
@@ -130,8 +137,7 @@ def young_diagrams(max_boxes: int, max_rows: Optional[int] = None) -> Iterator[Y
     if max_rows is not None and max_rows < 0:
         return
     for n in range(max_boxes + 1):
-        for p in parts(n, n, n if max_rows is None else max_rows):
-            yield YoungDiagram(p)
+        yield from parts(n, n, n if max_rows is None else max_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +257,8 @@ class GaugeIrrepU(NamedTuple):
     q: int
 
     def validate(self, N: int):
+        if N == 0 and self.q:
+            raise ValueError("N=0 admits only the trivial label")
         if N > 0 and (self.q - self.young.size) % N != 0:
             raise ValueError(f"charge {self.q} != |Y| mod N for {self.young}")
         if self.young.column(1) > N:
@@ -281,29 +289,36 @@ def sector_to_irrep_U(s: SectorLabel) -> GaugeIrrepU:
     return GaugeIrrepU(y, s.y_plus.size - s.y_minus.size)
 
 
+def _split_U(cols: tuple, q: int, N: int) -> tuple:
+    """The one split rule of the U(N) dictionary: the column heights
+    (Y+, Y-) named by a label with weakly decreasing column heights
+    ``cols`` and charge q.  Y- has k = (|Y| - q) / N columns (none at
+    N = 0), the heights N - h of the first k columns of the label, zero
+    padded, in reversed order; Y+ has the other columns.  Raises
+    ValueError when no split exists.  The bound r+ + r- <= N is left to
+    the caller; a split that exists meets it (for k >= 1, r- = N - h_k
+    and r+ <= h_k, with h_k the label's k-th column height, 0 past its
+    last)."""
+    k2 = sum(cols) - q
+    if k2 < 0 or (k2 % N if N else k2):
+        raise ValueError(f"no split: |Y| - q = {k2} is not a multiple of N")
+    k = k2 // N if N else 0
+    left, right = cols[:k], cols[k:]
+    if left and left[0] >= N:
+        raise ValueError("no split: a conjugated column would have height <= 0")
+    if right and right[0] > N:
+        raise ValueError("no split: Y+ column taller than N")
+    return right, (N,) * (k - len(left)) + tuple(N - h for h in reversed(left))
+
+
 def irrep_U_to_sector(irr: GaugeIrrepU, N: int) -> SectorLabel:
     """The unique split of the label back into (Y+, Y-); raises ValueError
-    when no valid split exists."""
+    when no valid split exists and BoundViolation when the split breaks
+    r+ + r- <= N."""
     irr.validate(N)
-    if N == 0:
-        if irr.young.size or irr.q:
-            raise ValueError("N=0 admits only the trivial label")
-        return complex_sector(EMPTY, EMPTY, 0)
-    k2 = irr.young.size - irr.q
-    if k2 < 0 or k2 % N:
-        raise ValueError(f"no split: |Y| - q = {k2} is not a multiple of N")
-    k = k2 // N
-    cols = list(irr.young.column_heights())
-    if len(cols) < k:
-        cols += [0] * (k - len(cols))
-    left, right = cols[:k], cols[k:]
-    if any(h >= N for h in left):
-        raise ValueError("no split: a conjugated column would have height <= 0")
-    if any(h > N for h in right):
-        raise ValueError("no split: Y+ column taller than N")
-    y_minus = YoungDiagram.from_columns(tuple(N - h for h in reversed(left)))
-    y_plus = YoungDiagram.from_columns(tuple(right))
-    return complex_sector(y_plus, y_minus, N).check_bound()
+    plus, minus = _split_U(irr.young.column_heights(), irr.q, N)
+    return complex_sector(YoungDiagram.from_columns(plus), YoungDiagram.from_columns(minus),
+                          N).check_bound()
 
 
 def weyl_dimension_U(irr: GaugeIrrepU, N: int) -> int:
@@ -411,6 +426,8 @@ def canonical_irrep_O(irr: GaugeIrrepO, N: int) -> GaugeIrrepO:
 def bijection_roundtrip_check(group: str, N: int, size_cap: int) -> dict:
     """Exhaustively check that the sector <-> gauge-label maps are mutually
     inverse and total on the window of diagrams with <= size_cap boxes."""
+    if size_cap < 0:
+        raise ValueError(f"size_cap must be >= 0, got {size_cap}")
     failures = []
     entries = []
     if group == "U":
@@ -432,14 +449,27 @@ def bijection_roundtrip_check(group: str, N: int, size_cap: int) -> dict:
             entries.append({"sector": sector_to_json(s), "irrep": irr.to_json()})
         # totality: every valid label in range (at most N rows) maps back into
         # the window.  Only q = |Y| - N k splits, with Y- of exactly k columns,
-        # so k <= size_cap; N = 0 has the one split k = 0.
+        # so k <= size_cap (and |q| <= cap follows); N = 0 has the one split
+        # k = 0.  Every such label is split on its column heights, and only
+        # one whose split lies in the window and the bound is built and
+        # mapped.
         cap = N * size_cap + size_cap
         widths = range(size_cap, -1, -1) if N else (0,)
-        for y in young_diagrams(cap, max_rows=N):
+        for rows in _partitions(cap, N):
+            cols = _conjugate(rows)
+            size = sum(rows)
+            y = None
             for k in widths:
-                q = y.size - N * k
-                if abs(q) > cap:
+                q = size - N * k
+                try:
+                    plus, minus = _split_U(cols, q, N)
+                except ValueError:
                     continue
+                if (sum(plus) > size_cap or sum(minus) > size_cap
+                        or (plus[0] if plus else 0) + (minus[0] if minus else 0) > N):
+                    continue
+                if y is None:
+                    y = YoungDiagram(rows)
                 try:
                     s = irrep_U_to_sector(GaugeIrrepU(y, q), N)
                 except (ValueError, BoundViolation):

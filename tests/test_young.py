@@ -376,12 +376,21 @@ def _shift_charge(s):
     return irr._replace(q=irr.q + s.N)
 
 
+_honest_split = young._split_U
+
+
+def _drop_last_plus_column(cols, q, N):
+    plus, minus = _honest_split(cols, q, N)
+    return (plus[:-1] if len(plus) >= 2 else plus), minus
+
+
 # name: (function replaced, planted map, smallest N at which it fails)
 PLANTED_U_FAULTS = {
     "swap": ("irrep_U_to_sector", _swap_sides, 1),
     "refuse": ("irrep_U_to_sector", _refuse_negative_charge, 1),
     "vacuum": ("irrep_U_to_sector", _misread_vacuum, 0),
     "shift": ("sector_to_irrep_U", _shift_charge, 1),
+    "split": ("_split_U", _drop_last_plus_column, 1),
 }
 
 
@@ -401,3 +410,97 @@ def test_bijection_U_scan_matches_every_charge_scan(monkeypatch, N, fault):
         assert report == reference_roundtrip_U(N, cap), (N, cap)
         failing |= not report["ok"]
     assert failing == (fails_from is not None and N >= fails_from)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_planted_split_fault_shows_in_both_directions(monkeypatch, N):
+    # the map and the scan share the split, so a fault in it shows in the
+    # forward round trip and in the totality scan alike
+    monkeypatch.setattr(young, "_split_U", _drop_last_plus_column)
+    kinds = set()
+    for cap in range(5):
+        kinds |= {f["kind"] for f in bijection_roundtrip_check("U", N, cap)["failures"]}
+    assert kinds == {"missing", "mismatch", "roundtrip"}
+
+
+def u_scan_domain(N, size_cap):
+    """The labels of the U totality scan: (Y, q = |Y| - N k) for every Y
+    with at most N rows and |Y| <= (N + 1) size_cap, k <= size_cap (k = 0
+    only at N = 0)."""
+    for y in young_diagrams((N + 1) * size_cap, max_rows=N):
+        for k in (range(size_cap + 1) if N else (0,)):
+            yield y, y.size - N * k
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_irrep_U_to_sector_builds_the_split(N):
+    """The scan decides the window and the bound on the split's column
+    heights and builds only what passes; so the map must raise exactly
+    when the split does or breaks r+ + r- <= N, and keep its columns."""
+    for cap in range(5):
+        for y, q in u_scan_domain(N, cap):
+            try:
+                plus, minus = young._split_U(y.column_heights(), q, N)
+            except ValueError:
+                plus = None
+            if plus is None or max(plus, default=0) + max(minus, default=0) > N:
+                with pytest.raises((ValueError, BoundViolation)):
+                    irrep_U_to_sector(GaugeIrrepU(y, q), N)
+                continue
+            s = irrep_U_to_sector(GaugeIrrepU(y, q), N)
+            assert (s.y_plus.column_heights(), s.y_minus.column_heights()) == (plus, minus)
+
+
+def partitions_at_most(n, rows):
+    """Partitions of n into at most ``rows`` parts: p(n, r) = p(n, r - 1)
+    + p(n - r, r), fewer than r parts or r parts less one box each."""
+    table = [[1] + [0] * n for _ in range(rows + 1)]
+    for r in range(1, rows + 1):
+        for m in range(1, n + 1):
+            table[r][m] = table[r - 1][m] + (table[r][m - r] if m >= r else 0)
+    return table[rows][n]
+
+
+def test_u_scan_splits_every_domain_label_and_maps_only_the_window(monkeypatch):
+    N, cap = 4, 5
+    calls = {"split": 0, "map": 0}
+    honest_map = young.irrep_U_to_sector
+
+    def counted_split(cols, q, N):
+        calls["split"] += 1
+        return _honest_split(cols, q, N)
+
+    def counted_map(irr, N):
+        calls["map"] += 1
+        return honest_map(irr, N)
+
+    monkeypatch.setattr(young, "_split_U", counted_split)
+    monkeypatch.setattr(young, "irrep_U_to_sector", counted_map)
+    report = bijection_roundtrip_check("U", N, cap)
+    assert report["ok"] and len(report["entries"]) == 196
+    domain = (cap + 1) * sum(partitions_at_most(n, N) for n in range((N + 1) * cap + 1))
+    assert domain == len(list(u_scan_domain(N, cap))) == 8862
+    # 196 forward maps, 196 labels in the window; each map splits once more
+    assert calls["map"] == 392
+    assert calls["split"] == domain + calls["map"]
+
+
+@pytest.mark.parametrize("group", ["U", "O"])
+def test_bijection_check_refuses_a_negative_cap(group):
+    # a negative cap used to pass with nothing checked
+    with pytest.raises(ValueError, match="size_cap must be >= 0"):
+        bijection_roundtrip_check(group, 2, -1)
+
+
+def test_n0_admits_only_the_trivial_label():
+    # weyl_dimension_U used to give 1 for a charged label at N = 0
+    assert weyl_dimension_U(GaugeIrrepU(EMPTY, 0), 0) == 1
+    assert irrep_U_to_sector(GaugeIrrepU(EMPTY, 0), 0) == complex_sector(EMPTY, EMPTY, 0)
+    for q in (-1, 5):
+        irr = GaugeIrrepU(EMPTY, q)
+        for call in (irr.validate, lambda N: weyl_dimension_U(irr, N),
+                     lambda N: irrep_U_to_sector(irr, N)):
+            with pytest.raises(ValueError, match="N=0 admits only the trivial label"):
+                call(0)
+    with pytest.raises(ValueError):
+        GaugeIrrepU(diagram(1), 1).validate(0)
