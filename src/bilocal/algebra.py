@@ -21,7 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from numbers import Rational
-from typing import Callable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, NamedTuple
 
 from . import fock
 from .fock import (
@@ -270,74 +271,150 @@ def _commutator_real(g1, g2) -> OperatorExpr:
 # verification harness
 
 
-def commutator_counterexample(ctx: FockContext, a: Callable, b: Callable, c: Callable | None, basis):
-    """The first basis monomial m with (ab - ba) m != c m, as the triple
-    (m, (ab - ba) m, c m) of FockVectors, or None.
+class MonomialIndex(dict):
+    """{monomial: id}, with the inverse list ``monomials``: a monomial not
+    yet seen gets the next id on lookup, so ids run in first-seen order.
+    The image tables of one index key their entries by these ids, so the
+    scans sum and look up ints, not tuples of slots; an id means nothing
+    outside its own index."""
 
-    a, b and c map a monomial to its image, a {monomial: coefficient} dict
-    with no zero stored, such as an ``ImageTable``'s ``__getitem__``; the
-    products are their linear extensions, ab m = sum over t of (b m)_t a t.
-    c = None is the zero operator.  A scalar part of a or b cancels from
-    ab - ba, so tables that leave it out give the same left side."""
-    for m in basis:
-        lhs = {}
-        for t, f in b(m).items():
-            add_scaled(lhs, a(t), f)
-        for t, f in a(m).items():
-            add_scaled(lhs, b(t), -f)
-        rhs = {} if c is None else c(m)
-        if lhs != rhs:
-            return m, FockVector(ctx, lhs), FockVector(ctx, rhs)
-    return None
+    __slots__ = ("ctx", "monomials")
 
-
-class ImageTable(dict):
-    """{monomial m: image of m under the non-scalar terms of an operator's
-    normal-ordered (f, rem, ins) term list}: ``fock.normal_ordered_action``
-    on ((m, 1),), computed on the first lookup (``fock`` is read at call
-    time, so a replaced loop reaches the tables too).  The scalar terms (the
-    N/2 shift of a diagonal E) are summed into ``scalar``: a scalar cancels
-    from every commutator, so only the expected side of a structure constant
-    adds it, and every table holds ints only, at every N."""
-
-    __slots__ = ("ctx", "body", "scalar")
-
-    def __init__(self, ctx: FockContext, terms):
+    def __init__(self, ctx: FockContext):
+        super().__init__()
         self.ctx = ctx
+        self.monomials = []
+
+    def __missing__(self, m):
+        i = self[m] = len(self.monomials)
+        self.monomials.append(m)
+        return i
+
+    def basis(self, margin: int) -> list:
+        """The ids of ``basis_monomials`` up to P - margin particles, in its
+        order: the one place a verify scan enumerates its basis."""
+        return [self[m] for m in basis_monomials(self.ctx, self.ctx.P - margin)]
+
+
+# The zero image, read-only because every entry that has it shares it: more
+# than half of all entries at complex (N, M, P) = (3, 3, 5), where sharing
+# cuts verify's peak RSS from 130 to 94 MiB.
+_NO_IMAGE = MappingProxyType({})
+
+
+class ImageTable(list):
+    """The images of monomials under the non-scalar terms of an operator's
+    normal-ordered (f, rem, ins) term list, by id of ``index``: entry i is
+    the {id: coefficient} image of monomial i (the shared ``_NO_IMAGE``
+    when it is zero), or None until ``fill`` computes it.  The scalar terms (the N/2 shift of a diagonal E) are
+    summed into ``scalar``: a scalar cancels from every commutator, so only
+    the expected side of a structure constant adds it, and every table
+    holds ints only, at every N."""
+
+    __slots__ = ("index", "body", "scalar")
+
+    def __init__(self, index: MonomialIndex, terms):
+        super().__init__()
+        self.index = index
         self.body = tuple(t for t in terms if t[1] or t[2])
         self.scalar = rational(sum(f for f, rem, ins in terms if not (rem or ins)))
 
-    def __missing__(self, m):
-        out = self[m] = fock.normal_ordered_action(self.ctx, self.body, ((m, 1),))
-        return out
+    def fill(self, ids) -> None:
+        """Compute the missing entries at ``ids``, each by
+        ``fock.normal_ordered_action`` on ((m, 1),); ``fock`` is read at
+        call time, so a replaced loop reaches the tables too."""
+        index, body, action = self.index, self.body, fock.normal_ordered_action
+        ctx, monomials = index.ctx, index.monomials
+        self.extend([None] * (len(monomials) - len(self)))
+        for i in ids:
+            if self[i] is None:
+                image = action(ctx, body, ((monomials[i], 1),))
+                self[i] = {index[n]: c for n, c in image.items()} if image else _NO_IMAGE
+
+
+def _one_index(tables) -> None:
+    """Raise ContextMismatch unless ``tables`` share one index: ids of two
+    indexes would compare unrelated monomials without any error."""
+    if len({id(table.index) for table in tables}) > 1:
+        raise ContextMismatch("image tables of different monomial indexes in one scan")
+
+
+def fill_for(left, right, basis) -> None:
+    """Fill the tables for scanning [a, b] on the ids ``basis``, for every a
+    in ``left`` and b in ``right``: every table on the basis, each left
+    table on the ids that the right tables' basis images reach, and each
+    right table on those the left tables' reach.  Those are the entries the
+    scans read when every identity holds."""
+    left, right = list(left), list(right)
+    _one_index(left + right)
+    for table in left + right:
+        table.fill(basis)
+    reached_by_left, reached_by_right = (
+        set().union(*(table[m] for table in family for m in basis)) for family in (left, right))
+    for table in left:
+        table.fill(reached_by_right)
+    for table in right:
+        table.fill(reached_by_left)
+
+
+def commutator_counterexample(ctx: FockContext, a: ImageTable, b: ImageTable, c, basis):
+    """The first m among the ids ``basis`` with (ab - ba) m != c m, as the
+    triple (m, (ab - ba) m, c m) of a monomial and two FockVectors, or None.
+
+    a and b are image tables filled for the scan (``fill_for``), and c is
+    (terms, scalar): the sum of coeff * table over the (coeff, table) in
+    terms plus scalar times the identity, or None, the zero operator.  All
+    tables share one index (else ContextMismatch).  The products are the
+    tables' linear extensions, ab m = sum over t of (b m)_t a t.  A scalar
+    part of a or b cancels from ab - ba, so the tables leave it out.
+
+    (ab - ba - c) m is summed in place into one {id: coefficient}
+    accumulator per monomial, with no ``add_scaled`` call per image; only
+    the returned monomial's sides are built as FockVectors."""
+    terms, scalar = ((), 0) if c is None else c
+    _one_index([a, b, *(table for _, table in terms)])
+    for m in basis:
+        acc = {}
+        get = acc.get
+        for t, f in b[m].items():
+            for n, x in a[t].items():
+                acc[n] = get(n, 0) + f * x
+        for t, f in a[m].items():
+            for n, x in b[t].items():
+                acc[n] = get(n, 0) - f * x
+        for coeff, table in terms:
+            for n, x in table[m].items():
+                acc[n] = get(n, 0) - coeff * x
+        if scalar:
+            acc[m] = get(m, 0) - scalar
+        if any(acc.values()):
+            break
+    else:
+        return None
+    monomials = a.index.monomials
+
+    def image(table, i):
+        return {monomials[n]: x for n, x in table[i].items()}
+
+    lhs, rhs = {}, {}
+    for t, f in b[m].items():
+        add_scaled(lhs, image(a, t), f)
+    for t, f in a[m].items():
+        add_scaled(lhs, image(b, t), -f)
+    for coeff, table in terms:
+        add_scaled(rhs, image(table, m), coeff)
+    add_scaled(rhs, {monomials[m]: 1}, scalar)
+    return monomials[m], FockVector(ctx, lhs), FockVector(ctx, rhs)
 
 
 def generator_images(ctx: FockContext, shift: bool) -> dict:
-    """{g: ImageTable} over ``generators(ctx)``.  shift=False drops the
-    scalar terms, the N/2 shift of the diagonal E: the negative control of
-    ``bilocal verify``, which changes the scalars and no table."""
-    return {g: ImageTable(ctx, [t for t in _generator_terms(ctx, g) if shift or t[1] or t[2]])
+    """{g: ImageTable} over ``generators(ctx)``, on one new index.
+    shift=False drops the scalar terms, the N/2 shift of the diagonal E:
+    the negative control of ``bilocal verify``, which changes the scalars
+    and no table."""
+    index = MonomialIndex(ctx)
+    return {g: ImageTable(index, [t for t in _generator_terms(ctx, g) if shift or t[1] or t[2]])
             for g in generators(ctx)}
-
-
-def _expr_map(images: dict, expr: OperatorExpr) -> Callable:
-    """The map from a monomial to its image under a degree-one ``expr`` on
-    the tables ``images``, scalar parts included."""
-    terms, scalar = [], 0
-    for w, coeff in expr.items():
-        if len(w) != 1:
-            raise ValueError(f"{expr!r} is not of degree one")
-        terms.append((coeff, images[w[0]].__getitem__))
-        scalar += coeff * images[w[0]].scalar
-
-    def image(m):
-        out = {}
-        for coeff, table in terms:
-            add_scaled(out, table(m), coeff)
-        add_scaled(out, {m: 1}, scalar)
-        return out
-
-    return image
 
 
 MAX_FAILURES = 10  # structure-constant failures listed before the check stops
@@ -347,8 +424,8 @@ def verify_structure_constants(ctx: FockContext, images: dict, margin: int = 2) 
     """Check [g1,g2] against the abstract relations on every monomial with at
     most P - margin particles, for every unordered generator pair, on the
     generator tables ``images`` of ctx (``generator_images``; tables of
-    another context raise ContextMismatch).  The scalar parts enter only
-    the expected side: they cancel from [g1,g2].
+    another context or of two indexes raise ContextMismatch).  The scalar
+    parts enter only the expected side: they cancel from [g1,g2].
 
     A margin of 2 guarantees the truncated commutators are exact.
     """
@@ -356,19 +433,21 @@ def verify_structure_constants(ctx: FockContext, images: dict, margin: int = 2) 
         raise ValueError("margin must be >= 2")
     if margin > ctx.P:
         raise ValueError(f"margin {margin} empties the basis (P = {ctx.P})")
-    for table in images.values():
-        if table.ctx != ctx:
-            raise ContextMismatch(f"tables of {table.ctx} checked in {ctx}")
+    tables = list(images.values())
+    for table in tables:
+        if table.index.ctx != ctx:
+            raise ContextMismatch(f"tables of {table.index.ctx} checked in {ctx}")
     ctx.validate()
-    basis = list(basis_monomials(ctx, ctx.P - margin))
+    basis = tables[0].index.basis(margin)
+    fill_for(tables, tables, basis)
     failures = []
     pairs = 0
     for g1, g2 in combinations_with_replacement(sorted(set(generators(ctx))), 2):
         pairs += 1
         expr = abstract_commutator(g1, g2, ctx.field_kind)
-        expected = _expr_map(images, expr) if expr else None
-        hit = commutator_counterexample(ctx, images[g1].__getitem__, images[g2].__getitem__,
-                                        expected, basis)
+        terms = [(coeff, images[g]) for (g,), coeff in expr.items()]
+        expected = terms, sum(coeff * table.scalar for coeff, table in terms)
+        hit = commutator_counterexample(ctx, images[g1], images[g2], expected, basis)
         if hit:
             m, lhs, rhs = hit
             failures.append({"pair": [str(g1), str(g2)], "monomial": monomial_str(m),

@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement
 from . import algebra, fock, linalg, modes, sectors, young
 from .algebra import (
     ImageTable,
+    MonomialIndex,
     Xstar,
     apply_charge,
     apply_generator,
@@ -23,6 +24,7 @@ from .algebra import (
     canonical_hamiltonian,
     commutator_counterexample,
     dagger_label,
+    fill_for,
     generator_images,
     generators,
     verify_structure_constants,
@@ -33,7 +35,6 @@ from .fock import (
     ContextViolation,
     FockContext,
     TruncationError,
-    basis_monomials,
     gram_matrix,
     monomial_self_overlap,
     monomial_str,
@@ -107,14 +108,17 @@ def _print_table(payload, indent=0):
 # replaced term list reaches a table and the vector-level operator alike.
 
 
-def _commutator_report(ctx, margin, identities) -> dict:
-    """Check each identity [a, b] = c, given as (label, a, b, c), on the
-    monomials at least ``margin`` particles below P.  A failing identity
-    reports its first failing monomial; the first five failures are kept."""
-    basis = list(basis_monomials(ctx, ctx.P - margin))
+def _commutator_report(index, margin, left, right, identities) -> dict:
+    """Check each identity [a, b] = c, given as (label, a, b, c) with a in
+    ``left`` and b in ``right``, tables of ``index`` filled first for the
+    whole family (``fill_for``), on the monomials at least ``margin``
+    particles below P.  A failing identity reports its first failing
+    monomial; the first five failures are kept."""
+    basis = index.basis(margin)
+    fill_for(left, right, basis)
     failures = []
     for label, a, b, c in identities:
-        hit = commutator_counterexample(ctx, a, b, c, basis)
+        hit = commutator_counterexample(index.ctx, a, b, c, basis)
         if hit:
             failures.append(dict(label, monomial=monomial_str(hit[0])))
             if len(failures) == 5:
@@ -122,14 +126,20 @@ def _commutator_report(ctx, margin, identities) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
+def _index(images) -> MonomialIndex:
+    """The index of the generator tables ``images``."""
+    return next(iter(images.values())).index
+
+
 def _check_ccr(ctx, margin=2) -> dict:
-    """[a(s), a*(t)] = delta_st on the ladder tables of every slot pair."""
+    """[a(s), a*(t)] = delta_st on the ladder tables of every slot pair, on
+    an index of their own."""
     slots = ctx.slots()
-    down = {s: ImageTable(ctx, fock.annihilation_terms(s)) for s in slots}
-    up = {s: ImageTable(ctx, fock.creation_terms(s)) for s in slots}
-    return _commutator_report(ctx, margin, (
-        ({"slots": [str(s), str(t)]}, down[s].__getitem__, up[t].__getitem__,
-         (lambda m: {m: 1}) if s == t else None)
+    index = MonomialIndex(ctx)
+    down = {s: ImageTable(index, fock.annihilation_terms(s)) for s in slots}
+    up = {s: ImageTable(index, fock.creation_terms(s)) for s in slots}
+    return _commutator_report(index, margin, down.values(), up.values(), (
+        ({"slots": [str(s), str(t)]}, down[s], up[t], ((), 1) if s == t else None)
         for s in slots for t in slots))
 
 
@@ -139,8 +149,10 @@ def _check_adjointness(ctx, images, margin=2) -> dict:
     the generator tables ``images`` of g and g†; a pair where both sides
     vanish passes.  A scalar part adds the same c w(m) to both sides, so
     the tables leave it out."""
-    basis = list(basis_monomials(ctx, ctx.P - margin))
-    weight = {m: monomial_self_overlap(m) for m in basis}
+    index = _index(images)
+    basis = index.basis(margin)
+    fill_for(images.values(), (), basis)
+    weight = {m: monomial_self_overlap(index.monomials[m]) for m in basis}
 
     def mismatch(g, h):
         table_g, table_h = images[g], images[h]
@@ -179,10 +191,10 @@ def _check_charge_commutes(ctx, images, margin=2) -> dict:
     generator tables ``images`` (a scalar part commutes)."""
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
-    charge = ImageTable(ctx, algebra.charge_terms(ctx)).__getitem__
-    return _commutator_report(ctx, margin, (
-        ({"generator": str(g)}, charge, images[g].__getitem__, None)
-        for g in generators(ctx)))
+    index = _index(images)
+    charge = ImageTable(index, algebra.charge_terms(ctx))
+    return _commutator_report(index, margin, [charge], images.values(), (
+        ({"generator": str(g)}, charge, images[g], None) for g in generators(ctx)))
 
 
 def _check_gauge_commutant(ctx, images, margin=2) -> dict:
@@ -191,10 +203,10 @@ def _check_gauge_commutant(ctx, images, margin=2) -> dict:
     and M^{qp} = -M^{pq}), on the tables of ``images`` and the gauge."""
     flavors = range(1, ctx.N + 1)
     pairs = [(p, q) for p in flavors for q in flavors if p < q or ctx.field_kind == COMPLEX]
-    gauge = {pq: ImageTable(ctx, young.gauge_terms(ctx, *pq)) for pq in pairs}
-    return _commutator_report(ctx, margin, (
-        ({"gauge": [p, q], "generator": str(g)}, gauge[p, q].__getitem__,
-         images[g].__getitem__, None)
+    index = _index(images)
+    gauge = {pq: ImageTable(index, young.gauge_terms(ctx, *pq)) for pq in pairs}
+    return _commutator_report(index, margin, gauge.values(), images.values(), (
+        ({"gauge": [p, q], "generator": str(g)}, gauge[p, q], images[g], None)
         for p, q in pairs for g in generators(ctx)))
 
 
@@ -204,7 +216,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"margin must lie in 2..P = {ctx.P}")
     # One set of generator tables for every check.  drop-e-shift changes
     # only the scalars, which only structure constants reads.  Structure
-    # constants runs last: it alone fills the tables past P - margin
+    # constants runs last: it alone fills the generator tables past P - margin
     # particles, and by then the charge and gauge tables, which the other
     # checks fill that far, are freed.  The payload sorts its keys.
     images = generator_images(ctx, shift=args.inject_fault != "drop-e-shift")
@@ -238,7 +250,7 @@ def cmd_classify(args) -> int:
     except modes.ModeError as exc:
         raise UsageError(str(exc)) from exc
     results = sectors.classify_spectrum(ctx, cutoff, spec)
-    rows = []
+    rows, failures = [], []
     ok = True
     for entry in results:
         s = entry["sector"]
@@ -262,12 +274,19 @@ def cmd_classify(args) -> int:
                 irr = young.sector_to_irrep_U(s)
                 row["gauge_irrep"] = irr.to_json()
                 row["gauge_dimension"] = young.weyl_dimension_U(irr, ctx.N)
+                # the duality: the sector's multiplicity is its irrep's dimension
+                if row["multiplicity"] != row["gauge_dimension"]:
+                    failures.append({"row": len(rows), "sector": young.sector_to_json(s),
+                                     "multiplicity": row["multiplicity"],
+                                     "gauge_dimension": row["gauge_dimension"]})
             else:
                 row["gauge_irrep"] = young.sector_to_irrep_O(s.y, ctx.N).canonical.to_json()
         rows.append(row)
-    payload = {"ok": ok, "cutoff": cutoff, "sectors": rows, "count": len(rows)}
+    payload = {"ok": ok and not failures, "cutoff": cutoff, "sectors": rows, "count": len(rows)}
+    if failures:
+        payload["failures"] = failures
     _emit(args, payload)
-    return 0 if ok else 1
+    return 0 if payload["ok"] else 1
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from math import factorial
 from numbers import Rational
 from typing import Iterable, Iterator, NamedTuple
 
-from .linalg import Combination, Record, add_scaled, canonical, quotient, rational
+from .linalg import Combination, Record, canonical, quotient, rational
 
 SPECIES_A = "a"
 SPECIES_B = "b"
@@ -236,10 +236,19 @@ def normal_ordered_action(ctx: FockContext, terms, items) -> dict:
     monomials.  The loop runs term by term, so the key order is that of the
     chained sums over the terms.  Slots are not checked: callers validate
     once per call.
+
+    This is one of the two hot loops that sum in place rather than through
+    ``linalg.add_scaled`` (the other is ``algebra.commutator_counterexample``):
+    since a term is injective, each image goes straight into ``out`` with
+    add_scaled's rule (a cancelled key is popped, a new one goes last), so
+    the key order is the same and no per-term image dict is built.
     """
     out = {}
+    get, pop = out.get, out.pop
     for f, rem, ins in terms:
-        image = {}
+        if not f:
+            continue
+        one = f == 1  # 1 * c would rebuild a Fraction c
         for m, c in items:
             for s in rem:
                 k = m.count(s)
@@ -248,12 +257,15 @@ def normal_ordered_action(ctx: FockContext, terms, items) -> dict:
                 idx = m.index(s)
                 m, c = m[:idx] + m[idx + 1 :], c if k == 1 else c * k
             else:
-                if not ins:
-                    image[m] = c
-                elif len(m) + len(ins) <= ctx.P:
-                    image[tuple(sorted(m + ins))] = c
-        if image:
-            add_scaled(out, image, f)
+                if ins:
+                    if len(m) + len(ins) > ctx.P:
+                        continue
+                    m = tuple(sorted(m + ins))
+                total = get(m, 0) + (c if one else f * c)
+                if total:
+                    out[m] = total
+                else:
+                    pop(m, None)
     return canonical(out)
 
 

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals: the sparse rational
 combination and one sparse echelon.
 
-``add_scaled`` is the only loop that sums sparse terms, and
-``Combination`` is the one sparse vector type built on it: Fock states,
-operator expressions and kernel rows are all finite rational
-combinations of keys.
+``add_scaled`` is the loop that sums sparse terms, and ``Combination``
+is the one sparse vector type built on it: Fock states, operator
+expressions and kernel rows are all finite rational combinations of
+keys.  Two hot loops sum in place by the same rule instead of calling it
+once per image: ``fock.normal_ordered_action`` and the accumulator of
+``algebra.commutator_counterexample``.
 
 Every coefficient is stored in the canonical form ``rational`` gives: an
 int when the value is integral, a Fraction with denominator > 1

@@ -7,6 +7,8 @@ from bilocal.algebra import (
     Eminus,
     Eplus,
     HamiltonianSpec,
+    ImageTable,
+    MonomialIndex,
     OperatorExpr,
     X,
     Xstar,
@@ -17,6 +19,7 @@ from bilocal.algebra import (
     canonical_hamiltonian,
     commutator_counterexample,
     dagger_label,
+    fill_for,
     generator_images,
     generators,
     verify_structure_constants,
@@ -28,10 +31,10 @@ from bilocal.fock import (
     ContextViolation,
     FockContext,
     a_slot,
-    apply_annihilation,
-    apply_creation,
+    annihilation_terms,
     b_slot,
     basis_monomials,
+    creation_terms,
     inner_product,
     unit,
     vacuum,
@@ -127,19 +130,58 @@ def test_structure_constants_refuse_tables_of_another_context():
         verify_structure_constants(ctx, generator_images(ctx._replace(P=5), shift=True))
 
 
+def _ladder_tables(ctx, slot):
+    """a and a* of ``slot`` as image tables of a new index, and the index."""
+    index = MonomialIndex(ctx)
+    return (ImageTable(index, annihilation_terms(slot)), ImageTable(index, creation_terms(slot)),
+            index)
+
+
 def test_commutator_counterexample_returns_first_failing_monomial():
     ctx = FockContext(COMPLEX, 1, 1, 3).validate()
-    # each operand maps a monomial to its image {monomial: coefficient}
-    a = lambda m: dict(apply_annihilation(ctx, a_slot(1, 1), unit(ctx, m)).items())
-    a_star = lambda m: dict(apply_creation(ctx, a_slot(1, 1), unit(ctx, m)).items())
-    identity = lambda m: {m: 1}
-    basis = list(basis_monomials(ctx, 1))
+    a, a_star, index = _ladder_tables(ctx, a_slot(1, 1))
+    basis = index.basis(2)  # the monomials with at most one particle
+    assert [index.monomials[m] for m in basis] == list(basis_monomials(ctx, 1))
+    fill_for([a, a_star], [a, a_star], basis)
+    identity = ((), 1)
     assert commutator_counterexample(ctx, a, a_star, identity, basis) is None
     # [a, a*] = 1 is not 0, and the vacuum comes first in the basis
     assert commutator_counterexample(ctx, a, a_star, None, basis) == ((), vacuum(ctx), zero(ctx))
     # [a*, a] = -1: the sides are returned as (ab - ba) m and c m
     m, lhs, rhs = commutator_counterexample(ctx, a_star, a, identity, basis[1:])
-    assert (m, lhs, rhs) == (basis[1], -1 * unit(ctx, basis[1]), unit(ctx, basis[1]))
+    first = index.monomials[basis[1]]
+    assert (m, lhs, rhs) == (first, -1 * unit(ctx, first), unit(ctx, first))
+    # the expected side sums its tables and its scalar: 1 = 2 - a*a holds on
+    # a*|0> but not on the vacuum
+    number = ImageTable(index, ((1, (a_slot(1, 1),), (a_slot(1, 1),)),))
+    fill_for([number], [], basis)
+    assert commutator_counterexample(ctx, a, a_star, ([(-1, number)], 2), basis[1:2]) is None
+    m, lhs, rhs = commutator_counterexample(ctx, a, a_star, ([(-1, number)], 2), basis)
+    assert (m, lhs, rhs) == ((), vacuum(ctx), 2 * vacuum(ctx))
+
+
+def test_scans_refuse_tables_of_two_indexes():
+    """Ids mean something only within their own index, so tables of two
+    indexes in one scan would compare unrelated monomials."""
+    ctx = FockContext(COMPLEX, 1, 1, 3).validate()
+    a, a_star, index = _ladder_tables(ctx, a_slot(1, 1))
+    other_a, other_a_star, other = _ladder_tables(ctx, a_slot(1, 1))
+    basis = index.basis(2)
+    assert other.basis(2) == basis  # equal ids, of two indexes
+    with pytest.raises(ContextMismatch):
+        fill_for([a], [other_a_star], basis)
+    with pytest.raises(ContextMismatch):
+        fill_for([a, other_a], [a_star], basis)
+    fill_for([a], [a_star], basis)
+    fill_for([other_a], [other_a_star], other.basis(2))
+    with pytest.raises(ContextMismatch):
+        commutator_counterexample(ctx, a, other_a_star, ((), 1), basis)
+    with pytest.raises(ContextMismatch):
+        commutator_counterexample(ctx, a, a_star, ([(1, other_a)], 1), basis)
+    # the generator tables of one context, from two calls, do not mix either
+    images, others = generator_images(ctx, shift=True), generator_images(ctx, shift=True)
+    with pytest.raises(ContextMismatch):
+        verify_structure_constants(ctx, {**images, X(1, 1): others[X(1, 1)]})
 
 
 def test_hamiltonian_canonical_on_vacuum():

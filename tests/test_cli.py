@@ -51,12 +51,14 @@ def test_verify_margin_reaches_every_check(capsys, monkeypatch):
         seen.append(max_particles)
         return fock.basis_monomials(ctx, max_particles)
 
-    monkeypatch.setattr(cli, "basis_monomials", spy)
+    # MonomialIndex.basis is the one place a verify scan enumerates its basis
+    monkeypatch.setattr(algebra, "basis_monomials", spy)
     code, out = run_cli(capsys, "verify", "--N", "1", "--M", "2", "--P", "4", "--margin", "3")
     assert code == 0
     assert json.loads(out)["checks"]["structure_constants"]["basis_size"] == 5
-    # ccr, adjointness, charge and gauge each enumerate monomials with <= P - 3 particles
-    assert seen == [1, 1, 1, 1]
+    # ccr, adjointness, charge, gauge and structure constants each scan the
+    # monomials with <= P - 3 particles
+    assert seen == [1, 1, 1, 1, 1]
 
 
 # a(1,1) as normal-ordered terms: an operator that commutes with no X*
@@ -230,6 +232,32 @@ def test_classify_n2(capsys):
     mult = {(tuple(r["Y_plus"]), tuple(r["Y_minus"])): r["multiplicity"] for r in payload["sectors"]}
     assert mult[((1,), ())] == 2
     assert all(r["multiplicity"] == r["gauge_dimension"] for r in payload["sectors"])
+
+
+def test_classify_fails_when_a_multiplicity_is_not_the_gauge_dimension(capsys, monkeypatch):
+    """The duality check of complex classify: a Weyl dimension planted off
+    by one for one irrep makes the run exit 1 and names that row alone."""
+    argv = ["classify", "--kind", "complex", "--N", "2", "--M", "2", "--P", "4", "--cutoff", "3"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    passing = json.loads(out)
+    assert "failures" not in passing
+    target = young.sector_to_irrep_U(young.complex_sector(young.YoungDiagram((1,)),
+                                                          young.YoungDiagram(()), 2))
+    dimension = young.weyl_dimension_U
+    monkeypatch.setattr(young, "weyl_dimension_U",
+                        lambda irr, N: dimension(irr, N) + (irr == target))
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    (row,) = [k for k, r in enumerate(passing["sectors"])
+              if (r["Y_plus"], r["Y_minus"]) == ([1], [])]
+    assert payload["failures"] == [{"row": row, "sector": {"Y_plus": [1], "Y_minus": [], "N": 2},
+                                    "multiplicity": 2, "gauge_dimension": 3}]
+    assert payload["sectors"][row]["gauge_dimension"] == 3
+    del payload["sectors"][row]["gauge_dimension"], passing["sectors"][row]["gauge_dimension"]
+    assert payload["sectors"] == passing["sectors"]
 
 
 def test_classify_n0_vacuum_only(capsys):

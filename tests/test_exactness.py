@@ -497,7 +497,12 @@ def test_verify_image_tables_are_canonical(monkeypatch, capsys, command):
     gauge = ctx.N ** 2 if complex_ else ctx.N * (ctx.N - 1) // 2
     assert len(tables) == len(images) + 2 * len(ctx.slots()) + gauge + complex_
     assert {id(t) for t in images.values()} <= {id(t) for t in tables}
-    values = [c for table in tables for image in table.values() for c in image.values()]
+    # entries are None until filled, and images are keyed by monomial ids:
+    # the generator, charge and gauge tables share one index, the ladders
+    # have their own
+    values = [c for table in tables for image in table if image is not None
+              for c in image.values()]
+    assert len({id(t.index) for t in tables}) == 2
     assert values
     _assert_canonical(command, values)
     # the N/2 shift is kept apart as a scalar, so tables hold ints at every N

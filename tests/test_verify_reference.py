@@ -4,10 +4,10 @@ The reference below is the commutator check as first written: every
 operand maps a FockVector to a FockVector, each basis monomial is wrapped
 as a unit vector, images are summed as FockVectors and the expected side
 applies the abstract commutator generator by generator, N/2 shift
-included.  The library composes {monomial: int} dicts held in
-``ImageTable``s, built from the operators' term lists with the
-scalar parts kept apart; the reports, failures and their printed vectors
-included, must not change.
+included.  The library sums {id: int} dicts held in ``ImageTable``s,
+keyed by monomial ids of one index and built from the operators' term
+lists with the scalar parts kept apart; the reports, failures and their
+printed vectors included, must not change.
 
 The references act with the vector-level operators (``apply_generator``,
 the ladders, ``apply_charge``, ``apply_gauge_generator``).  They read the
@@ -248,11 +248,15 @@ def test_verify_checks_match_reference_on_drawn_contexts(kind, N, M, P, margin, 
 
 
 def _table_coefficients(ctx, images):
+    """(g, m, n, c) over every monomial m up to P, through the tables' index."""
+    index = next(iter(images.values())).index
+    ids = [index[m] for m in basis_monomials(ctx)]
     for g in generators(ctx):
         table = images[g]
-        for m in basis_monomials(ctx):
-            for n, c in table[m].items():
-                yield g, m, n, c
+        table.fill(ids)
+        for i in ids:
+            for n, c in table[i].items():
+                yield g, index.monomials[i], index.monomials[n], c
 
 
 @pytest.mark.parametrize("context", [(COMPLEX, 2, 2, 4), (REAL, 2, 2, 4), (COMPLEX, 4, 1, 3)],
