@@ -5,7 +5,8 @@ combination and one sparse echelon.
 is the one sparse vector type built on it: Fock states, operator
 expressions and kernel rows are all finite rational combinations of
 keys.  Two hot loops sum in place by the same rule instead of calling it
-once per image: ``fock.normal_ordered_action`` and the accumulator of
+once per image: ``fock.normal_ordered_images``, the oscillator loop,
+which gives one image per input in one call, and the accumulator of
 ``algebra.commutator_counterexample``.
 
 Every coefficient is stored in the canonical form ``rational`` gives: an

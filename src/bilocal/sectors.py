@@ -32,6 +32,7 @@ from .algebra import (
     X,
     apply_generator,
     canonical_hamiltonian,
+    generator_action,
 )
 from .fock import (
     COMPLEX,
@@ -267,11 +268,12 @@ def ground_state_generators(ctx: FockContext) -> list:
 def joint_kernel(ctx: FockContext, labels, vectors) -> list:
     """Basis of the combinations of ``vectors`` annihilated by every
     generator in ``labels``: one per free column of the coefficient matrix
-    whose sparse rows are keyed by (label, target monomial)."""
+    whose sparse rows are keyed by (label, target monomial).  Each label
+    acts on all the vectors in one pass of the oscillator loop."""
     rows = {}
     for g in labels:
-        for j, v in enumerate(vectors):
-            for t, c in apply_generator(ctx, g, v).items():
+        for j, image in enumerate(generator_action(ctx, g, vectors)):
+            for t, c in image.items():
                 rows.setdefault((g, t), {})[j] = c
     return [zero(ctx).plus((c, vectors[j]) for j, c in x.items())
             for x in linalg.nullspace(list(rows.values()), ncols=len(vectors))]

@@ -284,15 +284,19 @@ def test_planted_off_by_one_table_entry_fails_structure_constants(monkeypatch):
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
     target, m0 = X(1, 2), (a_slot(1, 1),)  # an a-only monomial, which X annihilates
     assert apply_generator(ctx, target, unit(ctx, m0)).is_zero()
-    target_terms, action = algebra._generator_terms(ctx, target), fock.normal_ordered_action
+    target_terms, action = algebra._generator_terms(ctx, target), fock.normal_ordered_images
 
-    def off_by_one(ctx, terms, items):
-        out = action(ctx, terms, items)
-        if terms == target_terms and [m for m, _ in items] == [m0]:
-            add_scaled(out, {(): 1})
-        return out
+    def off_by_one(ctx, terms, inputs):
+        """The batched loop, the one both the tables and apply_generator
+        run, with the entry planted in m0's image."""
+        inputs = [list(items) for items in inputs]
+        images = action(ctx, terms, inputs)
+        for items, image in zip(inputs, images):
+            if terms == target_terms and [m for m, _ in items] == [m0]:
+                add_scaled(image, {(): 1})
+        return images
 
-    monkeypatch.setattr(fock, "normal_ordered_action", off_by_one)
+    monkeypatch.setattr(fock, "normal_ordered_images", off_by_one)
     assert apply_generator(ctx, target, unit(ctx, m0)) == unit(ctx, ())
     report = verify_structure_constants(ctx, generator_images(ctx, shift=True), 2)
     assert report == reference_structure_constants(ctx, 2)
