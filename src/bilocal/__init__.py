@@ -11,11 +11,11 @@ from .algebra import (
     X,
     Xstar,
     abstract_commutator,
-    apply_charge,
     apply_generator,
-    apply_hamiltonian,
     canonical_hamiltonian,
+    charge_terms,
     generator_images,
+    hamiltonian_terms,
     verify_structure_constants,
 )
 from .fock import (
@@ -24,6 +24,7 @@ from .fock import (
     FockContext,
     FockVector,
     ModeSlot,
+    Operator,
     a_slot,
     apply_annihilation,
     apply_creation,

@@ -24,7 +24,6 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
-from . import fock
 from .fock import (
     COMPLEX,
     E_KIND,
@@ -40,7 +39,7 @@ from .fock import (
     Monomial,
     SPECIES_A,
     ModeSlot,
-    apply_normal_ordered,
+    Operator,
     basis_monomials,
     monomial_str,
     zero,
@@ -117,9 +116,9 @@ def dagger_label(g: GeneratorLabel) -> GeneratorLabel:
 
 
 @lru_cache(maxsize=None)
-def _generator_terms(ctx: FockContext, g: GeneratorLabel) -> tuple:
-    """The normal-ordered terms of ``g``, built once per context and label
-    (an invalid label is not cached, so it raises on every call)."""
+def generator_terms(ctx: FockContext, g: GeneratorLabel) -> Operator:
+    """The realized generator ``g``, built once per context and label (an
+    invalid label is not cached, so it raises on every call)."""
     check_generator(ctx, g)
     i, j = g.i, g.j
     flavors = range(1, ctx.N + 1)
@@ -127,26 +126,18 @@ def _generator_terms(ctx: FockContext, g: GeneratorLabel) -> tuple:
         leg_i, leg_j = ctx.kind.x_legs
         legs = [(ModeSlot(leg_i, i, p), ModeSlot(leg_j, j, p)) for p in flavors]
         # X annihilates both legs, Xstar creates them
-        return tuple((1, pair, ()) if g.kind == X_KIND else (1, (), pair) for pair in legs)
+        return Operator(ctx, ((1, pair, ()) if g.kind == X_KIND else (1, (), pair) for pair in legs))
     # E generators: number-type bilinears plus the N/2 diagonal shift
     species = ctx.kind.e_kinds[g.kind]
     terms = [(1, (ModeSlot(species, j, p),), (ModeSlot(species, i, p),)) for p in flavors]
     if i == j:
         terms.append((quotient(ctx.N, 2), (), ()))
-    return tuple(terms)
+    return Operator(ctx, terms)
 
 
 def apply_generator(ctx: FockContext, g: GeneratorLabel, v: FockVector) -> FockVector:
     """Exact image of ``v`` under the realized generator ``g``."""
-    return apply_normal_ordered(ctx, _generator_terms(ctx, g), v)
-
-
-def generator_action(ctx: FockContext, g: GeneratorLabel, vectors) -> list:
-    """The {monomial: coefficient} images of the ``vectors`` under ``g``, in
-    order: ``apply_generator`` on each, in one call of
-    ``fock.normal_ordered_images`` (read at call time)."""
-    inputs = [v.terms.items() for v in vectors]
-    return fock.normal_ordered_images(ctx, _generator_terms(ctx, g), inputs)
+    return generator_terms(ctx, g).apply(v)
 
 
 # ---------------------------------------------------------------------------
@@ -330,34 +321,34 @@ _FILL_CHUNK = 64
 
 
 class ImageTable(list):
-    """The images of monomials under the non-scalar terms of an operator's
-    normal-ordered (f, rem, ins) term list, by id of ``index``: entry i is
-    the {id: coefficient} image of monomial i (the shared ``_NO_IMAGE``
-    when it is zero), or None until ``fill`` computes it.  The scalar terms (the N/2 shift of a diagonal E) are
-    summed into ``scalar``: a scalar cancels from every commutator, so only
-    the expected side of a structure constant adds it, and every table
-    holds ints only, at every N."""
+    """The images of monomials under an operator's ``body`` (its
+    ``fock.Operator`` without the identity term), by id of ``index``:
+    entry i is the {id: coefficient} image of monomial i (the shared
+    ``_NO_IMAGE`` when it is zero), or None until ``fill`` computes it.
+    The identity coefficient (the N/2 shift of a diagonal E) is kept as
+    ``scalar``: a scalar cancels from every commutator, so only the
+    expected side of a structure constant adds it, and every table holds
+    ints only, at every N.  An operator of another context than the index
+    raises ContextMismatch."""
 
     __slots__ = ("index", "body", "scalar")
 
-    def __init__(self, index: MonomialIndex, terms):
+    def __init__(self, index: MonomialIndex, op: Operator):
         super().__init__()
-        self.index = index
-        self.body = tuple(t for t in terms if t[1] or t[2])
-        self.scalar = rational(sum(f for f, rem, ins in terms if not (rem or ins)))
+        if op.ctx != index.ctx:
+            raise ContextMismatch(f"operator of {op.ctx} tabled on an index of {index.ctx}")
+        self.index, self.body, self.scalar = index, op.body, op.scalar
 
     def fill(self, ids) -> None:
-        """Compute the missing entries at ``ids`` by ``fock.normal_ordered_images``,
-        on ((m, 1),) per monomial, ``_FILL_CHUNK`` monomials per call;
-        ``fock`` is read at call time, so a replaced loop reaches the tables
-        too."""
+        """Compute the missing entries at ``ids`` by ``Operator.images`` on
+        ((m, 1),) per monomial, ``_FILL_CHUNK`` monomials per call."""
         index, monomials = self.index, self.index.monomials
         self.extend([None] * (len(monomials) - len(self)))
         missing = [i for i in ids if self[i] is None]
         for start in range(0, len(missing), _FILL_CHUNK):
             chunk = missing[start:start + _FILL_CHUNK]
             inputs = [((monomials[i], 1),) for i in chunk]
-            for i, image in zip(chunk, fock.normal_ordered_images(index.ctx, self.body, inputs)):
+            for i, image in zip(chunk, self.body.images(inputs)):
                 self[i] = {index[n]: c for n, c in image.items()} if image else _NO_IMAGE
 
 
@@ -373,17 +364,19 @@ def fill_for(left, right, basis) -> None:
     in ``left`` and b in ``right``: every table on the basis, each left
     table on the ids that the right tables' basis images reach, and each
     right table on those the left tables' reach.  Those are the entries the
-    scans read when every identity holds."""
-    left, right = list(left), list(right)
-    _one_index(left + right)
-    for table in left + right:
+    scans read when every identity holds.  When both families are the same
+    tables, in the same order, that family is filled once against itself."""
+    families = [list(left), list(right)]
+    if [id(t) for t in families[0]] == [id(t) for t in families[1]]:
+        del families[1]
+    tables = [table for family in families for table in family]
+    _one_index(tables)
+    for table in tables:
         table.fill(basis)
-    reached_by_left, reached_by_right = (
-        set().union(*(table[m] for table in family for m in basis)) for family in (left, right))
-    for table in left:
-        table.fill(reached_by_right)
-    for table in right:
-        table.fill(reached_by_left)
+    reached = [set().union(*(table[m] for table in family for m in basis)) for family in families]
+    for family, ids in zip(families, reversed(reached)):
+        for table in family:
+            table.fill(ids)
 
 
 def commutator_counterexample(ctx: FockContext, a: ImageTable, b: ImageTable, c, basis):
@@ -445,7 +438,7 @@ def generator_images(ctx: FockContext, shift: bool) -> dict:
     the negative control of ``bilocal verify``, which changes the scalars
     and no table."""
     index = MonomialIndex(ctx)
-    return {g: ImageTable(index, [t for t in _generator_terms(ctx, g) if shift or t[1] or t[2]])
+    return {g: ImageTable(index, generator_terms(ctx, g) if shift else generator_terms(ctx, g).body)
             for g in generators(ctx)}
 
 
@@ -538,28 +531,18 @@ def monomial_energy(m: Monomial, spec: HamiltonianSpec) -> Rational:
     return rational(sum(spec.energies[s.mode - 1] for s in m))
 
 
-def hamiltonian_terms(ctx: FockContext, spec: HamiltonianSpec) -> tuple:
-    """H = sum over slots of eps_mode a*a, plus the c-number, as
-    normal-ordered terms; the spec is validated first."""
+def hamiltonian_terms(ctx: FockContext, spec: HamiltonianSpec) -> Operator:
+    """H = sum over slots of eps_mode a*a, plus the c-number; the spec is
+    validated first."""
     spec.validate(ctx)
     terms = [(spec.energies[s.mode - 1], (s,), (s,)) for s in ctx.slots()]
-    return tuple(terms) + ((hamiltonian_constant(ctx, spec), (), ()),)
-
-
-def apply_hamiltonian(ctx: FockContext, spec: HamiltonianSpec, v: FockVector) -> FockVector:
-    """H acting on ``v`` through its term list (``hamiltonian_terms``)."""
-    return apply_normal_ordered(ctx, hamiltonian_terms(ctx, spec), v)
+    return Operator(ctx, terms + [(hamiltonian_constant(ctx, spec), (), ())])
 
 
 @lru_cache(maxsize=None)
-def charge_terms(ctx: FockContext) -> tuple:
-    """The charge Q = sum over slots of a*a - b*b as normal-ordered terms,
-    built once per context; complex contexts only."""
+def charge_terms(ctx: FockContext) -> Operator:
+    """The charge Q = sum over slots of a*a - b*b, (#a-slots - #b-slots) per
+    monomial, built once per context; complex contexts only."""
     if ctx.field_kind != COMPLEX:
         raise ContextViolation("no charge operator in the real case")
-    return tuple((1 if s.species == SPECIES_A else -1, (s,), (s,)) for s in ctx.slots())
-
-
-def apply_charge(ctx: FockContext, v: FockVector) -> FockVector:
-    """Q: (#a-slots - #b-slots) per monomial; complex contexts only."""
-    return apply_normal_ordered(ctx, charge_terms(ctx), v)
+    return Operator(ctx, ((1 if s.species == SPECIES_A else -1, (s,), (s,)) for s in ctx.slots()))

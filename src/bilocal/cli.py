@@ -18,9 +18,7 @@ from .algebra import (
     ImageTable,
     MonomialIndex,
     Xstar,
-    apply_charge,
     apply_generator,
-    apply_hamiltonian,
     canonical_hamiltonian,
     commutator_counterexample,
     dagger_label,
@@ -103,10 +101,12 @@ def _print_table(payload, indent=0):
 # ---------------------------------------------------------------------------
 # verify
 #
-# The checks build their tables from the operators' term lists, read off
-# their modules at call time (fock.creation_terms, algebra.charge_terms,
-# young.gauge_terms, ...): the apply_* functions read the same names, so a
-# replaced term list reaches a table and the vector-level operator alike.
+# The checks build their tables and vectors from the operators' builders,
+# each a fock.Operator read off its module at call time
+# (fock.creation_terms, algebra.generator_terms, algebra.charge_terms,
+# young.gauge_terms, ...): apply_generator and the ladders call the same
+# names, so a replaced builder reaches a table and the vector-level action
+# alike.
 
 
 def _commutator_report(index, margin, left, right, identities) -> dict:
@@ -137,8 +137,8 @@ def _check_ccr(ctx, margin=2) -> dict:
     an index of their own."""
     slots = ctx.slots()
     index = MonomialIndex(ctx)
-    down = {s: ImageTable(index, fock.annihilation_terms(s)) for s in slots}
-    up = {s: ImageTable(index, fock.creation_terms(s)) for s in slots}
+    down = {s: ImageTable(index, fock.annihilation_terms(ctx, s)) for s in slots}
+    up = {s: ImageTable(index, fock.creation_terms(ctx, s)) for s in slots}
     return _commutator_report(index, margin, down.values(), up.values(), (
         ({"slots": [str(s), str(t)]}, down[s], up[t], ((), 1) if s == t else None)
         for s in slots for t in slots))
@@ -186,9 +186,9 @@ def _check_vacuum_cartan(ctx) -> dict:
             want = vac * (half_n if g.i == g.j else 0)
             if img != want:
                 failures.append({"generator": str(g), "got": repr(img), "expected": repr(want)})
-    if ctx.field_kind == COMPLEX and not apply_charge(ctx, vac).is_zero():
+    if ctx.field_kind == COMPLEX and not algebra.charge_terms(ctx).apply(vac).is_zero():
         failures.append({"charge_on_vacuum": "nonzero"})
-    if not apply_hamiltonian(ctx, canonical_hamiltonian(ctx), vac).is_zero():
+    if not algebra.hamiltonian_terms(ctx, canonical_hamiltonian(ctx)).apply(vac).is_zero():
         failures.append({"canonical_energy_on_vacuum": "nonzero"})
     return {"ok": not failures, "failures": failures}
 

@@ -224,97 +224,110 @@ def unit(ctx: FockContext, m: Monomial) -> FockVector:
     return FockVector._wrap({m: 1}, ctx)
 
 
-def normal_ordered_images(ctx: FockContext, terms, inputs) -> list:
-    """The images of the ``inputs`` under the sum of f * (creators of
-    ins)(annihilators of rem) over the (f, rem, ins) in ``terms``: the one
-    oscillator action on monomials.  An input is a combination given by
-    its (monomial, coefficient) pairs, iterated once per term, and
-    ``((m, 1),)`` is the monomial m.  Returns one canonical {monomial:
-    coefficient} dict per input, in input order.
+_IDENTITY = ((), ())  # the key of the scalar term: nothing removed, nothing inserted
 
-    Each slot of ``rem`` removes one matching copy, weighted by its
-    multiplicity (the Wick count); then ``ins`` is inserted, and monomials
-    beyond the particle cutoff P are dropped.  A term is injective on
-    monomials.  Each input's image is summed term by term, so its key
-    order is that of the chained sums over the terms, and it is the image
-    the input has on its own.  Slots are not checked: callers validate
-    once per call.
 
-    This is one of the two hot loops that sum in place rather than through
-    ``linalg.add_scaled`` (the other is ``algebra.commutator_counterexample``):
-    since a term is injective, each image goes straight into its output
-    with add_scaled's rule (a cancelled key is popped, a new one goes
-    last), so the key order is the same and no per-term image dict is
-    built.
-    """
-    P = ctx.P
-    images = []
-    for items in inputs:
-        out = {}
-        get = out.get
+class Operator(Combination):
+    """A normal-ordered oscillator polynomial in one context, every realized
+    operator: the sum of f * (creators of ins)(annihilators of rem), stored
+    as {(rem, ins): f} with sorted slot tuples in first-seen order.  Built
+    from (f, rem, ins) triples, so equal products merge (a sum that
+    cancels is dropped, a float raises TypeError).  Mixing contexts,
+    in a sum or applied to a vector, raises ContextMismatch."""
+
+    __slots__ = ()
+
+    def __init__(self, ctx: FockContext, terms=()):
+        merged = {}
         for f, rem, ins in terms:
-            if not f:
-                continue
-            one = f == 1  # 1 * c would rebuild a Fraction c
-            for m, c in items:
-                for s in rem:
-                    k = m.count(s)
-                    if not k:
-                        break
-                    idx = m.index(s)
-                    m, c = m[:idx] + m[idx + 1 :], c if k == 1 else c * k
-                else:
-                    if ins:
-                        if len(m) + len(ins) > P:
-                            continue
-                        m = tuple(sorted(m + ins))
-                    total = get(m, 0) + (c if one else f * c)
-                    if total:
-                        out[m] = total
+            key = tuple(sorted(rem)), tuple(sorted(ins))
+            merged[key] = merged.get(key, 0) + f
+        Combination.__init__(self, merged, ctx)
+
+    _check = FockVector._check
+
+    @property
+    def scalar(self) -> Rational:
+        """The coefficient of the identity term."""
+        return self.terms.get(_IDENTITY, 0)
+
+    @property
+    def body(self) -> "Operator":
+        """The operator without its identity term."""
+        return Operator._wrap({k: f for k, f in self.terms.items() if k != _IDENTITY}, self.ctx)
+
+    def images(self, inputs) -> list:
+        """The images of the ``inputs``, the one oscillator loop: an input is
+        a combination given by its (monomial, coefficient) pairs, iterated
+        once per term (``((m, 1),)`` is the monomial m), and its image is a
+        canonical {monomial: coefficient} dict, summed term by term.
+
+        Each slot of ``rem`` removes one matching copy, weighted by its
+        multiplicity (the Wick count); then ``ins`` is inserted, and
+        monomials beyond the particle cutoff P are dropped.  Slots are not
+        checked here.  A term is injective on monomials, so its image goes
+        straight into the output by ``linalg.add_scaled``'s rule (a
+        cancelled key is popped, a new one goes last), with the key order
+        of the chained sums and no per-term dict.
+        """
+        P = self.ctx.P
+        terms = self.terms.items()
+        images = []
+        for items in inputs:
+            out = {}
+            get = out.get
+            for (rem, ins), f in terms:
+                one = f == 1  # 1 * c would rebuild a Fraction c
+                for m, c in items:
+                    for s in rem:
+                        k = m.count(s)
+                        if not k:
+                            break
+                        idx = m.index(s)
+                        m, c = m[:idx] + m[idx + 1 :], c if k == 1 else c * k
                     else:
-                        out.pop(m, None)
-        if out:
-            canonical(out)
-        images.append(out)
-    return images
+                        if ins:
+                            if len(m) + len(ins) > P:
+                                continue
+                            m = tuple(sorted(m + ins))
+                        total = get(m, 0) + (c if one else f * c)
+                        if total:
+                            out[m] = total
+                        else:
+                            out.pop(m, None)
+            if out:
+                canonical(out)
+            images.append(out)
+        return images
+
+    def apply(self, v: FockVector) -> FockVector:
+        """The operator acting on ``v``: ``images`` on the one input v."""
+        self._check(v)
+        return FockVector._wrap(self.images((v.terms.items(),))[0], self.ctx)
 
 
-def normal_ordered_action(ctx: FockContext, terms, items) -> dict:
-    """The image of one combination, given by its (monomial, coefficient)
-    ``items``: ``normal_ordered_images`` on the single input ``items``."""
-    return normal_ordered_images(ctx, terms, (items,))[0]
+def creation_terms(ctx: FockContext, slot: ModeSlot) -> Operator:
+    """a*[slot]."""
+    return Operator(ctx, ((1, (), (slot,)),))
 
 
-def apply_normal_ordered(ctx: FockContext, terms, v: FockVector) -> FockVector:
-    """The operator given by its normal-ordered (f, rem, ins) ``terms``,
-    applied to ``v``: ``normal_ordered_action`` on its terms, called as
-    ``normal_ordered_images`` directly, since a call layer costs the vector
-    path, which makes many calls on few monomials, about 1 %."""
-    return FockVector._wrap(normal_ordered_images(ctx, terms, (v.terms.items(),))[0], ctx)
-
-
-def creation_terms(slot: ModeSlot) -> tuple:
-    """a*[slot] as normal-ordered terms."""
-    return ((1, (), (slot,)),)
-
-
-def annihilation_terms(slot: ModeSlot) -> tuple:
-    """a[slot] as normal-ordered terms."""
-    return ((1, (slot,), ()),)
+def annihilation_terms(ctx: FockContext, slot: ModeSlot) -> Operator:
+    """a[slot]."""
+    return Operator(ctx, ((1, (slot,), ()),))
 
 
 def apply_creation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
     """Apply the creation operator for ``slot``; monomials that would exceed
     the particle cutoff P are dropped."""
     ctx.check_slot(slot)
-    return apply_normal_ordered(ctx, creation_terms(slot), v)
+    return creation_terms(ctx, slot).apply(v)
 
 
 def apply_annihilation(ctx: FockContext, slot: ModeSlot, v: FockVector) -> FockVector:
     """Apply the annihilation operator for ``slot``, weighted by the slot's
     multiplicity in each monomial."""
     ctx.check_slot(slot)
-    return apply_normal_ordered(ctx, annihilation_terms(slot), v)
+    return annihilation_terms(ctx, slot).apply(v)
 
 
 def inner_product(v1: FockVector, v2: FockVector):

@@ -5,8 +5,8 @@ combination and one sparse echelon.
 is the one sparse vector type built on it: Fock states, operator
 expressions and kernel rows are all finite rational combinations of
 keys.  Two hot loops sum in place by the same rule instead of calling it
-once per image: ``fock.normal_ordered_images``, the oscillator loop,
-which gives one image per input in one call, and the accumulator of
+once per image: ``fock.Operator.images``, the oscillator loop, which
+gives one image per input in one call, and the accumulator of
 ``algebra.commutator_counterexample``.
 
 Every coefficient is stored in the canonical form ``rational`` gives: an
@@ -260,11 +260,13 @@ def positive_semidefinite(a) -> bool:
     g: 0 before column k, |h|^2 at k.  Conversely the independent rows span
     a, and their pivots are those of its principal block on them.)  A
     non-square or non-symmetric input raises ValueError."""
-    if [list(col) for col in zip(*a)] != [list(row) for row in a]:
+    _check_square(a)
+    rows = [_sparse(row) for row in a]
+    if any(x != rows[j].get(i, 0) for i, row in enumerate(rows) for j, x in row.items()):
         raise ValueError("positive_semidefinite needs a symmetric matrix")
     span = RowSpan()
-    for k, row in enumerate(a):
-        lead, pivot = span._push(_sparse(row))
+    for k, row in enumerate(rows):
+        lead, pivot = span._push(row)
         if lead is not None and (lead != k or pivot < 0):
             return False
     return True

@@ -16,7 +16,8 @@ from math import comb
 from numbers import Rational
 from typing import NamedTuple
 
-from .algebra import HamiltonianSpec, apply_hamiltonian, canonical_hamiltonian, monomial_energy
+from . import algebra
+from .algebra import HamiltonianSpec, canonical_hamiltonian, monomial_energy
 from .fock import FockContext, basis_monomials, monomial_str, unit, vacuum
 from .linalg import quotient
 
@@ -104,11 +105,12 @@ def conformal_spectrum_check(ctx: FockContext, D: int) -> dict:
     up to DIAGONAL_PARTICLES particles, and that one-particle degeneracies
     match N * h_ell per species (complete ell-levels only)."""
     spec = appendix_spectrum(ctx, D)
+    hamiltonian = algebra.hamiltonian_terms(ctx, spec)
     failures = []
     checked = 0
     for m in basis_monomials(ctx, DIAGONAL_PARTICLES):
         v = unit(ctx, m)
-        got = apply_hamiltonian(ctx, spec, v)
+        got = hamiltonian.apply(v)
         want = v * monomial_energy(m, spec)
         checked += 1
         if got != want:
@@ -138,7 +140,7 @@ def conformal_spectrum_check(ctx: FockContext, D: int) -> dict:
         if any(x != expected for x in per_species):
             failures.append({"ell": ell, "per_species": per_species, "expected": expected})
         ell += 1
-    vac_energy = apply_hamiltonian(ctx, spec, vacuum(ctx))
+    vac_energy = hamiltonian.apply(vacuum(ctx))
     if not vac_energy.is_zero():
         failures.append({"vacuum_energy": repr(vac_energy), "expected": "0"})
     return {

@@ -32,7 +32,7 @@ from .algebra import (
     X,
     apply_generator,
     canonical_hamiltonian,
-    generator_action,
+    generator_terms,
 )
 from .fock import (
     COMPLEX,
@@ -43,8 +43,8 @@ from .fock import (
     SPECIES_A,
     SPECIES_B,
     ModeSlot,
+    Operator,
     TruncationError,
-    apply_normal_ordered,
     gram_matrix,
     inner_product,
     norm_sq,
@@ -136,7 +136,7 @@ def _trim(head, tail):
 
 def _slot_determinant(species: str, modes, flavors) -> list:
     """det(c*[modes[i], flavors[k]]) over equally many modes and flavors, as
-    creation-only terms (sign, (), slots) of ``apply_normal_ordered``."""
+    the creation-only (sign, (), slots) terms of an ``Operator``."""
     terms = []
     for perm in permutations(range(len(modes))):
         slots = tuple(ModeSlot(species, mode, flavors[k]) for mode, k in zip(modes, perm))
@@ -171,11 +171,11 @@ def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
     v = vacuum(ctx)
     for h in s.y_plus.column_heights():
         modes = range(1, h + 1)
-        v = apply_normal_ordered(ctx, _slot_determinant(SPECIES_A, modes, modes), v)
+        v = Operator(ctx, _slot_determinant(SPECIES_A, modes, modes)).apply(v)
     if ctx.field_kind == COMPLEX:
         for h in s.y_minus.column_heights():
             flavors = range(ctx.N + 1 - h, ctx.N + 1)
-            v = apply_normal_ordered(ctx, _slot_determinant(SPECIES_B, range(1, h + 1), flavors), v)
+            v = Operator(ctx, _slot_determinant(SPECIES_B, range(1, h + 1), flavors)).apply(v)
         return v
 
     kernel = hw_kernel_in_profile(ctx, tuple(s.y_plus.row(i) for i in range(1, ctx.M + 1)), None)
@@ -271,8 +271,9 @@ def joint_kernel(ctx: FockContext, labels, vectors) -> list:
     whose sparse rows are keyed by (label, target monomial).  Each label
     acts on all the vectors in one pass of the oscillator loop."""
     rows = {}
+    inputs = [v.terms.items() for v in vectors]
     for g in labels:
-        for j, image in enumerate(generator_action(ctx, g, vectors)):
+        for j, image in enumerate(generator_terms(ctx, g).images(inputs)):
             for t, c in image.items():
                 rows.setdefault((g, t), {})[j] = c
     return [zero(ctx).plus((c, vectors[j]) for j, c in x.items())
@@ -369,25 +370,22 @@ def determinant_operator(n: int) -> OperatorExpr:
     })
 
 
-def adjoint_determinant_terms(ctx: FockContext, n: int, offset: int = 0) -> list:
-    """D_n* = det(Xstar(i,j)) over modes offset+1..offset+n as creation-only
-    terms.  Xstar(i,j) = sum_p c*[i,p] d*[j,p], with c and d the species of
-    the legs of X, is C D^T with commuting entries, so by Cauchy-Binet D_n*
-    is the sum of det(C_S) det(D_S) over the n-subsets S of the flavors.
-    Products with the same slot multiset are merged into one term (in the
-    real case C = D, and the permutation pairs (s, t) and (t, s) meet)."""
+def adjoint_determinant_terms(ctx: FockContext, n: int, offset: int = 0) -> Operator:
+    """D_n* = det(Xstar(i,j)) over modes offset+1..offset+n, creation only.
+    Xstar(i,j) = sum_p c*[i,p] d*[j,p], with c and d the species of the
+    legs of X, is C D^T with commuting entries, so by Cauchy-Binet D_n* is
+    the sum of det(C_S) det(D_S) over the n-subsets S of the flavors.  The
+    Operator merges products with the same slot multiset (in the real case
+    C = D, and the permutation pairs (s, t) and (t, s) meet)."""
     _check_order(n)
     if offset < 0 or offset + n > ctx.M:
         raise ContextViolation(f"modes {offset + 1}..{offset + n} outside 1..{ctx.M}")
     modes = range(offset + 1, offset + n + 1)
-    merged = {}
+    products = []
     for flavors in combinations(range(1, ctx.N + 1), n):
         c_det, d_det = (_slot_determinant(leg, modes, flavors) for leg in ctx.kind.x_legs)
-        for f, _, c in c_det:
-            for g, _, d in d_det:
-                ins = tuple(sorted(c + d))
-                merged[ins] = merged.get(ins, 0) + f * g
-    return [(f, (), ins) for ins, f in merged.items() if f]
+        products += [(f * g, (), c + d) for f, _, c in c_det for g, _, d in d_det]
+    return Operator(ctx, products)
 
 
 def determinant_recursion_coefficient(w: Weight, n: int) -> Rational:
@@ -408,7 +406,7 @@ def determinant_recursion_check(ctx: FockContext, s: SectorLabel, n: int) -> dic
     compare with the closed-form coefficient, exactly."""
     _check_order(n)
     ground = raisable_ground_state(ctx, s, n)
-    v = apply_normal_ordered(ctx, adjoint_determinant_terms(ctx, n), ground)
+    v = adjoint_determinant_terms(ctx, n).apply(ground)
     for m in range(n, 0, -1):
         v = apply_generator(ctx, X(m, m), v)
     coefficient = determinant_recursion_coefficient(weight_from_sector(s), n)
@@ -433,7 +431,7 @@ def p_polynomial_check(n: int, r: int = 0, n_values=None, field_kind: str = COMP
     values = []
     for N in n_values:
         ctx = FockContext(field_kind, N, max(1, r + n), 2 * n).validate()
-        d_star = apply_normal_ordered(ctx, adjoint_determinant_terms(ctx, n, r), vacuum(ctx))
+        d_star = adjoint_determinant_terms(ctx, n, r).apply(vacuum(ctx))
         values.append(norm_sq(d_star))
     failures = []
     for N, val in zip(n_values, values):

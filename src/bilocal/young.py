@@ -22,10 +22,9 @@ from .fock import (
     REAL,
     ContextViolation,
     FockContext,
-    FockVector,
     SPECIES_A,
     ModeSlot,
-    apply_normal_ordered,
+    Operator,
 )
 from .linalg import OrderedRecord
 
@@ -532,22 +531,17 @@ def sector_to_json(s: SectorLabel) -> dict:
 # realized gauge generators (flavor-index bilinears)
 
 
-def apply_gauge_generator(ctx: FockContext, p: int, q: int, v: FockVector) -> FockVector:
-    """Gauge Lie algebra action on Fock space, truncated to modes <= M
-    (exact on the truncated space since higher modes are unoccupied).
+@lru_cache(maxsize=None)
+def gauge_terms(ctx: FockContext, p: int, q: int) -> Operator:
+    """The gauge generator (p, q) acting on Fock space, truncated to modes
+    <= M (exact on the truncated space since higher modes are unoccupied),
+    built once per context and flavor pair (an invalid pair is not cached,
+    so it raises on every call).
 
     Complex: E^{pq} = sum_i (a*[i,p] a[i,q] - b*[i,q] b[i,p]).
-    Real:    M^{pq} = sum_i (a*[i,p] a[i,q] - a*[i,q] a[i,p]).
+    Real:    M^{pq} = sum_i (a*[i,p] a[i,q] - a*[i,q] a[i,p]), so M^{pp} = 0.
     The second term acts on the last oscillator species of the field kind.
     """
-    return apply_normal_ordered(ctx, gauge_terms(ctx, p, q), v)
-
-
-@lru_cache(maxsize=None)
-def gauge_terms(ctx: FockContext, p: int, q: int) -> tuple:
-    """The normal-ordered terms of the gauge generator (p, q), built once per
-    context and flavor pair (an invalid pair is not cached, so it raises on
-    every call)."""
     for f in (p, q):
         if not 1 <= f <= ctx.N:
             raise ContextViolation(f"flavor {f} outside 1..{ctx.N}")
@@ -556,4 +550,4 @@ def gauge_terms(ctx: FockContext, p: int, q: int) -> tuple:
     for i in range(1, ctx.M + 1):
         terms.append((1, (ModeSlot(SPECIES_A, i, q),), (ModeSlot(SPECIES_A, i, p),)))
         terms.append((-1, (ModeSlot(second, i, p),), (ModeSlot(second, i, q),)))
-    return tuple(terms)
+    return Operator(ctx, terms)

@@ -13,15 +13,15 @@ from bilocal.algebra import (
     X,
     Xstar,
     abstract_commutator,
-    apply_charge,
     apply_generator,
-    apply_hamiltonian,
     canonical_hamiltonian,
+    charge_terms,
     commutator_counterexample,
     dagger_label,
     fill_for,
     generator_images,
     generators,
+    hamiltonian_terms,
     verify_structure_constants,
 )
 from bilocal.fock import (
@@ -30,6 +30,7 @@ from bilocal.fock import (
     ContextMismatch,
     ContextViolation,
     FockContext,
+    Operator,
     a_slot,
     annihilation_terms,
     b_slot,
@@ -130,10 +131,26 @@ def test_structure_constants_refuse_tables_of_another_context():
         verify_structure_constants(ctx, generator_images(ctx._replace(P=5), shift=True))
 
 
+def test_operators_refuse_vectors_and_operators_of_another_context():
+    """Xstar(1,1) at P = 0 drops everything it creates, and at P = 6 it would
+    relabel a P = 0 vector as one of P = 6: both calls raise instead of
+    returning a vector."""
+    small, large = FockContext(COMPLEX, 3, 2, 0).validate(), FockContext(COMPLEX, 3, 2, 6).validate()
+    with pytest.raises(ContextMismatch):
+        apply_generator(small, Xstar(1, 1), vacuum(large))
+    with pytest.raises(ContextMismatch):
+        apply_generator(large, Xstar(1, 1), vacuum(small))
+    with pytest.raises(ContextMismatch):
+        charge_terms(small) + charge_terms(large)
+    with pytest.raises(ContextMismatch):
+        ImageTable(MonomialIndex(small), charge_terms(large))
+    assert apply_generator(large, Xstar(1, 1), vacuum(large)).max_particles() == 2
+
+
 def _ladder_tables(ctx, slot):
     """a and a* of ``slot`` as image tables of a new index, and the index."""
     index = MonomialIndex(ctx)
-    return (ImageTable(index, annihilation_terms(slot)), ImageTable(index, creation_terms(slot)),
+    return (ImageTable(index, annihilation_terms(ctx, slot)), ImageTable(index, creation_terms(ctx, slot)),
             index)
 
 
@@ -153,11 +170,37 @@ def test_commutator_counterexample_returns_first_failing_monomial():
     assert (m, lhs, rhs) == (first, -1 * unit(ctx, first), unit(ctx, first))
     # the expected side sums its tables and its scalar: 1 = 2 - a*a holds on
     # a*|0> but not on the vacuum
-    number = ImageTable(index, ((1, (a_slot(1, 1),), (a_slot(1, 1),)),))
+    number = ImageTable(index, Operator(ctx, ((1, (a_slot(1, 1),), (a_slot(1, 1),)),)))
     fill_for([number], [], basis)
     assert commutator_counterexample(ctx, a, a_star, ([(-1, number)], 2), basis[1:2]) is None
     m, lhs, rhs = commutator_counterexample(ctx, a, a_star, ([(-1, number)], 2), basis)
     assert (m, lhs, rhs) == ((), vacuum(ctx), 2 * vacuum(ctx))
+
+
+def test_fill_for_fills_one_family_scanned_against_itself_once(monkeypatch):
+    """Structure constants scan the generator tables against themselves:
+    each table is filled on the basis and on what the family's basis
+    images reach, one call each, and its entries are those a fill for two
+    distinct families computes."""
+    ctx = FockContext(COMPLEX, 1, 2, 4).validate()
+    calls, fill = [], ImageTable.fill
+
+    def counting_fill(self, ids):
+        calls.append(id(self))
+        fill(self, ids)
+
+    monkeypatch.setattr(ImageTable, "fill", counting_fill)
+    images = generator_images(ctx, shift=True)
+    assert verify_structure_constants(ctx, images)["ok"]
+    assert sorted(calls) == sorted(2 * [id(t) for t in images.values()])
+    monkeypatch.undo()
+    apart = generator_images(ctx, shift=True)
+    fill_for(apart.values(), list(apart.values())[::-1], next(iter(apart.values())).index.basis(2))
+
+    def filled(table):
+        return {table.index.monomials[i] for i, image in enumerate(table) if image is not None}
+
+    assert [filled(t) for t in apart.values()] == [filled(t) for t in images.values()]
 
 
 def test_scans_refuse_tables_of_two_indexes():
@@ -188,14 +231,14 @@ def test_hamiltonian_canonical_on_vacuum():
     for kind in (COMPLEX, REAL):
         ctx = FockContext(kind, 2, 2, 4).validate()
         spec = canonical_hamiltonian(ctx)
-        assert apply_hamiltonian(ctx, spec, vacuum(ctx)).is_zero()
+        assert hamiltonian_terms(ctx, spec).apply(vacuum(ctx)).is_zero()
 
 
 def test_hamiltonian_single_slot():
     ctx = FockContext(COMPLEX, 2, 2, 4).validate()
     spec = canonical_hamiltonian(ctx)
     v = unit(ctx, (a_slot(1, 1),))
-    assert apply_hamiltonian(ctx, spec, v) == v
+    assert hamiltonian_terms(ctx, spec).apply(v) == v
 
 
 def test_hamiltonian_finite_renormalization():
@@ -204,7 +247,7 @@ def test_hamiltonian_finite_renormalization():
     energies = (Fraction(1), Fraction(2))
     spec = HamiltonianSpec(energies, (Fraction(ctx.N + 1), Fraction(ctx.N)))
     vac = vacuum(ctx)
-    assert apply_hamiltonian(ctx, spec, vac) == -1 * vac
+    assert hamiltonian_terms(ctx, spec).apply(vac) == -1 * vac
 
 
 def test_hamiltonian_validation():
@@ -217,27 +260,27 @@ def test_hamiltonian_validation():
 
 def test_charge_values():
     ctx = FockContext(COMPLEX, 2, 2, 4).validate()
-    assert apply_charge(ctx, vacuum(ctx)).is_zero()
+    charge = charge_terms(ctx)
+    assert charge.apply(vacuum(ctx)).is_zero()
     one_a = unit(ctx, (a_slot(1, 1),))
-    assert apply_charge(ctx, one_a) == one_a
+    assert charge.apply(one_a) == one_a
     two_b = unit(ctx, (b_slot(1, 1), b_slot(2, 1)))
-    assert apply_charge(ctx, two_b) == -2 * two_b
+    assert charge.apply(two_b) == -2 * two_b
 
 
 def test_charge_unsupported_in_real_case():
     ctx = FockContext(REAL, 1, 2, 4).validate()
     with pytest.raises(ContextViolation):
-        apply_charge(ctx, vacuum(ctx))
+        charge_terms(ctx)
 
 
 def test_charge_commutes_with_generators():
     ctx = FockContext(COMPLEX, 2, 2, 4).validate()
+    charge = charge_terms(ctx)
     for g in generators(ctx):
         for m in basis_monomials(ctx, 2):
             v = unit(ctx, m)
-            assert apply_charge(ctx, apply_generator(ctx, g, v)) == apply_generator(
-                ctx, g, apply_charge(ctx, v)
-            )
+            assert charge.apply(apply_generator(ctx, g, v)) == apply_generator(ctx, g, charge.apply(v))
 
 
 @pytest.mark.parametrize("kind", [COMPLEX, REAL])
@@ -246,14 +289,13 @@ def test_grading_of_x_generators(kind):
     ctx = FockContext(kind, 2, 2, 4).validate()
     spec = canonical_hamiltonian(ctx)
     eps = spec.energies
+    hamiltonian = hamiltonian_terms(ctx, spec)
     for i in range(1, 3):
         for j in range(1, 3):
             for m in basis_monomials(ctx, 2):
                 v = unit(ctx, m)
                 xv = apply_generator(ctx, X(i, j), v)
-                lhs = apply_hamiltonian(ctx, spec, xv) - apply_generator(
-                    ctx, X(i, j), apply_hamiltonian(ctx, spec, v)
-                )
+                lhs = hamiltonian.apply(xv) - apply_generator(ctx, X(i, j), hamiltonian.apply(v))
                 assert lhs == -(eps[i - 1] + eps[j - 1]) * xv
 
 

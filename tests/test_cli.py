@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bilocal import algebra, cli, fock, young
 from bilocal.cli import main
-from bilocal.fock import COMPLEX, FockContext, a_slot, basis_monomials, monomial_str
+from bilocal.fock import COMPLEX, FockContext, Operator, a_slot, basis_monomials, monomial_str
 from bilocal.serialize import dumps, jsonable, parse_rational
 
 
@@ -61,21 +61,21 @@ def test_verify_margin_reaches_every_check(capsys, monkeypatch):
     assert seen == [1, 1, 1, 1, 1]
 
 
-# a(1,1) as normal-ordered terms: an operator that commutes with no X*
+# a(1,1) as an (f, rem, ins) term: an operator that commutes with no X*
 ANNIHILATE_A11 = ((1, (a_slot(1, 1),), ()),)
 
 # Each verify check must fail when its identity is broken.  A fault is planted
-# by replacing one name the check reads, a term list or the dagger:
+# by replacing one name the check reads, an operator's builder or the dagger:
 # (owner, attribute, faulty stand-in).  The fault reaches that check only.
 # A failing identity is reported once, and at most five are reported.
 NEGATIVE_CONTROLS = [
-    pytest.param("ccr", (fock, "creation_terms", lambda slot: ((2, (), (slot,)),)),
+    pytest.param("ccr", (fock, "creation_terms", lambda ctx, slot: Operator(ctx, ((2, (), (slot,)),))),
                  {"slots", "monomial"}, 5, id="ccr-doubled-creation"),
     pytest.param("adjointness", (cli, "dagger_label", lambda g: g),
                  {"generator"}, 5, id="adjointness-identity-dagger"),
-    pytest.param("charge_commutes", (algebra, "charge_terms", lambda ctx: ANNIHILATE_A11),
+    pytest.param("charge_commutes", (algebra, "charge_terms", lambda ctx: Operator(ctx, ANNIHILATE_A11)),
                  {"generator", "monomial"}, 4, id="charge-noncommuting"),
-    pytest.param("gauge_commutant", (young, "gauge_terms", lambda ctx, p, q: ANNIHILATE_A11),
+    pytest.param("gauge_commutant", (young, "gauge_terms", lambda ctx, p, q: Operator(ctx, ANNIHILATE_A11)),
                  {"gauge", "generator", "monomial"}, 5, id="gauge-noncommuting"),
 ]
 
@@ -103,7 +103,8 @@ def test_real_gauge_commutant_fails_on_planted_fault(capsys, monkeypatch):
     fails when each M^{pq} loses its second term (a u(N) generator, which
     commutes with no real X)."""
     terms = young.gauge_terms
-    monkeypatch.setattr(young, "gauge_terms", lambda ctx, p, q: terms(ctx, p, q)[::2])
+    monkeypatch.setattr(young, "gauge_terms", lambda ctx, p, q: Operator(
+        ctx, [(f, *key) for key, f in terms(ctx, p, q).items() if f > 0]))
     code, out = run_cli(capsys, "verify", "--kind", "real", "--N", "3", "--M", "2", "--P", "4")
     assert code == 1
     checks = json.loads(out)["checks"]

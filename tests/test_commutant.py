@@ -32,7 +32,7 @@ from bilocal.algebra import (
     lie_generating_set,
     verify_structure_constants,
 )
-from bilocal.fock import COMPLEX, REAL, FockContext
+from bilocal.fock import COMPLEX, REAL, FockContext, Operator
 from bilocal.linalg import RowSpan, add_scaled
 
 # the contexts of the verify gates in bench/gates.json
@@ -115,9 +115,14 @@ def test_fault_outside_the_generating_set_gets_the_full_scan(monkeypatch):
     """X(2,3) loses its flavor-N term.  It is not in the generating set, so
     the reduced gauge scan passes; structure constants fail, so verify
     scans every generator and reports what the full scan reports."""
-    terms, target = algebra._generator_terms, X(2, 3)
-    monkeypatch.setattr(algebra, "_generator_terms",
-                        lambda ctx, g: terms(ctx, g)[:-1] if g == target else terms(ctx, g))
+    terms, target = algebra.generator_terms, X(2, 3)
+
+    def faulty(ctx, g):
+        if g != target:
+            return terms(ctx, g)
+        return Operator(ctx, [(f, *key) for key, f in terms(ctx, g).items()][:-1])
+
+    monkeypatch.setattr(algebra, "generator_terms", faulty)
     ctx = FockContext(COMPLEX, 2, 3, 4).validate()
     assert target not in lie_generating_set(ctx)
     code, out = _verify("--kind", "complex", "--N", "2", "--M", "3", "--P", "4")
@@ -210,7 +215,7 @@ def test_gauge_terms_realize_their_algebra(context):
 @pytest.mark.parametrize("kind", [COMPLEX, REAL])
 def test_gauge_bracket_check_fails_with_the_second_term_sign_flipped(monkeypatch, kind):
     terms = young.gauge_terms
-    monkeypatch.setattr(young, "gauge_terms", lambda ctx, p, q: tuple(
-        (-f if k % 2 else f, rem, ins) for k, (f, rem, ins) in enumerate(terms(ctx, p, q))))
+    monkeypatch.setattr(young, "gauge_terms", lambda ctx, p, q: Operator(ctx, [
+        (-f if k % 2 else f, rem, ins) for k, ((rem, ins), f) in enumerate(terms(ctx, p, q).items())]))
     # at N = 3: o(2) has the one basis element M^{12}, whose bracket with itself vanishes anyway
     assert gauge_bracket_failures(FockContext(kind, 3, 2, 4).validate())

@@ -28,8 +28,8 @@ from bilocal.algebra import (
     OperatorExpr,
     X,
     apply_generator,
-    apply_hamiltonian,
     canonical_hamiltonian,
+    hamiltonian_terms,
 )
 from bilocal.casimir import (
     canonical_lambda,
@@ -44,6 +44,7 @@ from bilocal.fock import (
     REAL,
     FockContext,
     FockVector,
+    Operator,
     a_slot,
     apply_annihilation,
     gram_matrix,
@@ -173,6 +174,7 @@ MONO = (a_slot(1, 1),)
     lambda: FockVector(CTX, {MONO: 1}) * 0.5,
     lambda: 0.5 * FockVector(CTX, {MONO: 1}),
     lambda: FockVector(CTX, {MONO: 1}).plus([(0.5, FockVector(CTX, {MONO: 1}))]),
+    lambda: Operator(CTX, [(0.5, (), (MONO[0],))]),
     lambda: OperatorExpr.scalar(0.5),
     lambda: OperatorExpr.of(X(1, 1), 0.5),
     lambda: OperatorExpr.of(X(1, 1)) * 2.0,
@@ -186,10 +188,10 @@ MONO = (a_slot(1, 1),)
     lambda: Weight(COMPLEX, (2,), (1,), 0.5),
     lambda: HamiltonianSpec((0.1, 0.2), (1, 1)).validate(CTX),
     lambda: HamiltonianSpec((1, 2), (1, 0.5)).validate(CTX),
-    lambda: apply_hamiltonian(CTX, HamiltonianSpec((0.1, 0.2), (1, 1)), vacuum(CTX)),
+    lambda: hamiltonian_terms(CTX, HamiltonianSpec((0.1, 0.2), (1, 1))).apply(vacuum(CTX)),
     lambda: classify_spectrum(CTX, 0.3),
     lambda: classify_spectrum(CTX, 1, HamiltonianSpec((0.5, 1), (1, 1))),
-], ids=["Combination", "FockVector", "mul", "rmul", "plus", "scalar", "of", "expr-mul",
+], ids=["Combination", "FockVector", "mul", "rmul", "plus", "Operator", "scalar", "of", "expr-mul",
         "nullspace", "solve", "positive_semidefinite", "casimir_k_eigenvalue", "gamma_value",
         "canonical_hamiltonian", "Weight-head", "Weight-tail", "HamiltonianSpec-energy",
         "HamiltonianSpec-subtraction", "apply_hamiltonian", "classify-cutoff", "classify-spec"])

@@ -155,11 +155,24 @@ def test_non_square_determinants_raise():
             leading_principal_minors(a)
 
 
-@pytest.mark.parametrize("a", [[[1, 5], [0, 1]], [[1, 0], [5, 1]], [[1, 0]], [[1], [0, 1]]],
-                         ids=["upper", "lower", "wide", "ragged"])
+@pytest.mark.parametrize("a", [[[1, 5], [0, 1]], [[1, 0], [5, 1]], [[1, 0]], [[1], [0, 1]],
+                               [{0: 1, 1: 5}, {1: 40, 0: 7}], [{0: 1, 1: 5}, {1: 1}], [{0: 1, 2: 1}, {1: 1}]],
+                         ids=["upper", "lower", "wide", "ragged", "sparse", "sparse-upper", "sparse-wide"])
 def test_positive_semidefinite_refuses_non_symmetric_input(a):
     with pytest.raises(ValueError):
         positive_semidefinite(a)
+
+
+def test_positive_semidefinite_reads_sparse_rows_by_value():
+    """Sparse rows are compared entry by entry, not by their keys: these
+    symmetric rows raised ValueError, and the non-symmetric ones above
+    passed as symmetric."""
+    assert positive_semidefinite([{0: 1, 1: 2}, {0: 2, 1: 5}])
+    assert positive_semidefinite([{0: 1}, {1: 1}])
+    assert not positive_semidefinite([{1: 2}, {0: 2, 1: 1}])
+    for n in (1, 2, 3):
+        for a in symmetric_matrices(n):
+            assert positive_semidefinite(sparse(a)) == positive_semidefinite(a), a
 
 
 def symmetric_matrices(n):

@@ -1,7 +1,7 @@
 import pytest
 
 from bilocal import algebra
-from bilocal.fock import COMPLEX, REAL, FockContext, a_slot, basis_monomials, monomial_str
+from bilocal.fock import COMPLEX, REAL, FockContext, Operator, a_slot, basis_monomials, monomial_str
 from bilocal.modes import (
     ModeError,
     conformal_spectrum_check,
@@ -85,10 +85,10 @@ def test_conformal_spectrum_check_fails_on_a_term_on_the_wrong_mode(monkeypatch)
     terms = algebra.hamiltonian_terms
 
     def misplaced(ctx, spec):
-        out = list(terms(ctx, spec))
+        out = [(f, rem, ins) for (rem, ins), f in terms(ctx, spec).items()]
         assert out[0][1] == (a_slot(1, 1),)
         out[0] = (out[0][0], (a_slot(2, 1),), (a_slot(2, 1),))
-        return tuple(out)
+        return Operator(ctx, out)
 
     monkeypatch.setattr(algebra, "hamiltonian_terms", misplaced)
     ctx = FockContext(COMPLEX, 1, 5, 2).validate()

@@ -7,7 +7,8 @@ changes some image here.
 
 The ladders the references are built from are copied below as first
 written, not taken from the library, whose ladders and generators share
-one normal-ordered action: a fault there cannot cancel out of both sides."""
+one oscillator loop, ``fock.Operator.images``: a fault there cannot
+cancel out of both sides."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -19,8 +20,8 @@ from bilocal.algebra import (
     EMINUS_KIND,
     X_KIND,
     XSTAR_KIND,
-    _generator_terms,
     apply_generator,
+    generator_terms,
     generators,
 )
 from bilocal.fock import (
@@ -31,16 +32,16 @@ from bilocal.fock import (
     FockContext,
     FockVector,
     ModeSlot,
+    Operator,
     apply_annihilation,
     apply_creation,
-    apply_normal_ordered,
     basis_monomials,
     unit,
     vacuum,
     zero,
 )
 from bilocal.sectors import _slot_determinant
-from bilocal.young import apply_gauge_generator
+from bilocal.young import gauge_terms
 
 
 def reference_creation(ctx, slot, v):
@@ -132,9 +133,8 @@ def reference_gauge(ctx, p, q, v):
 
 def apply_generator_unshifted(ctx, g, v):
     """g without the N/2 shift, as the drop-e-shift negative control reads
-    its terms."""
-    terms = _generator_terms(ctx, g)
-    return apply_normal_ordered(ctx, tuple(t for t in terms if t[1] or t[2]), v)
+    it."""
+    return generator_terms(ctx, g).body.apply(v)
 
 
 def same(got, want):
@@ -157,7 +157,7 @@ def test_realization_matches_reference_formulas(kind, N, M, P):
                         reference_generator(ctx, g, v, False)), (g, m)
         for p in flavors:
             for q in flavors:
-                assert same(apply_gauge_generator(ctx, p, q, v), reference_gauge(ctx, p, q, v)), (p, q, m)
+                assert same(gauge_terms(ctx, p, q).apply(v), reference_gauge(ctx, p, q, v)), (p, q, m)
 
 
 def _all_basis(ctx):
@@ -196,9 +196,9 @@ def test_det_factor_matches_chained_creations(kind, N, M, P):
         for height in range(1, min(N, M) + 1):
             for modes in (range(1, height + 1), range(M + 1 - height, M + 1)):
                 for flavors in (list(range(1, height + 1)), list(range(N, N - height, -1))):
-                    terms = _slot_determinant(species, modes, flavors)
+                    op = Operator(ctx, _slot_determinant(species, modes, flavors))
                     for v in vectors:
-                        assert same(apply_normal_ordered(ctx, terms, v),
+                        assert same(op.apply(v),
                                     reference_det_factor(ctx, v, species, modes, flavors)), \
                             (species, modes, flavors, v)
 
@@ -220,4 +220,4 @@ def test_realization_matches_reference_on_drawn_contexts(kind, N, M, P):
                         reference_generator(ctx, g, v, False)), (g, v)
         for p in flavors:
             for q in flavors:
-                assert same(apply_gauge_generator(ctx, p, q, v), reference_gauge(ctx, p, q, v)), (p, q, v)
+                assert same(gauge_terms(ctx, p, q).apply(v), reference_gauge(ctx, p, q, v)), (p, q, v)

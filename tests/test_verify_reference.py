@@ -5,14 +5,14 @@ operand maps a FockVector to a FockVector, each basis monomial is wrapped
 as a unit vector, images are summed as FockVectors and the expected side
 applies the abstract commutator generator by generator, N/2 shift
 included.  The library sums {id: int} dicts held in ``ImageTable``s,
-keyed by monomial ids of one index and built from the operators' term
-lists with the scalar parts kept apart; the reports, failures and their
-printed vectors included, must not change.
+keyed by monomial ids of one index and built from the operators'
+``fock.Operator``s with the identity coefficients kept apart; the
+reports, failures and their printed vectors included, must not change.
 
-The references act with the vector-level operators (``apply_generator``,
-the ladders, ``apply_charge``, ``apply_gauge_generator``).  They read the
-same term lists as the tables and run the same oscillator loop, so a
-fault planted in the term data, or in the loop, reaches both sides."""
+The references act on vectors (``apply_generator``, the ladders, and
+``Operator.apply`` of the charge and gauge generators).  They read the
+same builders as the tables and run the same oscillator loop, so a fault
+planted in a builder, or in the loop, reaches both sides."""
 
 from fractions import Fraction
 from functools import partial
@@ -28,7 +28,6 @@ from bilocal.algebra import (
     EPLUS_KIND,
     X,
     abstract_commutator,
-    apply_charge,
     apply_generator,
     dagger_label,
     generator_images,
@@ -40,6 +39,7 @@ from bilocal.fock import (
     REAL,
     FockContext,
     FockVector,
+    Operator,
     a_slot,
     apply_annihilation,
     apply_creation,
@@ -147,13 +147,13 @@ def reference_charge_commutes(ctx, margin):
         return {"ok": True, "skipped": "no charge operator in the real case"}
     images = ReferenceImages(ctx, apply_generator)
     return reference_report(ctx, margin, (
-        ({"generator": str(g)}, partial(apply_charge, ctx), partial(images.apply, g), None)
+        ({"generator": str(g)}, lambda v: algebra.charge_terms(ctx).apply(v), partial(images.apply, g), None)
         for g in generators(ctx)))
 
 
 def reference_gauge_commutant(ctx, margin):
     flavors = range(1, ctx.N + 1)
-    gauge = ReferenceImages(ctx, lambda ctx, pq, v: young.apply_gauge_generator(ctx, *pq, v))
+    gauge = ReferenceImages(ctx, lambda ctx, pq, v: young.gauge_terms(ctx, *pq).apply(v))
     images = ReferenceImages(ctx, apply_generator)
     return reference_report(ctx, margin, (
         ({"gauge": [p, q], "generator": str(g)}, partial(gauge.apply, (p, q)),
@@ -187,11 +187,11 @@ def assert_matches_reference(ctx, margin):
 
 
 def drop_e_shift(mp):
-    """Plant the drop-e-shift fault in the term data: every diagonal E
-    loses its N/2 shift, in the tables and in ``apply_generator`` alike."""
-    terms = algebra._generator_terms
-    mp.setattr(algebra, "_generator_terms",
-               lambda ctx, g: tuple(t for t in terms(ctx, g) if t[1] or t[2]))
+    """Plant the drop-e-shift fault in the generators' builder: every
+    diagonal E loses its N/2 shift, in the tables and in
+    ``apply_generator`` alike."""
+    terms = algebra.generator_terms
+    mp.setattr(algebra, "generator_terms", lambda ctx, g: terms(ctx, g).body)
 
 
 # the contexts of the verify gates in bench/gates.json
@@ -215,12 +215,12 @@ def test_verify_checks_match_reference_without_e_shift(monkeypatch, context):
     assert unshifted == reference_reports(ctx, 2)
 
 
-def _doubled_creation(slot):
-    return ((2, (), (slot,)),)
+def _doubled_creation(ctx, slot):
+    return Operator(ctx, ((2, (), (slot,)),))
 
 
 def _noncommuting_gauge(ctx, p, q):
-    return ((1, (a_slot(1, 1),), ()),)
+    return Operator(ctx, ((1, (a_slot(1, 1),), ()),))
 
 
 @pytest.mark.parametrize("fault", [
@@ -284,19 +284,20 @@ def test_planted_off_by_one_table_entry_fails_structure_constants(monkeypatch):
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
     target, m0 = X(1, 2), (a_slot(1, 1),)  # an a-only monomial, which X annihilates
     assert apply_generator(ctx, target, unit(ctx, m0)).is_zero()
-    target_terms, action = algebra._generator_terms(ctx, target), fock.normal_ordered_images
+    target_op, action = algebra.generator_terms(ctx, target), fock.Operator.images
+    assert target_op.body == target_op  # no identity term: the tables run target_op itself
 
-    def off_by_one(ctx, terms, inputs):
+    def off_by_one(op, inputs):
         """The batched loop, the one both the tables and apply_generator
         run, with the entry planted in m0's image."""
         inputs = [list(items) for items in inputs]
-        images = action(ctx, terms, inputs)
+        images = action(op, inputs)
         for items, image in zip(inputs, images):
-            if terms == target_terms and [m for m, _ in items] == [m0]:
+            if op == target_op and [m for m, _ in items] == [m0]:
                 add_scaled(image, {(): 1})
         return images
 
-    monkeypatch.setattr(fock, "normal_ordered_images", off_by_one)
+    monkeypatch.setattr(fock.Operator, "images", off_by_one)
     assert apply_generator(ctx, target, unit(ctx, m0)) == unit(ctx, ())
     report = verify_structure_constants(ctx, generator_images(ctx, shift=True), 2)
     assert report == reference_structure_constants(ctx, 2)
