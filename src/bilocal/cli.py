@@ -23,6 +23,7 @@ from .algebra import (
     commutator_counterexample,
     dagger_label,
     fill_for,
+    generating_set_suffices,
     generator_images,
     generators,
     lie_generating_set,
@@ -247,11 +248,13 @@ def cmd_verify(args) -> int:
     images = generator_images(ctx, shift=args.inject_fault != "drop-e-shift")
     # The operators that commute with a fixed one form a Lie algebra
     # (Jacobi), so the charge and gauge checks scan the bilocal side on a
-    # Lie generating set.  A pass there is final when P - margin >= 2 (a
-    # commutator has at most two annihilators per term, so the scan is
-    # exact) and structure constants pass (the realization is then a Lie
-    # homomorphism); otherwise the checks scan every generator.
-    reduced = lie_generating_set(ctx) if ctx.P - args.margin >= 2 else None
+    # Lie generating set.  A pass there is final when the generating set
+    # suffices (P - margin >= 2, so a scan is exact, and the real tables
+    # respect X(i,j) = X(j,i)) and structure constants pass: that check
+    # proves the realization a Lie homomorphism, on the generating set
+    # against every generator, by the same rule.  Otherwise the checks scan
+    # every generator.
+    reduced = lie_generating_set(ctx) if generating_set_suffices(ctx, images, args.margin) else None
     checks = {
         "ccr": _check_ccr(ctx, args.margin),
         "adjointness": _check_adjointness(ctx, images, args.margin),

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bilocal import algebra
 from bilocal.algebra import (
     E,
     Eminus,
@@ -19,9 +20,12 @@ from bilocal.algebra import (
     commutator_counterexample,
     dagger_label,
     fill_for,
+    generating_set_suffices,
     generator_images,
+    generator_terms,
     generators,
     hamiltonian_terms,
+    lie_generating_set,
     verify_structure_constants,
 )
 from bilocal.fock import (
@@ -178,10 +182,10 @@ def test_commutator_counterexample_returns_first_failing_monomial():
 
 
 def test_fill_for_fills_one_family_scanned_against_itself_once(monkeypatch):
-    """Structure constants scan the generator tables against themselves:
-    each table is filled on the basis and on what the family's basis
-    images reach, one call each, and its entries are those a fill for two
-    distinct families computes."""
+    """The full structure-constant scan reads the generator tables against
+    themselves: each table is filled on the basis and on what the family's
+    basis images reach, one call each, and its entries are those a fill
+    for two distinct families computes."""
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
     calls, fill = [], ImageTable.fill
 
@@ -191,7 +195,7 @@ def test_fill_for_fills_one_family_scanned_against_itself_once(monkeypatch):
 
     monkeypatch.setattr(ImageTable, "fill", counting_fill)
     images = generator_images(ctx, shift=True)
-    assert verify_structure_constants(ctx, images)["ok"]
+    fill_for(images.values(), images.values(), next(iter(images.values())).index.basis(2))
     assert sorted(calls) == sorted(2 * [id(t) for t in images.values()])
     monkeypatch.undo()
     apart = generator_images(ctx, shift=True)
@@ -201,6 +205,83 @@ def test_fill_for_fills_one_family_scanned_against_itself_once(monkeypatch):
         return {table.index.monomials[i] for i, image in enumerate(table) if image is not None}
 
     assert [filled(t) for t in apart.values()] == [filled(t) for t in images.values()]
+
+
+@pytest.mark.parametrize("shift", [True, False])
+@pytest.mark.parametrize("context", [(COMPLEX, 2, 3, 4), (REAL, 2, 3, 4), (REAL, 0, 2, 2)], ids=str)
+def test_labels_of_equal_operators_share_one_table(context, shift):
+    """The real X(i,j) and X(j,i) (Xstar likewise) are one operator, and
+    at N = 0 every generator is the zero operator."""
+    ctx = FockContext(*context).validate()
+    images = generator_images(ctx, shift)
+
+    def op(g):
+        return generator_terms(ctx, g) if shift else generator_terms(ctx, g).body
+
+    for g in generators(ctx):
+        for h in generators(ctx):
+            assert (images[g] is images[h]) == (op(g) == op(h)), (g, h)
+    assert (images[X(1, 2)] is images[X(2, 1)]) == (ctx.field_kind == REAL)
+
+
+def _counting_scan(monkeypatch):
+    """The pairs (a, b) of tables that structure constants hand to
+    ``commutator_counterexample``, in order."""
+    calls, scan = [], algebra.commutator_counterexample
+
+    def counting(ctx, a, b, c, basis):
+        calls.append((a, b))
+        return scan(ctx, a, b, c, basis)
+
+    monkeypatch.setattr(algebra, "commutator_counterexample", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind,M,reduced", [(COMPLEX, 2, 100), (COMPLEX, 3, 366), (COMPLEX, 4, 904),
+                                            (REAL, 3, 168), (REAL, 4, 396)])
+def test_a_passing_scan_reads_the_generating_set_against_every_generator(monkeypatch, kind, M, reduced):
+    """s(s+1)/2 + s(G - s) pairs with s labels in the generating set and G
+    in all, and ``pairs_checked`` G(G+1)/2, the pairs the verdict covers."""
+    ctx = FockContext(kind, 1, M, 4).validate()
+    G, s = len(list(generators(ctx))), len(lie_generating_set(ctx))
+    assert reduced == s * (s + 1) // 2 + s * (G - s)
+    calls = _counting_scan(monkeypatch)
+    images = generator_images(ctx, shift=True)
+    assert generating_set_suffices(ctx, images, 2)
+    report = verify_structure_constants(ctx, images)
+    assert report["ok"] and report["pairs_checked"] == G * (G + 1) // 2
+    assert len(calls) == reduced
+    generating = {id(images[g]) for g in lie_generating_set(ctx)}
+    assert all(id(a) in generating or id(b) in generating for a, b in calls)
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+def test_a_scan_with_fewer_than_two_particles_reads_every_pair(monkeypatch, kind):
+    """At P - margin < 2 a commutator of bilinears is truncated, so the
+    generating set decides nothing: the scan reads every pair once."""
+    ctx = FockContext(kind, 1, 2, 3).validate()
+    G = len(list(generators(ctx)))
+    calls = _counting_scan(monkeypatch)
+    images = generator_images(ctx, shift=True)
+    assert not generating_set_suffices(ctx, images, 2)
+    assert verify_structure_constants(ctx, images) == {
+        "ok": True, "pairs_checked": G * (G + 1) // 2, "basis_size": 1 + len(ctx.slots()), "failures": []}
+    assert len(calls) == G * (G + 1) // 2
+
+
+def test_a_failing_scan_of_the_generating_set_reruns_every_pair(monkeypatch):
+    """Without the N/2 shift the scan of the generating set stops at its
+    first failing pair, and the full scan reports."""
+    ctx = FockContext(COMPLEX, 1, 2, 4).validate()
+    calls = _counting_scan(monkeypatch)
+    images = generator_images(ctx, shift=False)
+    report = verify_structure_constants(ctx, images)
+    assert not report["ok"]
+    first = len(calls) - report["pairs_checked"]
+    generating = {id(images[g]) for g in lie_generating_set(ctx)}
+    assert 1 <= first < 100
+    assert all(id(a) in generating or id(b) in generating for a, b in calls[:first])
+    assert len(report["failures"]) == 4 and report["pairs_checked"] == 136
 
 
 def test_scans_refuse_tables_of_two_indexes():

@@ -489,8 +489,9 @@ def test_verify_image_tables_are_canonical(monkeypatch, capsys, command):
     monkeypatch.setattr(cli, "generator_images", recording_build)
     cli.main(command.split())
     capsys.readouterr()
-    # exactly one table per generator label per run; the others are one
-    # per slot for each ladder (ccr) and, per commutant scan, one per gauge
+    # exactly one table per distinct generator operator per run (the real
+    # X(i,j) and X(j,i) share one, Xstar likewise); the others are one per
+    # slot for each ladder (ccr) and, per commutant scan, one per gauge
     # basis element and, complex only, the charge's.  The charge and gauge
     # checks scan once, on the Lie generating set, and once more, on every
     # generator, where structure constants fail (drop-e-shift).
@@ -498,9 +499,11 @@ def test_verify_image_tables_are_canonical(monkeypatch, capsys, command):
     (images,) = generator_tables
     assert list(images) == list(algebra.generators(ctx))
     complex_ = ctx.field_kind == COMPLEX
+    distinct = len(images) - (0 if complex_ else ctx.M * (ctx.M - 1))
+    assert len({id(t) for t in images.values()}) == distinct
     gauge = ctx.N ** 2 if complex_ else ctx.N * (ctx.N - 1) // 2
     scans = 2 if "drop-e-shift" in command else 1
-    assert len(tables) == len(images) + 2 * len(ctx.slots()) + scans * (gauge + complex_)
+    assert len(tables) == distinct + 2 * len(ctx.slots()) + scans * (gauge + complex_)
     assert {id(t) for t in images.values()} <= {id(t) for t in tables}
     # entries are None until filled, and images are keyed by monomial ids:
     # the generator, charge and gauge tables share one index, the ladders

@@ -204,35 +204,35 @@ def test_table_plus_scalar_is_the_generator_image(context):
 
 GATES = json.loads((Path(__file__).resolve().parent.parent / "bench" / "gates.json").read_text())
 
-# The images the tables compute on each verify gate, counted when the charge
-# and gauge checks scanned every generator: 6752, 8211 and 6552 where every
-# identity holds, and 1136 on the failing drop-e-shift gate (tables are
-# filled for whole scans; a lazy scan that stopped at each failing pair's
-# first failing monomial computed 1116).  Now the charge and gauge checks
-# scan the Lie generating set, and their tables fill only what its images
-# reach: 210, 895 and 129 images fewer.  On drop-e-shift structure
-# constants fail, so the charge and gauge checks scan every generator once
-# more, on new tables: 1136 distinct images, and 58 that the first scans'
-# charge and gauge tables had computed are computed again.
+# The images the tables compute on each verify gate.  The charge and gauge
+# checks scan the Lie generating set, and structure constants scan it
+# against every generator, so each table fills only what those scans read
+# (tables are filled for whole scans).  The real X(i,j) and X(j,i) (Xstar
+# likewise) share one table.  On drop-e-shift structure constants fail, so they scan every
+# pair on the same tables, and the charge and gauge checks scan every
+# generator once more, on new tables: 1136 distinct images, and 58 that
+# the first scans' charge and gauge tables had computed are computed again.
 # ``images_the_scans_read`` re-derives each count.
 IMAGES_COMPUTED = {
     "verify --kind complex --N 1 --M 2 --P 4 --inject-fault drop-e-shift": 1136 + 58,
-    "verify --kind complex --N 1 --M 3 --P 4": 6542,
-    "verify --kind complex --N 2 --M 2 --P 4": 7316,
-    "verify --kind real --N 2 --M 3 --P 4": 6423,
+    "verify --kind complex --N 1 --M 3 --P 4": 4022,
+    "verify --kind complex --N 2 --M 2 --P 4": 5884,
+    "verify --kind real --N 2 --M 3 --P 4": 3357,
 }
 
 
 def images_the_scans_read(ctx, margin, labels):
     """The images the verify scans read when every identity holds, from
-    vector-level action, with the charge and gauge checks on the generators
-    ``labels``: a pair of sets of (table, operator, monomial), the
-    generator and ladder tables' images and the charge and gauge tables'.
-    A table is named by its family and label, so equal operators on two
-    tables (the real X(i,j) and X(j,i), or E^{11} and the charge at N = 1)
-    are read apart.  A scan of [a, b] over the families (left, right) reads
-    every a and b on the basis B, each a on the monomials the right
-    family's B-images reach, and each b on those the left family's reach."""
+    vector-level action, with structure constants, the charge and the gauge
+    checks on the generators ``labels`` (against every generator): a pair
+    of sets of (table, operator, monomial), the generator and ladder
+    tables' images and the charge and gauge tables'.  A generator table is
+    named by its operator, which labels of equal operators (the real X(i,j)
+    and X(j,i)) share; other tables by their family and key, so equal
+    operators on two tables (E^{11} and the charge at N = 1) are read
+    apart.  A scan of [a, b] over the families (left, right) reads every a
+    and b on the basis B, each a on the monomials the right family's
+    B-images reach, and each b on those the left family's reach."""
     basis = list(basis_monomials(ctx, ctx.P - margin))
     reached = {}
 
@@ -249,12 +249,12 @@ def images_the_scans_read(ctx, margin, labels):
                      for family, other in ((left, right), (right, left)))
 
     def bodies(gens):
-        return [(g, generator_terms(ctx, g).body) for g in gens]
+        return [(generator_terms(ctx, g), generator_terms(ctx, g).body) for g in gens]
 
     every = bodies(generators(ctx))
     ladders = ([(("a", s), annihilation_terms(ctx, s)) for s in ctx.slots()],
                [(("a*", s), creation_terms(ctx, s)) for s in ctx.slots()])
-    generator_reads = set().union(*reads(every, every), *reads(every, []), *reads(*ladders))
+    generator_reads = set().union(*reads(bodies(labels), every), *reads(every, []), *reads(*ladders))
     flavors = range(1, ctx.N + 1)
     gauge = [((p, q), young.gauge_terms(ctx, p, q)) for p in flavors for q in flavors
              if p < q or ctx.field_kind == COMPLEX]

@@ -17,21 +17,29 @@ planted in a builder, or in the loop, reaches both sides."""
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bilocal import algebra, cli, fock, young
 from bilocal.algebra import (
+    E,
     E_KIND,
     EMINUS_KIND,
     EPLUS_KIND,
+    Eminus,
+    Eplus,
     X,
+    Xstar,
     abstract_commutator,
     apply_generator,
     dagger_label,
+    fill_for,
+    generating_set_suffices,
     generator_images,
     generators,
+    lie_generating_set,
     verify_structure_constants,
 )
 from bilocal.fock import (
@@ -305,3 +313,91 @@ def test_planted_off_by_one_table_entry_fails_structure_constants(monkeypatch):
     # the entry enters both as an operand and on the expected side
     assert any(str(target) in f["pair"] for f in report["failures"])
     assert any(str(target) not in f["pair"] for f in report["failures"])
+
+
+# ---------------------------------------------------------------------------
+# structure constants on the generating set against the full scan
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 3), M=st.integers(1, 3),
+       depth=st.integers(0, 3), margin=st.integers(2, 3), shifted=st.booleans())
+def test_structure_constants_match_the_full_reference_on_drawn_contexts(kind, N, M, depth, margin,
+                                                                        shifted):
+    """P - margin = depth: at 0 and 1 every pair is scanned, at 2 and 3 the
+    generating set against every generator, and every pair again where
+    that fails (unshifted)."""
+    ctx = FockContext(kind, N, M, depth + margin).validate()
+    assume(comb(len(ctx.slots()) + depth, depth) <= 100)  # the reference's basis
+    with pytest.MonkeyPatch.context() as mp:
+        if not shifted:
+            drop_e_shift(mp)
+        images = generator_images(ctx, shift=True)
+        assert generating_set_suffices(ctx, images, margin) == (depth >= 2)
+        assert verify_structure_constants(ctx, images, margin) == reference_structure_constants(ctx, margin)
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+def test_structure_constants_match_the_full_reference_at_one_mode(monkeypatch, kind):
+    """At M = 1 the generating set is every generator."""
+    ctx = FockContext(kind, 2, 1, 4).validate()
+    assert set(lie_generating_set(ctx)) == set(generators(ctx))
+    assert verify_structure_constants(ctx, generator_images(ctx, shift=True)) == \
+        reference_structure_constants(ctx, 2)
+    drop_e_shift(monkeypatch)
+    report = verify_structure_constants(ctx, generator_images(ctx, shift=True))
+    assert not report["ok"] and report == reference_structure_constants(ctx, 2)
+
+
+def _without_flavor_n(op):
+    """An X or Xstar without its last term, the flavor-N one."""
+    return Operator(op.ctx, [(f, *key) for key, f in op.items()][:-1])
+
+
+def _first_term_doubled(op):
+    return Operator(op.ctx, [(2 * f if k == 0 else f, *key) for k, (key, f) in enumerate(op.items())])
+
+
+def _extra_shift(op):
+    return Operator(op.ctx, [(f, *key) for key, f in op.items()] + [(1, (), ())])
+
+
+def _reduced_failures(ctx, images, margin=2) -> list:
+    """The failing pairs of the scan with one side on the generating set,
+    scanned to the end."""
+    generating = lie_generating_set(ctx)
+    basis = next(iter(images.values())).index.basis(margin)
+    fill_for([images[g] for g in generating], images.values(), basis)
+    pairs = [pair for pair in combinations_with_replacement(sorted(generators(ctx)), 2)
+             if set(pair) & set(generating)]
+    return algebra._pair_failures(ctx, images, pairs, basis, len(pairs))[0]
+
+
+# (context, generator, fault, whether the faulty tables keep X(i,j) = X(j,i))
+PLANTED_OUTSIDE_THE_GENERATING_SET = [
+    pytest.param((COMPLEX, 2, 3, 4), X(2, 3), _without_flavor_n, True, id="X(2,3)-flavor-N"),
+    pytest.param((COMPLEX, 2, 3, 4), Eplus(1, 3), _first_term_doubled, True, id="Eplus(1,3)-doubled"),
+    pytest.param((COMPLEX, 2, 3, 4), Eminus(3, 3), _extra_shift, True, id="Eminus(3,3)-shift"),
+    pytest.param((COMPLEX, 2, 3, 4), Xstar(3, 3), _first_term_doubled, True, id="Xstar(3,3)-doubled"),
+    pytest.param((REAL, 2, 3, 4), X(3, 2), _without_flavor_n, False, id="real-X(3,2)-flavor-N"),
+    pytest.param((REAL, 3, 3, 4), E(3, 1), _first_term_doubled, True, id="real-E(3,1)-doubled"),
+    pytest.param((REAL, 2, 3, 4), E(2, 2), _extra_shift, True, id="real-E(2,2)-shift"),
+]
+
+
+@pytest.mark.parametrize("context,target,fault,symmetric", PLANTED_OUTSIDE_THE_GENERATING_SET)
+def test_fault_outside_the_generating_set_fails_its_scan(monkeypatch, context, target, fault, symmetric):
+    """A fault planted in one generator outside the generating set fails
+    the scan on the generating set, so structure constants report what the
+    full scan reports.  The real X(3,2) fault also breaks X(3,2) = X(2,3),
+    so the generating set does not suffice there in the first place."""
+    ctx = FockContext(*context).validate()
+    assert target not in lie_generating_set(ctx)
+    terms = algebra.generator_terms
+    monkeypatch.setattr(algebra, "generator_terms",
+                        lambda ctx, g: fault(terms(ctx, g)) if g == target else terms(ctx, g))
+    assert generating_set_suffices(ctx, generator_images(ctx, shift=True), 2) == symmetric
+    assert 1 <= len(_reduced_failures(ctx, generator_images(ctx, shift=True))) <= 6
+    report = verify_structure_constants(ctx, generator_images(ctx, shift=True))
+    assert not report["ok"]
+    assert report == reference_structure_constants(ctx, 2)
