@@ -26,6 +26,7 @@ the canonical lam forces the unitarity bound r+ + r- <= 2 h_inf.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from numbers import Rational
 from typing import NamedTuple
 
@@ -92,7 +93,10 @@ def casimir_k(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
         for i in rng for j in rng for kind in e_kinds)
 
 
+@lru_cache(maxsize=None)
 def casimir_g(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
+    """Built once per (n, field_kind); an OperatorExpr is immutable by
+    convention, so every caller shares it."""
     half = linalg.quotient(1, 2) if field_kind == REAL else 1
     rng = range(1, n + 1)
     cross = [(OperatorExpr.of(Xstar(i, j)), OperatorExpr.of(X(i, j))) for i in rng for j in rng]
@@ -175,7 +179,7 @@ def unitarity_bound(s: SectorLabel) -> bool:
 # compact modules and the gamma identity
 
 
-def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
+def compact_module(ctx: FockContext, ground: FockVector, n: int, *, targets=None) -> dict:
     """Span closure of the ground state under the lowering E(i,j), j < i <= n,
     organized as occupation profile (``fock.occupation_profile``) -> list of
     vectors.  Finite because E preserves particle number.
@@ -185,30 +189,61 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int) -> dict:
     U(k)|ground> = U(n-)|ground> (PBW), so lowering alone reaches the whole
     module.  E(i,j) moves one particle of one species from mode j to mode
     i, so all monomials of a vector share one profile and the key is exact.
-    The zero vector spans no module (ValueError)."""
+    The zero vector spans no module (ValueError).
+
+    With ``targets``, a list of profiles, the closure keeps only vectors
+    whose profile can still reach one of them.  A lowering moves a particle
+    to a higher mode, so a profile on a path to a target dominates it: per
+    species, each prefix sum of its occupations over modes 1..m is at least
+    the target's.  A vector failing that for every target is skipped, and
+    so would be all its descendants; the blocks kept hold the same vectors,
+    in the same order, as those of the full closure.  A lowering is not
+    applied at all when the profile it would give is skipped, or when its
+    source mode is empty (the image is zero)."""
     if ground.is_zero():
         raise ValueError("the zero vector spans no module")
     for g in simple_raising_labels(ctx, n):
         if not apply_generator(ctx, g, ground).is_zero():
             raise ValueError(f"{g} does not annihilate the input vector")
-    lowering = [GeneratorLabel(kind, i, j) for kind in ctx.kind.e_kinds
+    species = ctx.kind.species
+    lowering = [(GeneratorLabel(kind, i, j), species.index(sp), i - 1, j - 1)
+                for kind, sp in ctx.kind.e_kinds.items()
                 for i in range(1, n + 1) for j in range(1, i)]
     blocks, spans, queue = {}, {}, []
+    bounds = None if targets is None else [_prefix_sums(t) for t in targets]
 
-    def add(v):
-        key = occupation_profile(next(iter(v.monomials())), ctx)
+    def add(v, key):
         if spans.setdefault(key, linalg.RowSpan()).add(dict(v.items())):
             blocks.setdefault(key, []).append(v)
-            queue.append(v)
+            queue.append((v, key))
 
-    add(ground)
+    def kept(key):
+        if bounds is None:
+            return True
+        sums = _prefix_sums(key)
+        return any(all(a >= b for a, b in zip(sums, t)) for t in bounds)
+
+    key = occupation_profile(next(iter(ground.monomials())), ctx)
+    if kept(key):
+        add(ground, key)
     while queue:
-        v = queue.pop()
-        for g in lowering:
-            img = apply_generator(ctx, g, v)
-            if not img.is_zero():
-                add(img)
+        v, key = queue.pop()
+        for g, sp, i, j in lowering:
+            if not key[sp][j]:
+                continue
+            moved = list(key[sp])
+            moved[i], moved[j] = moved[i] + 1, moved[j] - 1
+            image_key = key[:sp] + (tuple(moved),) + key[sp + 1:]
+            if kept(image_key):
+                img = apply_generator(ctx, g, v)
+                if not img.is_zero():
+                    add(img, image_key)
     return blocks
+
+
+def _prefix_sums(profile) -> tuple:
+    """Occupations summed over modes 1..m, every m, species after species."""
+    return tuple(sum(occ[:m]) for occ in profile for m in range(1, len(occ) + 1))
 
 
 def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> list:
@@ -219,24 +254,31 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
     otherwise) and h_i = occupation + N/2, so its occupation profile is
     lam_i - N/2 on the first n modes of each species and zero above.  Xstar(k,l) creates one particle at mode k of the
     i-leg species and one at mode l of the j-leg species, so it raises
-    exactly the compact-module block whose profile lacks those two."""
+    exactly the compact-module block whose profile lacks those two.  The
+    module is closed only toward those n^2 profiles (``compact_module``'s
+    ``targets``).  n > ctx.M raises ContextViolation."""
+    if n > ctx.M:
+        raise ContextViolation(f"rank {n} exceeds mode cutoff {ctx.M}")
     _check_length(lam, ctx.field_kind, n)
     half_n, species = linalg.quotient(ctx.N, 2), ctx.kind.species
     target = [[0] * ctx.M, [0] * ctx.M]  # occupation_profile's (a, b) layout
     for i, x in enumerate(lam):
         target[i // n][i % n] = linalg.rational(x - half_n)
-    blocks = compact_module(ctx, ground, n)
-    raised = []
-    span = linalg.RowSpan()
+    needs = {}
     for k in range(1, n + 1):
         for l in range(1, n + 1):
             need = [list(occ) for occ in target]
             for sp, mode in zip(ctx.kind.x_legs, (k, l)):
                 need[species.index(sp)][mode - 1] -= 1
-            for u in blocks.get(tuple(map(tuple, need)), ()):
-                v = apply_generator(ctx, Xstar(k, l), u)
-                if span.add(dict(v.items())):
-                    raised.append(v)
+            needs[k, l] = tuple(map(tuple, need))
+    blocks = compact_module(ctx, ground, n, targets=list(needs.values()))
+    raised = []
+    span = linalg.RowSpan()
+    for (k, l), need in needs.items():
+        for u in blocks.get(need, ()):
+            v = apply_generator(ctx, Xstar(k, l), u)
+            if span.add(dict(v.items())):
+                raised.append(v)
     # E preserves particle number, so the simple E(i,i+1) cut out the same
     # kernel as every raising E(i,j), i < j <= n
     return joint_kernel(ctx, simple_raising_labels(ctx, n), raised)

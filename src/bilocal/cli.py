@@ -155,23 +155,27 @@ def _check_adjointness(ctx, images, margin=2) -> dict:
     basis = index.basis(margin)
     fill_for(images.values(), (), basis)
     weight = {m: monomial_self_overlap(index.monomials[m]) for m in basis}
-
-    def mismatch(g, h):
-        table_g, table_h = images[g], images[h]
-        return any(c * weight[n] != table_h[n].get(m, 0) * weight[m]
-                   for m in basis for n, c in table_g[m].items() if n in weight)
-
     failures, verdicts = [], {}
     for g in generators(ctx):
-        h = dagger_label(g)
-        pair = min(g, h), max(g, h)  # {g, g†} is decided once, for g or for g†
+        tables = images[g], images[dagger_label(g)]
+        # the verdict reads only the two tables, and labels of equal
+        # operators share one, so each pair of tables is decided once
+        pair = frozenset(map(id, tables))
         if pair not in verdicts:
-            verdicts[pair] = mismatch(g, h) or (h != g and mismatch(h, g))
+            verdicts[pair] = (_adjoint_mismatch(*tables, basis, weight) or (
+                len(pair) == 2 and _adjoint_mismatch(*tables[::-1], basis, weight)))
         if verdicts[pair]:
             failures.append({"generator": str(g)})
             if len(failures) == 5:
                 break
     return {"ok": not failures, "failures": failures}
+
+
+def _adjoint_mismatch(table_g, table_h, basis, weight) -> bool:
+    """Whether G[n,m] w(n) != G†[m,n] w(m) for some basis monomials m, n,
+    with G read off ``table_g`` and G† off ``table_h``."""
+    return any(c * weight[n] != table_h[n].get(m, 0) * weight[m]
+               for m in basis for n, c in table_g[m].items() if n in weight)
 
 
 def _check_vacuum_cartan(ctx) -> dict:

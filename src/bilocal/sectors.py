@@ -18,6 +18,7 @@ checked against brute-force oscillator computations elsewhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 from numbers import Rational
@@ -158,7 +159,16 @@ def build_ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
     Real: the raw a-determinant product projected onto the joint kernel of
     the ground-state conditions inside its occupation-profile subspace,
     scaled to content-1 integers with a positive leading coefficient.
+
+    Built once per (ctx, s): both are hashable values and a FockVector is
+    immutable by convention, so every caller shares one vector.  A call
+    that raises stores nothing.
     """
+    return _ground_state(ctx, s)
+
+
+@lru_cache(maxsize=None)
+def _ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
     if s.field_kind != ctx.field_kind or s.N != ctx.N:
         raise ContextViolation(f"sector {s} does not match context {ctx}")
     s.check_bound()

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from bilocal import casimir, sectors
+
 
 @pytest.fixture(scope="session")
 def hw_cases():
@@ -13,3 +15,23 @@ def hw_cases():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return list(workloads.hw_cases())
+
+
+def clear_memos():
+    """Empty the memos of ``build_ground_state`` and ``casimir_g``."""
+    sectors._ground_state.cache_clear()
+    casimir.casimir_g.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def memos_fresh_around_monkeypatch(request):
+    """A test that plants a fault with monkeypatch starts and ends with
+    empty memos: a fault planted beneath a memoized builder is never served
+    a value built before it, and what it builds never reaches another
+    test."""
+    planting = "monkeypatch" in request.fixturenames
+    if planting:
+        clear_memos()
+    yield
+    if planting:
+        clear_memos()

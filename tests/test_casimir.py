@@ -21,7 +21,17 @@ from bilocal.casimir import (
     verify_gamma_identity,
     weyl_data,
 )
-from bilocal.fock import COMPLEX, REAL, FockContext, TruncationError, basis_monomials, unit, zero
+from bilocal.fock import (
+    COMPLEX,
+    REAL,
+    ContextViolation,
+    FockContext,
+    TruncationError,
+    basis_monomials,
+    occupation_profile,
+    unit,
+    zero,
+)
 from bilocal.linalg import RowSpan
 from bilocal.sectors import build_ground_state, joint_kernel, weight_from_sector
 from bilocal.young import EMPTY, complex_sector, diagram, enumerate_sectors, real_sector, vacuum_sector
@@ -286,6 +296,29 @@ def reference_compact_module(ctx, ground, n):
     return blocks
 
 
+def reference_lowering_closure(ctx, ground, n):
+    """compact_module as first written: every lowering E(i,j), j < i <= n,
+    applied to every vector kept, blocks keyed by occupation profile."""
+    lowering = [GeneratorLabel(kind, i, j) for kind in ctx.kind.e_kinds
+                for i in range(1, n + 1) for j in range(1, i)]
+    blocks, spans, queue = {}, {}, []
+
+    def add(v):
+        key = occupation_profile(next(iter(v.monomials())), ctx)
+        if spans.setdefault(key, RowSpan()).add(dict(v.items())):
+            blocks.setdefault(key, []).append(v)
+            queue.append(v)
+
+    add(ground)
+    while queue:
+        v = queue.pop()
+        for g in lowering:
+            img = apply_generator(ctx, g, v)
+            if not img.is_zero():
+                add(img)
+    return blocks
+
+
 def reference_raised_weight_candidates(ctx, n):
     """(k, l, weight shift) for Xstar(k,l): one unit at mode k of the i-leg
     species and one at mode l of the j-leg one."""
@@ -366,3 +399,128 @@ def test_compact_module_refuses_vector_a_raising_e_moves(kind):
     assert not lowered.is_zero()
     with pytest.raises(ValueError):
         casimir.compact_module(ctx, lowered, 2)
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+def test_hw_vectors_refuse_a_rank_above_the_mode_cutoff(kind):
+    # an IndexError once, from writing lam into a profile of M modes
+    ctx = FockContext(kind, 2, 2, 6).validate()
+    s = vacuum_sector(kind, 2)
+    ground = build_ground_state(ctx, s)
+    with pytest.raises(ContextViolation, match="rank 3 exceeds mode cutoff 2"):
+        hw_vectors_at_weight(ctx, ground, 3, canonical_lambda(s, 3))
+
+
+# ---------------------------------------------------------------------------
+# the shared work of the hw cases: memoized C_g, the closure toward targets
+
+
+def _on_both_hw_contexts(hw_cases):
+    """(sector, rank, context) for the case context and the determinant
+    context of every hw case."""
+    for s, n, ctx, det_ctx in hw_cases:
+        yield s, n, ctx
+        yield s, n, det_ctx
+
+
+def test_memoized_casimir_g_equals_an_uncached_build():
+    for kind in (COMPLEX, REAL):
+        for n in range(1, 5):
+            got = casimir_g(n, kind)
+            assert list(got.items()) == list(casimir_g.__wrapped__(n, kind).items())
+            assert casimir_g(n, kind) is got
+
+
+def test_hw_vectors_span_the_reference_space_on_both_hw_contexts(hw_cases):
+    compared = refused = 0
+    for s, n, ctx in _on_both_hw_contexts(hw_cases):
+        ground, lam = build_ground_state(ctx, s), canonical_lambda(s, n)
+        if n > ctx.M:
+            with pytest.raises(ContextViolation):
+                hw_vectors_at_weight(ctx, ground, n, lam)
+            refused += 1
+            continue
+        got = hw_vectors_at_weight(ctx, ground, n, lam)
+        want = reference_hw_vectors_at_weight(ctx, ground, n, lam)
+        assert len(got) == len(want), (str(s), n, ctx)
+        assert _spans_inside(got, want) and _spans_inside(want, got), (str(s), n, ctx)
+        compared += 1
+    assert compared > len(hw_cases) and refused
+
+
+def _target_profiles(ctx, n, lam):
+    """The n^2 profiles lam - N/2 - legs(k,l) that hw_vectors_at_weight
+    raises, in ``occupation_profile``'s (a, b) layout, from the reference's
+    weight shifts."""
+    out = []
+    for _, _, shift in reference_raised_weight_candidates(ctx, n):
+        occ = [int(x - Fraction(ctx.N, 2)) - d for x, d in zip(lam, shift)]
+        rows = [tuple(occ[i * n:(i + 1) * n]) + (0,) * (ctx.M - n) for i in range(len(ctx.kind.species))]
+        out.append((rows[0], rows[1] if len(rows) == 2 else (0,) * ctx.M))
+    return out
+
+
+def _profiles_reached(profile, n) -> set:
+    """Every profile reached from ``profile`` by moving one particle of one
+    species from a mode j to a mode i, j < i <= n, any number of times: the
+    profile changes the lowering E(i,j) can make."""
+    seen, stack = {profile}, [profile]
+    while stack:
+        p = stack.pop()
+        for sp, occ in enumerate(p):
+            for j in range(n):
+                for i in range(j + 1, n if occ[j] else 0):
+                    moved = list(occ)
+                    moved[j], moved[i] = moved[j] - 1, moved[i] + 1
+                    q = p[:sp] + (tuple(moved),) + p[sp + 1:]
+                    if q not in seen:
+                        seen.add(q)
+                        stack.append(q)
+    return seen
+
+
+def _vectors(blocks):
+    return {key: [list(v.items()) for v in vs] for key, vs in blocks.items()}
+
+
+def _closure_mismatches(hw_cases):
+    """The cases whose closure toward the target profiles differs from the
+    full compact module: on a target block, on a block it keeps, or in
+    keeping a block from which no move sequence reaches a target (or
+    dropping one from which one does); with the vectors each closure
+    built.  The full module must equal the reference closure, which
+    applies every lowering."""
+    mismatches, kept, full_size = [], 0, 0
+    for s, n, ctx in _on_both_hw_contexts(hw_cases):
+        if n > ctx.M:
+            continue
+        ground = build_ground_state(ctx, s)
+        targets = _target_profiles(ctx, n, canonical_lambda(s, n))
+        full = reference_lowering_closure(ctx, ground, n)
+        if _vectors(casimir.compact_module(ctx, ground, n)) != _vectors(full):
+            mismatches.append((str(s), n, ctx, "full module"))
+        restricted = casimir.compact_module(ctx, ground, n, targets=targets)
+        kept += sum(map(len, restricted.values()))
+        full_size += sum(map(len, full.values()))
+        if set(restricted) != {key for key in full if _profiles_reached(key, n) & set(targets)}:
+            mismatches.append((str(s), n, ctx, "blocks kept"))
+        got, want = _vectors(restricted), _vectors(full)
+        for key in set(targets) | set(restricted):
+            if got.get(key) != want.get(key):
+                mismatches.append((str(s), n, ctx, key))
+    return mismatches, kept, full_size
+
+
+def test_closure_toward_the_targets_keeps_the_full_modules_blocks(hw_cases):
+    mismatches, kept, full_size = _closure_mismatches(hw_cases)
+    assert mismatches == []
+    assert 0 < kept < full_size
+
+
+def test_reversed_dominance_fails_the_closure_comparison(hw_cases, monkeypatch):
+    # negated prefix sums turn the comparison around: a profile is kept
+    # when the target dominates it
+    prefix_sums = casimir._prefix_sums
+    monkeypatch.setattr(casimir, "_prefix_sums", lambda p: tuple(-x for x in prefix_sums(p)))
+    mismatches, _, _ = _closure_mismatches(hw_cases)
+    assert mismatches

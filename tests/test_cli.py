@@ -113,6 +113,21 @@ def test_real_gauge_commutant_fails_on_planted_fault(capsys, monkeypatch):
     assert len(failures) == 5 and all(p < q for p, q in (f["gauge"] for f in failures))
 
 
+def test_adjointness_decides_each_pair_of_tables_once(capsys, monkeypatch):
+    """The real X(i,j) and X(j,i) share one table, and so do Xstar(i,j) and
+    Xstar(j,i).  At M = 3 that leaves 6 X/Xstar table pairs and 3 pairs
+    E(i,j)/E(j,i), i < j, each read both ways, and 3 self-adjoint E(i,i)
+    read once: 21 evaluations where the 15 label pairs made 27."""
+    calls = []
+    mismatch = cli._adjoint_mismatch
+    monkeypatch.setattr(cli, "_adjoint_mismatch", lambda *args: calls.append(args[:2]) or mismatch(*args))
+    code, out = run_cli(capsys, "verify", "--kind", "real", "--N", "2", "--M", "3", "--P", "4")
+    assert code == 0 and json.loads(out)["checks"]["adjointness"] == {"ok": True, "failures": []}
+    assert len(calls) == 21
+    assert len({(id(g), id(h)) for g, h in calls}) == 21
+    assert len({frozenset((id(g), id(h))) for g, h in calls}) == 12
+
+
 USAGE_ERRORS = [
     ["verify", "--N", "-1", "--M", "2", "--P", "4"],
     ["classify", "--N", "1", "--cutoff", "1.5"],

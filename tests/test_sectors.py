@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bilocal import casimir, sectors
 from bilocal.algebra import (
     GeneratorLabel,
     OperatorExpr,
@@ -647,3 +648,68 @@ def test_every_generator_is_needed():
                 len(joint_kernel(ctx, rest, [unit(ctx, m) for m in profile_monomials(ctx, a, b)]))
                 > kernel_size(a, b)
                 for a, b in profiles), (ctx, dropped)
+
+
+# ---------------------------------------------------------------------------
+# memoized ground states
+
+
+def _hw_operations(s, n, ctx, det_ctx):
+    """The six operations the benchmark's hw job runs on one case: the
+    ground state, its conditions at the right and at a wrong weight, the
+    gamma identity, the C_g oracle and the determinant recursion."""
+    w = weight_from_sector(s)
+    wrong = Weight(w.field_kind, tuple(x + 1 for x in w.head_plus),
+                   None if w.head_minus is None else tuple(x + 1 for x in w.head_minus), w.tail + 1)
+    v = build_ground_state(ctx, s)
+    assert verify_hw_conditions(ctx, v, w)["ok"]
+    assert not verify_hw_conditions(ctx, v, wrong)["ok"]
+    casimir.verify_gamma_identity(ctx, s, n)
+    casimir.cg_eigenvalue_oracle(ctx, s, n)
+    assert determinant_recursion_check(det_ctx, s, 2)["ok"]
+
+
+def _hw_keys(hw_cases):
+    """Every (context, sector) the hw cases build a ground state for: the
+    case context and the determinant context of each."""
+    return list(dict.fromkeys((c, s) for s, _, ctx, det_ctx in hw_cases for c in (ctx, det_ctx)))
+
+
+def test_memoized_ground_state_equals_an_uncached_build(hw_cases):
+    keys = _hw_keys(hw_cases)
+    assert {ctx.field_kind for ctx, _ in keys} == {COMPLEX, REAL}
+    for ctx, s in keys:
+        got = build_ground_state(ctx, s)
+        want = sectors._ground_state.__wrapped__(ctx, s)
+        assert (got.ctx, list(got.items())) == (want.ctx, list(want.items())), (ctx, str(s))
+        assert build_ground_state(ctx, s) is got
+
+
+def test_hw_operations_leave_the_shared_ground_states_unchanged(hw_cases):
+    before = {key: list(build_ground_state(*key).items()) for key in _hw_keys(hw_cases)}
+    for case in hw_cases:
+        _hw_operations(*case)
+    for key, items in before.items():
+        assert list(build_ground_state(*key).items()) == items, key
+        assert list(sectors._ground_state.__wrapped__(*key).items()) == items, key
+
+
+@pytest.fixture(scope="module")
+def clean_column_of_two():
+    """A ground state built, and memoized, before any fixture of function
+    scope runs."""
+    s = complex_sector(diagram(1, 1), EMPTY, 2)
+    ctx = _ground_context(s)
+    return ctx, s, build_ground_state(ctx, s)
+
+
+def test_a_fault_planted_beneath_the_ground_state_is_not_served_from_the_memo(
+        clean_column_of_two, monkeypatch):
+    ctx, s, clean = clean_column_of_two
+    # every slot determinant becomes a permanent: the column of two turns
+    # symmetric in its flavors
+    monkeypatch.setattr(sectors, "_slot_determinant", lambda *args: [
+        (1, rem, ins) for _, rem, ins in _slot_determinant(*args)])
+    faulty = build_ground_state(ctx, s)
+    assert faulty == unit(ctx, (a_slot(1, 1), a_slot(2, 2))) + unit(ctx, (a_slot(1, 2), a_slot(2, 1)))
+    assert faulty != clean

@@ -243,6 +243,22 @@ def test_failing_checks_match_reference(monkeypatch, fault):
     assert got == reference_reports(ctx, 2)
 
 
+def test_adjointness_fails_like_the_reference_on_shared_tables(monkeypatch):
+    """Every Xstar doubled: the real X(i,j) and X(j,i) still share a table,
+    and so do Xstar(i,j) and Xstar(j,i), and every X and Xstar label fails
+    adjointness; a verdict decided once per pair of tables reports each."""
+    ctx = FockContext(REAL, 2, 3, 4).validate()
+    terms = algebra.generator_terms
+    monkeypatch.setattr(algebra, "generator_terms", lambda ctx, g: terms(ctx, g) * (
+        2 if g.kind == fock.XSTAR_KIND else 1))
+    images = generator_images(ctx, True)
+    assert images[Xstar(1, 2)] is images[Xstar(2, 1)]
+    got = cli._check_adjointness(ctx, images, 2)
+    assert got == reference_adjointness(ctx, 2)
+    assert [f["generator"] for f in got["failures"]] == [str(X(i, j)) for i, j in
+                                                         ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))]
+
+
 @settings(max_examples=12, deadline=None)
 @given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 2), M=st.integers(1, 2),
        P=st.integers(2, 4), margin=st.integers(2, 3), shifted=st.booleans())
