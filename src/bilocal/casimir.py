@@ -179,10 +179,11 @@ def unitarity_bound(s: SectorLabel) -> bool:
 # compact modules and the gamma identity
 
 
-def compact_module(ctx: FockContext, ground: FockVector, n: int, *, targets=None) -> dict:
+def compact_module(ctx: FockContext, ground: FockVector, n: int, *, targets) -> dict:
     """Span closure of the ground state under the lowering E(i,j), j < i <= n,
-    organized as occupation profile (``fock.occupation_profile``) -> list of
-    vectors.  Finite because E preserves particle number.
+    toward the occupation profiles ``targets``, organized as occupation
+    profile (``fock.occupation_profile``) -> list of vectors.  Finite
+    because E preserves particle number.
 
     The input must be annihilated by every simple raising E(i,i+1), i < n,
     hence by every raising E(i,j), i < j <= n (ValueError otherwise); then
@@ -191,10 +192,9 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int, *, targets=None
     i, so all monomials of a vector share one profile and the key is exact.
     The zero vector spans no module (ValueError).
 
-    With ``targets``, a list of profiles, the closure keeps only vectors
-    whose profile can still reach one of them.  A lowering moves a particle
-    to a higher mode, so a profile on a path to a target dominates it: per
-    species, each prefix sum of its occupations over modes 1..m is at least
+    The closure keeps only vectors whose profile can still reach a
+    target.  A lowering moves a particle to a higher mode, so a profile on
+    a path to a target dominates it: per species, each prefix sum of its occupations over modes 1..m is at least
     the target's.  A vector failing that for every target is skipped, and
     so would be all its descendants; the blocks kept hold the same vectors,
     in the same order, as those of the full closure.  A lowering is not
@@ -210,7 +210,7 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int, *, targets=None
                 for kind, sp in ctx.kind.e_kinds.items()
                 for i in range(1, n + 1) for j in range(1, i)]
     blocks, spans, queue = {}, {}, []
-    bounds = None if targets is None else [_prefix_sums(t) for t in targets]
+    bounds = [_prefix_sums(t) for t in targets]
 
     def add(v, key):
         if spans.setdefault(key, linalg.RowSpan()).add(dict(v.items())):
@@ -218,8 +218,6 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int, *, targets=None
             queue.append((v, key))
 
     def kept(key):
-        if bounds is None:
-            return True
         sums = _prefix_sums(key)
         return any(all(a >= b for a, b in zip(sums, t)) for t in bounds)
 
@@ -255,8 +253,8 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
     lam_i - N/2 on the first n modes of each species and zero above.  Xstar(k,l) creates one particle at mode k of the
     i-leg species and one at mode l of the j-leg species, so it raises
     exactly the compact-module block whose profile lacks those two.  The
-    module is closed only toward those n^2 profiles (``compact_module``'s
-    ``targets``).  n > ctx.M raises ContextViolation."""
+    module is closed only toward those n^2 profiles.  n > ctx.M raises
+    ContextViolation."""
     if n > ctx.M:
         raise ContextViolation(f"rank {n} exceeds mode cutoff {ctx.M}")
     _check_length(lam, ctx.field_kind, n)
