@@ -20,7 +20,7 @@ from .algebra import (
     Xstar,
     apply_generator,
     canonical_hamiltonian,
-    commutator_counterexample,
+    commutator_scan,
     dagger_label,
     fill_for,
     generating_set_suffices,
@@ -111,26 +111,12 @@ def _print_table(payload, indent=0):
 
 
 def _commutator_report(index, margin, left, right, identities) -> dict:
-    """Check each identity [a, b] = c, given as (label, a, b, c) with a in
-    ``left`` and b in ``right``, tables of ``index`` filled first for the
-    whole family (``fill_for``), on the monomials at least ``margin``
-    particles below P.  A failing identity reports its first failing
-    monomial; the first five failures are kept."""
-    basis = index.basis(margin)
-    fill_for(left, right, basis)
-    failures = []
-    for label, a, b, c in identities:
-        hit = commutator_counterexample(index.ctx, a, b, c, basis)
-        if hit:
-            failures.append(dict(label, monomial=monomial_str(hit[0])))
-            if len(failures) == 5:
-                break
-    return {"ok": not failures, "failures": failures}
-
-
-def _index(images) -> MonomialIndex:
-    """The index of the generator tables ``images``."""
-    return next(iter(images.values())).index
+    """``algebra.commutator_scan`` of the identities (label, a, b, c), a
+    label a dict, on the monomials ``margin`` particles below P of
+    ``index``: the first five failures, each with its first failing monomial."""
+    failures, _ = commutator_scan(left, right, identities, index.basis(margin), 5)
+    return {"ok": not failures,
+            "failures": [dict(label, monomial=monomial_str(m)) for label, (m, _, _) in failures]}
 
 
 def _check_ccr(ctx, margin=2) -> dict:
@@ -151,7 +137,7 @@ def _check_adjointness(ctx, images, margin=2) -> dict:
     the generator tables ``images`` of g and g†; a pair where both sides
     vanish passes.  A scalar part adds the same c w(m) to both sides, so
     the tables leave it out."""
-    index = _index(images)
+    index = next(iter(images.values())).index
     basis = index.basis(margin)
     fill_for(images.values(), (), basis)
     weight = {m: monomial_self_overlap(index.monomials[m]) for m in basis}
@@ -198,46 +184,32 @@ def _check_vacuum_cartan(ctx) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
+def _commutant_report(ctx, images, margin, labels, fixed) -> dict:
+    """[F, g] = 0 for each (label, Operator F) in ``fixed`` and generator g
+    in ``labels`` (default: all), on a table per F on the index of the
+    generator tables ``images`` (a scalar part commutes)."""
+    labels = list(generators(ctx)) if labels is None else labels
+    index = next(iter(images.values())).index
+    tables = [(label, ImageTable(index, op)) for label, op in fixed]
+    return _commutator_report(index, margin, [t for _, t in tables], [images[g] for g in labels], (
+        (dict(label, generator=str(g)), table, images[g], None) for label, table in tables for g in labels))
+
+
 def _check_charge_commutes(ctx, images, margin=2, labels=None) -> dict:
-    """[Q, g] = 0 for every generator g in ``labels`` (default: all), on the
-    charge's table and the generator tables ``images`` (a scalar part
-    commutes)."""
+    """[Q, g] = 0 for every generator g in ``labels`` (default: all)."""
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
-    labels = list(generators(ctx)) if labels is None else labels
-    index = _index(images)
-    charge = ImageTable(index, algebra.charge_terms(ctx))
-    return _commutator_report(index, margin, [charge], [images[g] for g in labels], (
-        ({"generator": str(g)}, charge, images[g], None) for g in labels))
+    return _commutant_report(ctx, images, margin, labels, [({}, algebra.charge_terms(ctx))])
 
 
 def _check_gauge_commutant(ctx, images, margin=2, labels=None) -> dict:
     """[E^{pq}, g] = 0 for every generator g in ``labels`` (default: all)
     and gauge basis element: all E^{pq} of u(N) (complex), the M^{pq},
-    p < q, of o(N) (real; M^{pp} = 0 and M^{qp} = -M^{pq}), on the tables
-    of ``images`` and the gauge."""
+    p < q, of o(N) (real; M^{pp} = 0 and M^{qp} = -M^{pq})."""
     flavors = range(1, ctx.N + 1)
-    pairs = [(p, q) for p in flavors for q in flavors if p < q or ctx.field_kind == COMPLEX]
-    labels = list(generators(ctx)) if labels is None else labels
-    index = _index(images)
-    gauge = {pq: ImageTable(index, young.gauge_terms(ctx, *pq)) for pq in pairs}
-    return _commutator_report(index, margin, gauge.values(), [images[g] for g in labels], (
-        ({"gauge": [p, q], "generator": str(g)}, gauge[p, q], images[g], None)
-        for p, q in pairs for g in labels))
-
-
-def _commutant_checks(ctx, images, margin, labels=None) -> dict:
-    """The charge and gauge checks on the bilocal ``labels`` (default: every
-    generator).  A check that fails on ``labels`` scans every generator, so
-    its failure list is the full scan's."""
-    reports = {}
-    for name, check in (("charge_commutes", _check_charge_commutes),
-                        ("gauge_commutant", _check_gauge_commutant)):
-        report = check(ctx, images, margin, labels)
-        if labels is not None and not report["ok"]:
-            report = check(ctx, images, margin)
-        reports[name] = report
-    return reports
+    return _commutant_report(ctx, images, margin, labels, [
+        ({"gauge": [p, q]}, young.gauge_terms(ctx, p, q))
+        for p in flavors for q in flavors if p < q or ctx.field_kind == COMPLEX])
 
 
 def cmd_verify(args) -> int:
@@ -246,28 +218,29 @@ def cmd_verify(args) -> int:
         raise UsageError(f"margin must lie in 2..P = {ctx.P}")
     # One set of generator tables for every check.  drop-e-shift changes
     # only the scalars, which only structure constants reads.  Structure
-    # constants runs last: it alone fills the generator tables past P - margin
-    # particles, and by then the charge and gauge tables, which the other
-    # checks fill that far, are freed.  The payload sorts its keys.
+    # constants runs after the first charge and gauge scans, whose tables
+    # are freed before it fills the generator tables past P - margin
+    # particles.  The payload sorts its keys.
     images = generator_images(ctx, shift=args.inject_fault != "drop-e-shift")
     # The operators that commute with a fixed one form a Lie algebra
-    # (Jacobi), so the charge and gauge checks scan the bilocal side on a
-    # Lie generating set.  A pass there is final when the generating set
-    # suffices (P - margin >= 2, so a scan is exact, and the real tables
-    # respect X(i,j) = X(j,i)) and structure constants pass: that check
-    # proves the realization a Lie homomorphism, on the generating set
-    # against every generator, by the same rule.  Otherwise the checks scan
-    # every generator.
+    # (Jacobi), so where the generating set suffices (P - margin >= 2, and
+    # real tables respect X(i,j) = X(j,i)) the charge and gauge checks scan
+    # the bilocal side on a Lie generating set.  Such a report stands only
+    # when it passed and structure constants passed, which proves the
+    # realization a Lie homomorphism; otherwise the check scans every
+    # generator, so every payload is the full scan's.
     reduced = lie_generating_set(ctx) if generating_set_suffices(ctx, images, args.margin) else None
+    commutants = {"charge_commutes": _check_charge_commutes, "gauge_commutant": _check_gauge_commutant}
     checks = {
         "ccr": _check_ccr(ctx, args.margin),
         "adjointness": _check_adjointness(ctx, images, args.margin),
         "vacuum_cartan": _check_vacuum_cartan(ctx),
-        **_commutant_checks(ctx, images, args.margin, reduced),
+        **{name: check(ctx, images, args.margin, reduced) for name, check in commutants.items()},
         "structure_constants": verify_structure_constants(ctx, images, args.margin),
     }
-    if reduced and not checks["structure_constants"]["ok"]:
-        checks.update(_commutant_checks(ctx, images, args.margin))
+    for name, check in commutants.items():
+        if reduced and not (checks[name]["ok"] and checks["structure_constants"]["ok"]):
+            checks[name] = check(ctx, images, args.margin)
     ok = all(c.get("ok") for c in checks.values())
     payload = {"context": {"kind": ctx.field_kind, "N": ctx.N, "M": ctx.M, "P": ctx.P},
                "ok": ok, "checks": checks}

@@ -380,13 +380,16 @@ def determinant_operator(n: int) -> OperatorExpr:
     })
 
 
+@lru_cache(maxsize=None)
 def adjoint_determinant_terms(ctx: FockContext, n: int, offset: int = 0) -> Operator:
     """D_n* = det(Xstar(i,j)) over modes offset+1..offset+n, creation only.
     Xstar(i,j) = sum_p c*[i,p] d*[j,p], with c and d the species of the
     legs of X, is C D^T with commuting entries, so by Cauchy-Binet D_n* is
     the sum of det(C_S) det(D_S) over the n-subsets S of the flavors.  The
     Operator merges products with the same slot multiset (in the real case
-    C = D, and the permutation pairs (s, t) and (t, s) meet)."""
+    C = D, and the permutation pairs (s, t) and (t, s) meet).  Built once
+    per context, order and offset; an invalid order or offset is not
+    cached, so it raises on every call."""
     _check_order(n)
     if offset < 0 or offset + n > ctx.M:
         raise ContextViolation(f"modes {offset + 1}..{offset + n} outside 1..{ctx.M}")

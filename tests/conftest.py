@@ -18,8 +18,10 @@ def hw_cases():
 
 
 def clear_memos():
-    """Empty the memos of ``build_ground_state`` and ``casimir_g``."""
+    """Empty the memos of ``build_ground_state``, ``casimir_g`` and
+    ``adjoint_determinant_terms``."""
     sectors._ground_state.cache_clear()
+    sectors.adjoint_determinant_terms.cache_clear()
     casimir.casimir_g.cache_clear()
 
 

@@ -271,17 +271,23 @@ def test_a_scan_with_fewer_than_two_particles_reads_every_pair(monkeypatch, kind
 
 def test_a_failing_scan_of_the_generating_set_reruns_every_pair(monkeypatch):
     """Without the N/2 shift the scan of the generating set stops at its
-    first failing pair, and the full scan reports."""
+    first failing pair, [X(1,1), Xstar(1,1)], and the full scan reports.
+    That scan keeps the verdicts the first one reached, so every pair is
+    scanned once: 136 scans, not 90 + 136."""
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
     calls = _counting_scan(monkeypatch)
     images = generator_images(ctx, shift=False)
     report = verify_structure_constants(ctx, images)
     assert not report["ok"]
-    first = len(calls) - report["pairs_checked"]
+    assert report["failures"][0]["pair"] == ["X(1,1)", "Xstar(1,1)"]
+    scanned = [(id(a), id(b)) for a, b in calls]
+    first = scanned.index((id(images[X(1, 1)]), id(images[Xstar(1, 1)]))) + 1
     generating = {id(images[g]) for g in lie_generating_set(ctx)}
-    assert 1 <= first < 100
-    assert all(id(a) in generating or id(b) in generating for a, b in calls[:first])
-    assert len(report["failures"]) == 4 and report["pairs_checked"] == 136
+    assert first == 90
+    assert all(a in generating or b in generating for a, b in scanned[:first])
+    assert not set(scanned[first]) & generating
+    assert len(set(scanned)) == len(scanned) == report["pairs_checked"] == 136
+    assert len(report["failures"]) == 4
 
 
 def test_scans_refuse_tables_of_two_indexes():

@@ -1,5 +1,8 @@
+import importlib
 import io
 import json
+import pkgutil
+import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bilocal
 from bilocal import algebra, cli, fock, young
 from bilocal.cli import main
 from bilocal.fock import COMPLEX, FockContext, Operator, a_slot, basis_monomials, monomial_str
@@ -226,6 +230,24 @@ def test_readme_examples_keep_their_exit_codes(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == (1 if "--inject-fault" in argv else 0), argv
         assert json.loads(out), argv
+
+
+def test_readme_names_resolve():
+    """Every backticked ``module.name`` in README.md, with or without the
+    ``bilocal.`` prefix, is an attribute of that ``bilocal`` module; the
+    name is read up to its first character that is not one, so
+    ``fill_for(left, right, basis)`` counts, and ``linalg.py`` (a file)
+    does not."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    modules = "|".join(m.name for m in pkgutil.iter_modules(bilocal.__path__))
+    names = set(re.findall(rf"`(?:bilocal\.)?((?:{modules})(?:\.(?!py\b)\w+)+)", text))
+    assert len(names) >= 30
+    for name in sorted(names):
+        owner, *path = name.split(".")
+        value = importlib.import_module(f"bilocal.{owner}")
+        for attr in path:
+            assert hasattr(value, attr), name
+            value = getattr(value, attr)
 
 
 def test_guard_requires_unsafe_large(capsys):

@@ -202,6 +202,29 @@ def test_table_plus_scalar_is_the_generator_image(context):
             assert same(canonical(image), apply_generator(ctx, g, unit(ctx, m))), (g, m)
 
 
+
+@pytest.mark.parametrize("context", [(COMPLEX, 2, 2, 4), (REAL, 2, 3, 4)], ids=str)
+def test_zero_entries_share_one_read_only_image(context):
+    """Every zero entry of every table is one object, so a write to one
+    would reach them all: each write raises TypeError and leaves it empty."""
+    ctx = FockContext(*context).validate()
+    images = generator_images(ctx, shift=True)
+    index = next(iter(images.values())).index
+    ids = index.basis(0)
+    for table in images.values():
+        table.fill(ids)
+    zeros = [entry for table in images.values() for entry in table if not entry]
+    assert zeros and all(entry is zeros[0] for entry in zeros)
+    zero = zeros[0]
+    writes = [lambda: zero.__setitem__(0, 1), lambda: zero.update({0: 1}), lambda: zero.setdefault(0, 1),
+              lambda: zero.pop(0), lambda: zero.popitem(), zero.clear, lambda: zero.__delitem__(0),
+              lambda: zero.__ior__({0: 1})]
+    for write in writes:
+        with pytest.raises(TypeError, match="read-only"):
+            write()
+    assert zero == {} and isinstance(zero, dict)
+
+
 GATES = json.loads((Path(__file__).resolve().parent.parent / "bench" / "gates.json").read_text())
 
 # The images the tables compute on each verify gate.  The charge and gauge

@@ -366,6 +366,18 @@ def test_adjoint_determinant_modes_must_fit():
         adjoint_determinant_terms(ctx, -1)
 
 
+def test_adjoint_determinant_is_built_once_and_a_refusal_is_not_stored():
+    ctx = FockContext(REAL, 3, 3, 6).validate()
+    op = adjoint_determinant_terms(ctx, 2, 1)
+    assert adjoint_determinant_terms(ctx, 2, 1) is op
+    stored = adjoint_determinant_terms.cache_info().currsize
+    for n, offset in ((-1, 0), (4, 0), (2, 2)):
+        for _ in range(2):
+            with pytest.raises((ValueError, ContextViolation)):
+                adjoint_determinant_terms(ctx, n, offset)
+    assert adjoint_determinant_terms.cache_info().currsize == stored
+
+
 def test_perm_sign_is_the_permutation_matrix_determinant():
     for k in range(6):
         for perm in permutations(range(k)):
@@ -713,3 +725,24 @@ def test_a_fault_planted_beneath_the_ground_state_is_not_served_from_the_memo(
     faulty = build_ground_state(ctx, s)
     assert faulty == unit(ctx, (a_slot(1, 1), a_slot(2, 2))) + unit(ctx, (a_slot(1, 2), a_slot(2, 1)))
     assert faulty != clean
+
+
+@pytest.fixture(scope="module")
+def clean_d2_star():
+    """D_2* at complex (2, 2, 4), built, and memoized, before any fixture
+    of function scope runs."""
+    ctx = FockContext(COMPLEX, 2, 2, 4).validate()
+    return ctx, adjoint_determinant_terms(ctx, 2)
+
+
+def test_a_fault_planted_beneath_the_adjoint_determinant_reaches_it(clean_d2_star, monkeypatch):
+    ctx, clean = clean_d2_star
+    # every slot determinant becomes a permanent, so D_2* becomes the
+    # product of two permanents
+    monkeypatch.setattr(sectors, "_slot_determinant", lambda *args: [
+        (1, rem, ins) for _, rem, ins in _slot_determinant(*args)])
+    faulty = adjoint_determinant_terms(ctx, 2)
+    assert faulty != clean
+    assert {f for _, f in faulty.items()} == {1} and len(faulty) == len(clean)
+    words = _word_adjoint_determinant(ctx, 2, 0, vacuum(ctx))
+    assert clean.apply(vacuum(ctx)) == words != faulty.apply(vacuum(ctx))

@@ -14,6 +14,9 @@ The references act on vectors (``apply_generator``, the ladders, and
 same builders as the tables and run the same oscillator loop, so a fault
 planted in a builder, or in the loop, reaches both sides."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
@@ -35,7 +38,6 @@ from bilocal.algebra import (
     abstract_commutator,
     apply_generator,
     dagger_label,
-    fill_for,
     generating_set_suffices,
     generator_images,
     generators,
@@ -383,10 +385,11 @@ def _reduced_failures(ctx, images, margin=2) -> list:
     scanned to the end."""
     generating = lie_generating_set(ctx)
     basis = next(iter(images.values())).index.basis(margin)
-    fill_for([images[g] for g in generating], images.values(), basis)
     pairs = [pair for pair in combinations_with_replacement(sorted(generators(ctx)), 2)
              if set(pair) & set(generating)]
-    return algebra._pair_failures(ctx, images, pairs, basis, len(pairs))[0]
+    return algebra.commutator_scan([images[g] for g in generating], images.values(),
+                                   algebra._structure_identities(ctx, images, pairs), basis,
+                                   len(pairs))[0]
 
 
 # (context, generator, fault, whether the faulty tables keep X(i,j) = X(j,i))
@@ -417,3 +420,73 @@ def test_fault_outside_the_generating_set_fails_its_scan(monkeypatch, context, t
     report = verify_structure_constants(ctx, generator_images(ctx, shift=True))
     assert not report["ok"]
     assert report == reference_structure_constants(ctx, 2)
+
+
+# ---------------------------------------------------------------------------
+# the scan work of one verify run
+
+
+def _scans_per_check(monkeypatch, command):
+    """Run ``bilocal <command>``: (its exit code, its checks, and for each
+    of ccr, charge, gauge and structure constants the number of times it
+    ran and the ``commutator_counterexample`` calls made inside it)."""
+    names = ["_check_ccr", "_check_charge_commutes", "_check_gauge_commutant",
+             "verify_structure_constants"]
+    runs, calls, current = dict.fromkeys(names, 0), dict.fromkeys(names, 0), []
+    scan = algebra.commutator_counterexample
+
+    def counting(*args):
+        calls[current[-1]] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(algebra, "commutator_counterexample", counting)
+    for name in names:
+        def tagged(*args, check=getattr(cli, name), name=name):
+            runs[name] += 1
+            current.append(name)
+            try:
+                return check(*args)
+            finally:
+                current.pop()
+
+        monkeypatch.setattr(cli, name, tagged)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(command.split())
+    return code, json.loads(out.getvalue())["checks"], [runs[n] for n in names], [calls[n] for n in names]
+
+
+# the commutator_counterexample calls of each verify gate in bench/gates.json,
+# for ccr, charge, gauge and structure constants
+SCANS = {
+    "verify --kind complex --N 2 --M 2 --P 4": [64, 8, 32, 100],
+    "verify --kind complex --N 1 --M 3 --P 4": [36, 12, 12, 366],
+    "verify --kind real --N 2 --M 3 --P 4": [36, 0, 7, 168],
+    # the charge and gauge checks scan the generating set, then every
+    # generator once structure constants fail
+    "verify --kind complex --N 1 --M 2 --P 4 --inject-fault drop-e-shift": [16, 24, 24, 136],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCANS))
+def test_each_verify_gate_makes_its_pinned_scans(monkeypatch, command):
+    code, _, runs, calls = _scans_per_check(monkeypatch, command)
+    assert code == (1 if "drop-e-shift" in command else 0)
+    assert calls == SCANS[command]
+    assert runs == ([1, 2, 2, 1] if "drop-e-shift" in command else [1, 1, 1, 1])
+
+
+def test_a_failing_charge_check_reruns_once_when_structure_constants_fail(monkeypatch):
+    """The charge-noncommuting fault of ``test_cli.NEGATIVE_CONTROLS`` with
+    drop-e-shift: the reduced charge report fails, and so do structure
+    constants, so the charge check runs once more, on every generator, and
+    every report is the full reference's."""
+    monkeypatch.setattr(algebra, "charge_terms", lambda ctx: Operator(ctx, ((1, (a_slot(1, 1),), ()),)))
+    code, checks, runs, calls = _scans_per_check(
+        monkeypatch, "verify --kind complex --N 2 --M 2 --P 4 --inject-fault drop-e-shift")
+    assert code == 1
+    assert runs == [1, 2, 2, 1] and calls == [64, 24, 96, 136]
+    drop_e_shift(monkeypatch)
+    want = reference_reports(FockContext(COMPLEX, 2, 2, 4).validate(), 2)
+    assert {name: checks[name] for name in want} == want
+    assert [name for name, c in checks.items() if not c["ok"]] == ["charge_commutes", "structure_constants"]
