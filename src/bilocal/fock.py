@@ -134,6 +134,9 @@ class FockContext(NamedTuple):
     def validate(self):
         if self.field_kind not in FIELD_KINDS:
             raise ContextViolation(f"unknown field kind {self.field_kind!r}")
+        for name, value in zip(("N", "M", "P"), self[1:]):
+            if type(value) is not int:
+                raise ContextViolation(f"{name} must be an int, got {type(value).__name__} {value!r}")
         if self.N < 0:
             raise ContextViolation("multiplet size N must be >= 0")
         if self.M < 1:

@@ -210,8 +210,12 @@ def nullspace(rows, ncols):
 
 def solve(a, b):
     """Solve a x = b for square nonsingular a, as the kernel of [a | -b];
-    raises on singular input."""
+    raises ValueError on a non-square or singular a and on a b whose
+    length is not a's."""
+    _check_square(a)
     n = len(a)
+    if len(b) != n:
+        raise ValueError(f"right-hand side of length {len(b)} for {n} equations")
     span = _echelon(_sparse(row) | {n: -rational(bi)} for row, bi in zip(a, b))
     if len(span._rows) != n or n in span._rows:
         raise ValueError("singular system")
@@ -313,12 +317,19 @@ class RowSpan:
 
     def _kernel(self, ncols):
         """Free-column basis of {x : row . x = 0 for every stored row} over
-        the integer columns 0..ncols-1: x_free = 1 and x_p = -row_p[free]."""
+        the integer columns 0..ncols-1: x_free = 1 and x_p = -row_p[free].
+        A row with an entry outside those columns raises ValueError."""
         basis = {j: {} for j in range(ncols) if j not in self._rows}
-        for p in sorted(self._rows):
-            for k, c in self._rows[p].items():
-                if k != p:
-                    basis[k][p] = -c
+        pivots = sorted(self._rows)
+        if pivots and pivots[-1] >= ncols:
+            raise ValueError(f"column {pivots[-1]} outside 0..{ncols - 1}")
+        try:
+            for p in pivots:
+                for k, c in self._rows[p].items():
+                    if k != p:
+                        basis[k][p] = -c
+        except KeyError as err:
+            raise ValueError(f"column {err.args[0]!r} outside 0..{ncols - 1}") from None
         for j, x in basis.items():
             x[j] = 1
         return list(basis.values())

@@ -37,7 +37,6 @@ from .algebra import (
 )
 from .fock import (
     COMPLEX,
-    REAL,
     ContextViolation,
     FockContext,
     FockVector,
@@ -53,7 +52,7 @@ from .fock import (
     vacuum,
     zero,
 )
-from .young import SectorLabel, YoungDiagram, complex_sector, real_sector
+from .young import EMPTY, SectorLabel, YoungDiagram, complex_sector, real_sector
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +108,23 @@ class Weight(linalg.Record):
 def weight_from_sector(s: SectorLabel) -> Weight:
     """Cartan data of the sector's ground state: h_i = m_i + N/2."""
     s.check_bound()
-    return _shifted_weight(s.field_kind, s.N, s.y_plus.rows, s.y_minus and s.y_minus.rows)
+    return weight_from_profile(s.field_kind, s.N, (s.y_plus.rows, (s.y_minus or EMPTY).rows))
 
 
-def weight_from_profile(ctx: FockContext, a_occ, b_occ) -> Weight:
-    """Weight of a dominant occupation profile: h_i = occ_i + N/2."""
-    return _shifted_weight(ctx.field_kind, ctx.N, a_occ, b_occ)
-
-
-def _shifted_weight(field_kind: str, N: int, a_occ, b_occ) -> Weight:
-    """h_i = occ_i + N/2 per species (b only complex), with the trailing
-    tail-value entries (occupation 0) trimmed off the heads."""
+def weight_from_profile(field_kind: str, N: int, profile) -> Weight:
+    """Weight of a dominant occupation profile (a, b): h_i = occ_i + N/2
+    per species, with the trailing tail-value entries (occupation 0)
+    trimmed off the heads; a real weight has no b head."""
     half_n = linalg.quotient(N, 2)
-    heads = [tuple(k + half_n for k in _trim(tuple(occ or ()), 0)) for occ in (a_occ, b_occ)]
+    heads = [tuple(k + half_n for k in _trim(occ, 0)) for occ in profile]
     return Weight(field_kind, heads[0], heads[1] if field_kind == COMPLEX else None, half_n)
+
+
+def sector_profile(ctx: FockContext, s: SectorLabel) -> tuple:
+    """The occupation profile (a, b) of the sector's ground state, in
+    ``fock.occupation_profile``'s layout: the row lengths of Y+ and Y- on
+    modes 1..M, b all zero for real."""
+    return tuple(tuple(y.row(i) for i in range(1, ctx.M + 1)) for y in (s.y_plus, s.y_minus or EMPTY))
 
 
 def _trim(head, tail):
@@ -172,7 +174,7 @@ def _ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
     if s.field_kind != ctx.field_kind or s.N != ctx.N:
         raise ContextViolation(f"sector {s} does not match context {ctx}")
     s.check_bound()
-    rows = max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+    rows = max(s.y_plus.num_rows, (s.y_minus or EMPTY).num_rows)
     if rows > ctx.M:
         raise TruncationError(f"need mode cutoff M >= {rows}, have {ctx.M}")
     if s.total_boxes() > ctx.P:
@@ -188,7 +190,7 @@ def _ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
             v = Operator(ctx, _slot_determinant(SPECIES_B, range(1, h + 1), flavors)).apply(v)
         return v
 
-    kernel = hw_kernel_in_profile(ctx, tuple(s.y_plus.row(i) for i in range(1, ctx.M + 1)), None)
+    kernel = hw_kernel_in_profile(ctx, sector_profile(ctx, s))
     proj = _project_onto(kernel, v)
     if proj.is_zero():
         raise TruncationError(f"no highest-weight vector for {s} in the window")
@@ -224,15 +226,11 @@ def _canonical_integer_scale(v: FockVector) -> FockVector:
 # profile subspaces and highest-weight kernels
 
 
-def profile_monomials(ctx: FockContext, a_occ, b_occ=None) -> list:
-    """All monomials with the given per-mode occupation numbers."""
-    groups = []
-    for mode, k in enumerate(a_occ, start=1):
-        if k:
-            groups.append((SPECIES_A, mode, k))
-    for mode, k in enumerate(b_occ or (), start=1):
-        if k:
-            groups.append((SPECIES_B, mode, k))
+def profile_monomials(ctx: FockContext, profile) -> list:
+    """All monomials with the occupation profile (a, b)
+    (``fock.occupation_profile``)."""
+    groups = [(species, mode, k) for species, occ in zip((SPECIES_A, SPECIES_B), profile, strict=True)
+              for mode, k in enumerate(occ, start=1) if k]
     monos = [()]
     for species, mode, k in groups:
         flavor_choices = list(combinations_with_replacement(range(1, ctx.N + 1), k))
@@ -290,10 +288,10 @@ def joint_kernel(ctx: FockContext, labels, vectors) -> list:
             for x in linalg.nullspace(list(rows.values()), ncols=len(vectors))]
 
 
-def hw_kernel_in_profile(ctx: FockContext, a_occ, b_occ) -> list:
+def hw_kernel_in_profile(ctx: FockContext, profile) -> list:
     """Basis of the joint kernel of the ground-state conditions inside one
     occupation-profile subspace, solved from their generating set."""
-    basis = [unit(ctx, m) for m in profile_monomials(ctx, a_occ, b_occ)]
+    basis = [unit(ctx, m) for m in profile_monomials(ctx, profile)]
     return joint_kernel(ctx, ground_state_generators(ctx), basis)
 
 
@@ -487,20 +485,16 @@ def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[Hamiltonia
                 f"cutoff {energy_cutoff} can reach {max_particles} particles, cutoff P = {ctx.P}"
             )
     results = []
-    for a_occ, b_occ in _profiles_below(ctx, energies, energy_cutoff):
-        kernel = hw_kernel_in_profile(ctx, a_occ, b_occ)
+    for profile in _profiles_below(ctx, energies, energy_cutoff):
+        kernel = hw_kernel_in_profile(ctx, profile)
         if not kernel:
             continue
-        energy = linalg.rational(sum(
-            energies[i] * (a_occ[i] + (b_occ[i] if b_occ else 0)) for i in range(ctx.M)))
-        weight = weight_from_profile(ctx, a_occ, b_occ)
-        sector = _profile_to_sector(ctx, a_occ, b_occ)
         results.append(
             {
-                "sector": sector,
-                "weight": weight,
+                "sector": _profile_to_sector(ctx, profile),
+                "weight": weight_from_profile(ctx.field_kind, ctx.N, profile),
                 "multiplicity": len(kernel),
-                "energy": energy,
+                "energy": linalg.rational(sum(e * (a + b) for e, a, b in zip(energies, *profile))),
                 "kernel": kernel,
             }
         )
@@ -509,8 +503,8 @@ def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[Hamiltonia
 
 
 def _profiles_below(ctx: FockContext, energies, cutoff):
-    """All (a_occ, b_occ) occupation profiles with total energy <= cutoff
-    and total particle number <= P."""
+    """All occupation profiles (a, b) with total energy <= cutoff and total
+    particle number <= P; b is all zero for real."""
 
     def occ_vectors(budget, max_total):
         vecs = [((), budget, max_total)]
@@ -523,23 +517,16 @@ def _profiles_below(ctx: FockContext, energies, cutoff):
         return [(v, rem) for (v, rem, _) in vecs]
 
     for a_occ, rem in occ_vectors(cutoff, ctx.P):
-        if ctx.field_kind == REAL:
-            yield a_occ, None
-        else:
-            for b_occ, _ in occ_vectors(rem, ctx.P - sum(a_occ)):
-                yield a_occ, b_occ
+        for b_occ, _ in occ_vectors(rem, ctx.P - sum(a_occ) if ctx.field_kind == COMPLEX else 0):
+            yield a_occ, b_occ
 
 
-def _profile_to_sector(ctx: FockContext, a_occ, b_occ) -> Optional[SectorLabel]:
+def _profile_to_sector(ctx: FockContext, profile) -> Optional[SectorLabel]:
     """Sector label when the profile is a valid pair of diagrams, else None
     (a nonempty kernel never produces None; dominance is forced)."""
     try:
-        yp = YoungDiagram(_trim(a_occ, 0))
-        if ctx.field_kind == COMPLEX:
-            ym = YoungDiagram(_trim(b_occ or (), 0))
-            s = complex_sector(yp, ym, ctx.N)
-        else:
-            s = real_sector(yp, ctx.N)
+        yp, ym = (YoungDiagram(_trim(occ, 0)) for occ in profile)
+        s = complex_sector(yp, ym, ctx.N) if ctx.field_kind == COMPLEX else real_sector(yp, ctx.N)
     except ValueError:
         return None
     return s if s.bound_violation() is None else None

@@ -15,6 +15,7 @@ because they act on flavor indices.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from numbers import Rational, Real
 from typing import Iterator, NamedTuple, Optional
 
 from .fock import (
@@ -37,7 +38,7 @@ class YoungDiagram(OrderedRecord):
     """Weakly decreasing positive row lengths; () is the trivial diagram."""
 
     def __init__(self, rows: tuple = ()):
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(r if type(r) is int else _row_length(r) for r in rows)
         self._set(rows=rows)
         for a, b in zip(rows, rows[1:]):
             if b > a:
@@ -101,6 +102,16 @@ def _conjugate(parts) -> tuple:
             k -= 1
         out.append(k)
     return tuple(out)
+
+
+def _row_length(r) -> int:
+    """r as an int row length: a float raises TypeError and a non-integral
+    rational ValueError, where int() would truncate either."""
+    if isinstance(r, Real) and not isinstance(r, Rational):
+        raise TypeError(f"row lengths are integers, got {type(r).__name__} {r!r}")
+    if isinstance(r, Rational) and r.denominator != 1:
+        raise ValueError(f"row length {r} is not an integer")
+    return int(r)
 
 
 def diagram(*rows) -> YoungDiagram:

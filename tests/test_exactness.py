@@ -67,6 +67,7 @@ from bilocal.sectors import (
     hw_kernel_in_profile,
     joint_kernel,
     norm_recursion_oracle,
+    sector_profile,
     weight_from_sector,
 )
 from bilocal.young import vacuum_sector
@@ -433,7 +434,7 @@ def test_hw_path_coefficients_are_canonical(hw_cases):
         ground = build_ground_state(ctx, s)
         _assert_canonical(("ground", tag), ground.terms.values())
         vectors = hw_vectors_at_weight(ctx, ground, n, canonical_lambda(s, n))
-        profile = hw_kernel_in_profile(ctx, *_profile(ctx, s))
+        profile = hw_kernel_in_profile(ctx, sector_profile(ctx, s))
         kernel = joint_kernel(ctx, [X(1, 1)], [ground] + vectors)
         for name, vs in (("hw_vectors", vectors), ("profile", profile), ("kernel", kernel)):
             _assert_canonical((name, tag), [c for v in vs for c in v.terms.values()])
@@ -456,12 +457,6 @@ def test_classify_scalars_are_canonical(ctx, energies):
     assert results
     _assert_canonical(ctx, [*spec.energies, *spec.subtractions] + [
         x for r in results for x in (r["energy"], *r["weight"].coords(ctx.M))])
-
-
-def _profile(ctx, s):
-    diagrams = (s.y_plus, s.y_minus) if ctx.field_kind == COMPLEX else (s.y_plus,)
-    rows = [tuple(y.row(i) for i in range(1, ctx.M + 1)) for y in diagrams]
-    return rows[0], rows[1] if len(rows) > 1 else None
 
 
 VERIFY_GATES = [

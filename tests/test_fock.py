@@ -42,6 +42,15 @@ def test_n_zero_context_has_no_slots():
         apply_creation(ctx, a_slot(1, 1), vacuum(ctx))
 
 
+@pytest.mark.parametrize("fields", [(COMPLEX, 2, 2, 4.5), (COMPLEX, True, 2, 4), (REAL, 1, Fraction(2), 4)],
+                         ids=["float-P", "bool-N", "fraction-M"])
+def test_validate_refuses_a_non_int_size(fields):
+    # a float P failed later in basis_monomials, and N = True shared the
+    # lru_cache entries of N = 1
+    with pytest.raises(ContextViolation, match="must be an int"):
+        FockContext(*fields).validate()
+
+
 def test_single_creation():
     ctx = FockContext(COMPLEX, 2, 2, 4).validate()
     v = apply_creation(ctx, a_slot(1, 1), vacuum(ctx))

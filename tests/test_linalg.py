@@ -131,6 +131,22 @@ def test_empty_and_degenerate_inputs():
     assert solve([], []) == []
 
 
+def test_solve_refuses_a_non_square_system_or_a_short_rhs():
+    # the right-hand column of [a | -b] sits at column len(a): for a wide a
+    # it overwrote a's own column there, and a short b read as singular
+    with pytest.raises(ValueError, match="square matrix expected"):
+        solve([[1, 2]], [3])
+    with pytest.raises(ValueError, match="right-hand side of length 1 for 2 equations"):
+        solve([[1, 0], [0, 1]], [3])
+
+
+def test_nullspace_refuses_a_column_past_ncols():
+    with pytest.raises(ValueError, match="column 2 outside 0..1"):
+        nullspace([[1, 2, 3]], ncols=2)
+    with pytest.raises(ValueError, match="column 2 outside 0..1"):
+        nullspace([{2: 1}], ncols=2)
+
+
 def test_leading_principal_minors():
     a = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
     assert leading_principal_minors(a) == [2, 3, 4]

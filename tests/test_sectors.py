@@ -29,6 +29,7 @@ from bilocal.fock import (
     basis_monomials,
     inner_product,
     norm_sq,
+    occupation_profile,
     unit,
     vacuum,
     zero,
@@ -38,6 +39,7 @@ from bilocal.modes import appendix_spectrum
 from bilocal.sectors import (
     Weight,
     _perm_sign,
+    _profile_to_sector,
     _profiles_below,
     _slot_determinant,
     adjoint_determinant_terms,
@@ -54,7 +56,9 @@ from bilocal.sectors import (
     null_vector_order,
     p_polynomial_check,
     profile_monomials,
+    sector_profile,
     verify_hw_conditions,
+    weight_from_profile,
     weight_from_sector,
 )
 from bilocal.young import (
@@ -602,8 +606,43 @@ def test_ground_state_generators_bracket_to_every_condition(kind, M):
     assert reached == {_symmetric_label(g, kind) for g in lowering_and_raising_labels(ctx)}
 
 
-def _full_kernel(ctx, a_occ, b_occ):
-    basis = [unit(ctx, m) for m in profile_monomials(ctx, a_occ, b_occ)]
+# ---------------------------------------------------------------------------
+# one occupation profile (a, b)
+
+
+def test_ground_states_lie_on_their_sector_profile(hw_cases):
+    """Every monomial of a ground state has the sector's profile, on the
+    benchmark's hw cases, in their context and their determinant context."""
+    assert hw_cases
+    for s, _, ctx, det_ctx in hw_cases:
+        for c in (ctx, det_ctx):
+            ground = build_ground_state(c, s)
+            assert {occupation_profile(m, c) for m in ground.monomials()} == {sector_profile(c, s)}, (c, s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 4), M=st.integers(1, 4),
+       P=st.integers(0, 6))
+def test_sector_profile_gives_back_the_sector_and_its_weight(kind, N, M, P):
+    ctx = FockContext(kind, N, M, P).validate()
+    fitting = [s for s in enumerate_sectors(kind, N, P)
+               if max(s.y_plus.num_rows, (s.y_minus or EMPTY).num_rows) <= M and s.total_boxes() <= P]
+    assert fitting
+    for s in fitting:
+        profile = sector_profile(ctx, s)
+        assert _profile_to_sector(ctx, profile) == s
+        assert weight_from_profile(kind, N, profile) == weight_from_sector(s)
+
+
+def test_a_profile_has_both_species():
+    ctx = FockContext(COMPLEX, 2, 2, 4).validate()
+    assert len(profile_monomials(ctx, ((1, 0), (0, 1)))) == 4
+    with pytest.raises(ValueError):
+        profile_monomials(ctx, ((1, 0),))
+
+
+def _full_kernel(ctx, profile):
+    basis = [unit(ctx, m) for m in profile_monomials(ctx, profile)]
     return joint_kernel(ctx, lowering_and_raising_labels(ctx), basis)
 
 
@@ -626,9 +665,9 @@ def _gate_contexts():
 def test_generating_set_kernel_equals_full_kernel_on_gate_contexts():
     for ctx, profiles in _gate_contexts():
         assert profiles
-        for a_occ, b_occ in profiles:
-            assert _terms(hw_kernel_in_profile(ctx, a_occ, b_occ)) == _terms(
-                _full_kernel(ctx, a_occ, b_occ)), (ctx, a_occ, b_occ)
+        for profile in profiles:
+            assert _terms(hw_kernel_in_profile(ctx, profile)) == _terms(
+                _full_kernel(ctx, profile)), (ctx, profile)
 
 
 @settings(max_examples=15, deadline=None)
@@ -636,9 +675,9 @@ def test_generating_set_kernel_equals_full_kernel_on_gate_contexts():
        cutoff=st.integers(0, 4))
 def test_generating_set_kernel_equals_full_kernel_on_small_contexts(kind, N, M, cutoff):
     ctx = FockContext(kind, N, M, max(cutoff, 1)).validate()
-    for a_occ, b_occ in _profiles(ctx, cutoff):
-        assert _terms(hw_kernel_in_profile(ctx, a_occ, b_occ)) == _terms(
-            _full_kernel(ctx, a_occ, b_occ)), (a_occ, b_occ)
+    for profile in _profiles(ctx, cutoff):
+        assert _terms(hw_kernel_in_profile(ctx, profile)) == _terms(
+            _full_kernel(ctx, profile)), profile
 
 
 def test_every_generator_is_needed():
@@ -647,19 +686,18 @@ def test_every_generator_is_needed():
     for ctx, profiles in _gate_contexts():
         sizes = {}
 
-        def kernel_size(a_occ, b_occ):
-            key = (a_occ, b_occ)
-            if key not in sizes:
-                sizes[key] = len(hw_kernel_in_profile(ctx, a_occ, b_occ))
-            return sizes[key]
+        def kernel_size(profile):
+            if profile not in sizes:
+                sizes[profile] = len(hw_kernel_in_profile(ctx, profile))
+            return sizes[profile]
 
         gens = ground_state_generators(ctx)
         for dropped in gens:
             rest = [g for g in gens if g != dropped]
             assert any(
-                len(joint_kernel(ctx, rest, [unit(ctx, m) for m in profile_monomials(ctx, a, b)]))
-                > kernel_size(a, b)
-                for a, b in profiles), (ctx, dropped)
+                len(joint_kernel(ctx, rest, [unit(ctx, m) for m in profile_monomials(ctx, profile)]))
+                > kernel_size(profile)
+                for profile in profiles), (ctx, dropped)
 
 
 # ---------------------------------------------------------------------------

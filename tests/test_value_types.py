@@ -117,6 +117,8 @@ REFUSALS = [
     (lambda: YoungDiagram((1, 2)), ValueError, "not weakly decreasing"),
     (lambda: YoungDiagram((2, 0)), ValueError, "must be positive"),
     (lambda: YoungDiagram(("a",)), ValueError, "invalid literal"),
+    (lambda: YoungDiagram((2.7, 1)), TypeError, "got float 2.7"),
+    (lambda: YoungDiagram((Fraction(3, 2),)), ValueError, "row length 3/2 is not an integer"),
     (lambda: YoungDiagram(rows=(1,), extra=2), TypeError, "unexpected keyword"),
     (lambda: SectorLabel("x", 1, EMPTY), ValueError, "unknown field kind 'x'"),
     (lambda: SectorLabel(REAL, 1, EMPTY, EMPTY), ValueError, "single diagram"),

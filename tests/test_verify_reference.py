@@ -388,7 +388,7 @@ def _reduced_failures(ctx, images, margin=2) -> list:
     pairs = [pair for pair in combinations_with_replacement(sorted(generators(ctx)), 2)
              if set(pair) & set(generating)]
     return algebra.commutator_scan([images[g] for g in generating], images.values(),
-                                   algebra._structure_identities(ctx, images, pairs), basis,
+                                   algebra._structure_identities(ctx, images, pairs, {}), basis,
                                    len(pairs))[0]
 
 
@@ -474,6 +474,22 @@ def test_each_verify_gate_makes_its_pinned_scans(monkeypatch, command):
     assert code == (1 if "drop-e-shift" in command else 0)
     assert calls == SCANS[command]
     assert runs == ([1, 2, 2, 1] if "drop-e-shift" in command else [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("command, built", [
+    ("verify --kind complex --N 1 --M 2 --P 4 --inject-fault drop-e-shift", 136),
+    ("verify --kind complex --N 2 --M 2 --P 4", 100),
+])
+def test_each_structure_identity_is_built_once(monkeypatch, command, built):
+    """The full rescan after a failing reduced scan builds no expected side
+    for a pair whose verdict it reuses: one abstract_commutator per pair."""
+    calls = []
+    bracket = algebra.abstract_commutator
+    monkeypatch.setattr(algebra, "abstract_commutator", lambda *args: calls.append(args) or bracket(*args))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.main(command.split())
+    assert len(calls) == built == len(set(calls))
 
 
 def test_a_failing_charge_check_reruns_once_when_structure_constants_fail(monkeypatch):
