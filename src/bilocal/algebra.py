@@ -517,8 +517,9 @@ def verify_structure_constants(ctx: FockContext, images: dict, margin: int = 2) 
     """Check [g1,g2] against the abstract relations on every monomial with at
     most P - margin particles, for every unordered generator pair, on the
     generator tables ``images`` of ctx (``generator_images``; tables of
-    another context or of two indexes raise ContextMismatch).  The scalar
-    parts enter only the expected side: they cancel from [g1,g2].
+    another context or of two indexes raise ContextMismatch, and keys other
+    than ctx's generators ValueError).  The scalar parts enter only the
+    expected side: they cancel from [g1,g2].
 
     A margin of 2 guarantees the truncated commutators are exact.
 
@@ -544,13 +545,17 @@ def verify_structure_constants(ctx: FockContext, images: dict, margin: int = 2) 
         raise ValueError("margin must be >= 2")
     if margin > ctx.P:
         raise ValueError(f"margin {margin} empties the basis (P = {ctx.P})")
+    labels = set(generators(ctx.validate()))
+    if images.keys() != labels:
+        missing, foreign = labels - images.keys(), images.keys() - labels
+        raise ValueError(f"no image table for {min(missing)}" if missing
+                         else f"image tables for labels outside {ctx}: {sorted(map(str, foreign))}")
     tables = list(images.values())
     _one_index(tables)
     if tables[0].index.ctx != ctx:
         raise ContextMismatch(f"tables of {tables[0].index.ctx} checked in {ctx}")
-    ctx.validate()
     basis = tables[0].index.basis(margin)
-    pairs = list(combinations_with_replacement(sorted(set(generators(ctx))), 2))
+    pairs = list(combinations_with_replacement(sorted(labels), 2))
     verdicts = {}
     if generating_set_suffices(ctx, images, margin):
         generating = lie_generating_set(ctx)

@@ -135,8 +135,9 @@ def _check_length(lam, field_kind, n):
 
 
 def _check_dominant(lam, field_kind, n):
-    blocks = (lam[:n], lam[n:]) if field_kind == COMPLEX else (lam,)
-    for blk in blocks:
+    """Each species' block of n coordinates is weakly decreasing."""
+    for k in range(len(FIELD_KINDS[field_kind].species)):
+        blk = lam[k * n:(k + 1) * n]
         for a, b in zip(blk, blk[1:]):
             if b > a:
                 raise ValueError(f"{lam} is not dominant for the compact subalgebra")
@@ -144,30 +145,21 @@ def _check_dominant(lam, field_kind, n):
 
 def canonical_lambda(s: SectorLabel, n: int):
     """The first Pieri summand: h + e+_{r+ + 1} + e-_{r- + 1} (complex) or
-    h + e_{r+1} + e_{s+1} (real)."""
+    h + e_{r+1} + e_{s+1} (real); the second e is in the last species' block."""
     h = weight_from_sector(s)
+    first, second = s.bound_heights()
+    if max(first, second) + 1 > n:
+        raise ValueError(f"need n >= {max(first, second) + 1}")
     coords = list(h.coords(n))
-    if s.field_kind == COMPLEX:
-        rp, rm = s.y_plus.column(1), s.y_minus.column(1)
-        if max(rp, rm) + 1 > n:
-            raise ValueError(f"need n >= {max(rp, rm) + 1}")
-        coords[rp] += 1
-        coords[n + rm] += 1
-    else:
-        r, srow = s.y_plus.column(1), s.y_plus.column(2)
-        if r + 1 > n:
-            raise ValueError(f"need n >= {r + 1}")
-        coords[r] += 1
-        coords[srow] += 1
+    coords[first] += 1
+    coords[(len(h.heads) - 1) * n + second] += 1
     return tuple(coords)
 
 
 def gamma_closed_form(s: SectorLabel) -> int:
     """2(2 h_inf - r+ - r-), with r, s the first two column heights in the
-    real normalization."""
-    if s.field_kind == COMPLEX:
-        return 2 * (s.N - s.y_plus.column(1) - s.y_minus.column(1))
-    return 2 * (s.N - s.y_plus.column(1) - s.y_plus.column(2))
+    real normalization (``SectorLabel.bound_heights``)."""
+    return 2 * (s.N - sum(s.bound_heights()))
 
 
 def unitarity_bound(s: SectorLabel) -> bool:

@@ -37,6 +37,7 @@ from .algebra import (
 )
 from .fock import (
     COMPLEX,
+    FIELD_KINDS,
     ContextViolation,
     FockContext,
     FockVector,
@@ -52,7 +53,7 @@ from .fock import (
     vacuum,
     zero,
 )
-from .young import EMPTY, SectorLabel, YoungDiagram, complex_sector, real_sector
+from .young import SectorLabel, YoungDiagram
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +63,21 @@ from .young import EMPTY, SectorLabel, YoungDiagram, complex_sector, real_sector
 class Weight(linalg.Record):
     """Cartan eigenvalue data: finite heads strictly above a stabilized tail.
 
-    Complex weights carry two heads (plus/minus species); real weights a
-    single head stored in ``head_plus``.  Entries are stored in canonical
-    form (``linalg.rational``); a float raises TypeError.
+    One head per oscillator species: plus and minus (complex), or plus with
+    ``head_minus == ()`` (real).  Entries are stored in canonical form
+    (``linalg.rational``); a float raises TypeError.
     """
 
-    def __init__(self, field_kind: str, head_plus: tuple, head_minus: Optional[tuple], tail: Rational):
-        head_plus = tuple(map(linalg.rational, head_plus))
-        if head_minus is not None:
-            head_minus = tuple(map(linalg.rational, head_minus))
+    def __init__(self, field_kind: str, head_plus: tuple, head_minus: tuple, tail: Rational):
+        if field_kind not in FIELD_KINDS:
+            raise ValueError(f"unknown field kind {field_kind!r}")
+        head_plus, head_minus = tuple(map(linalg.rational, head_plus)), tuple(map(linalg.rational, head_minus))
         self._set(field_kind=field_kind, head_plus=head_plus, head_minus=head_minus, tail=linalg.rational(tail))
         if self.tail < 0:
             raise ValueError("tail h_inf must be nonnegative")
-        for head in (head_plus, head_minus or ()):
+        if head_minus != () and len(self.heads) == 1:
+            raise ValueError("real weights carry a single head")
+        for head in (head_plus, head_minus):
             for a, b in zip(head, head[1:]):
                 if b > a:
                     raise ValueError("head not weakly decreasing")
@@ -83,48 +86,45 @@ class Weight(linalg.Record):
             if any((x - self.tail).denominator != 1 for x in head):
                 raise ValueError("head offsets from tail must be nonnegative integers")
 
+    @property
+    def heads(self) -> tuple:
+        """One head per species of the kind: (plus, minus) or (plus,)."""
+        return (self.head_plus, self.head_minus)[:len(FIELD_KINDS[self.field_kind].species)]
+
     def component(self, i: int, side: str = "plus") -> Rational:
-        """h_i, i >= 1, on one side; a weight with a single head ignores ``side``."""
+        """h_i, i >= 1, on one side (the tail on a real weight's minus side)."""
         if i < 1:
             raise ValueError(f"weight index {i} must be >= 1")
-        head = self.head_plus if side == "plus" or self.head_minus is None else self.head_minus
+        head = self.head_minus if side == "minus" else self.head_plus
         return head[i - 1] if i <= len(head) else self.tail
 
     def coords(self, n: int):
-        """Weight vector padded with the tail: length 2n complex, n real."""
-        if self.field_kind == COMPLEX:
-            return tuple(self.component(i, "plus") for i in range(1, n + 1)) + tuple(
-                self.component(i, "minus") for i in range(1, n + 1)
-            )
-        return tuple(self.component(i) for i in range(1, n + 1))
+        """Weight vector padded with the tail: n coordinates per species."""
+        return tuple(head[i] if i < len(head) else self.tail for head in self.heads for i in range(n))
 
     def to_json(self):
-        out = {"tail": self.tail, "head_plus": list(self.head_plus)}
-        if self.head_minus is not None:
-            out["head_minus"] = list(self.head_minus)
-        return out
+        return dict(zip(("head_plus", "head_minus"), map(list, self.heads)), tail=self.tail)
 
 
 def weight_from_sector(s: SectorLabel) -> Weight:
     """Cartan data of the sector's ground state: h_i = m_i + N/2."""
     s.check_bound()
-    return weight_from_profile(s.field_kind, s.N, (s.y_plus.rows, (s.y_minus or EMPTY).rows))
+    return weight_from_profile(s.field_kind, s.N, (s.y_plus.rows, s.y_minus.rows))
 
 
 def weight_from_profile(field_kind: str, N: int, profile) -> Weight:
     """Weight of a dominant occupation profile (a, b): h_i = occ_i + N/2
     per species, with the trailing tail-value entries (occupation 0)
-    trimmed off the heads; a real weight has no b head."""
+    trimmed off the heads (so a real b, all zero, gives the empty head)."""
     half_n = linalg.quotient(N, 2)
-    heads = [tuple(k + half_n for k in _trim(occ, 0)) for occ in profile]
-    return Weight(field_kind, heads[0], heads[1] if field_kind == COMPLEX else None, half_n)
+    return Weight(field_kind, *(tuple(k + half_n for k in _trim(occ, 0)) for occ in profile), half_n)
 
 
 def sector_profile(ctx: FockContext, s: SectorLabel) -> tuple:
     """The occupation profile (a, b) of the sector's ground state, in
     ``fock.occupation_profile``'s layout: the row lengths of Y+ and Y- on
     modes 1..M, b all zero for real."""
-    return tuple(tuple(y.row(i) for i in range(1, ctx.M + 1)) for y in (s.y_plus, s.y_minus or EMPTY))
+    return tuple(tuple(y.row(i) for i in range(1, ctx.M + 1)) for y in (s.y_plus, s.y_minus))
 
 
 def _trim(head, tail):
@@ -174,7 +174,7 @@ def _ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
     if s.field_kind != ctx.field_kind or s.N != ctx.N:
         raise ContextViolation(f"sector {s} does not match context {ctx}")
     s.check_bound()
-    rows = max(s.y_plus.num_rows, (s.y_minus or EMPTY).num_rows)
+    rows = max(s.y_plus.num_rows, s.y_minus.num_rows)
     if rows > ctx.M:
         raise TruncationError(f"need mode cutoff M >= {rows}, have {ctx.M}")
     if s.total_boxes() > ctx.P:
@@ -184,10 +184,10 @@ def _ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
     for h in s.y_plus.column_heights():
         modes = range(1, h + 1)
         v = Operator(ctx, _slot_determinant(SPECIES_A, modes, modes)).apply(v)
+    for h in s.y_minus.column_heights():
+        flavors = range(ctx.N + 1 - h, ctx.N + 1)
+        v = Operator(ctx, _slot_determinant(SPECIES_B, range(1, h + 1), flavors)).apply(v)
     if ctx.field_kind == COMPLEX:
-        for h in s.y_minus.column_heights():
-            flavors = range(ctx.N + 1 - h, ctx.N + 1)
-            v = Operator(ctx, _slot_determinant(SPECIES_B, range(1, h + 1), flavors)).apply(v)
         return v
 
     kernel = hw_kernel_in_profile(ctx, sector_profile(ctx, s))
@@ -300,7 +300,10 @@ def hw_kernel_in_profile(ctx: FockContext, profile) -> list:
 
 
 def verify_hw_conditions(ctx: FockContext, v: FockVector, expected: Weight) -> dict:
-    """Exact check of the ground-state conditions against an expected weight."""
+    """Exact check of the ground-state conditions against an expected weight
+    of the context's field kind (ContextViolation otherwise)."""
+    if expected.field_kind != ctx.field_kind:
+        raise ContextViolation(f"a {expected.field_kind} weight checked in {ctx}")
     if v.is_zero():
         raise ValueError("cannot verify the zero vector")
     failures = []
@@ -525,8 +528,7 @@ def _profile_to_sector(ctx: FockContext, profile) -> Optional[SectorLabel]:
     """Sector label when the profile is a valid pair of diagrams, else None
     (a nonempty kernel never produces None; dominance is forced)."""
     try:
-        yp, ym = (YoungDiagram(_trim(occ, 0)) for occ in profile)
-        s = complex_sector(yp, ym, ctx.N) if ctx.field_kind == COMPLEX else real_sector(yp, ctx.N)
+        s = SectorLabel(ctx.field_kind, ctx.N, *(YoungDiagram(_trim(occ, 0)) for occ in profile))
     except ValueError:
         return None
     return s if s.bound_violation() is None else None

@@ -15,11 +15,12 @@ because they act on flavor indices.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from numbers import Rational, Real
+from numbers import Rational
 from typing import Iterator, NamedTuple, Optional
 
 from .fock import (
     COMPLEX,
+    FIELD_KINDS,
     REAL,
     ContextViolation,
     FockContext,
@@ -105,11 +106,12 @@ def _conjugate(parts) -> tuple:
 
 
 def _row_length(r) -> int:
-    """r as an int row length: a float raises TypeError and a non-integral
-    rational ValueError, where int() would truncate either."""
-    if isinstance(r, Real) and not isinstance(r, Rational):
+    """r as an int row length: a bool or a non-rational (a float, a string)
+    raises TypeError and a non-integral rational ValueError, where int()
+    would accept, truncate or parse them."""
+    if isinstance(r, bool) or not isinstance(r, Rational):
         raise TypeError(f"row lengths are integers, got {type(r).__name__} {r!r}")
-    if isinstance(r, Rational) and r.denominator != 1:
+    if r.denominator != 1:
         raise ValueError(f"row length {r} is not an integer")
     return int(r)
 
@@ -155,16 +157,17 @@ def _partitions(max_boxes: int, max_rows: Optional[int] = None) -> Iterator[tupl
 
 
 class SectorLabel(OrderedRecord):
-    """Ground-state label: (Y+, Y-, N) for complex, (Y, N) for real."""
+    """Ground-state label: (Y+, Y-, N) for complex, (Y, N) for real, stored
+    as (Y, EMPTY): one diagram per species.  A missing Y- is EMPTY."""
 
     def __init__(self, field_kind: str, N: int, y_plus: YoungDiagram, y_minus: Optional[YoungDiagram] = None):
         if type(N) is not int or N < 0:
             raise ValueError(f"multiplet size N must be an int >= 0, got {N!r}")
-        if field_kind == COMPLEX:
-            y_minus = EMPTY if y_minus is None else y_minus
-        elif field_kind != REAL:
+        if field_kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {field_kind!r}")
-        elif y_minus is not None:
+        if y_minus is None:
+            y_minus = EMPTY
+        elif len(FIELD_KINDS[field_kind].species) == 1 and y_minus != EMPTY:
             raise ValueError("real sectors carry a single diagram")
         self._set(field_kind=field_kind, N=N, y_plus=y_plus, y_minus=y_minus)
 
@@ -175,16 +178,19 @@ class SectorLabel(OrderedRecord):
             raise ValueError("y is only defined for real sectors")
         return self.y_plus
 
+    def bound_heights(self) -> tuple:
+        """The two column heights the unitarity bound sums: (r+, r-), the
+        first columns of Y+ and Y- (complex), or (r, s), the first two
+        columns of Y (real)."""
+        if self.field_kind == COMPLEX:
+            return self.y_plus.column(1), self.y_minus.column(1)
+        return self.y_plus.column(1), self.y_plus.column(2)
+
     def bound_violation(self) -> Optional[str]:
         """The violated inequality as text, or None when in bound."""
-        if self.field_kind == COMPLEX:
-            rp, rm = self.y_plus.column(1), self.y_minus.column(1)
-            if rp + rm > self.N:
-                return f"r+ + r- = {rp}+{rm} > N = {self.N}"
-        else:
-            r, s = self.y_plus.column(1), self.y_plus.column(2)
-            if r + s > self.N:
-                return f"r + s = {r}+{s} > N = {self.N}"
+        first, second = self.bound_heights()
+        if first + second > self.N:
+            return f"{_BOUND_NAMES[self.field_kind]} = {first}+{second} > N = {self.N}"
         return None
 
     def check_bound(self):
@@ -194,12 +200,15 @@ class SectorLabel(OrderedRecord):
         return self
 
     def total_boxes(self) -> int:
-        return self.y_plus.size + (self.y_minus.size if self.y_minus else 0)
+        return self.y_plus.size + self.y_minus.size
 
     def __str__(self):
         if self.field_kind == COMPLEX:
             return f"({self.y_plus},{self.y_minus},N={self.N})"
         return f"({self.y_plus},N={self.N})"
+
+
+_BOUND_NAMES = {COMPLEX: "r+ + r-", REAL: "r + s"}
 
 
 def complex_sector(y_plus: YoungDiagram, y_minus: YoungDiagram, N: int) -> SectorLabel:
@@ -217,20 +226,16 @@ def vacuum_sector(ctx_or_kind, N: Optional[int] = None) -> SectorLabel:
         kind, N = ctx_or_kind.field_kind, ctx_or_kind.N
     else:
         kind = ctx_or_kind
-    return complex_sector(EMPTY, EMPTY, N) if kind == COMPLEX else real_sector(EMPTY, N)
+    return SectorLabel(kind, N, EMPTY)
 
 
 def enumerate_sectors(field_kind: str, N: int, max_boxes: int) -> Iterator[SectorLabel]:
-    """All in-bound sectors with each diagram capped at max_boxes boxes."""
-    if field_kind == COMPLEX:
-        for yp in young_diagrams(max_boxes):
-            for ym in young_diagrams(max_boxes):
-                s = complex_sector(yp, ym, N)
-                if s.bound_violation() is None:
-                    yield s
-    else:
-        for y in young_diagrams(max_boxes):
-            s = real_sector(y, N)
+    """All in-bound sectors with each diagram capped at max_boxes boxes, in
+    the order of Y+, then Y- (always EMPTY for real)."""
+    diagrams = list(young_diagrams(max_boxes))
+    for yp in diagrams:
+        for ym in [EMPTY] if field_kind == REAL else diagrams:
+            s = SectorLabel(field_kind, N, yp, ym)
             if s.bound_violation() is None:
                 yield s
 

@@ -76,7 +76,7 @@ def _report(number: int, description: str, ok: bool, detail: str = ""):
 
 
 def _ground_ctx(s, extra=2):
-    rows = max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+    rows = max(s.y_plus.num_rows, s.y_minus.num_rows)
     return FockContext(s.field_kind, s.N, max(rows + 1, 2), s.total_boxes() + extra).validate()
 
 
@@ -176,7 +176,7 @@ def test_criterion_5_casimir_and_gamma():
             for s in enumerate_sectors(kind, N, 3):
                 if s.total_boxes() > 3:
                     continue
-                rows = max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+                rows = max(s.y_plus.num_rows, s.y_minus.num_rows)
                 for n in range(max(rows, 1), 4):
                     ctx = FockContext(kind, N, max(n, 2), s.total_boxes() + 2).validate()
                     ground = build_ground_state(ctx, s)
@@ -200,7 +200,7 @@ def test_criterion_5_casimir_and_gamma():
     for kind in (COMPLEX, REAL):
         for N in (1, 2, 3):
             for s in enumerate_sectors(kind, N, 3):
-                rows = max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+                rows = max(s.y_plus.num_rows, s.y_minus.num_rows)
                 n = rows + 1
                 ok = ok and gamma_value(weight_from_sector(s), canonical_lambda(s, n), n) == gamma_closed_form(s)
     # C_g closed-form ambiguity: resolved against the operator oracle

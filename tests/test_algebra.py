@@ -135,6 +135,17 @@ def test_structure_constants_refuse_tables_of_another_context():
         verify_structure_constants(ctx, generator_images(ctx._replace(P=5), shift=True))
 
 
+def test_structure_constants_refuse_an_incomplete_or_padded_table_dict():
+    ctx = FockContext(COMPLEX, 1, 2, 4).validate()
+    images = generator_images(ctx, shift=True)
+    with pytest.raises(ValueError, match="no image table for"):
+        verify_structure_constants(ctx, {})
+    with pytest.raises(ValueError, match=r"no image table for X\(2,2\)"):
+        verify_structure_constants(ctx, {g: t for g, t in images.items() if g != X(2, 2)})
+    with pytest.raises(ValueError, match=r"labels outside .*X\(3,3\)"):
+        verify_structure_constants(ctx, {**images, X(3, 3): images[X(1, 1)]})
+
+
 def test_operators_refuse_vectors_and_operators_of_another_context():
     """Xstar(1,1) at P = 0 drops everything it creates, and at P = 6 it would
     relabel a P = 0 vector as one of P = 6: both calls raise instead of

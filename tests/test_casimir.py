@@ -92,7 +92,7 @@ def test_casimir_k_matches_action_on_ground_states(kind):
         for s in enumerate_sectors(kind, N, 2):
             if s.total_boxes() > 2:
                 continue
-            rows = max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+            rows = max(s.y_plus.num_rows, s.y_minus.num_rows)
             for n in range(max(rows, 1), 4):
                 ctx = FockContext(kind, N, max(n, 2), s.total_boxes() + 2).validate()
                 ground = build_ground_state(ctx, s)
@@ -159,7 +159,7 @@ def test_gamma_closed_form_all_small_sectors():
     for kind in (COMPLEX, REAL):
         for N in (1, 2, 3):
             for s in enumerate_sectors(kind, N, 3):
-                rows = max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+                rows = max(s.y_plus.num_rows, s.y_minus.num_rows)
                 n = rows + 1
                 h = weight_from_sector(s)
                 assert gamma_value(h, canonical_lambda(s, n), n) == gamma_closed_form(s), str(s)
@@ -380,7 +380,7 @@ def _spans_inside(vectors, others):
 def test_hw_vectors_span_all_e_closure_on_small_contexts(data, kind, N):
     # sectors of <= 3 boxes, n = rows + 1..3, M = n and n + 1
     def rows(s):
-        return max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+        return max(s.y_plus.num_rows, s.y_minus.num_rows)
 
     s = data.draw(st.sampled_from([s for s in enumerate_sectors(kind, N, 3)
                                    if s.total_boxes() <= 3 and rows(s) < 3]))

@@ -64,6 +64,7 @@ from bilocal.sectors import (
 from bilocal.young import (
     EMPTY,
     BoundViolation,
+    SectorLabel,
     complex_sector,
     diagram,
     enumerate_sectors,
@@ -71,11 +72,12 @@ from bilocal.young import (
     sector_to_irrep_U,
     vacuum_sector,
     weyl_dimension_U,
+    young_diagrams,
 )
 
 
 def _ground_context(s, extra_particles=0, min_modes=0):
-    rows = max(s.y_plus.num_rows, s.y_minus.num_rows if s.y_minus else 0)
+    rows = max(s.y_plus.num_rows, s.y_minus.num_rows)
     M = max(rows + 1, 2, min_modes)
     P = s.total_boxes() + extra_particles
     return FockContext(s.field_kind, s.N, M, P).validate()
@@ -105,7 +107,7 @@ def test_weight_validation():
     with pytest.raises(ValueError):
         Weight(COMPLEX, (Fraction(1), Fraction(2)), (), Fraction(0))
     with pytest.raises(ValueError):
-        Weight(REAL, (Fraction(1, 3),), None, Fraction(0))
+        Weight(REAL, (Fraction(1, 3),), (), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,16 @@ def test_traceful_pair_fails_hw():
     report = verify_hw_conditions(ctx, v, w)
     assert not report["ok"]
     assert any("X(1,1)" in f["condition"] for f in report["failures"])
+
+
+@pytest.mark.parametrize("kind, other", [(COMPLEX, REAL), (REAL, COMPLEX)])
+def test_hw_conditions_refuse_a_weight_of_the_other_kind(kind, other):
+    """On the vacuum the other kind's vacuum weight meets every condition
+    checked, so only the kind check can refuse it."""
+    ctx = FockContext(kind, 2, 2, 4).validate()
+    assert verify_hw_conditions(ctx, vacuum(ctx), weight_from_sector(vacuum_sector(ctx)))["ok"]
+    with pytest.raises(ContextViolation, match=f"a {other} weight"):
+        verify_hw_conditions(ctx, vacuum(ctx), weight_from_sector(vacuum_sector(other, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +638,103 @@ def test_ground_states_lie_on_their_sector_profile(hw_cases):
 def test_sector_profile_gives_back_the_sector_and_its_weight(kind, N, M, P):
     ctx = FockContext(kind, N, M, P).validate()
     fitting = [s for s in enumerate_sectors(kind, N, P)
-               if max(s.y_plus.num_rows, (s.y_minus or EMPTY).num_rows) <= M and s.total_boxes() <= P]
+               if max(s.y_plus.num_rows, s.y_minus.num_rows) <= M and s.total_boxes() <= P]
     assert fitting
     for s in fitting:
         profile = sector_profile(ctx, s)
         assert _profile_to_sector(ctx, profile) == s
-        assert weight_from_profile(kind, N, profile) == weight_from_sector(s)
+        w = weight_from_profile(kind, N, profile)
+        assert w == weight_from_sector(s)
+        if kind == REAL:
+            assert s.y_minus == EMPTY and w.head_minus == ()
+
+
+# ---------------------------------------------------------------------------
+# the real case as the one-species pair, against the per-kind formulas
+
+
+def _per_kind_sectors(kind, N, cap):
+    """enumerate_sectors written per kind: a double loop (complex) and a
+    single loop (real), with the bounds spelled out."""
+    diagrams = list(young_diagrams(cap))
+    if kind == COMPLEX:
+        return [complex_sector(yp, ym, N) for yp in diagrams for ym in diagrams
+                if yp.column(1) + ym.column(1) <= N]
+    return [real_sector(y, N) for y in diagrams if y.column(1) + y.column(2) <= N]
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+def test_enumerate_sectors_matches_the_per_kind_loops(kind):
+    for N in range(5):
+        for cap in range(5):
+            assert list(enumerate_sectors(kind, N, cap)) == _per_kind_sectors(kind, N, cap), (N, cap)
+
+
+def _per_kind_violation(s):
+    if s.field_kind == COMPLEX:
+        rp, rm = s.y_plus.column(1), s.y_minus.column(1)
+        return f"r+ + r- = {rp}+{rm} > N = {s.N}" if rp + rm > s.N else None
+    r, t = s.y_plus.column(1), s.y_plus.column(2)
+    return f"r + s = {r}+{t} > N = {s.N}" if r + t > s.N else None
+
+
+def _per_kind_coords(s, n):
+    """h_i = row length + N/2, n per diagram: 2n complex, n real."""
+    diagrams = (s.y_plus, s.y_minus) if s.field_kind == COMPLEX else (s.y_plus,)
+    return tuple(y.row(i) + Fraction(s.N, 2) for y in diagrams for i in range(1, n + 1))
+
+
+def _per_kind_gamma(s):
+    if s.field_kind == COMPLEX:
+        return 2 * (s.N - s.y_plus.column(1) - s.y_minus.column(1))
+    return 2 * (s.N - s.y_plus.column(1) - s.y_plus.column(2))
+
+
+def _per_kind_lambda(s, n):
+    coords = list(_per_kind_coords(s, n))
+    if s.field_kind == COMPLEX:
+        rp, rm = s.y_plus.column(1), s.y_minus.column(1)
+        if max(rp, rm) + 1 > n:
+            return None
+        coords[rp] += 1
+        coords[n + rm] += 1
+    else:
+        r, t = s.y_plus.column(1), s.y_plus.column(2)
+        if r + 1 > n:
+            return None
+        coords[r] += 1
+        coords[t] += 1
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+def test_bound_weight_gamma_and_lambda_match_the_per_kind_formulas(kind):
+    """Every label with at most 4 boxes at N <= 4, in bound or not: the
+    violation text; in bound, coords(n), gamma and the canonical lambda at
+    n <= 4."""
+    minus = list(young_diagrams(4)) if kind == COMPLEX else [EMPTY]
+    checked = 0
+    for N in range(5):
+        for yp in young_diagrams(4):
+            for ym in minus:
+                if yp.size + ym.size > 4:
+                    continue
+                s = SectorLabel(kind, N, yp, ym)
+                assert s.bound_violation() == _per_kind_violation(s), s
+                if s.bound_violation() is not None:
+                    continue
+                checked += 1
+                assert casimir.gamma_closed_form(s) == _per_kind_gamma(s), s
+                w = weight_from_sector(s)
+                for n in range(1, 5):
+                    assert w.coords(n) == _per_kind_coords(s, n), (s, n)
+                    want = _per_kind_lambda(s, n)
+                    if want is None:
+                        with pytest.raises(ValueError, match="need n >="):
+                            casimir.canonical_lambda(s, n)
+                    else:
+                        assert casimir.canonical_lambda(s, n) == want, (s, n)
+    assert checked == {COMPLEX: 104, REAL: 30}[kind]
 
 
 def test_a_profile_has_both_species():
@@ -710,7 +813,7 @@ def _hw_operations(s, n, ctx, det_ctx):
     gamma identity, the C_g oracle and the determinant recursion."""
     w = weight_from_sector(s)
     wrong = Weight(w.field_kind, tuple(x + 1 for x in w.head_plus),
-                   None if w.head_minus is None else tuple(x + 1 for x in w.head_minus), w.tail + 1)
+                   tuple(x + 1 for x in w.head_minus), w.tail + 1)
     v = build_ground_state(ctx, s)
     assert verify_hw_conditions(ctx, v, w)["ok"]
     assert not verify_hw_conditions(ctx, v, wrong)["ok"]

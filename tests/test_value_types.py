@@ -28,10 +28,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RECORDS = {
     "FieldKind": (FieldKind, (("a",), ("a", "a"), {"E": "a"}), (("a",), ("a", "a"), {"E": "a"}),
                   "FieldKind(species=('a',), x_legs=('a', 'a'), e_kinds={'E': 'a'})"),
-    "Weight": (Weight, (REAL, [Fraction(5, 2), 3 / Fraction(2)], None, Fraction(1, 2)),
-               (REAL, (Fraction(5, 2), Fraction(3, 2)), None, Fraction(1, 2)),
+    "Weight": (Weight, (REAL, [Fraction(5, 2), 3 / Fraction(2)], [], Fraction(1, 2)),
+               (REAL, (Fraction(5, 2), Fraction(3, 2)), (), Fraction(1, 2)),
                "Weight(field_kind='real', head_plus=(Fraction(5, 2), Fraction(3, 2)), "
-               "head_minus=None, tail=Fraction(1, 2))"),
+               "head_minus=(), tail=Fraction(1, 2))"),
     "YoungDiagram": (YoungDiagram, ([2, Fraction(1)],), ((2, 1),), "YoungDiagram(rows=(2, 1))"),
     "SectorLabel": (SectorLabel, (COMPLEX, 2, diagram(1)), (COMPLEX, 2, diagram(1), EMPTY),
                     "SectorLabel(field_kind='complex', N=2, y_plus=YoungDiagram(rows=(1,)), "
@@ -116,21 +116,25 @@ def test_repr_text(name):
 REFUSALS = [
     (lambda: YoungDiagram((1, 2)), ValueError, "not weakly decreasing"),
     (lambda: YoungDiagram((2, 0)), ValueError, "must be positive"),
-    (lambda: YoungDiagram(("a",)), ValueError, "invalid literal"),
+    (lambda: YoungDiagram(("a",)), TypeError, "got str 'a'"),
+    (lambda: YoungDiagram(("3", True)), TypeError, "got str '3'"),
+    (lambda: YoungDiagram((2, True)), TypeError, "got bool True"),
     (lambda: YoungDiagram((2.7, 1)), TypeError, "got float 2.7"),
     (lambda: YoungDiagram((Fraction(3, 2),)), ValueError, "row length 3/2 is not an integer"),
     (lambda: YoungDiagram(rows=(1,), extra=2), TypeError, "unexpected keyword"),
     (lambda: SectorLabel("x", 1, EMPTY), ValueError, "unknown field kind 'x'"),
-    (lambda: SectorLabel(REAL, 1, EMPTY, EMPTY), ValueError, "single diagram"),
+    (lambda: SectorLabel(REAL, 1, EMPTY, diagram(1)), ValueError, "single diagram"),
     (lambda: SectorLabel(REAL, -1, EMPTY), ValueError, "N must be an int >= 0, got -1"),
     (lambda: SectorLabel(COMPLEX, 2.5, EMPTY), ValueError, "N must be an int >= 0, got 2.5"),
-    (lambda: Weight(REAL, (1.5,), None, 0), TypeError, "got float 1.5"),
+    (lambda: Weight(REAL, (1.5,), (), 0), TypeError, "got float 1.5"),
     (lambda: Weight(COMPLEX, (3,), (0.5,), 0), TypeError, "got float 0.5"),
-    (lambda: Weight(REAL, (3,), None, "x"), TypeError, "got str 'x'"),
-    (lambda: Weight(REAL, (1,), None, -1), ValueError, "tail h_inf must be nonnegative"),
-    (lambda: Weight(REAL, (1, 2), None, 0), ValueError, "head not weakly decreasing"),
+    (lambda: Weight(REAL, (3,), (), "x"), TypeError, "got str 'x'"),
+    (lambda: Weight(REAL, (1,), (), -1), ValueError, "tail h_inf must be nonnegative"),
+    (lambda: Weight(REAL, (1, 2), (), 0), ValueError, "head not weakly decreasing"),
     (lambda: Weight(COMPLEX, (2,), (1,), 1), ValueError, "strictly above the tail"),
-    (lambda: Weight(REAL, (5,), None, Fraction(1, 2)), ValueError, "nonnegative integers"),
+    (lambda: Weight(REAL, (2,), (2,), 1), ValueError, "real weights carry a single head"),
+    (lambda: Weight("quaternionic", (1,), (), 0), ValueError, "unknown field kind 'quaternionic'"),
+    (lambda: Weight(REAL, (5,), (), Fraction(1, 2)), ValueError, "nonnegative integers"),
     (lambda: Weight(REAL, (1,)), TypeError, "missing 2 required positional arguments"),
     (lambda: FieldKind(("a",), ("a", "a")), TypeError, "missing 1 required positional argument"),
 ]
@@ -145,7 +149,7 @@ def test_constructors_refuse_bad_fields(make, error, match):
 def test_keyword_construction_and_defaults():
     assert YoungDiagram() == YoungDiagram(rows=()) == EMPTY
     assert SectorLabel(field_kind=COMPLEX, N=1, y_plus=EMPTY).y_minus is EMPTY
-    assert SectorLabel(REAL, 1, EMPTY).y_minus is None
+    assert SectorLabel(REAL, 1, EMPTY).y_minus == EMPTY
     w = Weight(field_kind=COMPLEX, head_plus=[2], head_minus=[], tail=Fraction(2, 2))
     assert (w.head_plus, w.head_minus, w.tail) == ((2,), (), 1) and type(w.tail) is int
 
