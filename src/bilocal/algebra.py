@@ -28,7 +28,6 @@ from .fock import (
     E_KIND,
     EMINUS_KIND,
     EPLUS_KIND,
-    FIELD_KINDS,
     X_KIND,
     XSTAR_KIND,
     ContextMismatch,
@@ -40,6 +39,7 @@ from .fock import (
     ModeSlot,
     Operator,
     basis_monomials,
+    field_kind_named,
     monomial_str,
     zero,
 )
@@ -225,8 +225,9 @@ def abstract_commutator(g1: GeneratorLabel, g2: GeneratorLabel, field_kind: str 
     No scalar term ever appears: the central shift lives inside the E
     generators.
     """
+    kinds = field_kind_named(field_kind).generator_kinds
     for g in (g1, g2):
-        if g.kind not in FIELD_KINDS[field_kind].generator_kinds:
+        if g.kind not in kinds:
             raise ContextViolation(f"kind {g.kind} invalid for {field_kind}")
     if field_kind == COMPLEX:
         return _commutator_complex(g1, g2)

@@ -40,11 +40,11 @@ from .algebra import (
 )
 from .fock import (
     COMPLEX,
-    FIELD_KINDS,
     REAL,
     ContextViolation,
     FockContext,
     FockVector,
+    field_kind_named,
     inner_product,
     norm_sq,
     occupation_profile,
@@ -69,6 +69,7 @@ class WeylData(NamedTuple):
 
 
 def weyl_data(field_kind: str, n: int) -> WeylData:
+    field_kind_named(field_kind)  # ValueError for an unknown kind
     rho = tuple(linalg.quotient(n + 1 - 2 * i, 2) for i in range(1, n + 1))
     if field_kind == COMPLEX:
         rho = rho + rho
@@ -87,7 +88,7 @@ def _dot(u, v) -> Rational:
 
 
 def casimir_k(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
-    rng, e_kinds = range(1, n + 1), FIELD_KINDS[field_kind].e_kinds
+    rng, e_kinds = range(1, n + 1), field_kind_named(field_kind).e_kinds
     return OperatorExpr().plus(
         (1, OperatorExpr.of(GeneratorLabel(kind, i, j)) * OperatorExpr.of(GeneratorLabel(kind, j, i)))
         for i in rng for j in rng for kind in e_kinds)
@@ -129,14 +130,14 @@ def gamma_value(h: Weight, lam, n: int) -> Rational:
 
 def _check_length(lam, field_kind, n):
     """lam has n coordinates per oscillator species: 2n complex, n real."""
-    want = len(FIELD_KINDS[field_kind].species) * n
+    want = len(field_kind_named(field_kind).species) * n
     if len(lam) != want:
         raise ValueError(f"weight length {len(lam)} != {want}")
 
 
 def _check_dominant(lam, field_kind, n):
     """Each species' block of n coordinates is weakly decreasing."""
-    for k in range(len(FIELD_KINDS[field_kind].species)):
+    for k in range(len(field_kind_named(field_kind).species)):
         blk = lam[k * n:(k + 1) * n]
         for a, b in zip(blk, blk[1:]):
             if b > a:

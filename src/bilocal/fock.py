@@ -77,6 +77,14 @@ FIELD_KINDS = {
 }
 
 
+def field_kind_named(name: str) -> FieldKind:
+    """The FieldKind of ``name``; ValueError for an unknown kind."""
+    try:
+        return FIELD_KINDS[name]
+    except KeyError:
+        raise ValueError(f"unknown field kind {name!r}") from None
+
+
 class FockError(Exception):
     """Base class for Fock-space errors."""
 

@@ -46,6 +46,7 @@ from .fock import (
     ModeSlot,
     Operator,
     TruncationError,
+    field_kind_named,
     gram_matrix,
     inner_product,
     norm_sq,
@@ -69,8 +70,7 @@ class Weight(linalg.Record):
     """
 
     def __init__(self, field_kind: str, head_plus: tuple, head_minus: tuple, tail: Rational):
-        if field_kind not in FIELD_KINDS:
-            raise ValueError(f"unknown field kind {field_kind!r}")
+        field_kind_named(field_kind)  # ValueError for an unknown kind
         head_plus, head_minus = tuple(map(linalg.rational, head_plus)), tuple(map(linalg.rational, head_minus))
         self._set(field_kind=field_kind, head_plus=head_plus, head_minus=head_minus, tail=linalg.rational(tail))
         if self.tail < 0:

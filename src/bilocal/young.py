@@ -20,13 +20,13 @@ from typing import Iterator, NamedTuple, Optional
 
 from .fock import (
     COMPLEX,
-    FIELD_KINDS,
     REAL,
     ContextViolation,
     FockContext,
     SPECIES_A,
     ModeSlot,
     Operator,
+    field_kind_named,
 )
 from .linalg import OrderedRecord
 
@@ -163,11 +163,10 @@ class SectorLabel(OrderedRecord):
     def __init__(self, field_kind: str, N: int, y_plus: YoungDiagram, y_minus: Optional[YoungDiagram] = None):
         if type(N) is not int or N < 0:
             raise ValueError(f"multiplet size N must be an int >= 0, got {N!r}")
-        if field_kind not in FIELD_KINDS:
-            raise ValueError(f"unknown field kind {field_kind!r}")
+        kind = field_kind_named(field_kind)
         if y_minus is None:
             y_minus = EMPTY
-        elif len(FIELD_KINDS[field_kind].species) == 1 and y_minus != EMPTY:
+        elif len(kind.species) == 1 and y_minus != EMPTY:
             raise ValueError("real sectors carry a single diagram")
         self._set(field_kind=field_kind, N=N, y_plus=y_plus, y_minus=y_minus)
 
@@ -272,6 +271,8 @@ class GaugeIrrepU(NamedTuple):
     q: int
 
     def validate(self, N: int):
+        if type(self.q) is not int:
+            raise TypeError(f"charge q must be an int, got {type(self.q).__name__} {self.q!r}")
         if N == 0 and self.q:
             raise ValueError("N=0 admits only the trivial label")
         if N > 0 and (self.q - self.young.size) % N != 0:

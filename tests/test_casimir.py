@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bilocal import casimir
-from bilocal.algebra import Eminus, Eplus, GeneratorLabel, OperatorExpr, X, Xstar, apply_generator
+from bilocal.algebra import (
+    Eminus,
+    Eplus,
+    GeneratorLabel,
+    OperatorExpr,
+    X,
+    Xstar,
+    abstract_commutator,
+    apply_generator,
+)
 from bilocal.casimir import (
     canonical_lambda,
     casimir_g,
@@ -510,3 +519,20 @@ def test_reversed_dominance_fails_the_closure_comparison(hw_cases, monkeypatch):
     monkeypatch.setattr(casimir, "_prefix_sums", lambda p: tuple(-x for x in prefix_sums(p)))
     mismatches, _, _ = _closure_mismatches(hw_cases)
     assert mismatches
+
+
+UNKNOWN_KIND_CALLS = {
+    "weyl_data": lambda: weyl_data("quaternion", 2),
+    "casimir_k_eigenvalue": lambda: casimir_k_eigenvalue((1, 0), 2, "quaternion"),
+    "casimir_k": lambda: casimir_k(2, "quaternion"),
+    "casimir_g": lambda: casimir_g(2, "quaternion"),
+    "abstract_commutator": lambda: abstract_commutator(X(1, 1), Xstar(1, 1), "quaternion"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_KIND_CALLS))
+def test_an_unknown_field_kind_is_refused(entry):
+    # weyl_data and casimir_k_eigenvalue used to answer as if the kind were
+    # real; the others raised a raw KeyError
+    with pytest.raises(ValueError, match="unknown field kind 'quaternion'"):
+        UNKNOWN_KIND_CALLS[entry]()

@@ -1,9 +1,14 @@
+import argparse
+import hashlib
 import importlib
 import io
 import json
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import bilocal
 from bilocal import algebra, cli, fock, young
 from bilocal.cli import main
-from bilocal.fock import COMPLEX, FockContext, Operator, a_slot, basis_monomials, monomial_str
+from bilocal.fock import COMPLEX, REAL, FockContext, Operator, a_slot, basis_monomials, monomial_str
 from bilocal.serialize import dumps, jsonable, parse_rational
 
 
@@ -215,6 +220,199 @@ def test_exit_code_contract_holds_on_small_argv(argv):
         assert out.getvalue() == "", argv
     else:
         assert json.loads(out.getvalue()), argv
+
+
+# ---------------------------------------------------------------------------
+# the option parser against argparse
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that cli.build_parser replaced: the reference
+    for every argv the CLI accepts or refuses."""
+    parser = argparse.ArgumentParser(
+        prog="bilocal",
+        description="Exact verification harness for bilocal field algebras on truncated Fock spaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, with_ctx=True):
+        p.add_argument("--format", choices=["json", "table"], default="json")
+        p.add_argument("--seed-free", action="store_true",
+                       help="accepted for interface stability; computations are always deterministic")
+        if with_ctx:
+            p.add_argument("--kind", choices=[COMPLEX, REAL], default=COMPLEX)
+            p.add_argument("--N", type=int, required=True)
+            p.add_argument("--M", type=int, default=2)
+            p.add_argument("--P", type=int, default=4)
+            p.add_argument("--unsafe-large", action="store_true",
+                           help="lift the default N/M/P guards")
+
+    p = sub.add_parser("verify", help="run the algebraic invariant suite")
+    add_common(p)
+    p.add_argument("--margin", type=int, default=2)
+    p.add_argument("--inject-fault", choices=["none", "drop-e-shift"], default="none",
+                   help="negative control: drop the N/2 shift of the E generators and expect failure")
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("classify", help="enumerate sectors below an energy cutoff")
+    add_common(p)
+    p.add_argument("--cutoff", required=True, help="energy cutoff, integer or p/q")
+    p.add_argument("--D", type=int, default=0,
+                   help="use the conformal mode energies for this spacetime dimension")
+    p.set_defaults(func=cli.cmd_classify)
+
+    p = sub.add_parser("gram", help="Gram matrix of level-raised vectors over a ground state")
+    add_common(p)
+    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--yplus", default="", help="comma-separated row lengths, e.g. 2,1")
+    p.add_argument("--yminus", default="")
+    p.add_argument("--y", default="", help="diagram for real sectors")
+    p.set_defaults(func=cli.cmd_gram)
+
+    p = sub.add_parser("map-irreps", help="sector <-> gauge irrep dictionary")
+    add_common(p, with_ctx=False)
+    p.add_argument("--group", choices=["U", "O"], required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--cap", type=int, default=3)
+    p.set_defaults(func=cli.cmd_map_irreps)
+
+    p = sub.add_parser("spectrum", help="conformal one-particle spectrum table")
+    add_common(p, with_ctx=False)
+    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--count", type=int, required=True)
+    p.set_defaults(func=cli.cmd_spectrum)
+
+    return parser
+
+
+def _parsed(parser, argv):
+    """(namespace as a dict with func by name, or the exit code; stdout;
+    stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            values = dict(vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    values["func"] = values["func"].__name__
+    return values, out.getvalue(), err.getvalue()
+
+
+# Tokens that are not what their place asks for: a value starting with "-"
+# or "--", an option of no command, a flag of another command, "--=" (a
+# prefix of every flag: the one ambiguous prefix of this table), a bare
+# "--", and -h in its spellings.
+VALUES_WITH_DASHES = ["-1", "-0", "-2", "-.5", "-1.5", "-1/2", "-x", "-", "--x", "--N", "--", "-h"]
+UNKNOWN_FLAGS = ["--bogus", "--bogus=1", "-x", "-N", "--Nn", "--group", "--level=1", "--=1", "--="]
+HELP_SPELLINGS = ["-h", "--help", "--he", "--h", "-hh", "-hx", "--help=1", "-h=h"]
+
+
+def _flag_indices(argv):
+    """Indices of the ``--flag value`` pairs in a small_argv."""
+    return [k for k in range(1, len(argv) - 1) if argv[k].startswith("--")
+            and not argv[k + 1].startswith("--")]
+
+
+@st.composite
+def mutated_argv(draw):
+    """A small_argv with up to three mutations, each kept as drawn even
+    where it makes the argv malformed."""
+    argv = draw(small_argv())
+    flags = [flag for flag, _ in SUBCOMMAND_OPTIONS[argv[0]]] + ["--format", "--seed-free"]
+    for _ in range(draw(st.integers(0, 3))):
+        pairs = _flag_indices(argv)
+        how = draw(st.sampled_from(["join", "prefix", "repeat", "trailing", "unknown", "dash_value",
+                                    "bare", "help"]))
+        where = draw(st.integers(0, len(argv)))
+        if how == "join" and pairs:
+            k = draw(st.sampled_from(pairs))
+            argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
+        elif how == "prefix" and pairs:
+            k = draw(st.sampled_from(pairs))
+            argv[k] = argv[k][:draw(st.integers(2, len(argv[k])))]
+        elif how == "repeat" and pairs:
+            k = draw(st.sampled_from(pairs))
+            argv += argv[k:k + 2]
+            argv[-1] = draw(st.sampled_from([argv[-1], "0", "1", "2", "x"]))
+        elif how == "trailing":
+            argv.append(draw(st.sampled_from(flags)))
+        elif how == "unknown":
+            argv.insert(where, draw(st.sampled_from(UNKNOWN_FLAGS)))
+        elif how == "dash_value" and pairs:
+            argv[draw(st.sampled_from(pairs)) + 1] = draw(st.sampled_from(VALUES_WITH_DASHES))
+        elif how == "bare":
+            argv.insert(where, "--")
+        elif how == "help":
+            argv.insert(where, draw(st.sampled_from(HELP_SPELLINGS)))
+    return argv
+
+
+# argvs where argparse's reading is easy to get wrong
+PARSER_EDGES = [
+    [], ["--"], ["-h"], ["-hh"], ["-hx"], ["--he"], ["--help=x"], ["frobnicate"], ["-h", "frobnicate"],
+    ["--x", "verify", "--N", "1"], ["--x", "verify", "-h"], ["--N", "1", "verify"], ["--", "verify"],
+    ["verify"], ["verify", "--N=1", "--uns", "--ma", "3", "--inj=drop-e-shift"],
+    ["verify", "--N", "1", "--N", "-2"], ["verify", "--N", "1", "--N=x", "-h"],
+    ["verify", "--N", "-h"], ["verify", "-h", "--N", "x"], ["verify", "--N", "1", "--", "-h"],
+    ["verify", "--N", "--", "1"], ["verify", "--N", "1", "--seed-free="], ["verify", "--N", "1", "--="],
+    ["verify", "--N", "1", "-h=h"], ["verify", "--N", "1", "-h="], ["verify", "--N", "1", "-hhx", "-h"],
+    ["verify", "--N", " 1", "--M", "-1", "--P", "+4"], ["verify", "--N", "1", "--kind", "Real"],
+    ["gram", "--N", "1", "--y", "-1", "--yp", "-1,2"], ["gram", "--N", "1", "--y=", "--yminus=-x"],
+    ["classify", "--N", "1", "--cutoff", "-1/2"], ["classify", "--N", "1", "--cutoff", "-.5", "--D=-4"],
+    ["map-irreps", "--group", "U", "--N", "1", "extra"], ["spectrum", "--D", "4", "--count"],
+]
+
+
+def _assert_read_as_argparse_did(argv):
+    """The same namespace (func by name), or the same exit code; help goes
+    to stdout, an error to stderr with nothing on stdout."""
+    got, out, err = _parsed(cli.build_parser(), argv)
+    want, _, _ = _parsed(reference_parser(), argv)
+    assert got == want, argv
+    if got == 0:
+        assert out.startswith("usage: bilocal") and not err, argv
+    elif got == 2:
+        assert not out and err.startswith("usage: bilocal") and ": error: " in err, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_argv())
+def test_parser_reads_argv_as_argparse_did(argv):
+    _assert_read_as_argparse_did(argv)
+
+
+@pytest.mark.parametrize("argv", PARSER_EDGES, ids=" ".join)
+def test_parser_reads_edge_argv_as_argparse_did(argv):
+    _assert_read_as_argparse_did(argv)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_names_every_flag(capsys, command):
+    """``bilocal CMD --help`` exits 0 and names every flag argparse gave CMD."""
+    parser = reference_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = subparsers.choices[command]._option_string_actions
+    code, out = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert all(re.search(rf"(^|[\s\[,]){re.escape(f)}\b", out) for f in flags), out
+    assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_python_m_cli_runs_as_documented():
+    """``python -m bilocal.cli``, as README documents it: the negative
+    control exits 1 with its gate's pinned bytes, and --help exits 0."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    command = "verify --kind complex --N 1 --M 2 --P 4 --inject-fault drop-e-shift"
+    gate = json.loads((root / "bench" / "gates.json").read_text())[command]
+    proc = subprocess.run([sys.executable, "-m", "bilocal.cli", *command.split()],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == gate["exit"] == 1, proc.stderr
+    assert (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == (gate["bytes"], gate["sha256"])
+    proc = subprocess.run([sys.executable, "-m", "bilocal.cli", "--help"], capture_output=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: bilocal"), proc.stderr
 
 
 def _readme_examples():

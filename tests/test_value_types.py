@@ -165,10 +165,61 @@ def test_from_columns_fills_the_column_cache():
     assert fresh.column_heights() == (3, 2, 1)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps the host's .pth files from importing either module first
+# Modules a CLI process must not load: dataclasses and inspect cost more
+# to import than most checks take; argparse is replaced by cli.COMMANDS;
+# sectors, casimir and modes load only in the commands that use them.
+NOT_LOADED_BY_THE_CLI = ["argparse", "bilocal.casimir", "bilocal.modes", "bilocal.sectors",
+                         "dataclasses", "inspect"]
+
+
+def test_importing_the_cli_loads_none_of_the_modules_it_does_not_need():
+    # -S keeps the host's .pth files from importing any of them first
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import bilocal.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(sorted(set({NOT_LOADED_BY_THE_CLI!r}) & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Every name the package exports, by the module that defines it.
+EXPORTS = {
+    "algebra": ["E", "Eminus", "Eplus", "GeneratorLabel", "HamiltonianSpec", "OperatorExpr", "X",
+                "Xstar", "abstract_commutator", "apply_generator", "canonical_hamiltonian",
+                "charge_terms", "generator_images", "hamiltonian_terms", "verify_structure_constants"],
+    "fock": ["COMPLEX", "REAL", "FockContext", "FockVector", "ModeSlot", "Operator", "a_slot",
+             "apply_annihilation", "apply_creation", "b_slot", "basis_monomials", "inner_product",
+             "norm_sq", "vacuum"],
+    "sectors": ["Weight", "build_ground_state", "classify_spectrum", "determinant_operator",
+                "determinant_recursion_check", "norm_recursion_oracle", "p_polynomial_check",
+                "verify_hw_conditions", "weight_from_sector"],
+    "young": ["GaugeIrrepO", "GaugeIrrepU", "SectorLabel", "YoungDiagram", "bijection_roundtrip_check",
+              "complex_sector", "conjugate_relative", "irrep_U_to_sector", "pieri_add_box",
+              "real_sector", "sector_to_irrep_O", "sector_to_irrep_U", "weyl_dimension_U"],
+    "casimir": ["casimir_g", "casimir_k", "casimir_k_eigenvalue", "gamma_closed_form", "gamma_value",
+                "resolve_cg_closed_form", "unitarity_bound", "verify_gamma_identity"],
+    "modes": ["ModeLabel", "conformal_spectrum_check", "enumerate_modes", "harmonic_count",
+              "oscillator_normalization"],
+}
+
+
+def test_every_exported_name_resolves_to_its_modules_object():
+    """In a fresh process, where no module of the package is loaded yet,
+    ``dir(bilocal)`` and ``bilocal.__all__`` list every exported name,
+    ``bilocal.<name>`` is ``bilocal.<module>.<name>``, and a submodule is
+    an attribute after a bare ``import bilocal``, as when the package
+    imported every module."""
+    code = f"""
+import importlib, sys
+sys.path.insert(0, {str(SRC)!r})
+import bilocal
+assert "bilocal.modes" not in sys.modules and bilocal.modes is sys.modules["bilocal.modes"]
+exports = {EXPORTS!r}
+names = {{name for names in exports.values() for name in names}}
+assert set(bilocal.__all__) == names and names <= set(dir(bilocal))
+for module, names in exports.items():
+    for name in names:
+        assert getattr(bilocal, name) is getattr(importlib.import_module("bilocal." + module), name), name
+assert not hasattr(bilocal, "no_such_name")
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bilocal import young
@@ -505,3 +507,13 @@ def test_n0_admits_only_the_trivial_label():
                 call(0)
     with pytest.raises(ValueError):
         GaugeIrrepU(diagram(1), 1).validate(0)
+
+
+@pytest.mark.parametrize("q", [1.0, True, Fraction(1), "1"], ids=repr)
+def test_a_charge_that_is_not_an_int_is_refused(q):
+    # a float charge used to give the float dimension 2.0, and the inverse
+    # map a raw TypeError from a slice; True passed as 1
+    irr = GaugeIrrepU(diagram(1), q)
+    for call in (irr.validate, lambda N: weyl_dimension_U(irr, N), lambda N: irrep_U_to_sector(irr, N)):
+        with pytest.raises(TypeError, match="charge q must be an int"):
+            call(2)
