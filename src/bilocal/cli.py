@@ -9,7 +9,6 @@ anywhere (--seed-free is accepted and is a no-op, recording that fact).
 
 from __future__ import annotations
 
-import re
 import sys
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
@@ -394,255 +393,133 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 # options
 #
-# COMMANDS declares each subcommand: its help, its options and the name of
-# its cmd_* function.  The function is looked up in this module's globals
-# when an argv is parsed, so a cmd_* replaced on the module is the one that
-# runs.  Parser reads an argv as argparse read the same declarations
-# (tests/test_cli.py keeps that argparse parser and compares the two):
-# --flag value and --flag=value, a unique prefix of a flag, the last of a
-# repeated flag, values such as -1, and -h/--help at the top level or after
-# a command, which prints help to stdout and exits 0.  Any other malformed
-# argv prints a usage line and an error to stderr and exits 2.
+# COMMANDS declares each subcommand: its help, the name of its cmd_*
+# function and its options, each a flag with its argparse keywords.  The
+# function is looked up in this module's globals when an argv is parsed,
+# so a cmd_* replaced on the module is the one that runs.  argparse, built
+# from the table, reads every argv _read_exact declines: help, prefixes of
+# flags, values starting with "-" and every malformed argv, with
+# argparse's own messages and exit codes.  _read_exact reads the
+# well-formed rest, so the commands as usually written never import it.
 
 
-class Option(linalg.Record):
-    """One option: its flag, the converter of its value (``int`` or
-    ``str``; None makes a switch, which takes no value and is True when
-    given), its default and choices, whether it is required, and its help."""
-
-    def __init__(self, flag, convert=str, default=None, choices=(), required=False, help=""):
-        self._set(flag=flag, convert=convert, default=default, choices=choices, required=required,
-                  help=help)
-
-    @property
-    def dest(self) -> str:
-        return self.flag.lstrip("-").replace("-", "_")
-
-    def usage(self) -> str:
-        if self.convert is None:
-            return self.flag
-        metavar = "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
-        return f"{self.flag} {metavar}"
-
-    def describe(self) -> str:
-        if self.required:
-            return f"{self.help} (required)".lstrip()
-        if self.convert is None:
-            return self.help
-        return f"{self.help} (default: {self.default!r})".lstrip()
-
-    def read(self, text: str, command: str):
-        """The value ``text`` gives this option in ``command``."""
-        try:
-            value = self.convert(text)
-        except ValueError:
-            _fail(command, f"argument {self.flag}: invalid {self.convert.__name__} value: {text!r}")
-        if self.choices and value not in self.choices:
-            _fail(command, f"argument {self.flag}: invalid choice: {value!r} "
-                           f"(choose from {', '.join(map(repr, self.choices))})")
-        return value
-
-
-class Command(linalg.Record):
-    """A subcommand: its help, the name of its cmd_* function and its
-    options."""
-
-    def __init__(self, help, func, options):
-        self._set(help=help, func=func, options=options)
-
-
-HELP = Option("--help", None, help="show this help message and exit")
-COMMON_OPTIONS = (
-    Option("--format", default="json", choices=("json", "table")),
-    Option("--seed-free", None, False,
-           help="accepted for interface stability; computations are always deterministic"),
-)
-CONTEXT_OPTIONS = (
-    Option("--kind", default=COMPLEX, choices=(COMPLEX, REAL)),
-    Option("--N", int, required=True),
-    Option("--M", int, 2),
-    Option("--P", int, 4),
-    Option("--unsafe-large", None, False, help="lift the default N/M/P guards"),
-)
+COMMON_OPTIONS = {
+    "--format": dict(choices=("json", "table"), default="json", help="output format (default: %(default)r)"),
+    "--seed-free": dict(action="store_true", default=False,
+                        help="accepted for interface stability; computations are always deterministic"),
+}
+CONTEXT_OPTIONS = {
+    "--kind": dict(choices=(COMPLEX, REAL), default=COMPLEX, help="field kind (default: %(default)r)"),
+    "--N": dict(type=int, required=True, help="multiplet size N (required)"),
+    "--M": dict(type=int, default=2, help="mode cutoff M (default: %(default)r)"),
+    "--P": dict(type=int, default=4, help="particle cutoff P (default: %(default)r)"),
+    "--unsafe-large": dict(action="store_true", default=False, help="lift the default N/M/P guards"),
+}
 
 COMMANDS = {
-    "verify": Command(
-        "run the algebraic invariant suite", "cmd_verify",
-        COMMON_OPTIONS + CONTEXT_OPTIONS + (
-            Option("--margin", int, 2),
-            Option("--inject-fault", default="none", choices=("none", "drop-e-shift"),
-                   help="negative control: drop the N/2 shift of the E generators and expect failure"),
-        )),
-    "classify": Command(
-        "enumerate sectors below an energy cutoff", "cmd_classify",
-        COMMON_OPTIONS + CONTEXT_OPTIONS + (
-            Option("--cutoff", required=True, help="energy cutoff, integer or p/q"),
-            Option("--D", int, 0, help="use the conformal mode energies for this spacetime dimension"),
-        )),
-    "gram": Command(
-        "Gram matrix of level-raised vectors over a ground state", "cmd_gram",
-        COMMON_OPTIONS + CONTEXT_OPTIONS + (
-            Option("--level", int, 1),
-            Option("--yplus", default="", help="comma-separated row lengths, e.g. 2,1"),
-            Option("--yminus", default=""),
-            Option("--y", default="", help="diagram for real sectors"),
-        )),
-    "map-irreps": Command(
-        "sector <-> gauge irrep dictionary", "cmd_map_irreps",
-        COMMON_OPTIONS + (
-            Option("--group", choices=("U", "O"), required=True),
-            Option("--N", int, required=True),
-            Option("--cap", int, 3),
-        )),
-    "spectrum": Command(
-        "conformal one-particle spectrum table", "cmd_spectrum",
-        COMMON_OPTIONS + (
-            Option("--D", int, required=True),
-            Option("--count", int, required=True),
-        )),
+    "verify": ("run the algebraic invariant suite", "cmd_verify", {
+        **COMMON_OPTIONS, **CONTEXT_OPTIONS,
+        "--margin": dict(type=int, default=2,
+                         help="run every check on the states at least this many particles "
+                              "below P (default: %(default)r)"),
+        "--inject-fault": dict(choices=("none", "drop-e-shift"), default="none",
+                               help="negative control: drop the N/2 shift of the E generators and "
+                                    "expect failure (default: %(default)r)"),
+    }),
+    "classify": ("enumerate sectors below an energy cutoff", "cmd_classify", {
+        **COMMON_OPTIONS, **CONTEXT_OPTIONS,
+        "--cutoff": dict(required=True, help="energy cutoff, integer or p/q (required)"),
+        "--D": dict(type=int, default=0,
+                    help="use the conformal mode energies for this spacetime dimension; 0 for "
+                         "none (default: %(default)r)"),
+    }),
+    "gram": ("Gram matrix of level-raised vectors over a ground state", "cmd_gram", {
+        **COMMON_OPTIONS, **CONTEXT_OPTIONS,
+        "--level": dict(type=int, default=1, help="number of X* applied to the ground state "
+                                                  "(default: %(default)r)"),
+        "--yplus": dict(default="", help="Y+ of a complex sector: comma-separated row lengths, "
+                                         "e.g. 2,1 (default: %(default)r)"),
+        "--yminus": dict(default="", help="Y- of a complex sector (default: %(default)r)"),
+        "--y": dict(default="", help="diagram for real sectors (default: %(default)r)"),
+    }),
+    "map-irreps": ("sector <-> gauge irrep dictionary", "cmd_map_irreps", {
+        **COMMON_OPTIONS,
+        "--group": dict(choices=("U", "O"), required=True, help="gauge group U(N) or O(N) (required)"),
+        "--N": dict(type=int, required=True, help="rank N of the gauge group (required)"),
+        "--cap": dict(type=int, default=3, help="largest number of boxes of a diagram "
+                                                "(default: %(default)r)"),
+    }),
+    "spectrum": ("conformal one-particle spectrum table", "cmd_spectrum", {
+        **COMMON_OPTIONS,
+        "--D": dict(type=int, required=True, help="spacetime dimension, even (required)"),
+        "--count": dict(type=int, required=True, help="number of modes to cover (required)"),
+    }),
 }
 
 DESCRIPTION = "Exact verification harness for bilocal field algebras on truncated Fock spaces."
 
-# a token starting with "-" that is a value all the same
-NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-
-def _prog(command) -> str:
-    return "bilocal" if command is None else f"bilocal {command}"
-
-
-def _usage(command) -> str:
-    if command is None:
-        return f"usage: bilocal [-h] {{{','.join(COMMANDS)}}} ..."
-    options = (o.usage() if o.required else f"[{o.usage()}]" for o in COMMANDS[command].options)
-    return " ".join((f"usage: {_prog(command)} [-h]", *options))
-
-
-def _help(command) -> str:
-    """The help of the top level (command None) or of ``command``."""
-    if command is None:
-        title, heading, tail = DESCRIPTION, "commands:", [
-            "", f"Run '{_prog(None)} COMMAND --help' for the options of a command."]
-        rows = [(name, c.help) for name, c in COMMANDS.items()]
-    else:
-        title, heading, tail = COMMANDS[command].help, "options:", []
-        rows = [("-h, --help", HELP.help)] + [(o.usage(), o.describe()) for o in COMMANDS[command].options]
-    width = max(len(left) for left, _ in rows)
-    return "\n".join([_usage(command), "", title, "", heading,
-                      *(f"  {left:<{width}}  {right}".rstrip() for left, right in rows), *tail])
-
-
-def _fail(command, message):
-    """A malformed argv: usage and ``message`` to stderr, exit 2."""
-    print(_usage(command), file=sys.stderr)
-    print(f"{_prog(command)}: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _flags(command) -> dict:
-    """The options a token may name at the top level (command None) or in
-    ``command``, by flag."""
-    options = COMMANDS[command].options if command else ()
-    return {"-h": HELP, "--help": HELP, **{o.flag: o for o in options}}
-
-
-def _read(token, flags, command):
-    """argparse's reading of a token before any bare "--": None for a
-    value, else (flag, the value joined to it or None), flag "" where no
-    option is named.  A prefix of two flags is an error."""
-    if not token.startswith("-") or token == "-":
+def _read_exact(argv):
+    """The namespace argparse reads from ``argv`` when argv is a command's
+    name, then whole flags of that command, each value joined by "=" or in
+    the next token, converted and among the choices, no value starting
+    with "-", and every required flag given; None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    if token in flags:
-        return token, None
-    flag, joined, value = token.partition("=")
-    if joined and flag in flags:
-        return flag, value
-    if token.startswith("--"):
-        matches = [(f, value if joined else None) for f in flags if f.startswith(flag)]
-    else:  # a one-letter flag and the value joined to it, as -hh
-        matches = [(token[:2], token[2:])] if token[:2] in flags else []
-    if len(matches) > 1:
-        _fail(command, f"ambiguous option: {token} could match {', '.join(f for f, _ in matches)}")
-    if matches:
-        return matches[0]
-    if NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return "", None
-
-
-def _switch(command, flag, value) -> None:
-    """A switch given as ``flag``: -h/--help prints help and exits 0.  A
-    value joined to a switch is an error, except more h's after -h, which
-    argparse reads as -h repeated."""
-    if value is not None and not (flag == "-h" and value and not value.strip("h")):
-        _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
-    if flag in ("-h", "--help"):
-        print(_help(command))
-        raise SystemExit(0)
-
-
-def _parse_command(command, tokens, extras) -> dict:
-    """Each option's value in ``command`` from ``tokens``, read left to
-    right; a token no option takes goes to ``extras``."""
-    options, flags = COMMANDS[command].options, _flags(command)
-    readings = []
-    for k, token in enumerate(tokens):
-        if token == "--":  # it names no option, and every token after it is a value
-            readings += [("", None)] + [None] * (len(tokens) - k - 1)
-            break
-        readings.append(_read(token, flags, command))
-    values = {o.dest: o.default for o in options}
-    i = 0
-    while i < len(tokens):
-        token, reading = tokens[i], readings[i]
-        i += 1
-        if reading is None or not reading[0]:
-            extras.append(token)
+    _, func, options = COMMANDS[argv[0]]
+    values = {flag: keywords.get("default") for flag, keywords in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        keywords = options.get(flag)
+        if keywords is None:
+            return None
+        if "action" in keywords:  # a switch, which takes no value
+            if joined:
+                return None
+            values[flag] = True
             continue
-        flag, value = reading
-        option = flags[flag]
-        if option.convert is None:
-            _switch(command, flag, value)
-            values[option.dest] = True
-        else:
-            if value is None:
-                if i == len(tokens) or readings[i] is not None:
-                    _fail(command, f"argument {flag}: expected one argument")
-                value, i = tokens[i], i + 1
-            values[option.dest] = option.read(value, command)
-    missing = [o.flag for o in options if o.required and values[o.dest] is None]
-    if missing:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    return values
+        if not joined:
+            value = next(tokens, "-")  # a flag at the end is declined as a dash value
+        if value.startswith("-"):
+            return None
+        try:
+            values[flag] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if values[flag] not in keywords.get("choices", (values[flag],)):
+            return None
+    if None in values.values():  # only a required flag has no default
+        return None
+    return SimpleNamespace(command=argv[0], func=globals()[func],
+                           **{flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
+def _argparse_parser():
+    """argparse's parser of COMMANDS."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="bilocal", description=DESCRIPTION,
+        epilog="Run 'bilocal COMMAND --help' for the options of a command.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary, description=summary)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=globals()[func])
+    return parser
 
 
 class Parser:
-    """What ``build_parser`` returns: ``parse_args(argv)`` reads argv over
-    COMMANDS into a namespace of ``command``, ``func`` and each option's
-    dest."""
+    """What ``build_parser`` returns: ``parse_args(argv)`` reads argv
+    (default ``sys.argv[1:]``) into argparse's namespace of ``command``,
+    ``func`` and each option's dest."""
 
-    def parse_args(self, argv=None) -> SimpleNamespace:
+    def parse_args(self, argv=None):
         argv = sys.argv[1:] if argv is None else list(argv)
-        extras, flags = [], _flags(None)
-        for i, token in enumerate(argv):
-            reading = None if token == "--" else _read(token, flags, None)
-            if reading is None:  # the command's name
-                break
-            if reading[0]:
-                _switch(None, *reading)
-            else:
-                extras.append(token)
-        else:
-            _fail(None, "the following arguments are required: command")
-        command = argv[i]
-        if command not in COMMANDS:
-            _fail(None, f"argument command: invalid choice: {command!r} "
-                        f"(choose from {', '.join(map(repr, COMMANDS))})")
-        values = _parse_command(command, argv[i + 1:], extras)
-        if extras:
-            _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-        return SimpleNamespace(command=command, **values, func=globals()[COMMANDS[command].func])
+        args = _read_exact(argv)
+        return _argparse_parser().parse_args(argv) if args is None else args
 
 
 def build_parser() -> Parser:

@@ -155,7 +155,7 @@ class FockContext(NamedTuple):
 
     @property
     def kind(self) -> FieldKind:
-        return FIELD_KINDS[self.field_kind]
+        return field_kind_named(self.field_kind)
 
     def check_slot(self, slot: ModeSlot):
         if slot.species not in self.kind.species:

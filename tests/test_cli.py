@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bilocal
 from bilocal import algebra, cli, fock, young
@@ -395,7 +395,42 @@ def test_command_help_names_every_flag(capsys, command):
     code, out = run_cli(capsys, command, "--help")
     assert code == 0
     assert all(re.search(rf"(^|[\s\[,]){re.escape(f)}\b", out) for f in flags), out
+    # each flag that takes a value is followed, before the next flag or a
+    # bracket of the usage line, by its default or "required"
+    text = " ".join(out.split())
+    for flag, action in flags.items():
+        if action.nargs != 0:
+            said = "required" if action.required else f"default: {action.default!r}"
+            assert re.search(rf"(^|\s){re.escape(flag)}\s((?!\s-)[^\[\]])*\({re.escape(said)}\)", text), (
+                flag, out)
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def _assert_read_exactly(argv):
+    """cli._read_exact itself returns the namespace argparse reads from
+    ``argv`` (func by name), without falling back on argparse."""
+    want, _, _ = _parsed(reference_parser(), argv)
+    got = cli._read_exact(argv)
+    assert got is not None and dict(vars(got), func=got.func.__name__) == want, argv
+
+
+def test_exact_reader_reads_every_gate_and_readme_command():
+    gates = json.loads((Path(__file__).resolve().parent.parent / "bench" / "gates.json").read_text())
+    argvs = [command.split() for command in gates] + _readme_examples()
+    assert len(argvs) == 14 + 8
+    for argv in argvs:
+        _assert_read_exactly(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_argv())
+def test_exact_reader_reads_every_small_argv_argparse_accepts(argv):
+    """Every small_argv that argparse accepts, with no value starting with
+    "-", is read without argparse: a reader that declined it would cost
+    each such run the import."""
+    assume(isinstance(_parsed(reference_parser(), argv)[0], dict))
+    assume(not any(value.startswith("-") for value in argv[2::2]))
+    _assert_read_exactly(argv)
 
 
 def test_python_m_cli_runs_as_documented():

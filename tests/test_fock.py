@@ -51,6 +51,16 @@ def test_validate_refuses_a_non_int_size(fields):
         FockContext(*fields).validate()
 
 
+def test_a_context_of_an_unknown_kind_is_refused():
+    # each of these raised a raw KeyError on a context that skipped validate()
+    ctx = FockContext("quaternion", 1, 1, 1)
+    for call in (lambda: ctx.kind, ctx.slots, lambda: list(basis_monomials(ctx, 1))):
+        with pytest.raises(ValueError, match="unknown field kind 'quaternion'"):
+            call()
+    with pytest.raises(ContextViolation, match="unknown field kind 'quaternion'"):
+        ctx.validate()
+
+
 def test_single_creation():
     ctx = FockContext(COMPLEX, 2, 2, 4).validate()
     v = apply_creation(ctx, a_slot(1, 1), vacuum(ctx))

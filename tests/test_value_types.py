@@ -2,6 +2,7 @@
 YoungDiagram, SectorLabel), one test per property over all four, and the
 start-up weight of the CLI import."""
 
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -166,19 +167,40 @@ def test_from_columns_fills_the_column_cache():
 
 
 # Modules a CLI process must not load: dataclasses and inspect cost more
-# to import than most checks take; argparse is replaced by cli.COMMANDS;
-# sectors, casimir and modes load only in the commands that use them.
+# to import than most checks take; argparse (and gettext, which it loads)
+# reads only the argvs cli._read_exact declines; sectors, casimir and
+# modes load only in the commands that use them.
 NOT_LOADED_BY_THE_CLI = ["argparse", "bilocal.casimir", "bilocal.modes", "bilocal.sectors",
-                         "dataclasses", "inspect"]
+                         "dataclasses", "gettext", "inspect"]
+NOT_LOADED_BY_A_RUN = ["argparse", "dataclasses", "gettext", "inspect"]
+
+
+def _loaded_in_a_child(statements, modules) -> list:
+    """Which of ``modules`` a ``python -S`` child has loaded after running
+    ``statements`` (-S keeps the host's .pth files from importing any of
+    them first)."""
+    code = "\n".join([f"import sys; sys.path.insert(0, {str(SRC)!r})", *statements,
+                      f"print(*sorted(set({modules!r}) & set(sys.modules)))"])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_importing_the_cli_loads_none_of_the_modules_it_does_not_need():
-    # -S keeps the host's .pth files from importing any of them first
-    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import bilocal.cli; "
-            f"print(sorted(set({NOT_LOADED_BY_THE_CLI!r}) & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _loaded_in_a_child(["import bilocal.cli"], NOT_LOADED_BY_THE_CLI) == []
+    # a full run of one gate command per subcommand, each with its exit code
+    gates = json.loads((SRC.parent / "bench" / "gates.json").read_text())
+    runs = {}
+    for command in sorted(gates):
+        runs.setdefault(command.split()[0], command)
+    assert sorted(runs) == ["classify", "gram", "map-irreps", "verify"]
+    codes = {command: gates[command]["exit"] for command in runs.values()}
+    assert _loaded_in_a_child(["from bilocal import cli", *(
+        f"assert cli.main({command.split()!r}) == {code}" for command, code in codes.items())],
+        NOT_LOADED_BY_A_RUN) == []
+    # help is argparse's: the fallback is live
+    assert _loaded_in_a_child(["from bilocal import cli", "assert cli.main(['--help']) == 0"],
+                              NOT_LOADED_BY_A_RUN) == ["argparse", "gettext"]
 
 
 # Every name the package exports, by the module that defines it.
