@@ -469,7 +469,7 @@ def generating_set_suffices(ctx: FockContext, images: dict, margin: int) -> bool
     structure relations obey Jacobi only up to these identifications."""
     if ctx.P - margin < 2:
         return False
-    if ctx.field_kind == COMPLEX:
+    if not ctx.kind.x_symmetric:
         return True
     return all(images[g].body == images[h].body and images[g].scalar == images[h].scalar
                for g in generators(ctx) if g.kind in (X_KIND, XSTAR_KIND)

@@ -6,7 +6,7 @@ full subalgebra (u(n,n) / sp(2n,R)):
     C_k = sum_ij E+(i,j)E+(j,i) + E-(i,j)E-(j,i)            (complex)
     C_g = C_k - sum_ij (Xstar(i,j)X(i,j) + X(i,j)Xstar(i,j))
     C_k = sum_ij E(i,j)E(j,i)                               (real)
-    C_g = C_k - (1/2) sum_ij (Xstar(i,j)X(i,j) + X(i,j)Xstar(i,j))
+    C_g = C_k - (1/2) sum_ij (Xstar(i,j)X(i,j) + X(i,j)Xstar(i,j))  (1/2 = 1/x_doubling)
 
 C_k has eigenvalue (lam+rho, lam+rho) - (rho, rho) on a compact
 highest-weight vector of weight lam.  The closed form for the C_g
@@ -17,7 +17,7 @@ does; see the ledger for the resolution of the printed formula).
 
 On a compact highest-weight vector |lam> inside the module over |h>:
 
-    (2 if complex else 1) * sum_ij <lam| Xstar(i,j) X(i,j) |lam>
+    (2 / x_doubling) * sum_ij <lam| Xstar(i,j) X(i,j) |lam>
         = [ (lam+delta, lam+delta) - (h+delta, h+delta) ] <lam|lam>
 
 and gamma := (lam+delta)^2 - (h+delta)^2 must be nonnegative, which at
@@ -27,6 +27,7 @@ the canonical lam forces the unitarity bound r+ + r- <= 2 h_inf.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import pairwise, zip_longest
 from numbers import Rational
 from typing import NamedTuple
 
@@ -40,7 +41,6 @@ from .algebra import (
 )
 from .fock import (
     COMPLEX,
-    REAL,
     ContextViolation,
     FockContext,
     FockVector,
@@ -70,6 +70,7 @@ class WeylData(NamedTuple):
 
 def weyl_data(field_kind: str, n: int) -> WeylData:
     field_kind_named(field_kind)  # ValueError for an unknown kind
+    _check_rank(n)
     rho = tuple(linalg.quotient(n + 1 - 2 * i, 2) for i in range(1, n + 1))
     if field_kind == COMPLEX:
         rho = rho + rho
@@ -79,8 +80,29 @@ def weyl_data(field_kind: str, n: int) -> WeylData:
     return WeylData(n, rho, delta)
 
 
-def _dot(u, v) -> Rational:
-    return sum(a * b for a, b in zip(u, v))
+def _check_rank(n: int):
+    """The compact subalgebra has rank n >= 1; ValueError otherwise."""
+    if n < 1:
+        raise ValueError(f"rank {n} must be >= 1")
+
+
+def _shifted_norm(x, shift=()) -> Rational:
+    """(x + shift, x + shift) in the orthonormal e-basis; no shift is zero."""
+    return sum((a + b) ** 2 for a, b in zip_longest(x, shift, fillvalue=0))
+
+
+def _read_lambda(lam, field_kind: str, n: int, *, dominant: bool = False) -> tuple:
+    """lam as canonical rationals (TypeError for a float): n >= 1 coordinates
+    per species, 2n complex and n real, and, if ``dominant``, each species'
+    block weakly decreasing; ValueError otherwise."""
+    _check_rank(n)
+    blocks = len(field_kind_named(field_kind).species)
+    lam = tuple(map(linalg.rational, lam))
+    if len(lam) != blocks * n:
+        raise ValueError(f"weight length {len(lam)} != {blocks * n}")
+    if dominant and any(b > a for k in range(blocks) for a, b in pairwise(lam[k * n:(k + 1) * n])):
+        raise ValueError(f"{lam} is not dominant for the compact subalgebra")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +110,7 @@ def _dot(u, v) -> Rational:
 
 
 def casimir_k(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
+    _check_rank(n)
     rng, e_kinds = range(1, n + 1), field_kind_named(field_kind).e_kinds
     return OperatorExpr().plus(
         (1, OperatorExpr.of(GeneratorLabel(kind, i, j)) * OperatorExpr.of(GeneratorLabel(kind, j, i)))
@@ -98,50 +121,26 @@ def casimir_k(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
 def casimir_g(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
     """Built once per (n, field_kind); an OperatorExpr is immutable by
     convention, so every caller shares it."""
-    half = linalg.quotient(1, 2) if field_kind == REAL else 1
+    coupling = linalg.quotient(1, field_kind_named(field_kind).x_doubling)
     rng = range(1, n + 1)
     cross = [(OperatorExpr.of(Xstar(i, j)), OperatorExpr.of(X(i, j))) for i in rng for j in rng]
     return casimir_k(n, field_kind).plus(
-        (-half, word) for xs, x in cross for word in (xs * x, x * xs))
+        (-coupling, word) for xs, x in cross for word in (xs * x, x * xs))
 
 
 def casimir_k_eigenvalue(lam, n: int, field_kind: str = COMPLEX) -> Rational:
     """(lam+rho, lam+rho) - (rho, rho) in the orthonormal e-basis."""
-    data = weyl_data(field_kind, n)
-    lam = tuple(linalg.rational(x) for x in lam)
-    if len(lam) != len(data.rho):
-        raise ValueError(f"weight length {len(lam)} != {len(data.rho)}")
-    shifted = tuple(a + b for a, b in zip(lam, data.rho))
-    return linalg.rational(_dot(shifted, shifted) - _dot(data.rho, data.rho))
+    rho = weyl_data(field_kind, n).rho
+    lam = _read_lambda(lam, field_kind, n)
+    return linalg.rational(_shifted_norm(lam, rho) - _shifted_norm(rho))
 
 
 def gamma_value(h: Weight, lam, n: int) -> Rational:
     """(lam+delta, lam+delta) - (h+delta, h+delta).  lam must be dominant,
     with 2n coordinates (complex) or n (real); ValueError otherwise."""
-    data = weyl_data(h.field_kind, n)
-    lam = tuple(linalg.rational(x) for x in lam)
-    _check_length(lam, h.field_kind, n)
-    _check_dominant(lam, h.field_kind, n)
-    hv = h.coords(n)
-    a = tuple(x + d for x, d in zip(lam, data.delta))
-    b = tuple(x + d for x, d in zip(hv, data.delta))
-    return linalg.rational(_dot(a, a) - _dot(b, b))
-
-
-def _check_length(lam, field_kind, n):
-    """lam has n coordinates per oscillator species: 2n complex, n real."""
-    want = len(field_kind_named(field_kind).species) * n
-    if len(lam) != want:
-        raise ValueError(f"weight length {len(lam)} != {want}")
-
-
-def _check_dominant(lam, field_kind, n):
-    """Each species' block of n coordinates is weakly decreasing."""
-    for k in range(len(field_kind_named(field_kind).species)):
-        blk = lam[k * n:(k + 1) * n]
-        for a, b in zip(blk, blk[1:]):
-            if b > a:
-                raise ValueError(f"{lam} is not dominant for the compact subalgebra")
+    delta = weyl_data(h.field_kind, n).delta
+    lam = _read_lambda(lam, h.field_kind, n, dominant=True)
+    return linalg.rational(_shifted_norm(lam, delta) - _shifted_norm(h.coords(n), delta))
 
 
 def canonical_lambda(s: SectorLabel, n: int):
@@ -242,15 +241,16 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
     raised subspace Xstar * (compact module of the ground state).
 
     lam has n coordinates per species (2n complex, n real; ValueError
-    otherwise) and h_i = occupation + N/2, so its occupation profile is
-    lam_i - N/2 on the first n modes of each species and zero above.  Xstar(k,l) creates one particle at mode k of the
+    otherwise, TypeError for a float) and h_i = occupation + N/2, so its
+    occupation profile is lam_i - N/2 on the first n modes of each species
+    and zero above.  Xstar(k,l) creates one particle at mode k of the
     i-leg species and one at mode l of the j-leg species, so it raises
     exactly the compact-module block whose profile lacks those two.  The
     module is closed only toward those n^2 profiles.  n > ctx.M raises
     ContextViolation."""
     if n > ctx.M:
         raise ContextViolation(f"rank {n} exceeds mode cutoff {ctx.M}")
-    _check_length(lam, ctx.field_kind, n)
+    lam = _read_lambda(lam, ctx.field_kind, n)
     half_n, species = linalg.quotient(ctx.N, 2), ctx.kind.species
     target = [[0] * ctx.M, [0] * ctx.M]  # occupation_profile's (a, b) layout
     for i, x in enumerate(lam):
@@ -290,7 +290,7 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
     gamma = gamma_value(h, lam, n)
     closed = gamma_closed_form(s)
     vectors = hw_vectors_at_weight(ctx, ground, n, lam)
-    factor = 2 if ctx.field_kind == COMPLEX else 1
+    factor = linalg.quotient(2, ctx.kind.x_doubling)
     if not vectors:
         ok = gamma == 0 and closed == 0
         return {
@@ -302,12 +302,9 @@ def verify_gamma_identity(ctx: FockContext, s: SectorLabel, n: int) -> dict:
             "case": "null_vector" if ok else "no_vector_found",
             "checked_vectors": 0,
         }
-    failures = []
+    failures, rng = [], range(1, n + 1)
     for v in vectors:
-        lhs = 0
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                lhs += factor * norm_sq(apply_generator(ctx, X(i, j), v))
+        lhs = factor * sum(norm_sq(apply_generator(ctx, X(i, j), v)) for i in rng for j in rng)
         rhs = gamma * norm_sq(v)
         if lhs != rhs:
             failures.append({"lhs": lhs, "rhs": rhs})
@@ -342,27 +339,31 @@ def cg_eigenvalue_oracle(ctx: FockContext, s: SectorLabel, n: int):
 
 def cg_candidate_shifted_delta(h: Weight, n: int) -> Rational:
     """(h+delta, h+delta) - (delta, delta)."""
-    data = weyl_data(h.field_kind, n)
-    hv = h.coords(n)
-    shifted = tuple(a + d for a, d in zip(hv, data.delta))
-    return linalg.rational(_dot(shifted, shifted) - _dot(data.delta, data.delta))
+    delta = weyl_data(h.field_kind, n).delta
+    return linalg.rational(_shifted_norm(h.coords(n), delta) - _shifted_norm(delta))
 
 
 def cg_candidate_printed(h: Weight, n: int) -> Rational:
     """(h+delta, h+delta) - (h, h): the formula with the ambiguous second
     term read as the plain weight norm."""
-    data = weyl_data(h.field_kind, n)
-    hv = h.coords(n)
-    shifted = tuple(a + d for a, d in zip(hv, data.delta))
-    return linalg.rational(_dot(shifted, shifted) - _dot(hv, hv))
+    delta = weyl_data(h.field_kind, n).delta
+    return linalg.rational(_shifted_norm(h.coords(n), delta) - _shifted_norm(h.coords(n)))
+
+
+# resolve_cg_closed_form's verdict by (shifted-delta matches, printed matches)
+_CG_VERDICTS = {
+    (True, False): "(h+delta,h+delta) - (delta,delta)",
+    (False, True): "(h+delta,h+delta) - (h,h)",
+    (True, True): "indistinguishable on these cases",
+    (False, False): "neither candidate matches",
+}
 
 
 def resolve_cg_closed_form(cases) -> dict:
     """Compare both closed-form candidates against the measured eigenvalue
     on every supplied (ctx, sector, n) case and report the verdict."""
     rows = []
-    delta_ok = True
-    printed_ok = True
+    delta_ok = printed_ok = True
     for ctx, s, n in cases:
         measured = cg_eigenvalue_oracle(ctx, s, n)
         h = weight_from_sector(s)
@@ -380,12 +381,5 @@ def resolve_cg_closed_form(cases) -> dict:
                 "shifted_minus_weight_sq": cand_printed,
             }
         )
-    if delta_ok and not printed_ok:
-        verdict = "(h+delta,h+delta) - (delta,delta)"
-    elif printed_ok and not delta_ok:
-        verdict = "(h+delta,h+delta) - (h,h)"
-    elif delta_ok and printed_ok:
-        verdict = "indistinguishable on these cases"
-    else:
-        verdict = "neither candidate matches"
-    return {"ok": delta_ok, "verdict": verdict, "cases": rows}
+    return {"ok": delta_ok, "verdict": _CG_VERDICTS[delta_ok, printed_ok], "cases": rows}
+

@@ -64,6 +64,12 @@ class FieldKind(Record):
         """X(i,j) = X(j,i): both legs carry the same species."""
         return self.x_legs[0] == self.x_legs[1]
 
+    @property
+    def x_doubling(self) -> int:
+        """2 when X is symmetric, 1 otherwise: with both legs on one
+        species, X(i,i) contracted against Xstar(i,i) counts twice."""
+        return 2 if self.x_symmetric else 1
+
     def n0(self, N) -> Rational:
         """Vacuum eigenvalue of the Cartan sum over all E kinds at one mode:
         N/2 per species."""

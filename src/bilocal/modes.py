@@ -12,6 +12,7 @@ convention; any fixed order works.
 
 from __future__ import annotations
 
+from itertools import count as naturals, islice
 from math import comb
 from numbers import Rational
 from typing import NamedTuple
@@ -57,22 +58,22 @@ def harmonic_count(D: int, ell: int) -> int:
     return count
 
 
+def _levels(D: int):
+    """(ell, h_ell, ell + d0) for ell = 0, 1, ... in energy order; h_ell is
+    counted only when its level is drawn."""
+    d0 = quotient(D - 2, 2)
+    for ell in naturals():
+        yield ell, harmonic_count(D, ell), ell + d0
+
+
 def enumerate_modes(D: int, count: int) -> list:
     """First ``count`` modes sorted by energy then (ell, mu), with their
     energies; deterministic."""
     _check_dimension(D)
     if count < 1:
         raise ModeError("count must be >= 1")
-    out = []
-    ell = 0
-    while len(out) < count:
-        for mu in range(1, harmonic_count(D, ell) + 1):
-            label = ModeLabel(D, ell, mu)
-            out.append((label, label.energy))
-            if len(out) == count:
-                return out
-        ell += 1
-    return out
+    modes = ((ModeLabel(D, ell, mu), energy) for ell, h, energy in _levels(D) for mu in range(1, h + 1))
+    return list(islice(modes, count))
 
 
 def oscillator_normalization(ell: int, D: int) -> Rational:
@@ -119,13 +120,10 @@ def conformal_spectrum_check(ctx: FockContext, D: int) -> dict:
     species_count = len(ctx.kind.species)
     degeneracies = []
     cumulative = 0
-    ell = 0
-    while True:
-        h = harmonic_count(D, ell)
+    for ell, h, energy in _levels(D):
         if cumulative + h > ctx.M:
             break
         cumulative += h
-        energy = ell + quotient(D - 2, 2)
         per_species = [
             sum(
                 1
@@ -139,7 +137,6 @@ def conformal_spectrum_check(ctx: FockContext, D: int) -> dict:
                              "per_species": per_species, "expected": expected})
         if any(x != expected for x in per_species):
             failures.append({"ell": ell, "per_species": per_species, "expected": expected})
-        ell += 1
     vac_energy = hamiltonian.apply(vacuum(ctx))
     if not vac_energy.is_zero():
         failures.append({"vacuum_energy": repr(vac_energy), "expected": "0"})
@@ -155,13 +152,9 @@ def conformal_spectrum_check(ctx: FockContext, D: int) -> dict:
 def spectrum_table(D: int, count: int) -> list:
     """Rows (ell, h_ell, energy, cumulative modes) covering ``count`` modes."""
     _check_dimension(D)
-    rows = []
-    cumulative = 0
-    ell = 0
-    while cumulative < count:
-        h = harmonic_count(D, ell)
+    rows, cumulative, levels = [], 0, _levels(D)
+    while cumulative < count:  # draw a level only while modes are missing
+        ell, h, energy = next(levels)
         cumulative = min(cumulative + h, count)
-        rows.append({"ell": ell, "h": h, "energy": ell + quotient(D - 2, 2),
-                     "cumulative": cumulative})
-        ell += 1
+        rows.append({"ell": ell, "h": h, "energy": energy, "cumulative": cumulative})
     return rows

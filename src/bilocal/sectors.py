@@ -26,7 +26,6 @@ from typing import Optional
 
 from . import linalg
 from .algebra import (
-    EMINUS_KIND,
     GeneratorLabel,
     HamiltonianSpec,
     OperatorExpr,
@@ -60,6 +59,8 @@ from .young import SectorLabel, YoungDiagram
 # ---------------------------------------------------------------------------
 # weights
 
+_SIDES = {SPECIES_A: "plus", SPECIES_B: "minus"}  # the Weight head each species fills
+
 
 class Weight(linalg.Record):
     """Cartan eigenvalue data: finite heads strictly above a stabilized tail.
@@ -92,9 +93,11 @@ class Weight(linalg.Record):
         return (self.head_plus, self.head_minus)[:len(FIELD_KINDS[self.field_kind].species)]
 
     def component(self, i: int, side: str = "plus") -> Rational:
-        """h_i, i >= 1, on one side (the tail on a real weight's minus side)."""
+        """h_i, i >= 1, on side "plus" or "minus" (real minus: the tail)."""
         if i < 1:
             raise ValueError(f"weight index {i} must be >= 1")
+        if side not in ("plus", "minus"):
+            raise ValueError(f"weight side {side!r} is neither 'plus' nor 'minus'")
         head = self.head_minus if side == "minus" else self.head_plus
         return head[i - 1] if i <= len(head) else self.tail
 
@@ -313,8 +316,8 @@ def verify_hw_conditions(ctx: FockContext, v: FockVector, expected: Weight) -> d
         img = apply_generator(ctx, g, v)
         if not img.is_zero():
             failures.append({"condition": f"{g} v = 0", "got": repr(img)})
-    for kind in ctx.kind.e_kinds:
-        side = "minus" if kind == EMINUS_KIND else "plus"
+    for kind, species in ctx.kind.e_kinds.items():
+        side = _SIDES[species]
         for i in range(1, ctx.M + 1):
             checked += 1
             g = GeneratorLabel(kind, i, i)
@@ -333,19 +336,20 @@ def norm_recursion_oracle(w: Weight, kind: str, i: int, j: int, n: int = 1,
                           side: str = "plus") -> Rational:
     """Closed-form values of <h| ... |h> for the elementary raised vectors.
 
-    recX: <h| X(i,j) Xstar(i,j) |h> = h+_j + h-_i (complex); the real form
-    picks up the coincident-index doubling, (1 + delta_ij)(h_i + h_j).
+    recX: <h| X(i,j) Xstar(i,j) |h> = (x_doubling if i = j else 1) times
+    (h_i on the species of X's i leg + h_j on that of its j leg), so
+    h-_i + h+_j (complex) and (1 + delta_ij)(h_i + h_j) (real).
     recE: <h| E(i,j)^n E(j,i)^n |h> = n! (h_i - h_j)(h_i - h_j - 1) ...
-    down n factors, for i < j.
+    down n factors, for i < j and n >= 0, on one side.
     """
     if kind == "recX":
-        if w.field_kind == COMPLEX:
-            return linalg.rational(w.component(j, "plus") + w.component(i, "minus"))
-        base = w.component(i) + w.component(j)
-        return linalg.rational(base * 2 if i == j else base)
+        doubling = field_kind_named(w.field_kind).x_doubling if i == j else 1
+        return linalg.rational(doubling * _x_leg_sum(w, i, j))
     if kind == "recE":
         if i >= j:
             raise ValueError("recE needs i < j")
+        if n < 0:
+            raise ValueError(f"recE needs n >= 0, got {n}")
         d = w.component(i, side) - w.component(j, side)
         return linalg.rational(factorial(n) * prod(d - k for k in range(n)))
     raise ValueError(f"unknown oracle kind {kind!r}")
@@ -356,6 +360,12 @@ def null_vector_order(w: Weight, i: int, j: int, side: str = "plus") -> int:
     if i >= j:
         raise ValueError("null_vector_order needs i < j")
     return int(w.component(i, side) - w.component(j, side)) + 1
+
+
+def _x_leg_sum(w: Weight, i: int, j: int) -> Rational:
+    """h_i on the species of X's i leg plus h_j on that of its j leg."""
+    i_leg, j_leg = field_kind_named(w.field_kind).x_legs
+    return w.component(i, _SIDES[i_leg]) + w.component(j, _SIDES[j_leg])
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +414,11 @@ def adjoint_determinant_terms(ctx: FockContext, n: int, offset: int = 0) -> Oper
 
 def determinant_recursion_coefficient(w: Weight, n: int) -> Rational:
     """Closed form for X(1,1)...X(n,n) Dn* |h>: the product over m <= n of
-    (h+_m + h-_m - m + 1), doubled per factor in the real case."""
+    x_doubling (h_m on both legs' species - m + 1), so (h+_m + h-_m - m + 1)
+    complex and 2(2 h_m - m + 1) real."""
     _check_order(n)
-    out = 1
-    for m in range(1, n + 1):
-        if w.field_kind == COMPLEX:
-            out *= w.component(m, "plus") + w.component(m, "minus") - m + 1
-        else:
-            out *= 2 * (2 * w.component(m) - m + 1)
-    return linalg.rational(out)
+    doubling = field_kind_named(w.field_kind).x_doubling
+    return linalg.rational(prod(doubling * (_x_leg_sum(w, m, m) - m + 1) for m in range(1, n + 1)))
 
 
 def determinant_recursion_check(ctx: FockContext, s: SectorLabel, n: int) -> dict:

@@ -536,3 +536,78 @@ def test_an_unknown_field_kind_is_refused(entry):
     # real; the others raised a raw KeyError
     with pytest.raises(ValueError, match="unknown field kind 'quaternion'"):
         UNKNOWN_KIND_CALLS[entry]()
+
+
+def _rank_zero_oracle():
+    ctx = FockContext(COMPLEX, 1, 1, 3).validate()
+    return cg_eigenvalue_oracle(ctx, vacuum_sector(COMPLEX, 1), 0)
+
+
+def _hw_vectors_at_rank(n):
+    ctx = FockContext(COMPLEX, 2, 2, 4).validate()
+    return hw_vectors_at_weight(ctx, build_ground_state(ctx, vacuum_sector(COMPLEX, 2)), n, ())
+
+
+RANK_BELOW_ONE_CALLS = {
+    "weyl_data complex 0": lambda: weyl_data(COMPLEX, 0),
+    "weyl_data real -1": lambda: weyl_data(REAL, -1),
+    "casimir_k -1": lambda: casimir_k(-1),
+    "casimir_k real 0": lambda: casimir_k(0, REAL),
+    "casimir_g -1": lambda: casimir_g(-1),
+    "casimir_g real 0": lambda: casimir_g(0, REAL),
+    "casimir_k_eigenvalue 0": lambda: casimir_k_eigenvalue((), 0),
+    "cg_candidate_shifted_delta 0": lambda: cg_candidate_shifted_delta(
+        weight_from_sector(vacuum_sector(COMPLEX, 1)), 0),
+    "cg_eigenvalue_oracle 0": _rank_zero_oracle,
+    "hw_vectors_at_weight 0": lambda: _hw_vectors_at_rank(0),
+    "hw_vectors_at_weight -1": lambda: _hw_vectors_at_rank(-1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RANK_BELOW_ONE_CALLS))
+def test_a_rank_below_one_is_refused(entry):
+    # casimir_k(-1) and casimir_g(-1) were the zero operator, at n = 0 the
+    # measured C_g eigenvalue 0 matched the candidate's 0, and
+    # hw_vectors_at_weight found no vector at n = 0
+    with pytest.raises(ValueError, match=r"rank -?\d+ must be >= 1"):
+        RANK_BELOW_ONE_CALLS[entry]()
+
+
+def test_a_refused_rank_is_not_stored_in_the_casimir_g_memo():
+    before = casimir_g.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="rank"):
+            casimir_g(0, COMPLEX)
+    assert casimir_g.cache_info().currsize == before
+
+
+def _lambda_readers(kind):
+    """casimir_k_eigenvalue, gamma_value and hw_vectors_at_weight, each a
+    function of lam alone, at n = 2 on the one-box sector."""
+    N = n = 2
+    s = complex_sector(diagram(1), EMPTY, N) if kind == COMPLEX else real_sector(diagram(1), N)
+    ctx = FockContext(kind, N, n, s.total_boxes() + 2).validate()
+    h, ground = weight_from_sector(s), build_ground_state(ctx, s)
+    return canonical_lambda(s, n), {
+        "casimir_k_eigenvalue": lambda lam: casimir_k_eigenvalue(lam, n, kind),
+        "gamma_value": lambda lam: gamma_value(h, lam, n),
+        "hw_vectors_at_weight": lambda lam: hw_vectors_at_weight(ctx, ground, n, lam),
+    }
+
+
+@pytest.mark.parametrize("kind", [COMPLEX, REAL])
+@pytest.mark.parametrize("shape", ["short", "long", "float"])
+def test_one_bad_lambda_gets_one_refusal_from_every_reader(kind, shape):
+    """The three functions that take a weight lam read it the same way: one
+    message for a wrong length, TypeError for a float coordinate."""
+    lam, readers = _lambda_readers(kind)
+    bad = {"short": lam[:-1], "long": lam + (lam[-1],), "float": (float(lam[0]),) + lam[1:]}[shape]
+    errors = []
+    for read in readers.values():
+        read(lam)
+        with pytest.raises(TypeError if shape == "float" else ValueError) as info:
+            read(bad)
+        errors.append(str(info.value))
+    assert len(set(errors)) == 1, errors
+    if shape != "float":
+        assert errors[0] == f"weight length {len(bad)} != {len(lam)}"

@@ -213,6 +213,27 @@ def test_null_vector_order():
             null_vector_order(w, i, j)
 
 
+def test_a_weight_side_other_than_plus_or_minus_is_refused():
+    # "mnus" and "Minus" read the plus head: 7/2 and a recE norm of 2
+    w = weight_from_sector(complex_sector(diagram(2), diagram(1), 3))
+    assert (w.component(1, "plus"), w.component(1, "minus")) == (Fraction(7, 2), Fraction(5, 2))
+    calls = [lambda side: w.component(1, side),
+             lambda side: norm_recursion_oracle(w, "recE", 1, 2, 1, side=side),
+             lambda side: null_vector_order(w, 1, 2, side)]
+    for call in calls:
+        for side in ("mnus", "Minus", "real", None):
+            with pytest.raises(ValueError, match="neither 'plus' nor 'minus'"):
+                call(side)
+    assert norm_recursion_oracle(w, "recE", 1, 2, 1, side="minus") == 1
+
+
+def test_rec_e_refuses_a_negative_power():
+    w = Weight(COMPLEX, (Fraction(2),), (), Fraction(1))
+    assert norm_recursion_oracle(w, "recE", 1, 2, n=0) == 1
+    with pytest.raises(ValueError, match="recE needs n >= 0, got -1"):
+        norm_recursion_oracle(w, "recE", 1, 2, n=-1)
+
+
 def test_weight_index_below_one_raises():
     # an index i <= 0 would read the head from its end
     w = Weight(COMPLEX, (3, 2), (2,), 1)
