@@ -38,6 +38,7 @@ from .fock import (
     SPECIES_A,
     ModeSlot,
     Operator,
+    TruncationError,
     basis_monomials,
     field_kind_named,
     monomial_str,
@@ -280,6 +281,10 @@ def _commutator_real(g1, g2) -> OperatorExpr:
 # ---------------------------------------------------------------------------
 # verification harness
 
+# A commutator of bilinears annihilates at most two particles per term, so
+# every verify identity is exact on the states this many particles below P.
+EXACT_MARGIN = 2
+
 
 class MonomialIndex(dict):
     """{monomial: id}, with the inverse list ``monomials``: a monomial not
@@ -300,10 +305,13 @@ class MonomialIndex(dict):
         self.monomials.append(m)
         return i
 
-    def basis(self, margin: int) -> list:
-        """The ids of ``basis_monomials`` up to P - margin particles, in its
-        order: the one place a verify scan enumerates its basis."""
-        return [self[m] for m in basis_monomials(self.ctx, self.ctx.P - margin)]
+    def basis(self) -> list:
+        """The ids of ``basis_monomials`` up to P - EXACT_MARGIN particles, in
+        its order: the one place a verify scan enumerates its basis.  An empty
+        one would pass every scan, so P < EXACT_MARGIN raises TruncationError."""
+        if self.ctx.P < EXACT_MARGIN:
+            raise TruncationError(f"P = {self.ctx.P} leaves no state {EXACT_MARGIN} particles below P")
+        return [self[m] for m in basis_monomials(self.ctx, self.ctx.P - EXACT_MARGIN)]
 
 
 class _ZeroImage(dict):
@@ -459,15 +467,15 @@ def generator_images(ctx: FockContext, shift: bool) -> dict:
     return images
 
 
-def generating_set_suffices(ctx: FockContext, images: dict, margin: int) -> bool:
+def generating_set_suffices(ctx: FockContext, images: dict) -> bool:
     """Whether a commutator scan with one side on ``lie_generating_set(ctx)``
-    decides every generator, on the generator tables ``images``: when
-    P - margin >= 2, so that the scan proves each identity as an oscillator
-    polynomial (a commutator of bilinears has at most two annihilators per
-    term), and the tables respect the labels that name one element.  In
-    the real case X(i,j) = X(j,i) and Xstar(i,j) = Xstar(j,i), and the
-    structure relations obey Jacobi only up to these identifications."""
-    if ctx.P - margin < 2:
+    decides every generator, on the generator tables ``images``: when P >= 4,
+    so that the scan's basis reaches 2 particles and proves each identity as
+    an oscillator polynomial (a commutator of bilinears has at most two
+    annihilators per term), and the tables respect the labels that name one
+    element.  In the real case X(i,j) = X(j,i) and Xstar(i,j) = Xstar(j,i),
+    and the structure relations obey Jacobi only up to these identifications."""
+    if ctx.P < EXACT_MARGIN + 2:
         return False
     if not ctx.kind.x_symmetric:
         return True
@@ -514,15 +522,15 @@ def _structure_identities(ctx: FockContext, images: dict, pairs, verdicts: dict)
         yield (g1, g2), images[g1], images[g2], expected
 
 
-def verify_structure_constants(ctx: FockContext, images: dict, margin: int = 2) -> dict:
+def verify_structure_constants(ctx: FockContext, images: dict) -> dict:
     """Check [g1,g2] against the abstract relations on every monomial with at
-    most P - margin particles, for every unordered generator pair, on the
-    generator tables ``images`` of ctx (``generator_images``; tables of
-    another context or of two indexes raise ContextMismatch, and keys other
-    than ctx's generators ValueError).  The scalar parts enter only the
-    expected side: they cancel from [g1,g2].
-
-    A margin of 2 guarantees the truncated commutators are exact.
+    most P - 2 particles (``MonomialIndex.basis``, where the truncated
+    commutators are exact; P < 2 raises TruncationError), for every
+    unordered generator pair, on the generator tables ``images`` of ctx
+    (``generator_images``; tables of another context or of two indexes
+    raise ContextMismatch, and keys other than ctx's generators
+    ValueError).  The scalar parts enter only the expected side: they
+    cancel from [g1,g2].
 
     When ``generating_set_suffices``, the scan first checks only the pairs
     with one side x in ``lie_generating_set`` and the other y anywhere, and
@@ -542,10 +550,6 @@ def verify_structure_constants(ctx: FockContext, images: dict, margin: int = 2) 
     every pair is scanned on the same tables, so the report, failure list
     included, is the full scan's; a pair the first scan decided keeps its
     verdict there and is not scanned again."""
-    if margin < 2:
-        raise ValueError("margin must be >= 2")
-    if margin > ctx.P:
-        raise ValueError(f"margin {margin} empties the basis (P = {ctx.P})")
     labels = set(generators(ctx.validate()))
     if images.keys() != labels:
         missing, foreign = labels - images.keys(), images.keys() - labels
@@ -555,10 +559,10 @@ def verify_structure_constants(ctx: FockContext, images: dict, margin: int = 2) 
     _one_index(tables)
     if tables[0].index.ctx != ctx:
         raise ContextMismatch(f"tables of {tables[0].index.ctx} checked in {ctx}")
-    basis = tables[0].index.basis(margin)
+    basis = tables[0].index.basis()
     pairs = list(combinations_with_replacement(sorted(labels), 2))
     verdicts = {}
-    if generating_set_suffices(ctx, images, margin):
+    if generating_set_suffices(ctx, images):
         generating = lie_generating_set(ctx)
         reduced = [pair for pair in pairs if not set(pair).isdisjoint(generating)]
         if not commutator_scan([images[g] for g in generating], tables,

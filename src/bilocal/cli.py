@@ -51,8 +51,6 @@ class UsageError(Exception):
 
 
 def _context(args) -> FockContext:
-    if args.N < 0 or args.M < 1 or args.P < 0:
-        raise UsageError("require N >= 0, M >= 1, P >= 0")
     if not args.unsafe_large:
         for name in ("N", "M", "P"):
             if getattr(args, name) > DEFAULT_LIMITS[name]:
@@ -110,35 +108,35 @@ def _print_table(payload, indent=0):
 # alike.
 
 
-def _commutator_report(index, margin, left, right, identities) -> dict:
+def _commutator_report(index, left, right, identities) -> dict:
     """``algebra.commutator_scan`` of the identities (label, a, b, c), a
-    label a dict, on the monomials ``margin`` particles below P of
-    ``index``: the first five failures, each with its first failing monomial."""
-    failures, _ = commutator_scan(left, right, identities, index.basis(margin), 5)
+    label a dict, on ``index.basis()``: the first five failures, each with
+    its first failing monomial."""
+    failures, _ = commutator_scan(left, right, identities, index.basis(), 5)
     return {"ok": not failures,
             "failures": [dict(label, monomial=monomial_str(m)) for label, (m, _, _) in failures]}
 
 
-def _check_ccr(ctx, margin=2) -> dict:
+def _check_ccr(ctx) -> dict:
     """[a(s), a*(t)] = delta_st on the ladder tables of every slot pair, on
     an index of their own."""
     slots = ctx.slots()
     index = MonomialIndex(ctx)
     down = {s: ImageTable(index, fock.annihilation_terms(ctx, s)) for s in slots}
     up = {s: ImageTable(index, fock.creation_terms(ctx, s)) for s in slots}
-    return _commutator_report(index, margin, down.values(), up.values(), (
+    return _commutator_report(index, down.values(), up.values(), (
         ({"slots": [str(s), str(t)]}, down[s], up[t], ((), 1) if s == t else None)
         for s in slots for t in slots))
 
 
-def _check_adjointness(ctx, images, margin=2) -> dict:
+def _check_adjointness(ctx, images) -> dict:
     """<g m, n> = <m, g† n> for all basis monomials m, n.  The metric
     w(m) = <m|m> is diagonal, so this reads G[n,m] w(n) = G†[m,n] w(m) off
     the generator tables ``images`` of g and g†; a pair where both sides
     vanish passes.  A scalar part adds the same c w(m) to both sides, so
     the tables leave it out."""
     index = next(iter(images.values())).index
-    basis = index.basis(margin)
+    basis = index.basis()
     fill_for(images.values(), (), basis)
     weight = {m: monomial_self_overlap(index.monomials[m]) for m in basis}
     failures, verdicts = [], {}
@@ -184,63 +182,61 @@ def _check_vacuum_cartan(ctx) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def _commutant_report(ctx, images, margin, labels, fixed) -> dict:
+def _commutant_report(ctx, images, labels, fixed) -> dict:
     """[F, g] = 0 for each (label, Operator F) in ``fixed`` and generator g
     in ``labels`` (default: all), on a table per F on the index of the
     generator tables ``images`` (a scalar part commutes)."""
     labels = list(generators(ctx)) if labels is None else labels
     index = next(iter(images.values())).index
     tables = [(label, ImageTable(index, op)) for label, op in fixed]
-    return _commutator_report(index, margin, [t for _, t in tables], [images[g] for g in labels], (
+    return _commutator_report(index, [t for _, t in tables], [images[g] for g in labels], (
         (dict(label, generator=str(g)), table, images[g], None) for label, table in tables for g in labels))
 
 
-def _check_charge_commutes(ctx, images, margin=2, labels=None) -> dict:
+def _check_charge_commutes(ctx, images, labels=None) -> dict:
     """[Q, g] = 0 for every generator g in ``labels`` (default: all)."""
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
-    return _commutant_report(ctx, images, margin, labels, [({}, algebra.charge_terms(ctx))])
+    return _commutant_report(ctx, images, labels, [({}, algebra.charge_terms(ctx))])
 
 
-def _check_gauge_commutant(ctx, images, margin=2, labels=None) -> dict:
+def _check_gauge_commutant(ctx, images, labels=None) -> dict:
     """[E^{pq}, g] = 0 for every generator g in ``labels`` (default: all)
     and gauge basis element: all E^{pq} of u(N) (complex), the M^{pq},
     p < q, of o(N) (real; M^{pp} = 0 and M^{qp} = -M^{pq})."""
     flavors = range(1, ctx.N + 1)
-    return _commutant_report(ctx, images, margin, labels, [
+    return _commutant_report(ctx, images, labels, [
         ({"gauge": [p, q]}, young.gauge_terms(ctx, p, q))
         for p in flavors for q in flavors if p < q or ctx.field_kind == COMPLEX])
 
 
 def cmd_verify(args) -> int:
     ctx = _context(args)
-    if not 2 <= args.margin <= ctx.P:
-        raise UsageError(f"margin must lie in 2..P = {ctx.P}")
     # One set of generator tables for every check.  drop-e-shift changes
     # only the scalars, which only structure constants reads.  Structure
     # constants runs after the first charge and gauge scans, whose tables
-    # are freed before it fills the generator tables past P - margin
-    # particles.  The payload sorts its keys.
+    # are freed before it fills the generator tables past P - 2 particles.
+    # The payload sorts its keys.
     images = generator_images(ctx, shift=args.inject_fault != "drop-e-shift")
     # The operators that commute with a fixed one form a Lie algebra
-    # (Jacobi), so where the generating set suffices (P - margin >= 2, and
-    # real tables respect X(i,j) = X(j,i)) the charge and gauge checks scan
-    # the bilocal side on a Lie generating set.  Such a report stands only
+    # (Jacobi), so where the generating set suffices (P >= 4, and real
+    # tables respect X(i,j) = X(j,i)) the charge and gauge checks scan the
+    # bilocal side on a Lie generating set.  Such a report stands only
     # when it passed and structure constants passed, which proves the
     # realization a Lie homomorphism; otherwise the check scans every
     # generator, so every payload is the full scan's.
-    reduced = lie_generating_set(ctx) if generating_set_suffices(ctx, images, args.margin) else None
+    reduced = lie_generating_set(ctx) if generating_set_suffices(ctx, images) else None
     commutants = {"charge_commutes": _check_charge_commutes, "gauge_commutant": _check_gauge_commutant}
     checks = {
-        "ccr": _check_ccr(ctx, args.margin),
-        "adjointness": _check_adjointness(ctx, images, args.margin),
+        "ccr": _check_ccr(ctx),
+        "adjointness": _check_adjointness(ctx, images),
         "vacuum_cartan": _check_vacuum_cartan(ctx),
-        **{name: check(ctx, images, args.margin, reduced) for name, check in commutants.items()},
-        "structure_constants": verify_structure_constants(ctx, images, args.margin),
+        **{name: check(ctx, images, reduced) for name, check in commutants.items()},
+        "structure_constants": verify_structure_constants(ctx, images),
     }
     for name, check in commutants.items():
         if reduced and not (checks[name]["ok"] and checks["structure_constants"]["ok"]):
-            checks[name] = check(ctx, images, args.margin)
+            checks[name] = check(ctx, images)
     ok = all(c.get("ok") for c in checks.values())
     payload = {"context": {"kind": ctx.field_kind, "N": ctx.N, "M": ctx.M, "P": ctx.P},
                "ok": ok, "checks": checks}
@@ -419,9 +415,6 @@ CONTEXT_OPTIONS = {
 COMMANDS = {
     "verify": ("run the algebraic invariant suite", "cmd_verify", {
         **COMMON_OPTIONS, **CONTEXT_OPTIONS,
-        "--margin": dict(type=int, default=2,
-                         help="run every check on the states at least this many particles "
-                              "below P (default: %(default)r)"),
         "--inject-fault": dict(choices=("none", "drop-e-shift"), default="none",
                                help="negative control: drop the N/2 shift of the E generators and "
                                     "expect failure (default: %(default)r)"),

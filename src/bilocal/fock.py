@@ -12,7 +12,7 @@ square roots ever appear:
 Two species of oscillators exist, ``a`` and ``b``; a real (single
 field) context uses only ``a``.  Creation beyond the particle cutoff P
 maps to the zero vector (truncation semantics); callers that need exact
-commutators must stay a margin of 2 particles below P.
+commutators must stay ``algebra.EXACT_MARGIN`` = 2 particles below P.
 """
 
 from __future__ import annotations

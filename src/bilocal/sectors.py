@@ -343,6 +343,7 @@ def norm_recursion_oracle(w: Weight, kind: str, i: int, j: int, n: int = 1,
     down n factors, for i < j and n >= 0, on one side.
     """
     if kind == "recX":
+        w.component(1, side)  # X's legs fix the sides recX reads, so it only checks side
         doubling = field_kind_named(w.field_kind).x_doubling if i == j else 1
         return linalg.rational(doubling * _x_leg_sum(w, i, j))
     if kind == "recE":

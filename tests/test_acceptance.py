@@ -87,10 +87,10 @@ def test_criterion_1_structure_constants():
         for N in (1, 2, 3):
             for M in (2, 3):
                 ctx = FockContext(kind, N, M, 4).validate()
-                report = verify_structure_constants(ctx, generator_images(ctx, shift=True), margin=2)
+                report = verify_structure_constants(ctx, generator_images(ctx, shift=True))
                 checked += report["pairs_checked"]
                 ok = ok and report["ok"]
-    _report(1, "structure constants, both kinds, N<=3, M<=3, P=4, margin 2",
+    _report(1, "structure constants, both kinds, N<=3, M<=3, P=4, <= 2 particles",
             ok, f"{checked} generator pairs")
 
 

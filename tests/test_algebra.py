@@ -35,6 +35,7 @@ from bilocal.fock import (
     ContextViolation,
     FockContext,
     Operator,
+    TruncationError,
     a_slot,
     annihilation_terms,
     b_slot,
@@ -111,22 +112,27 @@ def test_commutator_antisymmetry():
 @pytest.mark.parametrize("kind,N", [(COMPLEX, 1), (REAL, 2)])
 def test_verify_structure_constants_small(kind, N):
     ctx = FockContext(kind, N, 2, 4).validate()
-    report = verify_structure_constants(ctx, generator_images(ctx, shift=True), margin=2)
+    report = verify_structure_constants(ctx, generator_images(ctx, shift=True))
     assert report["ok"], report["failures"][:1]
 
 
 def test_corrupted_realization_fails_on_x_xstar():
     ctx = FockContext(COMPLEX, 1, 2, 4).validate()
-    report = verify_structure_constants(ctx, generator_images(ctx, shift=False), margin=2)
+    report = verify_structure_constants(ctx, generator_images(ctx, shift=False))
     assert not report["ok"]
     kinds = {tuple(sorted(p.split("(")[0] for p in f["pair"])) for f in report["failures"]}
     assert ("X", "Xstar") in kinds
 
 
-def test_margin_precondition():
-    ctx = FockContext(COMPLEX, 1, 2, 4).validate()
-    with pytest.raises(ValueError):
-        verify_structure_constants(ctx, generator_images(ctx, shift=True), margin=1)
+def test_structure_constants_refuse_a_context_with_p_below_2():
+    """No state lies 2 particles below P, so a scan would pass unread."""
+    for P in (0, 1):
+        ctx = FockContext(COMPLEX, 1, 2, P).validate()
+        with pytest.raises(TruncationError):
+            MonomialIndex(ctx).basis()
+        with pytest.raises(TruncationError):
+            verify_structure_constants(ctx, generator_images(ctx, shift=True))
+    assert MonomialIndex(ctx._replace(P=2)).basis() == [0]
 
 
 def test_structure_constants_refuse_tables_of_another_context():
@@ -172,7 +178,7 @@ def _ladder_tables(ctx, slot):
 def test_commutator_counterexample_returns_first_failing_monomial():
     ctx = FockContext(COMPLEX, 1, 1, 3).validate()
     a, a_star, index = _ladder_tables(ctx, a_slot(1, 1))
-    basis = index.basis(2)  # the monomials with at most one particle
+    basis = index.basis()  # the monomials with at most one particle
     assert [index.monomials[m] for m in basis] == list(basis_monomials(ctx, 1))
     fill_for([a, a_star], [a, a_star], basis)
     identity = ((), 1)
@@ -206,11 +212,11 @@ def test_fill_for_fills_one_family_scanned_against_itself_once(monkeypatch):
 
     monkeypatch.setattr(ImageTable, "fill", counting_fill)
     images = generator_images(ctx, shift=True)
-    fill_for(images.values(), images.values(), next(iter(images.values())).index.basis(2))
+    fill_for(images.values(), images.values(), next(iter(images.values())).index.basis())
     assert sorted(calls) == sorted(2 * [id(t) for t in images.values()])
     monkeypatch.undo()
     apart = generator_images(ctx, shift=True)
-    fill_for(apart.values(), list(apart.values())[::-1], next(iter(apart.values())).index.basis(2))
+    fill_for(apart.values(), list(apart.values())[::-1], next(iter(apart.values())).index.basis())
 
     def filled(table):
         return {table.index.monomials[i] for i, image in enumerate(table) if image is not None}
@@ -258,7 +264,7 @@ def test_a_passing_scan_reads_the_generating_set_against_every_generator(monkeyp
     assert reduced == s * (s + 1) // 2 + s * (G - s)
     calls = _counting_scan(monkeypatch)
     images = generator_images(ctx, shift=True)
-    assert generating_set_suffices(ctx, images, 2)
+    assert generating_set_suffices(ctx, images)
     report = verify_structure_constants(ctx, images)
     assert report["ok"] and report["pairs_checked"] == G * (G + 1) // 2
     assert len(calls) == reduced
@@ -268,13 +274,14 @@ def test_a_passing_scan_reads_the_generating_set_against_every_generator(monkeyp
 
 @pytest.mark.parametrize("kind", [COMPLEX, REAL])
 def test_a_scan_with_fewer_than_two_particles_reads_every_pair(monkeypatch, kind):
-    """At P - margin < 2 a commutator of bilinears is truncated, so the
-    generating set decides nothing: the scan reads every pair once."""
+    """At P < 4 the scan's basis stops below 2 particles, where a
+    commutator of bilinears is truncated, so the generating set decides
+    nothing: the scan reads every pair once."""
     ctx = FockContext(kind, 1, 2, 3).validate()
     G = len(list(generators(ctx)))
     calls = _counting_scan(monkeypatch)
     images = generator_images(ctx, shift=True)
-    assert not generating_set_suffices(ctx, images, 2)
+    assert not generating_set_suffices(ctx, images)
     assert verify_structure_constants(ctx, images) == {
         "ok": True, "pairs_checked": G * (G + 1) // 2, "basis_size": 1 + len(ctx.slots()), "failures": []}
     assert len(calls) == G * (G + 1) // 2
@@ -307,14 +314,14 @@ def test_scans_refuse_tables_of_two_indexes():
     ctx = FockContext(COMPLEX, 1, 1, 3).validate()
     a, a_star, index = _ladder_tables(ctx, a_slot(1, 1))
     other_a, other_a_star, other = _ladder_tables(ctx, a_slot(1, 1))
-    basis = index.basis(2)
-    assert other.basis(2) == basis  # equal ids, of two indexes
+    basis = index.basis()
+    assert other.basis() == basis  # equal ids, of two indexes
     with pytest.raises(ContextMismatch):
         fill_for([a], [other_a_star], basis)
     with pytest.raises(ContextMismatch):
         fill_for([a, other_a], [a_star], basis)
     fill_for([a], [a_star], basis)
-    fill_for([other_a], [other_a_star], other.basis(2))
+    fill_for([other_a], [other_a_star], other.basis())
     with pytest.raises(ContextMismatch):
         commutator_counterexample(ctx, a, other_a_star, ((), 1), basis)
     with pytest.raises(ContextMismatch):
@@ -383,7 +390,7 @@ def test_charge_commutes_with_generators():
 
 @pytest.mark.parametrize("kind", [COMPLEX, REAL])
 def test_grading_of_x_generators(kind):
-    # [H_c, X(i,j)] = -(eps_i + eps_j) X(i,j) on the margin subspace
+    # [H_c, X(i,j)] = -(eps_i + eps_j) X(i,j) on the states 2 particles below P
     ctx = FockContext(kind, 2, 2, 4).validate()
     spec = canonical_hamiltonian(ctx)
     eps = spec.energies

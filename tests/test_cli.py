@@ -53,7 +53,7 @@ def test_verify_fault_injection_exits_1(capsys):
     assert payload["checks"]["structure_constants"]["failures"]
 
 
-def test_verify_margin_reaches_every_check(capsys, monkeypatch):
+def test_every_verify_check_scans_at_most_p_minus_2_particles(capsys, monkeypatch):
     seen = []
 
     def spy(ctx, max_particles=None):
@@ -62,12 +62,14 @@ def test_verify_margin_reaches_every_check(capsys, monkeypatch):
 
     # MonomialIndex.basis is the one place a verify scan enumerates its basis
     monkeypatch.setattr(algebra, "basis_monomials", spy)
-    code, out = run_cli(capsys, "verify", "--N", "1", "--M", "2", "--P", "4", "--margin", "3")
-    assert code == 0
-    assert json.loads(out)["checks"]["structure_constants"]["basis_size"] == 5
-    # ccr, adjointness, charge, gauge and structure constants each scan the
-    # monomials with <= P - 3 particles
-    assert seen == [1, 1, 1, 1, 1]
+    for P, basis_size in ((4, 15), (5, 35)):
+        seen.clear()
+        code, out = run_cli(capsys, "verify", "--N", "1", "--M", "2", "--P", str(P))
+        assert code == 0
+        assert json.loads(out)["checks"]["structure_constants"]["basis_size"] == basis_size
+        # ccr, adjointness, charge, gauge and structure constants each scan
+        # the monomials with <= P - 2 particles
+        assert seen == [P - 2] * 5, P
 
 
 # a(1,1) as an (f, rem, ins) term: an operator that commutes with no X*
@@ -138,7 +140,15 @@ def test_adjointness_decides_each_pair_of_tables_once(capsys, monkeypatch):
 
 
 USAGE_ERRORS = [
+    # a context FockContext.validate refuses
     ["verify", "--N", "-1", "--M", "2", "--P", "4"],
+    ["verify", "--N", "1", "--M", "0"],
+    ["verify", "--N", "1", "--P", "-1"],
+    # no state 2 particles below P, where every check would pass unread
+    ["verify", "--N", "1", "--P", "1"],
+    ["verify", "--N", "1", "--P", "0"],
+    # a retired flag
+    ["verify", "--N", "1", "--margin", "3"],
     ["classify", "--N", "1", "--cutoff", "1.5"],
     ["classify", "--N", "1", "--cutoff", "abc"],
     ["classify", "--N", "1", "--cutoff", "1/0"],
@@ -183,7 +193,7 @@ DIAGRAMS = _values(["", "1", "2", "1,1", "2,1"], "1,2", "0", "-1")
 CONTEXT_OPTIONS = [("--kind", _values(["complex", "real"])), ("--N", _values(range(3), "-1")),
                    ("--M", _values([1, 2], "0", "-1")), ("--P", _values(range(5), "-1"))]
 SUBCOMMAND_OPTIONS = {
-    "verify": CONTEXT_OPTIONS + [("--margin", _values(range(2, 5), "0", "-1"))],
+    "verify": CONTEXT_OPTIONS,
     "classify": CONTEXT_OPTIONS + [
         ("--cutoff", _values([0, 1, 2, 3, 4, "1/2", "5/2"], "-1", "-1/2", "1/0")),
         ("--D", _values([4, 6], "0", "-2", "3"))],
@@ -249,7 +259,6 @@ def reference_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the algebraic invariant suite")
     add_common(p)
-    p.add_argument("--margin", type=int, default=2)
     p.add_argument("--inject-fault", choices=["none", "drop-e-shift"], default="none",
                    help="negative control: drop the N/2 shift of the E generators and expect failure")
     p.set_defaults(func=cli.cmd_verify)

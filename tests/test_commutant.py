@@ -4,8 +4,8 @@ The operators that commute with a fixed one form a Lie algebra (Jacobi),
 so ``bilocal verify`` commutes the charge and each gauge element with the
 bilocal ``lie_generating_set`` only, and takes a pass as final when
 structure constants pass in the same run and the generating set suffices
-(``algebra.generating_set_suffices``: P - margin >= 2, and real tables
-that respect X(i,j) = X(j,i)).  Otherwise, and whenever the reduced scan
+(``algebra.generating_set_suffices``: P >= 4, and real tables that
+respect X(i,j) = X(j,i)).  Otherwise, and whenever the reduced scan
 fails, it scans every generator, so every payload is the full scan's.  The gauge side keeps its full basis; the
 brackets of its term lists are checked here."""
 
@@ -118,11 +118,11 @@ def test_structure_relations_obey_jacobi_up_to_the_real_identifications(kind):
         assert _jacobi_failures(kind, 3, identify=False) > 0
 
 
-def _verdicts(ctx, margin=2):
+def _verdicts(ctx):
     """(reduced, full) verdicts of the charge and gauge checks."""
     images = generator_images(ctx, shift=True)
     reduced = lie_generating_set(ctx)
-    return [(check(ctx, images, margin, reduced)["ok"], check(ctx, images, margin)["ok"])
+    return [(check(ctx, images, reduced)["ok"], check(ctx, images)["ok"])
             for check in (cli._check_charge_commutes, cli._check_gauge_commutant)]
 
 
@@ -168,13 +168,13 @@ def test_fault_outside_the_generating_set_gets_the_full_scan(monkeypatch):
     checks = json.loads(out)["checks"]
     assert not checks["structure_constants"]["ok"]
     images = generator_images(ctx, shift=True)
-    assert checks["charge_commutes"] == cli._check_charge_commutes(ctx, images, 2)
-    assert checks["gauge_commutant"] == cli._check_gauge_commutant(ctx, images, 2)
+    assert checks["charge_commutes"] == cli._check_charge_commutes(ctx, images)
+    assert checks["gauge_commutant"] == cli._check_gauge_commutant(ctx, images)
     assert not checks["gauge_commutant"]["ok"]
-    assert cli._check_gauge_commutant(ctx, images, 2, lie_generating_set(ctx))["ok"]
+    assert cli._check_gauge_commutant(ctx, images, lie_generating_set(ctx))["ok"]
 
 
-# stdout SHA-256 of verify runs outside the reduced regime (P - margin < 2),
+# stdout SHA-256 of verify runs outside the reduced regime (P < 4),
 # as printed before the commutant checks used the generating set
 SMALL_PAYLOADS = {
     "--kind complex --N 0 --M 1 --P 2":
@@ -192,9 +192,9 @@ def test_small_contexts_scan_every_generator_and_keep_their_payloads(monkeypatch
     for name in ("_check_charge_commutes", "_check_gauge_commutant"):
         check = getattr(cli, name)
 
-        def spy(ctx, images, margin=2, labels=None, check=check):
+        def spy(ctx, images, labels=None, check=check):
             scanned.append(labels)
-            return check(ctx, images, margin, labels)
+            return check(ctx, images, labels)
 
         monkeypatch.setattr(cli, name, spy)
     code, out = _verify(*argv.split())
@@ -211,7 +211,7 @@ def _delta(a, b):
     return 1 if a == b else 0
 
 
-def gauge_bracket_failures(ctx, margin=2) -> list:
+def gauge_bracket_failures(ctx) -> list:
     """The gauge basis pairs whose bracket, on the scan basis, is not the
     u(N) one, [E^{pq}, E^{rs}] = d_qr E^{ps} - d_sp E^{rq} (complex), or the
     o(N) one, [M^{pq}, M^{rs}] = d_qr M^{ps} + d_ps M^{qr} - d_qs M^{pr}
@@ -236,7 +236,7 @@ def gauge_bracket_failures(ctx, margin=2) -> list:
                      + element(p, r, -_delta(q, s)) + element(q, s, -_delta(p, r)))
         return [(c, t) for c, t in terms if c], 0
 
-    basis = index.basis(margin)
+    basis = index.basis()
     fill_for(tables.values(), tables.values(), basis)
     return [(a, b) for a in tables for b in tables
             if commutator_counterexample(ctx, tables[a], tables[b], expected(*a, *b), basis)]

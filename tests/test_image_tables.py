@@ -210,7 +210,7 @@ def test_zero_entries_share_one_read_only_image(context):
     ctx = FockContext(*context).validate()
     images = generator_images(ctx, shift=True)
     index = next(iter(images.values())).index
-    ids = index.basis(0)
+    ids = [index[m] for m in basis_monomials(ctx)]
     for table in images.values():
         table.fill(ids)
     zeros = [entry for table in images.values() for entry in table if not entry]
@@ -244,7 +244,7 @@ IMAGES_COMPUTED = {
 }
 
 
-def images_the_scans_read(ctx, margin, labels):
+def images_the_scans_read(ctx, labels):
     """The images the verify scans read when every identity holds, from
     vector-level action, with structure constants, the charge and the gauge
     checks on the generators ``labels`` (against every generator): a pair
@@ -256,7 +256,7 @@ def images_the_scans_read(ctx, margin, labels):
     apart.  A scan of [a, b] over the families (left, right) reads every a
     and b on the basis B, each a on the monomials the right family's
     B-images reach, and each b on those the left family's reach."""
-    basis = list(basis_monomials(ctx, ctx.P - margin))
+    basis = list(basis_monomials(ctx, ctx.P - 2))
     reached = {}
 
     def reach(op):
@@ -299,10 +299,10 @@ def test_verify_computes_each_image_once(monkeypatch, capsys, command):
     the scans need shows."""
     ctx = cli._context(cli.build_parser().parse_args(command.split()))
     generating_set = algebra.lie_generating_set(ctx)
-    generator_reads, commutant_reads = images_the_scans_read(ctx, 2, generating_set)
+    generator_reads, commutant_reads = images_the_scans_read(ctx, generating_set)
     want, count = generator_reads | commutant_reads, len(generator_reads) + len(commutant_reads)
     if "drop-e-shift" in command:
-        full = images_the_scans_read(ctx, 2, list(generators(ctx)))
+        full = images_the_scans_read(ctx, list(generators(ctx)))
         want = generator_reads | full[0] | full[1]
         count = len(want) + len(commutant_reads)
     seen, tables, filling = [], [], []

@@ -214,11 +214,13 @@ def test_null_vector_order():
 
 
 def test_a_weight_side_other_than_plus_or_minus_is_refused():
-    # "mnus" and "Minus" read the plus head: 7/2 and a recE norm of 2
+    # "mnus" and "Minus" read the plus head: 7/2 and a recE norm of 2;
+    # recX, whose sides X's legs fix, took any side unread
     w = weight_from_sector(complex_sector(diagram(2), diagram(1), 3))
     assert (w.component(1, "plus"), w.component(1, "minus")) == (Fraction(7, 2), Fraction(5, 2))
     calls = [lambda side: w.component(1, side),
              lambda side: norm_recursion_oracle(w, "recE", 1, 2, 1, side=side),
+             lambda side: norm_recursion_oracle(w, "recX", 1, 2, side=side),
              lambda side: null_vector_order(w, 1, 2, side)]
     for call in calls:
         for side in ("mnus", "Minus", "real", None):

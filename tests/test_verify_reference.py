@@ -92,8 +92,8 @@ class ReferenceImages:
         return FockVector._wrap(out, self.ctx)
 
 
-def reference_structure_constants(ctx, margin, max_failures=10):
-    basis = list(basis_monomials(ctx, ctx.P - margin))
+def reference_structure_constants(ctx, max_failures=10):
+    basis = list(basis_monomials(ctx, ctx.P - 2))
     images = ReferenceImages(ctx, apply_generator)
 
     def degree_one(expr, v):
@@ -116,8 +116,8 @@ def reference_structure_constants(ctx, margin, max_failures=10):
     return {"ok": not failures, "pairs_checked": pairs, "basis_size": len(basis), "failures": failures}
 
 
-def reference_report(ctx, margin, identities):
-    basis = list(basis_monomials(ctx, ctx.P - margin))
+def reference_report(ctx, identities):
+    basis = list(basis_monomials(ctx, ctx.P - 2))
     failures = []
     for label, a, b, c in identities:
         hit = reference_counterexample(ctx, a, b, c, basis)
@@ -128,16 +128,16 @@ def reference_report(ctx, margin, identities):
     return {"ok": not failures, "failures": failures}
 
 
-def reference_ccr(ctx, margin):
+def reference_ccr(ctx):
     slots = ctx.slots()
-    return reference_report(ctx, margin, (
+    return reference_report(ctx, (
         ({"slots": [str(s), str(t)]}, partial(apply_annihilation, ctx, s),
          partial(apply_creation, ctx, t), (lambda v: v) if s == t else None)
         for s in slots for t in slots))
 
 
-def reference_adjointness(ctx, margin):
-    basis = list(basis_monomials(ctx, ctx.P - margin))
+def reference_adjointness(ctx):
+    basis = list(basis_monomials(ctx, ctx.P - 2))
     weight = {m: monomial_self_overlap(m) for m in basis}
     images = ReferenceImages(ctx, apply_generator)
 
@@ -152,46 +152,46 @@ def reference_adjointness(ctx, margin):
     return {"ok": not failures, "failures": failures[:5]}
 
 
-def reference_charge_commutes(ctx, margin):
+def reference_charge_commutes(ctx):
     if ctx.field_kind != COMPLEX:
         return {"ok": True, "skipped": "no charge operator in the real case"}
     images = ReferenceImages(ctx, apply_generator)
-    return reference_report(ctx, margin, (
+    return reference_report(ctx, (
         ({"generator": str(g)}, lambda v: algebra.charge_terms(ctx).apply(v), partial(images.apply, g), None)
         for g in generators(ctx)))
 
 
-def reference_gauge_commutant(ctx, margin):
+def reference_gauge_commutant(ctx):
     flavors = range(1, ctx.N + 1)
     gauge = ReferenceImages(ctx, lambda ctx, pq, v: young.gauge_terms(ctx, *pq).apply(v))
     images = ReferenceImages(ctx, apply_generator)
-    return reference_report(ctx, margin, (
+    return reference_report(ctx, (
         ({"gauge": [p, q], "generator": str(g)}, partial(gauge.apply, (p, q)),
          partial(images.apply, g), None)
         for p in flavors for q in flavors for g in generators(ctx)))
 
 
-def reference_reports(ctx, margin):
-    return {"structure_constants": reference_structure_constants(ctx, margin),
-            "ccr": reference_ccr(ctx, margin),
-            "adjointness": reference_adjointness(ctx, margin),
-            "charge_commutes": reference_charge_commutes(ctx, margin),
-            "gauge_commutant": reference_gauge_commutant(ctx, margin)}
+def reference_reports(ctx):
+    return {"structure_constants": reference_structure_constants(ctx),
+            "ccr": reference_ccr(ctx),
+            "adjointness": reference_adjointness(ctx),
+            "charge_commutes": reference_charge_commutes(ctx),
+            "gauge_commutant": reference_gauge_commutant(ctx)}
 
 
-def library_reports(ctx, margin, shift=True):
+def library_reports(ctx, shift=True):
     """The library checks as ``bilocal verify`` runs them, on one set of
     generator tables."""
     images = generator_images(ctx, shift)
-    return {"ccr": cli._check_ccr(ctx, margin),
-            "adjointness": cli._check_adjointness(ctx, images, margin),
-            "charge_commutes": cli._check_charge_commutes(ctx, images, margin),
-            "gauge_commutant": cli._check_gauge_commutant(ctx, images, margin),
-            "structure_constants": verify_structure_constants(ctx, images, margin)}
+    return {"ccr": cli._check_ccr(ctx),
+            "adjointness": cli._check_adjointness(ctx, images),
+            "charge_commutes": cli._check_charge_commutes(ctx, images),
+            "gauge_commutant": cli._check_gauge_commutant(ctx, images),
+            "structure_constants": verify_structure_constants(ctx, images)}
 
 
-def assert_matches_reference(ctx, margin):
-    got, want = library_reports(ctx, margin), reference_reports(ctx, margin)
+def assert_matches_reference(ctx):
+    got, want = library_reports(ctx), reference_reports(ctx)
     for name in want:
         assert got[name] == want[name], name
 
@@ -210,7 +210,7 @@ GATE_CONTEXTS = [(COMPLEX, 1, 2, 4), (COMPLEX, 1, 3, 4), (COMPLEX, 2, 2, 4), (RE
 
 @pytest.mark.parametrize("context", GATE_CONTEXTS, ids=str)
 def test_verify_checks_match_reference_on_gate_contexts(context):
-    assert_matches_reference(FockContext(*context).validate(), 2)
+    assert_matches_reference(FockContext(*context).validate())
 
 
 @pytest.mark.parametrize("context", [(COMPLEX, 1, 2, 4), (REAL, 1, 2, 4), (COMPLEX, 2, 1, 4)],
@@ -218,11 +218,11 @@ def test_verify_checks_match_reference_on_gate_contexts(context):
 def test_verify_checks_match_reference_without_e_shift(monkeypatch, context):
     ctx = FockContext(*context).validate()
     # the CLI's negative control: tables without the shift's scalars
-    unshifted = library_reports(ctx, 2, shift=False)
+    unshifted = library_reports(ctx, shift=False)
     assert not unshifted["structure_constants"]["ok"]
     drop_e_shift(monkeypatch)
-    assert_matches_reference(ctx, 2)
-    assert unshifted == reference_reports(ctx, 2)
+    assert_matches_reference(ctx)
+    assert unshifted == reference_reports(ctx)
 
 
 def _doubled_creation(ctx, slot):
@@ -240,9 +240,9 @@ def _noncommuting_gauge(ctx, p, q):
 def test_failing_checks_match_reference(monkeypatch, fault):
     ctx = FockContext(COMPLEX, 2, 2, 4).validate()
     monkeypatch.setattr(*fault)
-    got = library_reports(ctx, 2)
+    got = library_reports(ctx)
     assert not all(report["ok"] for report in got.values())
-    assert got == reference_reports(ctx, 2)
+    assert got == reference_reports(ctx)
 
 
 def test_adjointness_fails_like_the_reference_on_shared_tables(monkeypatch):
@@ -255,22 +255,21 @@ def test_adjointness_fails_like_the_reference_on_shared_tables(monkeypatch):
         2 if g.kind == fock.XSTAR_KIND else 1))
     images = generator_images(ctx, True)
     assert images[Xstar(1, 2)] is images[Xstar(2, 1)]
-    got = cli._check_adjointness(ctx, images, 2)
-    assert got == reference_adjointness(ctx, 2)
+    got = cli._check_adjointness(ctx, images)
+    assert got == reference_adjointness(ctx)
     assert [f["generator"] for f in got["failures"]] == [str(X(i, j)) for i, j in
                                                          ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))]
 
 
 @settings(max_examples=12, deadline=None)
 @given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 2), M=st.integers(1, 2),
-       P=st.integers(2, 4), margin=st.integers(2, 3), shifted=st.booleans())
-def test_verify_checks_match_reference_on_drawn_contexts(kind, N, M, P, margin, shifted):
-    assume(margin <= P)
+       P=st.integers(2, 4), shifted=st.booleans())
+def test_verify_checks_match_reference_on_drawn_contexts(kind, N, M, P, shifted):
     ctx = FockContext(kind, N, M, P).validate()
     with pytest.MonkeyPatch.context() as mp:
         if not shifted:
             drop_e_shift(mp)
-        assert_matches_reference(ctx, margin)
+        assert_matches_reference(ctx)
 
 
 def _table_coefficients(ctx, images):
@@ -325,8 +324,8 @@ def test_planted_off_by_one_table_entry_fails_structure_constants(monkeypatch):
 
     monkeypatch.setattr(fock.Operator, "images", off_by_one)
     assert apply_generator(ctx, target, unit(ctx, m0)) == unit(ctx, ())
-    report = verify_structure_constants(ctx, generator_images(ctx, shift=True), 2)
-    assert report == reference_structure_constants(ctx, 2)
+    report = verify_structure_constants(ctx, generator_images(ctx, shift=True))
+    assert report == reference_structure_constants(ctx)
     assert not report["ok"]
     # the entry enters both as an operand and on the expected side
     assert any(str(target) in f["pair"] for f in report["failures"])
@@ -339,20 +338,19 @@ def test_planted_off_by_one_table_entry_fails_structure_constants(monkeypatch):
 
 @settings(max_examples=15, deadline=None)
 @given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 3), M=st.integers(1, 3),
-       depth=st.integers(0, 3), margin=st.integers(2, 3), shifted=st.booleans())
-def test_structure_constants_match_the_full_reference_on_drawn_contexts(kind, N, M, depth, margin,
-                                                                        shifted):
-    """P - margin = depth: at 0 and 1 every pair is scanned, at 2 and 3 the
-    generating set against every generator, and every pair again where
-    that fails (unshifted)."""
-    ctx = FockContext(kind, N, M, depth + margin).validate()
-    assume(comb(len(ctx.slots()) + depth, depth) <= 100)  # the reference's basis
+       P=st.integers(2, 5), shifted=st.booleans())
+def test_structure_constants_match_the_full_reference_on_drawn_contexts(kind, N, M, P, shifted):
+    """At P = 2 and 3 every pair is scanned, at 4 and 5 the generating set
+    against every generator, and every pair again where that fails
+    (unshifted)."""
+    ctx = FockContext(kind, N, M, P).validate()
+    assume(comb(len(ctx.slots()) + P - 2, P - 2) <= 100)  # the reference's basis
     with pytest.MonkeyPatch.context() as mp:
         if not shifted:
             drop_e_shift(mp)
         images = generator_images(ctx, shift=True)
-        assert generating_set_suffices(ctx, images, margin) == (depth >= 2)
-        assert verify_structure_constants(ctx, images, margin) == reference_structure_constants(ctx, margin)
+        assert generating_set_suffices(ctx, images) == (P >= 4)
+        assert verify_structure_constants(ctx, images) == reference_structure_constants(ctx)
 
 
 @pytest.mark.parametrize("kind", [COMPLEX, REAL])
@@ -361,10 +359,10 @@ def test_structure_constants_match_the_full_reference_at_one_mode(monkeypatch, k
     ctx = FockContext(kind, 2, 1, 4).validate()
     assert set(lie_generating_set(ctx)) == set(generators(ctx))
     assert verify_structure_constants(ctx, generator_images(ctx, shift=True)) == \
-        reference_structure_constants(ctx, 2)
+        reference_structure_constants(ctx)
     drop_e_shift(monkeypatch)
     report = verify_structure_constants(ctx, generator_images(ctx, shift=True))
-    assert not report["ok"] and report == reference_structure_constants(ctx, 2)
+    assert not report["ok"] and report == reference_structure_constants(ctx)
 
 
 def _without_flavor_n(op):
@@ -380,11 +378,11 @@ def _extra_shift(op):
     return Operator(op.ctx, [(f, *key) for key, f in op.items()] + [(1, (), ())])
 
 
-def _reduced_failures(ctx, images, margin=2) -> list:
+def _reduced_failures(ctx, images) -> list:
     """The failing pairs of the scan with one side on the generating set,
     scanned to the end."""
     generating = lie_generating_set(ctx)
-    basis = next(iter(images.values())).index.basis(margin)
+    basis = next(iter(images.values())).index.basis()
     pairs = [pair for pair in combinations_with_replacement(sorted(generators(ctx)), 2)
              if set(pair) & set(generating)]
     return algebra.commutator_scan([images[g] for g in generating], images.values(),
@@ -415,11 +413,11 @@ def test_fault_outside_the_generating_set_fails_its_scan(monkeypatch, context, t
     terms = algebra.generator_terms
     monkeypatch.setattr(algebra, "generator_terms",
                         lambda ctx, g: fault(terms(ctx, g)) if g == target else terms(ctx, g))
-    assert generating_set_suffices(ctx, generator_images(ctx, shift=True), 2) == symmetric
+    assert generating_set_suffices(ctx, generator_images(ctx, shift=True)) == symmetric
     assert 1 <= len(_reduced_failures(ctx, generator_images(ctx, shift=True))) <= 6
     report = verify_structure_constants(ctx, generator_images(ctx, shift=True))
     assert not report["ok"]
-    assert report == reference_structure_constants(ctx, 2)
+    assert report == reference_structure_constants(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +501,6 @@ def test_a_failing_charge_check_reruns_once_when_structure_constants_fail(monkey
     assert code == 1
     assert runs == [1, 2, 2, 1] and calls == [64, 24, 96, 136]
     drop_e_shift(monkeypatch)
-    want = reference_reports(FockContext(COMPLEX, 2, 2, 4).validate(), 2)
+    want = reference_reports(FockContext(COMPLEX, 2, 2, 4).validate())
     assert {name: checks[name] for name in want} == want
     assert [name for name, c in checks.items() if not c["ok"]] == ["charge_commutes", "structure_constants"]
