@@ -632,10 +632,9 @@ def hamiltonian_terms(ctx: FockContext, spec: HamiltonianSpec) -> Operator:
     return Operator(ctx, terms + [(hamiltonian_constant(ctx, spec), (), ())])
 
 
-@lru_cache(maxsize=None)
 def charge_terms(ctx: FockContext) -> Operator:
     """The charge Q = sum over slots of a*a - b*b, (#a-slots - #b-slots) per
-    monomial, built once per context; complex contexts only."""
+    monomial; complex contexts only."""
     if ctx.field_kind != COMPLEX:
         raise ContextViolation("no charge operator in the real case")
     return Operator(ctx, ((1 if s.species == SPECIES_A else -1, (s,), (s,)) for s in ctx.slots()))

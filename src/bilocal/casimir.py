@@ -26,7 +26,6 @@ the canonical lam forces the unitarity bound r+ + r- <= 2 h_inf.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import pairwise, zip_longest
 from numbers import Rational
 from typing import NamedTuple
@@ -110,22 +109,21 @@ def _read_lambda(lam, field_kind: str, n: int, *, dominant: bool = False) -> tup
 
 
 def casimir_k(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
+    """The words E(i,j)E(j,i) of every E kind, i and j in 1..n."""
     _check_rank(n)
     rng, e_kinds = range(1, n + 1), field_kind_named(field_kind).e_kinds
-    return OperatorExpr().plus(
-        (1, OperatorExpr.of(GeneratorLabel(kind, i, j)) * OperatorExpr.of(GeneratorLabel(kind, j, i)))
-        for i in rng for j in rng for kind in e_kinds)
+    return OperatorExpr({(GeneratorLabel(kind, i, j), GeneratorLabel(kind, j, i)): 1
+                         for i in rng for j in rng for kind in e_kinds})
 
 
-@lru_cache(maxsize=None)
 def casimir_g(n: int, field_kind: str = COMPLEX) -> OperatorExpr:
-    """Built once per (n, field_kind); an OperatorExpr is immutable by
-    convention, so every caller shares it."""
+    """C_k's words, then Xstar(i,j)X(i,j) and X(i,j)Xstar(i,j) for i and j
+    in 1..n, each with coefficient -1/x_doubling."""
     coupling = linalg.quotient(1, field_kind_named(field_kind).x_doubling)
     rng = range(1, n + 1)
-    cross = [(OperatorExpr.of(Xstar(i, j)), OperatorExpr.of(X(i, j))) for i in rng for j in rng]
-    return casimir_k(n, field_kind).plus(
-        (-coupling, word) for xs, x in cross for word in (xs * x, x * xs))
+    cross = {word: -coupling for i in rng for j in rng
+             for word in ((Xstar(i, j), X(i, j)), (X(i, j), Xstar(i, j)))}
+    return OperatorExpr({**casimir_k(n, field_kind).terms, **cross})
 
 
 def casimir_k_eigenvalue(lam, n: int, field_kind: str = COMPLEX) -> Rational:
@@ -205,7 +203,7 @@ def compact_module(ctx: FockContext, ground: FockVector, n: int, *, targets) -> 
     bounds = [_prefix_sums(t) for t in targets]
 
     def add(v, key):
-        if spans.setdefault(key, linalg.RowSpan()).add(dict(v.items())):
+        if spans.setdefault(key, linalg.RowSpan()).add(v.terms):
             blocks.setdefault(key, []).append(v)
             queue.append((v, key))
 
@@ -268,7 +266,7 @@ def hw_vectors_at_weight(ctx: FockContext, ground: FockVector, n: int, lam) -> l
     for (k, l), need in needs.items():
         for u in blocks.get(need, ()):
             v = apply_generator(ctx, Xstar(k, l), u)
-            if span.add(dict(v.items())):
+            if span.add(v.terms):
                 raised.append(v)
     # E preserves particle number, so the simple E(i,i+1) cut out the same
     # kernel as every raising E(i,j), i < j <= n

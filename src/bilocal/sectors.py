@@ -336,13 +336,15 @@ def norm_recursion_oracle(w: Weight, kind: str, i: int, j: int, n: int = 1,
                           side: str = "plus") -> Rational:
     """Closed-form values of <h| ... |h> for the elementary raised vectors.
 
-    recX: <h| X(i,j) Xstar(i,j) |h> = (x_doubling if i = j else 1) times
+    recX, n = 1 only: <h| X(i,j) Xstar(i,j) |h> = (x_doubling if i = j else 1) times
     (h_i on the species of X's i leg + h_j on that of its j leg), so
     h-_i + h+_j (complex) and (1 + delta_ij)(h_i + h_j) (real).
     recE: <h| E(i,j)^n E(j,i)^n |h> = n! (h_i - h_j)(h_i - h_j - 1) ...
     down n factors, for i < j and n >= 0, on one side.
     """
     if kind == "recX":
+        if n != 1:
+            raise ValueError(f"recX raises by one Xstar, got n = {n}")
         w.component(1, side)  # X's legs fix the sides recX reads, so it only checks side
         doubling = field_kind_named(w.field_kind).x_doubling if i == j else 1
         return linalg.rational(doubling * _x_leg_sum(w, i, j))
@@ -392,16 +394,13 @@ def determinant_operator(n: int) -> OperatorExpr:
     })
 
 
-@lru_cache(maxsize=None)
 def adjoint_determinant_terms(ctx: FockContext, n: int, offset: int = 0) -> Operator:
     """D_n* = det(Xstar(i,j)) over modes offset+1..offset+n, creation only.
     Xstar(i,j) = sum_p c*[i,p] d*[j,p], with c and d the species of the
     legs of X, is C D^T with commuting entries, so by Cauchy-Binet D_n* is
     the sum of det(C_S) det(D_S) over the n-subsets S of the flavors.  The
     Operator merges products with the same slot multiset (in the real case
-    C = D, and the permutation pairs (s, t) and (t, s) meet).  Built once
-    per context, order and offset; an invalid order or offset is not
-    cached, so it raises on every call."""
+    C = D, and the permutation pairs (s, t) and (t, s) meet)."""
     _check_order(n)
     if offset < 0 or offset + n > ctx.M:
         raise ContextViolation(f"modes {offset + 1}..{offset + n} outside 1..{ctx.M}")

@@ -14,7 +14,7 @@ because they act on flavor indices.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Rational
 from typing import Iterator, NamedTuple, Optional
 
@@ -548,12 +548,9 @@ def sector_to_json(s: SectorLabel) -> dict:
 # realized gauge generators (flavor-index bilinears)
 
 
-@lru_cache(maxsize=None)
 def gauge_terms(ctx: FockContext, p: int, q: int) -> Operator:
     """The gauge generator (p, q) acting on Fock space, truncated to modes
-    <= M (exact on the truncated space since higher modes are unoccupied),
-    built once per context and flavor pair (an invalid pair is not cached,
-    so it raises on every call).
+    <= M (exact on the truncated space since higher modes are unoccupied).
 
     Complex: E^{pq} = sum_i (a*[i,p] a[i,q] - b*[i,q] b[i,p]).
     Real:    M^{pq} = sum_i (a*[i,p] a[i,q] - a*[i,q] a[i,p]), so M^{pp} = 0.

@@ -1,9 +1,8 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
-
-from bilocal import casimir, sectors
 
 
 @pytest.fixture(scope="session")
@@ -18,11 +17,14 @@ def hw_cases():
 
 
 def clear_memos():
-    """Empty the memos of ``build_ground_state``, ``casimir_g`` and
-    ``adjoint_determinant_terms``."""
-    sectors._ground_state.cache_clear()
-    sectors.adjoint_determinant_terms.cache_clear()
-    casimir.casimir_g.cache_clear()
+    """Empty every memo of the package: each attribute of a loaded bilocal
+    module that has ``cache_clear``.  A module not loaded yet has built
+    nothing."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "bilocal":
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 @pytest.fixture(autouse=True)

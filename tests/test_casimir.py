@@ -37,6 +37,7 @@ from bilocal.fock import (
     FockContext,
     TruncationError,
     basis_monomials,
+    field_kind_named,
     occupation_profile,
     unit,
     zero,
@@ -427,7 +428,8 @@ def test_hw_vectors_refuse_a_rank_above_the_mode_cutoff(kind):
 
 
 # ---------------------------------------------------------------------------
-# the shared work of the hw cases: memoized C_g, the closure toward targets
+# the shared work of the hw cases: C_g's word table, the closure toward
+# targets
 
 
 def _on_both_hw_contexts(hw_cases):
@@ -438,12 +440,24 @@ def _on_both_hw_contexts(hw_cases):
         yield s, n, det_ctx
 
 
+def _casimir_products(n, kind):
+    """C_k and C_g as products of one-letter expressions summed by ``plus``."""
+    rng, field_kind = range(1, n + 1), field_kind_named(kind)
+    ck = OperatorExpr().plus(
+        (1, OperatorExpr.of(GeneratorLabel(e, i, j)) * OperatorExpr.of(GeneratorLabel(e, j, i)))
+        for i in rng for j in rng for e in field_kind.e_kinds)
+    cross = [(OperatorExpr.of(Xstar(i, j)), OperatorExpr.of(X(i, j))) for i in rng for j in rng]
+    coupling = Fraction(1, field_kind.x_doubling)
+    return ck, ck.plus((-coupling, word) for xs, x in cross for word in (xs * x, x * xs))
+
+
 def test_memoized_casimir_g_equals_an_uncached_build():
+    # the listed words equal the products they expand, key order and
+    # coefficient type included
     for kind in (COMPLEX, REAL):
-        for n in range(1, 5):
-            got = casimir_g(n, kind)
-            assert list(got.items()) == list(casimir_g.__wrapped__(n, kind).items())
-            assert casimir_g(n, kind) is got
+        for n in range(1, 6):
+            for got, want in zip((casimir_k(n, kind), casimir_g(n, kind)), _casimir_products(n, kind)):
+                assert [(w, c, type(c)) for w, c in got.items()] == [(w, c, type(c)) for w, c in want.items()]
 
 
 def _target_profiles(ctx, n, lam):
@@ -574,11 +588,10 @@ def test_a_rank_below_one_is_refused(entry):
 
 
 def test_a_refused_rank_is_not_stored_in_the_casimir_g_memo():
-    before = casimir_g.cache_info().currsize
+    # C_g is built on every call, so a refusal raises on every call
     for _ in range(2):
         with pytest.raises(ValueError, match="rank"):
             casimir_g(0, COMPLEX)
-    assert casimir_g.cache_info().currsize == before
 
 
 def _lambda_readers(kind):

@@ -236,6 +236,15 @@ def test_rec_e_refuses_a_negative_power():
         norm_recursion_oracle(w, "recE", 1, 2, n=-1)
 
 
+def test_rec_x_refuses_a_power_other_than_one():
+    # recX read 2 on the N = 2 vacuum at every n
+    w = weight_from_sector(complex_sector(EMPTY, EMPTY, 2))
+    assert norm_recursion_oracle(w, "recX", 1, 1, n=1) == 2
+    for n in (0, 2, 3, -2):
+        with pytest.raises(ValueError, match=f"recX raises by one Xstar, got n = {n}"):
+            norm_recursion_oracle(w, "recX", 1, 1, n=n)
+
+
 def test_weight_index_below_one_raises():
     # an index i <= 0 would read the head from its end
     w = Weight(COMPLEX, (3, 2), (2,), 1)
@@ -406,15 +415,14 @@ def test_adjoint_determinant_modes_must_fit():
 
 
 def test_adjoint_determinant_is_built_once_and_a_refusal_is_not_stored():
+    # D_n* is built on every call, so a refusal raises on every call
     ctx = FockContext(REAL, 3, 3, 6).validate()
     op = adjoint_determinant_terms(ctx, 2, 1)
-    assert adjoint_determinant_terms(ctx, 2, 1) is op
-    stored = adjoint_determinant_terms.cache_info().currsize
     for n, offset in ((-1, 0), (4, 0), (2, 2)):
         for _ in range(2):
             with pytest.raises((ValueError, ContextViolation)):
                 adjoint_determinant_terms(ctx, n, offset)
-    assert adjoint_determinant_terms.cache_info().currsize == stored
+    assert adjoint_determinant_terms(ctx, 2, 1) == op
 
 
 def test_perm_sign_is_the_permutation_matrix_determinant():
