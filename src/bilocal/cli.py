@@ -1,7 +1,9 @@
 """Command-line verification harness.
 
-Subcommands: verify, classify, gram, map-irreps, spectrum.  Exit codes:
-0 all checks pass, 1 a mathematical check failed (counterexample in the
+Subcommands: verify, classify, gram, map-irreps, spectrum.  Each cmd_*
+returns its payload and writes nothing; ``main`` writes it once and reads
+the exit code off its ``ok``: 0 all checks pass (or no ``ok``, as in the
+spectrum table), 1 a mathematical check failed (counterexample in the
 payload), 2 usage or configuration error, including a context too small
 for the request.  All output is deterministic; there is no randomness
 anywhere (--seed-free is accepted and is a no-op, recording that fact).
@@ -75,10 +77,11 @@ def _emit(args, payload) -> None:
     if args.format == "json":
         print(dumps(payload))
     else:
-        _print_table(payload)
+        _print_table(jsonable(payload))
 
 
 def _print_table(payload, indent=0):
+    """Print a JSON-native ``payload``, keys sorted, one leaf a line."""
     pad = "  " * indent
     if isinstance(payload, dict):
         for k in sorted(payload):
@@ -87,14 +90,14 @@ def _print_table(payload, indent=0):
                 print(f"{pad}{k}:")
                 _print_table(v, indent + 1)
             else:
-                print(f"{pad}{k}: {jsonable(v)}")
+                print(f"{pad}{k}: {v}")
     elif isinstance(payload, list):
         for item in payload:
             _print_table(item, indent)
             if isinstance(item, dict):
                 print(f"{pad}-")
     else:
-        print(f"{pad}{jsonable(payload)}")
+        print(f"{pad}{payload}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,7 @@ def _check_gauge_commutant(ctx, images, labels=None) -> dict:
         for p in flavors for q in flavors if p < q or ctx.field_kind == COMPLEX])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     ctx = _context(args)
     # One set of generator tables for every check.  drop-e-shift changes
     # only the scalars, which only structure constants reads.  Structure
@@ -237,18 +240,15 @@ def cmd_verify(args) -> int:
     for name, check in commutants.items():
         if reduced and not (checks[name]["ok"] and checks["structure_constants"]["ok"]):
             checks[name] = check(ctx, images)
-    ok = all(c.get("ok") for c in checks.values())
-    payload = {"context": {"kind": ctx.field_kind, "N": ctx.N, "M": ctx.M, "P": ctx.P},
-               "ok": ok, "checks": checks}
-    _emit(args, payload)
-    return 0 if ok else 1
+    return {"context": {"kind": ctx.field_kind, "N": ctx.N, "M": ctx.M, "P": ctx.P},
+            "ok": all(c.get("ok") for c in checks.values()), "checks": checks}
 
 
 # ---------------------------------------------------------------------------
 # classify
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     from . import modes, sectors
 
     ctx = _context(args)
@@ -262,7 +262,6 @@ def cmd_classify(args) -> int:
         raise UsageError(str(exc)) from exc
     results = sectors.classify_spectrum(ctx, cutoff, spec)
     rows, failures = [], []
-    ok = True
     for entry in results:
         s = entry["sector"]
         w = entry["weight"]
@@ -277,9 +276,7 @@ def cmd_classify(args) -> int:
             row["weight_head_minus"] = list(w.head_minus)
         else:
             row["weight_head"] = list(w.head_plus)
-        if s is None:
-            ok = False
-        else:
+        if s is not None:
             row.update(young.sector_to_json(s))
             if ctx.field_kind == COMPLEX:
                 irr = young.sector_to_irrep_U(s)
@@ -293,18 +290,18 @@ def cmd_classify(args) -> int:
             else:
                 row["gauge_irrep"] = young.sector_to_irrep_O(s.y, ctx.N).canonical.to_json()
         rows.append(row)
-    payload = {"ok": ok and not failures, "cutoff": cutoff, "sectors": rows, "count": len(rows)}
+    ok = not failures and all(row["in_bound"] for row in rows)
+    payload = {"ok": ok, "cutoff": cutoff, "sectors": rows, "count": len(rows)}
     if failures:
         payload["failures"] = failures
-    _emit(args, payload)
-    return 0 if payload["ok"] else 1
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # gram
 
 
-def cmd_gram(args) -> int:
+def cmd_gram(args) -> dict:
     from . import sectors
 
     ctx = _context(args)
@@ -319,8 +316,7 @@ def cmd_gram(args) -> int:
             raise UsageError(f"--{flag} does not apply to a {ctx.field_kind} sector")
     violation = s.bound_violation()
     if violation:
-        _emit(args, {"ok": False, "error": f"sector out of bound: {violation}"})
-        return 1
+        return {"ok": False, "error": f"sector out of bound: {violation}"}
     if s.total_boxes() + 2 * args.level > ctx.P:
         raise UsageError(f"level {args.level} over {s} needs P >= {s.total_boxes() + 2 * args.level}")
     ground = sectors.build_ground_state(ctx, s)
@@ -338,7 +334,7 @@ def cmd_gram(args) -> int:
     matrix = gram_matrix(vectors)
     minors = linalg.leading_principal_minors(matrix)
     psd = linalg.positive_semidefinite(matrix)
-    payload = {
+    return {
         "ok": psd,
         "sector": young.sector_to_json(s),
         "level": args.level,
@@ -347,33 +343,23 @@ def cmd_gram(args) -> int:
         "leading_principal_minors": minors,
         "positive_semidefinite": psd,
     }
-    _emit(args, payload)
-    return 0 if psd else 1
 
 
 # ---------------------------------------------------------------------------
 # map-irreps and spectrum
 
 
-def cmd_map_irreps(args) -> int:
+def cmd_map_irreps(args) -> dict:
     if args.N < 0:
         raise UsageError("N must be >= 0")
     if args.cap < 0:
         raise UsageError("cap must be >= 0")
     report = young.bijection_roundtrip_check(args.group, args.N, args.cap)
-    payload = {
-        "ok": report["ok"],
-        "group": args.group,
-        "N": args.N,
-        "cap": args.cap,
-        "entries": report["entries"],
-        "failures": report["failures"],
-    }
-    _emit(args, payload)
-    return 0 if report["ok"] else 1
+    report["cap"] = report.pop("size_cap")
+    return report
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     from . import modes
 
     if args.count < 0:
@@ -382,8 +368,7 @@ def cmd_spectrum(args) -> int:
         rows = modes.spectrum_table(args.D, args.count)
     except modes.ModeError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(args, {"D": args.D, "count": args.count, "levels": rows})
-    return 0
+    return {"D": args.D, "count": args.count, "levels": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +511,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        payload = args.func(args)
     except (UsageError, TruncationError, ContextViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(args, payload)
+    return 0 if payload.get("ok", True) else 1
 
 
 def console_main():

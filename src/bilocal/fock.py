@@ -221,8 +221,8 @@ class FockVector(Combination):
     def __repr__(self):
         if not self.terms:
             return "FockVector(0)"
-        bits = [f"{c}*{monomial_str(m)}" for m, c in sorted(self.terms.items())]
-        return "FockVector(" + " + ".join(bits[:6]) + (" + ..." if len(bits) > 6 else "") + ")"
+        bits = [f"{self.terms[m]}*{monomial_str(m)}" for m in sorted(self.terms)[:6]]
+        return "FockVector(" + " + ".join(bits) + (" + ..." if len(self.terms) > 6 else "") + ")"
 
     def max_particles(self) -> int:
         return max((len(m) for m in self.terms), default=0)

@@ -46,11 +46,15 @@ def _check_dimension(D: int):
         raise ModeError(f"spacetime dimension must be even and >= 4, got {D}")
 
 
-def harmonic_count(D: int, ell: int) -> int:
-    """Number of degree-ell spherical harmonics on S^{D-1}."""
+def _check_level(D: int, ell: int):
     _check_dimension(D)
     if ell < 0:
         raise ModeError("ell must be >= 0")
+
+
+def harmonic_count(D: int, ell: int) -> int:
+    """Number of degree-ell spherical harmonics on S^{D-1}."""
+    _check_level(D, ell)
     num = (D - 2 + 2 * ell) * comb(D - 2 + ell, D - 2)
     count, rem = divmod(num, D - 2 + ell)
     if rem:
@@ -80,15 +84,13 @@ def oscillator_normalization(ell: int, D: int) -> Rational:
     """Squared rescaling (ell+d0)/d0 turning field modes into canonical
     oscillators; its product with the mode commutator coefficient
     d0/(ell+d0) is exactly 1."""
-    _check_dimension(D)
-    if ell < 0:
-        raise ModeError("ell must be >= 0")
+    _check_level(D, ell)
     return quotient(2 * ell + D - 2, D - 2)
 
 
 def mode_ccr_coefficient(ell: int, D: int) -> Rational:
     """d0/(ell+d0), the coefficient in the raw mode commutator."""
-    _check_dimension(D)
+    _check_level(D, ell)
     return quotient(D - 2, 2 * ell + D - 2)
 
 

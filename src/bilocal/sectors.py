@@ -105,9 +105,6 @@ class Weight(linalg.Record):
         """Weight vector padded with the tail: n coordinates per species."""
         return tuple(head[i] if i < len(head) else self.tail for head in self.heads for i in range(n))
 
-    def to_json(self):
-        return dict(zip(("head_plus", "head_minus"), map(list, self.heads)), tail=self.tail)
-
 
 def weight_from_sector(s: SectorLabel) -> Weight:
     """Cartan data of the sector's ground state: h_i = m_i + N/2."""

@@ -11,18 +11,21 @@ from .linalg import rational
 
 
 def jsonable(obj):
-    """Recursively convert reports to JSON-native values."""
+    """Recursively convert a report to JSON-native values, exactly: an int,
+    bool, str or None as itself, a Fraction as an int or "p/q", a dict
+    with str keys, a list or a tuple by its items.  Anything else (a
+    float, a key that is not a str, an object) raises TypeError."""
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, bool) or isinstance(obj, int) or isinstance(obj, str) or obj is None:
+    if isinstance(obj, (int, str)) or obj is None:
         return obj
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError(f"JSON object keys are str, got {sorted(map(repr, obj))}")
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
-    if hasattr(obj, "to_json"):
-        return jsonable(obj.to_json())
-    return str(obj)
+    raise TypeError(f"no exact JSON for {type(obj).__name__} {obj!r}")
 
 
 def dumps(obj) -> str:

@@ -69,9 +69,9 @@ class YoungDiagram(OrderedRecord):
         return self._columns
 
     def column(self, k: int) -> int:
-        """Height of column k (1-based), 0 beyond the diagram."""
-        cols = self._columns
-        return cols[k - 1] if 1 <= k <= len(cols) else 0
+        """Height of column k (1-based), 0 beyond the diagram: the number of
+        rows of length >= k, counted without building the conjugate."""
+        return sum(1 for r in self.rows if r >= k) if k >= 1 else 0
 
     @staticmethod
     def from_columns(heights) -> "YoungDiagram":

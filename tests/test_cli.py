@@ -474,6 +474,23 @@ def test_readme_examples_keep_their_exit_codes(capsys):
         assert json.loads(out), argv
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --kind complex --N 1 --M 2 --P 4 --inject-fault drop-e-shift",
+    "classify --kind complex --N 2 --M 3 --P 6 --cutoff 2",
+    "gram --kind real --N 1 --M 2 --P 4 --level 1 --y 1,1",
+    "map-irreps --group O --N 3 --cap 3",
+    "spectrum --D 4 --count 14",
+])
+def test_commands_return_their_payloads_and_main_writes_them(capsys, argv):
+    """A cmd_* writes nothing and returns its payload; main writes it once
+    and exits 1 exactly when its ok is False."""
+    args = cli.build_parser().parse_args(argv.split())
+    payload = args.func(args)
+    assert isinstance(payload, dict) and capsys.readouterr().out == ""
+    assert main(argv.split()) == (0 if payload.get("ok", True) else 1)
+    assert capsys.readouterr().out == dumps(payload) + "\n"
+
+
 def test_readme_names_resolve():
     """Every backticked ``module.name`` in README.md, with or without the
     ``bilocal.`` prefix, is an attribute of that ``bilocal`` module; the
@@ -572,6 +589,30 @@ def test_gram_rejects_out_of_bound_sector(capsys):
     assert "r+ + r-" in json.loads(out)["error"]
 
 
+HUGE_ROW = str(10 ** 20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "complex", "--N", "1", "--yplus", HUGE_ROW],
+    ["--kind", "complex", "--N", "1", "--yminus", HUGE_ROW],
+    ["--kind", "real", "--N", "2", "--y", HUGE_ROW],
+])
+def test_gram_exits_2_on_a_huge_row_without_building_its_columns(capsys, monkeypatch, argv):
+    """A row of 10^20 boxes is in bound and over P, so gram exits 2 with
+    empty stdout; the bound reads its first columns without the conjugate
+    (planted here to refuse any part above 10^6, where building it would
+    exhaust memory)."""
+    conjugate = young._conjugate
+
+    def small_only(parts):
+        assert max(parts, default=0) <= 10 ** 6, "conjugate of a huge diagram built"
+        return conjugate(parts)
+
+    monkeypatch.setattr(young, "_conjugate", small_only)
+    code, out = run_cli(capsys, "gram", "--M", "1", "--P", "4", "--level", "1", *argv)
+    assert (code, out) == (2, "")
+
+
 def test_map_irreps_u(capsys):
     code, out = run_cli(capsys, "map-irreps", "--group", "U", "--N", "2", "--cap", "2")
     assert code == 0
@@ -636,7 +677,18 @@ def test_rational_serialization():
     assert jsonable(Fraction(3, 2)) == "3/2"
     assert jsonable(Fraction(4, 2)) == 2
     assert dumps({"x": Fraction(1, 3)}) == '{"x":"1/3"}'
+    assert dumps({"x": [True, None, (1, "a")]}) == '{"x":[true,null,[1,"a"]]}'
     assert parse_rational("5/2") == Fraction(5, 2)
     assert parse_rational("7") == 7
     with pytest.raises(ValueError):
         parse_rational("1.5")
+
+
+@pytest.mark.parametrize("value", [{"x": 0.5}, {"x": young.EMPTY}, {"x": [1, 2.0]}, {1: 2}],
+                         ids=["float", "diagram", "nested-float", "int-key"])
+def test_dumps_refuses_what_it_cannot_write_exactly(value):
+    """The encoder writes only ints, bools, strs, None, Fractions and
+    containers of them under str keys: a float or an object is refused, not
+    written as a string."""
+    with pytest.raises(TypeError):
+        dumps(value)

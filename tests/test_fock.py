@@ -190,3 +190,23 @@ def test_vector_arithmetic_strips_zeros():
     assert (v - v).is_zero()
     assert (Fraction(1, 2) * v + Fraction(1, 2) * v) == v
     assert len(FockVector(ctx, {(): Fraction(0)})) == 0
+
+
+def test_repr_formats_only_the_six_terms_it_prints(monkeypatch):
+    from bilocal import fock
+
+    ctx = FockContext(COMPLEX, 2, 2, 2).validate()
+    vectors = [vacuum(ctx) * 0] + [
+        FockVector(ctx, {m: Fraction(k + 1, 2) for k, m in enumerate(reversed(list(basis_monomials(ctx, 2))[:n]))})
+        for n in (1, 6, 7, 40)]
+    # the repr as first written: every term formatted, the first six kept
+    reference = [
+        "FockVector(0)" if not v.terms else "FockVector(" + " + ".join(
+            [f"{c}*{fock.monomial_str(m)}" for m, c in sorted(v.terms.items())][:6])
+        + (" + ..." if len(v.terms) > 6 else "") + ")"
+        for v in vectors]
+    formatted = []
+    monomial_str = fock.monomial_str
+    monkeypatch.setattr(fock, "monomial_str", lambda m: formatted.append(m) or monomial_str(m))
+    assert [repr(v) for v in vectors] == reference
+    assert len(formatted) == 0 + 1 + 6 + 6 + 6

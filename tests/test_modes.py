@@ -63,6 +63,14 @@ def test_oscillator_normalization():
             assert oscillator_normalization(ell, D) * mode_ccr_coefficient(ell, D) == 1
 
 
+@pytest.mark.parametrize("ell", [-1, -2, -3])
+def test_mode_coefficients_refuse_a_negative_ell(ell):
+    # ell = -1 at D = 4 used to divide by zero, and ell = -3 gave -1/2
+    for coefficient in (oscillator_normalization, mode_ccr_coefficient):
+        with pytest.raises(ModeError, match="ell must be >= 0"):
+            coefficient(ell, 4)
+
+
 def test_conformal_spectrum_check_complex():
     ctx = FockContext(COMPLEX, 1, 5, 2).validate()
     report = conformal_spectrum_check(ctx, 4)

@@ -73,6 +73,15 @@ def test_column_outside_the_diagram_is_zero():
     assert [diagram(3, 1).column(k) for k in (1, 2, 3)] == [2, 1, 1]
 
 
+def test_column_counts_rows_without_building_the_conjugate(monkeypatch):
+    def refuse(parts):
+        raise AssertionError(f"conjugate of {parts} built")
+
+    monkeypatch.setattr(young, "_conjugate", refuse)
+    huge = young.YoungDiagram((10 ** 20, 10 ** 20, 3))
+    assert [huge.column(k) for k in (0, 1, 3, 4, 10 ** 20, 10 ** 20 + 1)] == [0, 3, 3, 2, 2, 0]
+
+
 # reference copies of the column helpers and the enumeration as first written
 
 
