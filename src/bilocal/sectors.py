@@ -501,7 +501,6 @@ def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[Hamiltonia
                 "weight": weight_from_profile(ctx.field_kind, ctx.N, profile),
                 "multiplicity": len(kernel),
                 "energy": linalg.rational(sum(e * (a + b) for e, a, b in zip(energies, *profile))),
-                "kernel": kernel,
             }
         )
     results.sort(key=lambda e: (e["energy"], e["weight"].coords(ctx.M)))

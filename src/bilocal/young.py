@@ -441,101 +441,99 @@ def canonical_irrep_O(irr: GaugeIrrepO, N: int) -> GaugeIrrepO:
 
 def bijection_roundtrip_check(group: str, N: int, size_cap: int) -> dict:
     """Exhaustively check that the sector <-> gauge-label maps are mutually
-    inverse and total on the window of diagrams with <= size_cap boxes."""
+    inverse and total on the window of diagrams with <= size_cap boxes.
+    A U(N) label maps back to its sector, an O(N) label to its diagram;
+    two sectors collide when their labels' (Y, q) or (Y, sign) tuples are
+    equal."""
     if size_cap < 0:
         raise ValueError(f"size_cap must be >= 0, got {size_cap}")
-    failures = []
-    entries = []
-    if group == "U":
-        seen = {}
-        for s in enumerate_sectors(COMPLEX, N, size_cap):
-            irr = sector_to_irrep_U(s)
-            key = (irr.young, irr.q)
-            if key in seen:
-                failures.append({"kind": "collision", "label": irr.to_json(),
-                                 "sectors": [str(seen[key]), str(s)]})
-            seen[key] = s
-            try:
-                back = irrep_U_to_sector(irr, N)
-            except (ValueError, BoundViolation):
-                back = None  # the label names no sector at all
-            if back != s:
-                failures.append({"kind": "roundtrip", "sector": str(s), "label": irr.to_json(),
-                                 "back": None if back is None else str(back)})
-            entries.append({"sector": sector_to_json(s), "irrep": irr.to_json()})
-        # totality: every valid label in range (at most N rows) maps back into
-        # the window.  Only q = |Y| - N k splits, with Y- of exactly k columns,
-        # so k <= size_cap (and |q| <= cap follows); N = 0 has the one split
-        # k = 0.  Every such label is split on its column heights, and only
-        # one whose split lies in the window and the bound is built and
-        # mapped.
-        cap = N * size_cap + size_cap
-        widths = range(size_cap, -1, -1) if N else (0,)
-        for rows in _partitions(cap, N):
-            cols = _conjugate(rows)
-            size = sum(rows)
-            y = None
-            for k in widths:
-                q = size - N * k
-                try:
-                    plus, minus = _split_U(cols, q, N)
-                except ValueError:
-                    continue
-                if (sum(plus) > size_cap or sum(minus) > size_cap
-                        or (plus[0] if plus else 0) + (minus[0] if minus else 0) > N):
-                    continue
-                if y is None:
-                    y = YoungDiagram(rows)
-                try:
-                    s = irrep_U_to_sector(GaugeIrrepU(y, q), N)
-                except (ValueError, BoundViolation):
-                    continue
-                if s.y_plus.size <= size_cap and s.y_minus.size <= size_cap:
-                    if (y, q) not in seen:
-                        failures.append({"kind": "missing", "label": {"Y": y.to_json(), "q": q}})
-                    elif seen[(y, q)] != s:
-                        failures.append({"kind": "mismatch", "label": {"Y": y.to_json(), "q": q}})
-    elif group == "O":
-        seen = {}
-        for s in enumerate_sectors(REAL, N, size_cap):
-            entry = sector_to_irrep_O(s.y, N)
-            irr = entry.canonical
-            key = (irr.young, irr.sign)
-            if key in seen:
-                failures.append({"kind": "collision", "label": irr.to_json(),
-                                 "sectors": [str(seen[key]), str(s)]})
-            seen[key] = s
-            try:
-                back = irrep_O_to_sector(irr, N)
-            except (ValueError, BoundViolation):
-                back = None  # the label names no sector at all
-            if back != s.y:
-                failures.append({"kind": "roundtrip", "sector": str(s), "label": irr.to_json(),
-                                 "back": None if back is None else str(back)})
-            expect_equiv = o_labels_equivalent(irr, N)
-            if entry.equivalent_pair != expect_equiv:
-                failures.append({"kind": "equivalence", "sector": str(s),
-                                 "flagged": entry.equivalent_pair, "expected": expect_equiv})
-            entries.append({"sector": sector_to_json(s), "irrep": irr.to_json(),
-                            "equivalent_pair": entry.equivalent_pair})
-        for y in young_diagrams(size_cap + N, max_rows=N // 2):
-            for sign in ("+", "-"):
-                irr = GaugeIrrepO(y, sign)
-                if canonical_irrep_O(irr, N) != irr:
-                    continue  # identified with the '+' partner
-                back = irrep_O_to_sector(irr, N)
-                if real_sector(back, N).bound_violation() is not None:
-                    failures.append({"kind": "out_of_bound_back", "label": irr.to_json()})
-                    continue
-                if back.size <= size_cap:
-                    entry = sector_to_irrep_O(back, N)
-                    if entry.canonical != irr:
-                        failures.append({"kind": "missing", "label": irr.to_json(),
-                                         "via": str(back)})
-    else:
+    if group not in ("U", "O"):
         raise ValueError("group must be 'U' or 'O'")
-    return {"ok": not failures, "group": group, "N": N, "size_cap": size_cap,
+    real = group == "O"
+    failures, entries, seen = [], [], {}
+    for s in enumerate_sectors(REAL if real else COMPLEX, N, size_cap):
+        if real:
+            o = sector_to_irrep_O(s.y, N)
+            irr, to_sector, want = o.canonical, irrep_O_to_sector, s.y
+        else:
+            irr, to_sector, want = sector_to_irrep_U(s), irrep_U_to_sector, s
+        if irr in seen:
+            failures.append({"kind": "collision", "label": irr.to_json(),
+                             "sectors": [str(seen[irr]), str(s)]})
+        seen[irr] = s
+        try:
+            back = to_sector(irr, N)
+        except (ValueError, BoundViolation):
+            back = None  # the label names no sector at all
+        if back != want:
+            failures.append({"kind": "roundtrip", "sector": str(s), "label": irr.to_json(),
+                             "back": None if back is None else str(back)})
+        entry = {"sector": sector_to_json(s), "irrep": irr.to_json()}
+        if real:
+            expect = o_labels_equivalent(irr, N)
+            if o.equivalent_pair != expect:
+                failures.append({"kind": "equivalence", "sector": str(s),
+                                 "flagged": o.equivalent_pair, "expected": expect})
+            entry["equivalent_pair"] = o.equivalent_pair
+        entries.append(entry)
+    if real:
+        _totality_O(N, size_cap, failures)
+    else:
+        _totality_U(N, size_cap, seen, failures)
+    return {"ok": not failures, "group": group, "N": N, "cap": size_cap,
             "entries": entries, "failures": failures}
+
+
+def _totality_U(N: int, size_cap: int, seen: dict, failures: list) -> None:
+    """Every valid label in range (at most N rows) maps back into the
+    window, to the sector ``seen`` holds for it.  Only q = |Y| - N k
+    splits, with Y- of exactly k columns, so k <= size_cap (and
+    |q| <= (N + 1) size_cap follows); N = 0 has the one split k = 0.  Every such label
+    is split on its column heights, and only one whose split lies in the
+    window and the bound is built and mapped."""
+    widths = range(size_cap, -1, -1) if N else (0,)
+    for rows in _partitions(N * size_cap + size_cap, N):
+        cols = _conjugate(rows)
+        size = sum(rows)
+        y = None
+        for k in widths:
+            q = size - N * k
+            try:
+                plus, minus = _split_U(cols, q, N)
+            except ValueError:
+                continue
+            if (sum(plus) > size_cap or sum(minus) > size_cap
+                    or (plus[0] if plus else 0) + (minus[0] if minus else 0) > N):
+                continue
+            if y is None:
+                y = YoungDiagram(rows)
+            irr = GaugeIrrepU(y, q)
+            try:
+                s = irrep_U_to_sector(irr, N)
+            except (ValueError, BoundViolation):
+                continue
+            if s.y_plus.size <= size_cap and s.y_minus.size <= size_cap:
+                found = seen.get(irr)
+                if found != s:
+                    failures.append({"kind": "missing" if found is None else "mismatch",
+                                     "label": irr.to_json()})
+
+
+def _totality_O(N: int, size_cap: int, failures: list) -> None:
+    """Every canonical label with at most N/2 rows and |Y| <= size_cap + N
+    maps back to an in-bound diagram, and one in the window is that
+    diagram's canonical label."""
+    for y in young_diagrams(size_cap + N, max_rows=N // 2):
+        for sign in ("+", "-"):
+            irr = GaugeIrrepO(y, sign)
+            if canonical_irrep_O(irr, N) != irr:
+                continue  # identified with the '+' partner
+            back = irrep_O_to_sector(irr, N)
+            if real_sector(back, N).bound_violation() is not None:
+                failures.append({"kind": "out_of_bound_back", "label": irr.to_json()})
+                continue
+            if back.size <= size_cap and sector_to_irrep_O(back, N).canonical != irr:
+                failures.append({"kind": "missing", "label": irr.to_json(), "via": str(back)})
 
 
 def sector_to_json(s: SectorLabel) -> dict:

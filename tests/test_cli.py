@@ -692,3 +692,32 @@ def test_dumps_refuses_what_it_cannot_write_exactly(value):
     written as a string."""
     with pytest.raises(TypeError):
         dumps(value)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("verify --kind complex --N 2 --M 2 --P 4", 0),
+    ("verify --kind complex --N 1 --M 2 --P 4 --inject-fault drop-e-shift", 1),
+    ("verify --N 1 --P 1", 2),
+    ("verify --no-such-flag", 2),
+], ids=["pass", "counterexample", "usage", "unknown-flag"])
+def test_installed_entry_point_exits_with_the_contract_code(monkeypatch, capsys, argv, code):
+    """The ``bilocal`` script of pyproject.toml resolves to a callable that
+    exits with the command's code.  The line is read as text, since
+    tomllib is missing before Python 3.11."""
+    line, = [ln for ln in (ROOT / "pyproject.toml").read_text().splitlines()
+             if ln.startswith("bilocal = ")]
+    module, _, attr = line.split("=", 1)[1].strip().strip('"').partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["bilocal", *argv.split()])
+    with pytest.raises(SystemExit) as exc:
+        target()
+    assert exc.value.code == code
+    out = capsys.readouterr().out
+    if code == 0:
+        gate = json.loads((ROOT / "bench" / "gates.json").read_text())[argv]
+        assert hashlib.sha256(out.encode()).hexdigest() == gate["sha256"]
+    elif code == 2:
+        assert out == ""

@@ -49,8 +49,9 @@ def test_vacuum_cartan_fails_on_a_wrong_e_image(monkeypatch):
 
 
 @pytest.mark.parametrize("owner,name,entry", [
-    (algebra, "charge_terms", {"charge_on_vacuum": "nonzero"}),
-    (algebra, "hamiltonian_terms", {"canonical_energy_on_vacuum": "nonzero"}),
+    (algebra, "charge_terms", {"charge_on_vacuum": "nonzero", "got": "FockVector(1*{a[1,1]})"}),
+    (algebra, "hamiltonian_terms",
+     {"canonical_energy_on_vacuum": "nonzero", "got": "FockVector(1*{a[1,1]})"}),
 ], ids=["charge", "hamiltonian"])
 def test_vacuum_cartan_fails_on_an_operator_nonzero_on_the_vacuum(monkeypatch, owner, name, entry):
     monkeypatch.setattr(owner, name, _creation_on_first_slot)

@@ -362,7 +362,51 @@ def reference_roundtrip_U(N, size_cap):
                     failures.append({"kind": "missing", "label": {"Y": y.to_json(), "q": q}})
                 elif seen[(y, q)] != s:
                     failures.append({"kind": "mismatch", "label": {"Y": y.to_json(), "q": q}})
-    return {"ok": not failures, "group": "U", "N": N, "size_cap": size_cap,
+    return {"ok": not failures, "group": "U", "N": N, "cap": size_cap,
+            "entries": entries, "failures": failures}
+
+
+def reference_roundtrip_O(N, size_cap):
+    """The O branch of ``bijection_roundtrip_check``, failure order
+    included: the forward walk with its equivalence flag, then every
+    canonical label with at most N/2 rows and |Y| <= cap + N."""
+    failures, entries, seen = [], [], {}
+    for s in enumerate_sectors(REAL, N, size_cap):
+        entry = young.sector_to_irrep_O(s.y, N)
+        irr = entry.canonical
+        key = (irr.young, irr.sign)
+        if key in seen:
+            failures.append({"kind": "collision", "label": irr.to_json(),
+                             "sectors": [str(seen[key]), str(s)]})
+        seen[key] = s
+        try:
+            back = young.irrep_O_to_sector(irr, N)
+        except (ValueError, BoundViolation):
+            back = None
+        if back != s.y:
+            failures.append({"kind": "roundtrip", "sector": str(s), "label": irr.to_json(),
+                             "back": None if back is None else str(back)})
+        expect_equiv = young.o_labels_equivalent(irr, N)
+        if entry.equivalent_pair != expect_equiv:
+            failures.append({"kind": "equivalence", "sector": str(s),
+                             "flagged": entry.equivalent_pair, "expected": expect_equiv})
+        entries.append({"sector": young.sector_to_json(s), "irrep": irr.to_json(),
+                        "equivalent_pair": entry.equivalent_pair})
+    for y in young_diagrams(size_cap + N, max_rows=N // 2):
+        for sign in ("+", "-"):
+            irr = GaugeIrrepO(y, sign)
+            if young.canonical_irrep_O(irr, N) != irr:
+                continue
+            back = young.irrep_O_to_sector(irr, N)
+            if real_sector(back, N).bound_violation() is not None:
+                failures.append({"kind": "out_of_bound_back", "label": irr.to_json()})
+                continue
+            if back.size <= size_cap:
+                entry = young.sector_to_irrep_O(back, N)
+                if entry.canonical != irr:
+                    failures.append({"kind": "missing", "label": irr.to_json(),
+                                     "via": str(back)})
+    return {"ok": not failures, "group": "O", "N": N, "cap": size_cap,
             "entries": entries, "failures": failures}
 
 
@@ -420,6 +464,52 @@ def test_bijection_U_scan_matches_every_charge_scan(monkeypatch, N, fault):
     for cap in range(5):
         report = bijection_roundtrip_check("U", N, cap)
         assert report == reference_roundtrip_U(N, cap), (N, cap)
+        failing |= not report["ok"]
+    assert failing == (fails_from is not None and N >= fails_from)
+
+
+_honest_to_O = young.sector_to_irrep_O
+
+
+def _vacuum_label_everywhere(y, N):
+    return _honest_to_O(EMPTY, N)
+
+
+def _flip_equivalence_flag(y, N):
+    entry = _honest_to_O(y, N)
+    return entry._replace(equivalent_pair=not entry.equivalent_pair)
+
+
+def _map_out_of_bound(irr, N):
+    return YoungDiagram((1,) * (N + 1))
+
+
+def _too_tall(y, N):
+    return _honest_to_O(y, N)._replace(canonical=GaugeIrrepO(YoungDiagram((1, 1)), "+"))
+
+
+# name: (function replaced, planted map, smallest N at which it fails)
+PLANTED_O_FAULTS = {
+    "collision": ("sector_to_irrep_O", _vacuum_label_everywhere, 1),
+    "equivalence": ("sector_to_irrep_O", _flip_equivalence_flag, 0),
+    "out_of_bound": ("irrep_O_to_sector", _map_out_of_bound, 0),
+    "too_tall": ("sector_to_irrep_O", _too_tall, 0),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *PLANTED_O_FAULTS])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5])
+def test_bijection_O_report_matches_its_reference(monkeypatch, N, fault):
+    """The O report, failures in order, equals the reference walk and
+    scan on every cap up to 4, also when a planted map makes it fail."""
+    fails_from = None
+    if fault:
+        name, planted, fails_from = PLANTED_O_FAULTS[fault]
+        monkeypatch.setattr(young, name, planted)
+    failing = False
+    for cap in range(5):
+        report = bijection_roundtrip_check("O", N, cap)
+        assert report == reference_roundtrip_O(N, cap), (N, cap)
         failing |= not report["ok"]
     assert failing == (fails_from is not None and N >= fails_from)
 
