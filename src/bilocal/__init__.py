@@ -12,9 +12,9 @@ _EXPORTS = {
         "generator_images", "hamiltonian_terms", "verify_structure_constants",
     ),
     "fock": (
-        "COMPLEX", "REAL", "FockContext", "FockVector", "ModeSlot", "Operator", "a_slot",
-        "apply_annihilation", "apply_creation", "b_slot", "basis_monomials", "inner_product",
-        "norm_sq", "vacuum",
+        "COMPLEX", "REAL", "FockContext", "FockVector", "ModeSlot", "Operator",
+        "apply_annihilation", "apply_creation", "basis_monomials", "inner_product", "norm_sq",
+        "vacuum",
     ),
     "sectors": (
         "Weight", "build_ground_state", "classify_spectrum", "determinant_operator",
@@ -23,12 +23,12 @@ _EXPORTS = {
     ),
     "young": (
         "GaugeIrrepO", "GaugeIrrepU", "SectorLabel", "YoungDiagram", "bijection_roundtrip_check",
-        "complex_sector", "conjugate_relative", "irrep_U_to_sector", "pieri_add_box", "real_sector",
+        "complex_sector", "conjugate_relative", "irrep_U_to_sector", "real_sector",
         "sector_to_irrep_O", "sector_to_irrep_U", "weyl_dimension_U",
     ),
     "casimir": (
         "casimir_g", "casimir_k", "casimir_k_eigenvalue", "gamma_closed_form", "gamma_value",
-        "resolve_cg_closed_form", "unitarity_bound", "verify_gamma_identity",
+        "resolve_cg_closed_form", "verify_gamma_identity",
     ),
     "modes": (
         "ModeLabel", "conformal_spectrum_check", "enumerate_modes", "harmonic_count",

@@ -155,14 +155,6 @@ class OperatorExpr(Combination):
     __slots__ = ()
 
     @staticmethod
-    def zero() -> "OperatorExpr":
-        return OperatorExpr()
-
-    @staticmethod
-    def scalar(c) -> "OperatorExpr":
-        return OperatorExpr({(): c})
-
-    @staticmethod
     def of(g: GeneratorLabel, coeff=1) -> "OperatorExpr":
         return OperatorExpr({(g,): coeff})
 

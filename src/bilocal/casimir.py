@@ -160,11 +160,6 @@ def gamma_closed_form(s: SectorLabel) -> int:
     return 2 * (s.N - sum(s.bound_heights()))
 
 
-def unitarity_bound(s: SectorLabel) -> bool:
-    """True iff r+ + r- <= 2 h_inf = N (resp. r + s <= N)."""
-    return s.bound_violation() is None
-
-
 # ---------------------------------------------------------------------------
 # compact modules and the gamma identity
 

@@ -516,6 +516,9 @@ def main(argv=None) -> int:
     except (UsageError, TruncationError, ContextViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller context", file=sys.stderr)
+        return 2
     _emit(args, payload)
     return 0 if payload.get("ok", True) else 1
 

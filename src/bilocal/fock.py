@@ -122,14 +122,6 @@ class ModeSlot(NamedTuple):
         return f"{self.species}[{self.mode},{self.flavor}]"
 
 
-def a_slot(mode: int, flavor: int) -> ModeSlot:
-    return ModeSlot(SPECIES_A, mode, flavor)
-
-
-def b_slot(mode: int, flavor: int) -> ModeSlot:
-    return ModeSlot(SPECIES_B, mode, flavor)
-
-
 # A monomial is a sorted tuple of ModeSlot; the empty tuple is the vacuum.
 Monomial = tuple
 

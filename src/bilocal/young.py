@@ -116,10 +116,6 @@ def _row_length(r) -> int:
     return int(r)
 
 
-def diagram(*rows) -> YoungDiagram:
-    return YoungDiagram(tuple(rows))
-
-
 EMPTY = YoungDiagram(())
 
 
@@ -218,16 +214,6 @@ def real_sector(y: YoungDiagram, N: int) -> SectorLabel:
     return SectorLabel(REAL, N, y)
 
 
-def vacuum_sector(ctx_or_kind, N: Optional[int] = None) -> SectorLabel:
-    if isinstance(ctx_or_kind, FockContext):
-        if N is not None and N != ctx_or_kind.N:
-            raise ValueError(f"N = {N} differs from the context's N = {ctx_or_kind.N}")
-        kind, N = ctx_or_kind.field_kind, ctx_or_kind.N
-    else:
-        kind = ctx_or_kind
-    return SectorLabel(kind, N, EMPTY)
-
-
 def enumerate_sectors(field_kind: str, N: int, max_boxes: int) -> Iterator[SectorLabel]:
     """All in-bound sectors with each diagram capped at max_boxes boxes, in
     the order of Y+, then Y- (always EMPTY for real)."""
@@ -237,27 +223,6 @@ def enumerate_sectors(field_kind: str, N: int, max_boxes: int) -> Iterator[Secto
             s = SectorLabel(field_kind, N, yp, ym)
             if s.bound_violation() is None:
                 yield s
-
-
-# ---------------------------------------------------------------------------
-# Pieri rules (the only tensor products the construction needs)
-
-
-def pieri_add_box(y: YoungDiagram) -> set:
-    """All diagrams obtained from y by adding a single box."""
-    out = set()
-    rows = list(y.rows)
-    for i in range(len(rows) + 1):
-        new = list(rows)
-        if i == len(rows):
-            new.append(1)
-        else:
-            new[i] += 1
-        try:
-            out.add(YoungDiagram(tuple(new)))
-        except ValueError:
-            pass
-    return out
 
 
 # ---------------------------------------------------------------------------

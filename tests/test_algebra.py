@@ -36,9 +36,7 @@ from bilocal.fock import (
     FockContext,
     Operator,
     TruncationError,
-    a_slot,
     annihilation_terms,
-    b_slot,
     basis_monomials,
     creation_terms,
     inner_product,
@@ -46,6 +44,7 @@ from bilocal.fock import (
     vacuum,
     zero,
 )
+from oracles import a_slot, b_slot
 
 
 def test_eplus_diagonal_on_vacuum():
@@ -441,5 +440,5 @@ def test_operator_expr_apply_checks_every_letter():
 
 def test_scalar_word_in_expr():
     ctx = FockContext(COMPLEX, 1, 1, 2).validate()
-    expr = OperatorExpr.scalar(Fraction(3, 2))
+    expr = OperatorExpr({(): Fraction(3, 2)})
     assert expr.apply(ctx, vacuum(ctx)) == Fraction(3, 2) * vacuum(ctx)

@@ -18,8 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 import bilocal
 from bilocal import algebra, cli, fock, young
 from bilocal.cli import main
-from bilocal.fock import COMPLEX, REAL, FockContext, Operator, a_slot, basis_monomials, monomial_str
+from bilocal.fock import COMPLEX, REAL, FockContext, Operator, basis_monomials, monomial_str
 from bilocal.serialize import dumps, jsonable, parse_rational
+from oracles import a_slot
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,19 @@ def test_usage_error_exit_2(capsys):
     for argv in USAGE_ERRORS:
         code, out = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
+
+
+def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    # the parser looks cmd_verify up in the module, so the planted command
+    # runs in its place and no memory is actually taken
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    assert main(["verify", "--N", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 MALFORMED = ["1/2", "1.5", "abc", ""]

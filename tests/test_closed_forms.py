@@ -26,7 +26,8 @@ from bilocal.sectors import (
     norm_recursion_oracle,
     weight_from_sector,
 )
-from bilocal.young import EMPTY, SectorLabel, complex_sector, diagram, real_sector, young_diagrams
+from bilocal.young import EMPTY, SectorLabel, complex_sector, real_sector, young_diagrams
+from oracles import diagram
 
 # ---------------------------------------------------------------------------
 # the per-kind formulas

@@ -45,7 +45,6 @@ from bilocal.fock import (
     FockContext,
     FockVector,
     Operator,
-    a_slot,
     apply_annihilation,
     gram_matrix,
     vacuum,
@@ -70,7 +69,7 @@ from bilocal.sectors import (
     sector_profile,
     weight_from_sector,
 )
-from bilocal.young import vacuum_sector
+from oracles import a_slot, vacuum_sector
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bilocal"
@@ -176,7 +175,7 @@ MONO = (a_slot(1, 1),)
     lambda: 0.5 * FockVector(CTX, {MONO: 1}),
     lambda: FockVector(CTX, {MONO: 1}).plus([(0.5, FockVector(CTX, {MONO: 1}))]),
     lambda: Operator(CTX, [(0.5, (), (MONO[0],))]),
-    lambda: OperatorExpr.scalar(0.5),
+    lambda: OperatorExpr({(): 0.5}),
     lambda: OperatorExpr.of(X(1, 1), 0.5),
     lambda: OperatorExpr.of(X(1, 1)) * 2.0,
     lambda: nullspace([[0.5, 1]], ncols=2),
@@ -205,7 +204,7 @@ def test_rational_coefficients_are_stored_canonically():
     v = FockVector(CTX, {MONO: Fraction(4, 2), (): True})
     assert [type(c) for c in v.terms.values()] == [int, int]
     assert (v * Fraction(1, 2)).terms == {MONO: 1, (): Fraction(1, 2)}
-    assert type(OperatorExpr.scalar(Fraction(3, 1)).terms[()]) is int
+    assert type(OperatorExpr({(): Fraction(3, 1)}).terms[()]) is int
     assert type(OperatorExpr.of(X(1, 1), Fraction(3, 2)).terms[(X(1, 1),)]) is Fraction
     # the oscillator action: the odd-N shift 1/2 on 2|0>, and the Wick count
     # 2 of a doubled slot on 1/2 a*a*|0>

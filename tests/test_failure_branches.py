@@ -10,7 +10,8 @@ import pytest
 from bilocal import algebra, casimir, cli, fock, modes, sectors, young
 from bilocal.algebra import Xstar, apply_generator, canonical_hamiltonian
 from bilocal.fock import COMPLEX, FockContext, Operator
-from bilocal.young import EMPTY, GaugeIrrepU, YoungDiagram, complex_sector, diagram, vacuum_sector
+from bilocal.young import EMPTY, GaugeIrrepU, YoungDiagram, complex_sector
+from oracles import diagram, vacuum_sector
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ from bilocal.fock import (
     ContextViolation,
     FockContext,
     FockVector,
-    a_slot,
     apply_annihilation,
     apply_creation,
-    b_slot,
     basis_monomials,
     gram_matrix,
     inner_product,
@@ -20,6 +18,7 @@ from bilocal.fock import (
     vacuum,
 )
 from bilocal.linalg import leading_principal_minors
+from oracles import a_slot, b_slot
 
 
 def test_vacuum_normalization():

@@ -34,6 +34,7 @@ from bilocal.fock import (
 )
 from bilocal.linalg import add_scaled, canonical
 from bilocal.sectors import _slot_determinant, adjoint_determinant_terms
+from oracles import a_slot
 
 
 def reference_apply_normal_ordered(ctx, terms, v):
@@ -153,8 +154,8 @@ def _unmerged_adjoint_determinant(ctx, n):
 def _real_gauge_diagonal(ctx, p):
     """M^{pp} as the two unmerged terms of ``young.gauge_terms``, per mode."""
     return [t for i in range(1, ctx.M + 1) for t in (
-        (1, (fock.a_slot(i, p),), (fock.a_slot(i, p),)),
-        (-1, (fock.a_slot(i, p),), (fock.a_slot(i, p),)))]
+        (1, (a_slot(i, p),), (a_slot(i, p),)),
+        (-1, (a_slot(i, p),), (a_slot(i, p),)))]
 
 
 @pytest.mark.parametrize("kind,N,n,distinct", [(REAL, 3, 3, 21), (REAL, 4, 3, 84), (COMPLEX, 3, 3, 36),

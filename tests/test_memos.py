@@ -11,8 +11,8 @@ from bilocal import fock
 from bilocal.algebra import X, generator_images, generator_terms, generators, verify_structure_constants
 from bilocal.fock import COMPLEX, FieldKind, FockContext
 from bilocal.sectors import build_ground_state
-from bilocal.young import vacuum_sector
 from conftest import clear_memos
+from oracles import vacuum_sector
 
 
 def _package_memos() -> dict:

