@@ -43,7 +43,7 @@ from .fock import (
     vacuum,
 )
 from .serialize import dumps, jsonable, parse_rational
-from .young import YoungDiagram, complex_sector, real_sector
+from .young import YoungDiagram
 
 DEFAULT_LIMITS = {"N": 4, "M": 4, "P": 6}
 
@@ -208,12 +208,9 @@ def _check_charge_commutes(ctx, images, labels=None) -> dict:
 
 def _check_gauge_commutant(ctx, images, labels=None) -> dict:
     """[E^{pq}, g] = 0 for every generator g in ``labels`` (default: all)
-    and gauge basis element: all E^{pq} of u(N) (complex), the M^{pq},
-    p < q, of o(N) (real; M^{pp} = 0 and M^{qp} = -M^{pq})."""
-    flavors = range(1, ctx.N + 1)
+    and element (p, q) of ``young.gauge_basis``."""
     return _commutant_report(ctx, images, labels, [
-        ({"gauge": [p, q]}, young.gauge_terms(ctx, p, q))
-        for p in flavors for q in flavors if p < q or ctx.field_kind == COMPLEX])
+        ({"gauge": [p, q]}, young.gauge_terms(ctx, p, q)) for p, q in young.gauge_basis(ctx)])
 
 
 def cmd_verify(args) -> dict:
@@ -274,11 +271,8 @@ def cmd_classify(args) -> dict:
             "energy": entry["energy"],
             "in_bound": s is not None,
         }
-        if ctx.field_kind == COMPLEX:
-            row["weight_head_plus"] = list(w.head_plus)
-            row["weight_head_minus"] = list(w.head_minus)
-        else:
-            row["weight_head"] = list(w.head_plus)
+        for side, head in zip(ctx.kind.sides, w.heads):
+            row["weight_head" + side] = list(head)
         if s is not None:
             row.update(young.sector_to_json(s))
             if ctx.field_kind == COMPLEX:
@@ -291,7 +285,7 @@ def cmd_classify(args) -> dict:
                                      "multiplicity": row["multiplicity"],
                                      "gauge_dimension": row["gauge_dimension"]})
             else:
-                row["gauge_irrep"] = young.sector_to_irrep_O(s.y, ctx.N).canonical.to_json()
+                row["gauge_irrep"] = young.sector_to_irrep_O(s.y_plus, ctx.N).canonical.to_json()
         rows.append(row)
     ok = not failures and all(row["in_bound"] for row in rows)
     payload = {"ok": ok, "cutoff": cutoff, "sectors": rows, "count": len(rows)}
@@ -310,12 +304,10 @@ def cmd_gram(args) -> dict:
     ctx = _context(args)
     if args.level < 0:
         raise UsageError("level must be >= 0")
-    if ctx.field_kind == COMPLEX:
-        s, foreign = complex_sector(_parse_rows(args.yplus), _parse_rows(args.yminus), ctx.N), ("y",)
-    else:
-        s, foreign = real_sector(_parse_rows(args.y), ctx.N), ("yplus", "yminus")
-    for flag in foreign:
-        if getattr(args, flag).strip():
+    own = ["y" + side[1:] for side in ctx.kind.sides]  # --yplus and --yminus, or --y
+    s = young.SectorLabel(ctx.field_kind, ctx.N, *(_parse_rows(getattr(args, flag)) for flag in own))
+    for flag in ("yplus", "yminus", "y"):
+        if flag not in own and getattr(args, flag).strip():
             raise UsageError(f"--{flag} does not apply to a {ctx.field_kind} sector")
     violation = s.bound_violation()
     if violation:

@@ -44,15 +44,16 @@ class FieldKind(Record):
     O(N) with sp(inf,R) (real).
 
     ``species`` are the oscillator species, ``x_legs`` the species of the i
-    and j legs of X(i,j), and ``e_kinds`` maps each E kind, in generator
-    order, to the species it counts.  An immutable record, one per kind,
-    compared and hashed by identity.
+    and j legs of X(i,j), ``e_kinds`` maps each E kind, in generator order,
+    to the species it counts, and ``sides`` are the output suffixes of each
+    species' label (``Y_plus``, ``weight_head_minus``, ``Y``, ...).  An
+    immutable record, one per kind, compared and hashed by identity.
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, species: tuple, x_legs: tuple, e_kinds: dict):
-        self._set(species=species, x_legs=x_legs, e_kinds=e_kinds)
+    def __init__(self, species: tuple, x_legs: tuple, e_kinds: dict, sides: tuple):
+        self._set(species=species, x_legs=x_legs, e_kinds=e_kinds, sides=sides)
 
     @cached_property
     def generator_kinds(self) -> tuple:
@@ -78,8 +79,8 @@ class FieldKind(Record):
 
 FIELD_KINDS = {
     COMPLEX: FieldKind((SPECIES_A, SPECIES_B), (SPECIES_B, SPECIES_A),
-                       {EPLUS_KIND: SPECIES_A, EMINUS_KIND: SPECIES_B}),
-    REAL: FieldKind((SPECIES_A,), (SPECIES_A, SPECIES_A), {E_KIND: SPECIES_A}),
+                       {EPLUS_KIND: SPECIES_A, EMINUS_KIND: SPECIES_B}, ("_plus", "_minus")),
+    REAL: FieldKind((SPECIES_A,), (SPECIES_A, SPECIES_A), {E_KIND: SPECIES_A}, ("",)),
 }
 
 

@@ -15,6 +15,7 @@ because they act on flavor indices.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
 from numbers import Rational
 from typing import Iterator, NamedTuple, Optional
 
@@ -167,11 +168,9 @@ class SectorLabel(OrderedRecord):
         self._set(field_kind=field_kind, N=N, y_plus=y_plus, y_minus=y_minus)
 
     @property
-    def y(self) -> YoungDiagram:
-        """The single diagram of a real sector."""
-        if self.field_kind != REAL:
-            raise ValueError("y is only defined for real sectors")
-        return self.y_plus
+    def diagrams(self) -> tuple:
+        """One diagram per species of the kind: (Y+, Y-) or (Y,)."""
+        return (self.y_plus, self.y_minus)[:len(field_kind_named(self.field_kind).species)]
 
     def bound_heights(self) -> tuple:
         """The two column heights the unitarity bound sums: (r+, r-), the
@@ -198,9 +197,7 @@ class SectorLabel(OrderedRecord):
         return self.y_plus.size + self.y_minus.size
 
     def __str__(self):
-        if self.field_kind == COMPLEX:
-            return f"({self.y_plus},{self.y_minus},N={self.N})"
-        return f"({self.y_plus},N={self.N})"
+        return f"({','.join(map(str, self.diagrams))},N={self.N})"
 
 
 _BOUND_NAMES = {COMPLEX: "r+ + r-", REAL: "r + s"}
@@ -216,13 +213,11 @@ def real_sector(y: YoungDiagram, N: int) -> SectorLabel:
 
 def enumerate_sectors(field_kind: str, N: int, max_boxes: int) -> Iterator[SectorLabel]:
     """All in-bound sectors with each diagram capped at max_boxes boxes, in
-    the order of Y+, then Y- (always EMPTY for real)."""
-    diagrams = list(young_diagrams(max_boxes))
-    for yp in diagrams:
-        for ym in [EMPTY] if field_kind == REAL else diagrams:
-            s = SectorLabel(field_kind, N, yp, ym)
-            if s.bound_violation() is None:
-                yield s
+    the order of Y+, then Y- (complex)."""
+    for diagrams in product(young_diagrams(max_boxes), repeat=len(field_kind_named(field_kind).species)):
+        s = SectorLabel(field_kind, N, *diagrams)
+        if s.bound_violation() is None:
+            yield s
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +413,8 @@ def bijection_roundtrip_check(group: str, N: int, size_cap: int) -> dict:
     failures, entries, seen = [], [], {}
     for s in enumerate_sectors(REAL if real else COMPLEX, N, size_cap):
         if real:
-            o = sector_to_irrep_O(s.y, N)
-            irr, to_sector, want = o.canonical, irrep_O_to_sector, s.y
+            o = sector_to_irrep_O(s.y_plus, N)
+            irr, to_sector, want = o.canonical, irrep_O_to_sector, s.y_plus
         else:
             irr, to_sector, want = sector_to_irrep_U(s), irrep_U_to_sector, s
         if irr in seen:
@@ -502,9 +497,9 @@ def _totality_O(N: int, size_cap: int, failures: list) -> None:
 
 
 def sector_to_json(s: SectorLabel) -> dict:
-    if s.field_kind == COMPLEX:
-        return {"Y_plus": s.y_plus.to_json(), "Y_minus": s.y_minus.to_json(), "N": s.N}
-    return {"Y": s.y_plus.to_json(), "N": s.N}
+    """``Y`` and its side per diagram (Y_plus, Y_minus or Y), and N."""
+    sides = field_kind_named(s.field_kind).sides
+    return {**{"Y" + side: y.to_json() for side, y in zip(sides, s.diagrams)}, "N": s.N}
 
 
 # ---------------------------------------------------------------------------
@@ -528,3 +523,11 @@ def gauge_terms(ctx: FockContext, p: int, q: int) -> Operator:
         terms.append((1, (ModeSlot(SPECIES_A, i, q),), (ModeSlot(SPECIES_A, i, p),)))
         terms.append((-1, (ModeSlot(second, i, p),), (ModeSlot(second, i, q),)))
     return Operator(ctx, terms)
+
+
+def gauge_basis(ctx: FockContext) -> list:
+    """The flavor pairs (p, q) of the gauge basis, in row order: all N^2 of
+    u(N), or, when the second term of ``gauge_terms`` acts on species a and
+    so M^{qp} = -M^{pq}, the p < q of o(N)."""
+    flavors = range(1, ctx.N + 1)
+    return [(p, q) for p in flavors for q in flavors if p < q or ctx.kind.species[-1] != SPECIES_A]

@@ -53,6 +53,7 @@ from bilocal.sectors import (
 )
 from bilocal.young import (
     EMPTY,
+    SectorLabel,
     bijection_roundtrip_check,
     complex_sector,
     enumerate_sectors,
@@ -207,7 +208,7 @@ def test_criterion_5_casimir_and_gamma():
         (COMPLEX, 2, (), 2), (COMPLEX, 2, (1,), 2), (COMPLEX, 3, (1, 1), 3),
         (REAL, 2, (), 2), (REAL, 2, (1,), 2), (REAL, 3, (2, 1), 3),
     ):
-        s = complex_sector(diagram(*rows), EMPTY, N) if kind == COMPLEX else real_sector(diagram(*rows), N)
+        s = SectorLabel(kind, N, diagram(*rows))
         cases.append((FockContext(kind, N, max(n, 2), s.total_boxes() + 4).validate(), s, n))
     resolution = resolve_cg_closed_form(cases)
     ok = ok and resolution["ok"]
@@ -236,7 +237,7 @@ def test_criterion_6_classification_completeness():
     rctx = FockContext(REAL, 2, 3, 6).validate()
     for e in classify_spectrum(rctx, 2):
         s = e["sector"]
-        ok = ok and s is not None and s.y.column(1) + s.y.column(2) <= 2
+        ok = ok and s is not None and s.y_plus.column(1) + s.y_plus.column(2) <= 2
     _report(6, "classification complete with gauge-dimension multiplicities", ok,
             f"{len(results)} complex sectors at cutoff 2")
 

@@ -43,7 +43,7 @@ from bilocal.fock import (
 )
 from bilocal.linalg import RowSpan
 from bilocal.sectors import build_ground_state, joint_kernel, weight_from_sector
-from bilocal.young import EMPTY, complex_sector, enumerate_sectors, real_sector
+from bilocal.young import EMPTY, SectorLabel, complex_sector, enumerate_sectors, real_sector
 from oracles import diagram, vacuum_sector
 
 
@@ -188,7 +188,7 @@ def test_weight_length_guard(kind):
     truncated by zip, and a longer one filled the unused profile row or
     raised IndexError."""
     N = n = 2
-    s = complex_sector(diagram(1), EMPTY, N) if kind == COMPLEX else real_sector(diagram(1), N)
+    s = SectorLabel(kind, N, diagram(1))
     ctx = FockContext(kind, N, n, s.total_boxes() + 2).validate()
     h, lam, ground = weight_from_sector(s), canonical_lambda(s, n), build_ground_state(ctx, s)
     assert len(lam) == len(ctx.kind.species) * n
@@ -251,7 +251,7 @@ def test_verify_gamma_identity_null_boundary():
 def test_gamma_identity_needs_room_for_one_xstar(kind, N, P):
     # Xstar creates two particles; past P they would be dropped and the
     # identity would report a false counterexample (no_vector_found)
-    s = complex_sector(diagram(1), EMPTY, N) if kind == COMPLEX else real_sector(diagram(1), N)
+    s = SectorLabel(kind, N, diagram(1))
     ctx = FockContext(kind, N, 2, P).validate()
     with pytest.raises(TruncationError, match="need P >= 3"):
         verify_gamma_identity(ctx, s, 2)
@@ -405,7 +405,7 @@ def test_hw_vectors_span_all_e_closure_on_small_contexts(data, kind, N):
 
 @pytest.mark.parametrize("kind", [COMPLEX, REAL])
 def test_compact_module_refuses_vector_a_raising_e_moves(kind):
-    s = complex_sector(diagram(1), EMPTY, 2) if kind == COMPLEX else real_sector(diagram(1), 2)
+    s = SectorLabel(kind, 2, diagram(1))
     ctx = FockContext(kind, 2, 2, 4).validate()
     ground = build_ground_state(ctx, s)
     targets = _target_profiles(ctx, 2, canonical_lambda(s, 2))
@@ -598,7 +598,7 @@ def _lambda_readers(kind):
     """casimir_k_eigenvalue, gamma_value and hw_vectors_at_weight, each a
     function of lam alone, at n = 2 on the one-box sector."""
     N = n = 2
-    s = complex_sector(diagram(1), EMPTY, N) if kind == COMPLEX else real_sector(diagram(1), N)
+    s = SectorLabel(kind, N, diagram(1))
     ctx = FockContext(kind, N, n, s.total_boxes() + 2).validate()
     h, ground = weight_from_sector(s), build_ground_state(ctx, s)
     return canonical_lambda(s, n), {

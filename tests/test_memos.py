@@ -57,5 +57,5 @@ def test_a_fault_planted_beneath_the_generators_is_not_served_from_the_memo(warm
     ctx = warm_generators
     # X(i,j) = sum_p b[i,p] a[j,p] becomes sum_p a[i,p] b[j,p]
     kind = fock.FIELD_KINDS[COMPLEX]
-    monkeypatch.setitem(fock.FIELD_KINDS, COMPLEX, FieldKind(kind.species, kind.x_legs[::-1], kind.e_kinds))
+    monkeypatch.setitem(fock.FIELD_KINDS, COMPLEX, FieldKind(kind.species, kind.x_legs[::-1], kind.e_kinds, kind.sides))
     assert not verify_structure_constants(ctx, generator_images(ctx, shift=True))["ok"]

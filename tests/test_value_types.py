@@ -27,8 +27,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # name: (class, constructor arguments, field tuple, repr text)
 RECORDS = {
-    "FieldKind": (FieldKind, (("a",), ("a", "a"), {"E": "a"}), (("a",), ("a", "a"), {"E": "a"}),
-                  "FieldKind(species=('a',), x_legs=('a', 'a'), e_kinds={'E': 'a'})"),
+    "FieldKind": (FieldKind, (("a",), ("a", "a"), {"E": "a"}, ("",)), (("a",), ("a", "a"), {"E": "a"}, ("",)),
+                  "FieldKind(species=('a',), x_legs=('a', 'a'), e_kinds={'E': 'a'}, sides=('',))"),
     "Weight": (Weight, (REAL, [Fraction(5, 2), 3 / Fraction(2)], [], Fraction(1, 2)),
                (REAL, (Fraction(5, 2), Fraction(3, 2)), (), Fraction(1, 2)),
                "Weight(field_kind='real', head_plus=(Fraction(5, 2), Fraction(3, 2)), "
@@ -137,7 +137,7 @@ REFUSALS = [
     (lambda: Weight("quaternionic", (1,), (), 0), ValueError, "unknown field kind 'quaternionic'"),
     (lambda: Weight(REAL, (5,), (), Fraction(1, 2)), ValueError, "nonnegative integers"),
     (lambda: Weight(REAL, (1,)), TypeError, "missing 2 required positional arguments"),
-    (lambda: FieldKind(("a",), ("a", "a")), TypeError, "missing 1 required positional argument"),
+    (lambda: FieldKind(("a",), ("a", "a"), {"E": "a"}), TypeError, "missing 1 required positional argument"),
 ]
 
 

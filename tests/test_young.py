@@ -353,7 +353,7 @@ def reference_roundtrip_O(N, size_cap):
     canonical label with at most N/2 rows and |Y| <= cap + N."""
     failures, entries, seen = [], [], {}
     for s in enumerate_sectors(REAL, N, size_cap):
-        entry = young.sector_to_irrep_O(s.y, N)
+        entry = young.sector_to_irrep_O(s.y_plus, N)
         irr = entry.canonical
         key = (irr.young, irr.sign)
         if key in seen:
@@ -364,7 +364,7 @@ def reference_roundtrip_O(N, size_cap):
             back = young.irrep_O_to_sector(irr, N)
         except (ValueError, BoundViolation):
             back = None
-        if back != s.y:
+        if back != s.y_plus:
             failures.append({"kind": "roundtrip", "sector": str(s), "label": irr.to_json(),
                              "back": None if back is None else str(back)})
         expect_equiv = young.o_labels_equivalent(irr, N)
