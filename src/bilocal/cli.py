@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from itertools import combinations_with_replacement
+from math import comb
 from types import SimpleNamespace
 
 from . import algebra, fock, linalg, young
@@ -46,6 +47,14 @@ from .serialize import dumps, jsonable, parse_rational
 from .young import YoungDiagram
 
 DEFAULT_LIMITS = {"N": 4, "M": 4, "P": 6}
+# The most image-table entries verify may predict without --unsafe-large.
+# Measured peaks stay under 22 bytes per predicted entry: complex (4, 3, 5)
+# predicts 11.9 million and peaks at 183 MiB, (4, 4, 5) 62.8 million and
+# 769 MiB, (4, 3, 6) 59.4 million and 1,109 MiB, (3, 4, 6) 71.8 million and
+# 1,477 MiB, the largest context below (4, 4, 6) inside DEFAULT_LIMITS.
+# Complex (4, 4, 6) predicts 397.5 million and fills tables until memory
+# runs out.  The limit, about 2 GiB at that rate, is a guess between them.
+VERIFY_ENTRY_LIMIT = 100_000_000
 
 
 class UsageError(Exception):
@@ -61,6 +70,18 @@ def _context(args) -> FockContext:
                     "pass --unsafe-large to override"
                 )
     return FockContext(args.kind, args.N, args.M, args.P).validate()
+
+
+def _verify_work(ctx) -> tuple:
+    """(entries, tables, monomials): the image-table entries a verify run
+    may fill, estimated as its tables (one per generator label, two per
+    slot for the ladders of CCR and one per gauge basis element; the
+    charge's one table is left out) times the monomials up to P, the most
+    entries one table can hold."""
+    slots = len(ctx.slots())
+    tables = len(ctx.kind.generator_kinds) * ctx.M ** 2 + 2 * slots + len(young.gauge_basis(ctx))
+    monomials = comb(slots + ctx.P, ctx.P)
+    return tables * monomials, tables, monomials
 
 
 def _parse_rows(text: str) -> YoungDiagram:
@@ -215,6 +236,11 @@ def _check_gauge_commutant(ctx, images, labels=None) -> dict:
 
 def cmd_verify(args) -> dict:
     ctx = _context(args)
+    entries, tables, monomials = _verify_work(ctx)
+    if entries > VERIFY_ENTRY_LIMIT and not args.unsafe_large:
+        raise UsageError(
+            f"verify predicts {entries:,} image-table entries ({tables} tables x {monomials:,} monomials "
+            f"up to P = {ctx.P}), over the guard {VERIFY_ENTRY_LIMIT:,}; pass --unsafe-large to override")
     # One set of generator tables for every check.  drop-e-shift changes
     # only the scalars, which only structure constants reads.  Structure
     # constants runs after the first charge and gauge scans, whose tables
@@ -387,7 +413,8 @@ CONTEXT_OPTIONS = {
     "--N": dict(type=int, required=True, help="multiplet size N (required)"),
     "--M": dict(type=int, default=2, help="mode cutoff M (default: %(default)r)"),
     "--P": dict(type=int, default=4, help="particle cutoff P (default: %(default)r)"),
-    "--unsafe-large": dict(action="store_true", default=False, help="lift the default N/M/P guards"),
+    "--unsafe-large": dict(action="store_true", default=False,
+                           help="lift the default size guards: N, M, P and verify's predicted work"),
 }
 
 COMMANDS = {

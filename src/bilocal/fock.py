@@ -2,7 +2,9 @@
 
 States are linear combinations of occupation monomials over slots
 (species, mode, flavor) with exact rational coefficients, ints where
-integral (``linalg.rational``).
+integral (``linalg.rational``).  A slot (``ModeSlot``) is one int that
+packs its three fields in that order, so a monomial is a sorted tuple of
+ints, and sorting, counting, hashing and comparing monomials is int work.
 Monomials are *unnormalized* products of creation operators applied to
 the vacuum, so every inner product is an integer-weighted sum and no
 square roots ever appear:
@@ -108,19 +110,61 @@ class TruncationError(FockError):
     """The requested construction does not fit inside the cutoffs."""
 
 
-class ModeSlot(NamedTuple):
-    """One creation/annihilation slot.
+# A slot packs (species code, mode, flavor) into one int, ``_FIELD_BITS``
+# bits for each of mode and flavor, species codes in ``_SPECIES`` order.
+_SPECIES = (SPECIES_A, SPECIES_B)
+_SPECIES_CODE = {sp: code for code, sp in enumerate(_SPECIES)}
+_FIELD_BITS = 20
+_FIELD_MAX = (1 << _FIELD_BITS) - 1
 
-    Field order (species, mode, flavor) is the canonical sort order used
-    for monomial keys.
-    """
 
-    species: str
-    mode: int
-    flavor: int
+class ModeSlot(int):
+    """One creation/annihilation slot (species, mode, flavor), an int whose
+    value is (species code << 40) | (mode << 20) | flavor, with a = 0 and
+    b = 1.  Int order is then (species, mode, flavor) order, the canonical
+    sort order of monomial keys, and a slot compares equal to its int.
+
+    A bool or other non-int mode or flavor raises TypeError; a negative
+    field, one of 2**20 or more, or an unknown species raises ValueError,
+    since each would alias another slot's code."""
+
+    __slots__ = ()
+
+    def __new__(cls, species: str, mode: int, flavor: int):
+        if (type(mode) is not int or type(flavor) is not int or not 0 <= mode <= _FIELD_MAX
+                or not 0 <= flavor <= _FIELD_MAX or species not in _SPECIES_CODE):
+            _refuse_slot(species, mode, flavor)
+        return int.__new__(cls, _SPECIES_CODE[species] << 2 * _FIELD_BITS | mode << _FIELD_BITS | flavor)
+
+    def __getnewargs__(self):
+        return self.species, self.mode, self.flavor
+
+    @property
+    def species(self) -> str:
+        return _SPECIES[self >> 2 * _FIELD_BITS]
+
+    @property
+    def mode(self) -> int:
+        return self >> _FIELD_BITS & _FIELD_MAX
+
+    @property
+    def flavor(self) -> int:
+        return self & _FIELD_MAX
 
     def __str__(self):
         return f"{self.species}[{self.mode},{self.flavor}]"
+
+    def __repr__(self):
+        return f"ModeSlot(species={self.species!r}, mode={self.mode}, flavor={self.flavor})"
+
+
+def _refuse_slot(species, mode, flavor):
+    for name, value in (("mode", mode), ("flavor", flavor)):
+        if type(value) is not int:
+            raise TypeError(f"slot {name} must be an int, got {type(value).__name__} {value!r}")
+        if not 0 <= value <= _FIELD_MAX:
+            raise ValueError(f"slot {name} {value} outside 0..{_FIELD_MAX}")
+    raise ValueError(f"unknown species {species!r}")
 
 
 # A monomial is a sorted tuple of ModeSlot; the empty tuple is the vacuum.
@@ -288,6 +332,7 @@ class Operator(Combination):
             get = out.get
             for (rem, ins), f in terms:
                 one = f == 1  # 1 * c would rebuild a Fraction c
+                cap = P - len(ins)  # the most particles ins can be inserted into
                 for m, c in items:
                     for s in rem:
                         k = m.count(s)
@@ -297,7 +342,7 @@ class Operator(Combination):
                         m, c = m[:idx] + m[idx + 1 :], c if k == 1 else c * k
                     else:
                         if ins:
-                            if len(m) + len(ins) > P:
+                            if len(m) > cap:
                                 continue
                             m = tuple(sorted(m + ins))
                         total = get(m, 0) + (c if one else f * c)

@@ -45,7 +45,11 @@ def rational(c):
 
 
 def quotient(a, b):
-    """a / b exactly, in canonical form."""
+    """a / b exactly, in canonical form: for two ints, the integer quotient
+    when b divides a, else the Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
     return rational(Fraction(a) / b)
 
 

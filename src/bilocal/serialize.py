@@ -11,13 +11,15 @@ from .linalg import rational
 
 
 def jsonable(obj):
-    """Recursively convert a report to JSON-native values, exactly: an int,
-    bool, str or None as itself, a Fraction as an int or "p/q", a dict
-    with str keys, a list or a tuple by its items.  Anything else (a
-    float, a key that is not a str, an object) raises TypeError."""
+    """Recursively convert a report to JSON-native values, exactly: an exact
+    int or bool, a str or None as itself, a Fraction as an int or "p/q", a
+    dict with str keys, a list or a tuple by its items.  Anything else (a
+    float, another int subclass such as a ``fock.ModeSlot``, whose JSON
+    would be its bare int code, a key that is not a str, an object) raises
+    TypeError."""
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (int, str)) or obj is None:
+    if type(obj) in (int, bool) or isinstance(obj, str) or obj is None:
         return obj
     if isinstance(obj, dict):
         if not all(isinstance(k, str) for k in obj):

@@ -528,6 +528,45 @@ def test_guard_requires_unsafe_large(capsys):
     assert code == 2
 
 
+class _Filled(Exception):
+    pass
+
+
+def _refuse_fill(table, ids):
+    raise _Filled
+
+
+def test_verify_refuses_predicted_work_before_any_fill(capsys, monkeypatch):
+    # complex (4, 4, 6) is inside the per-parameter guard, and its tables
+    # would fill until memory runs out
+    monkeypatch.setattr(algebra.ImageTable, "fill", _refuse_fill)
+    assert main(["verify", "--kind", "complex", "--N", "4", "--M", "4", "--P", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify predicts 397,538,064 image-table entries (144 tables x 2,760,681 monomials up to "
+        "P = 6), over the guard 100,000,000; pass --unsafe-large to override\n")
+    with pytest.raises(_Filled):
+        main(["verify", "--kind", "complex", "--N", "4", "--M", "4", "--P", "6", "--unsafe-large"])
+
+
+def test_verify_work_guard_refuses_only_complex_4_4_6_inside_the_limits():
+    # every other context inside DEFAULT_LIMITS was admitted before the
+    # guard; complex (3, 4, 6), the largest of them, runs in about a minute
+    limits = cli.DEFAULT_LIMITS
+    refused = [(kind, N, M, P) for kind in (COMPLEX, REAL) for N in range(1, limits["N"] + 1)
+               for M in range(1, limits["M"] + 1) for P in range(limits["P"] + 1)
+               if cli._verify_work(FockContext(kind, N, M, P))[0] > cli.VERIFY_ENTRY_LIMIT]
+    assert refused == [(COMPLEX, 4, 4, 6)]
+
+
+@pytest.mark.parametrize("ctx", [FockContext(COMPLEX, 2, 2, 4), FockContext(REAL, 2, 3, 4)], ids=str)
+def test_verify_work_counts_the_monomials_up_to_p(ctx):
+    entries, tables, monomials = cli._verify_work(ctx)
+    assert monomials == len(list(basis_monomials(ctx)))
+    assert entries == tables * monomials
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
