@@ -73,6 +73,15 @@ class FieldKind(Record):
         species, X(i,i) contracted against Xstar(i,i) counts twice."""
         return 2 if self.x_symmetric else 1
 
+    @property
+    def gauge_modulus(self) -> int:
+        """The modulus of the diagonal gauge charge, per flavor p the
+        occupation of species a less that of b: X(i,j) removes one slot of
+        each leg's species at one flavor, so with legs on the two species
+        it keeps the charge exactly (0: the U(1)^N weight of U(N)), with
+        both on species a mod 2 (the flavor parity of O(N)'s {+-1}^N)."""
+        return 2 if self.x_symmetric else 0
+
     def n0(self, N) -> Rational:
         """Vacuum eigenvalue of the Cartan sum over all E kinds at one mode:
         N/2 per species."""

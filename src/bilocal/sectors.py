@@ -10,7 +10,10 @@ real) and are exactly the kernels of the full set, which
 explicit products of slot determinants; real ones are obtained by
 projecting the raw determinant product onto the joint kernel, which
 realizes the traceless part without any tensor bookkeeping (trace terms
-lie in the image of Xstar, hence orthogonal to the kernel).
+lie in the image of Xstar, hence orthogonal to the kernel).  Kernels are
+solved per diagonal gauge charge, whose shards are orthogonal and which
+every condition keeps; classify counts one shard per flavor orbit.  Both
+facts are checked on the realized generators before they are used.
 
 Closed-form norm and determinant recursions are evaluated here and
 checked against brute-force oscillator computations elsewhere.
@@ -19,12 +22,12 @@ checked against brute-force oscillator computations elsewhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, groupby, permutations
 from math import factorial, gcd, lcm, prod
 from numbers import Rational
 from typing import Optional
 
-from . import linalg
+from . import algebra, linalg
 from .algebra import (
     GeneratorLabel,
     HamiltonianSpec,
@@ -32,7 +35,6 @@ from .algebra import (
     X,
     apply_generator,
     canonical_hamiltonian,
-    generator_terms,
 )
 from .fock import (
     COMPLEX,
@@ -190,7 +192,13 @@ def _ground_state(ctx: FockContext, s: SectorLabel) -> FockVector:
     if ctx.field_kind == COMPLEX:
         return v
 
-    kernel = hw_kernel_in_profile(ctx, sector_profile(ctx, s))
+    # only the shards v meets (one: every monomial of v has the same
+    # occupation per flavor); the others are orthogonal to it
+    labels = ground_state_generators(ctx)
+    monos = profile_monomials(ctx, sector_profile(ctx, s))
+    shards = _shards(ctx, monos, _keeps_charge(ctx, labels)).values()
+    own = [shard for shard in shards if any(monos[j] in v.terms for j in shard)]
+    kernel = _shard_kernels(ctx, labels, monos, own)
     proj = _project_onto(kernel, v)
     if proj.is_zero():
         raise TruncationError(f"no highest-weight vector for {s} in the window")
@@ -278,21 +286,130 @@ def joint_kernel(ctx: FockContext, labels, vectors) -> list:
     generator in ``labels``: one per free column of the coefficient matrix
     whose sparse rows are keyed by (label, target monomial).  Each label
     acts on all the vectors in one pass of the oscillator loop."""
+    return [zero(ctx).plus((c, vectors[j]) for j, c in x.items())
+            for x in _kernel_columns(ctx, labels, [v.terms.items() for v in vectors])]
+
+
+def _kernel_columns(ctx: FockContext, labels, inputs) -> list:
+    """``linalg.nullspace`` of ``joint_kernel``'s matrix on the
+    ``Operator.images`` inputs: {input position: coefficient} dicts.  The
+    generators are read off ``algebra`` at call time."""
     rows = {}
-    inputs = [v.terms.items() for v in vectors]
     for g in labels:
-        for j, image in enumerate(generator_terms(ctx, g).images(inputs)):
+        for j, image in enumerate(algebra.generator_terms(ctx, g).images(inputs)):
             for t, c in image.items():
                 rows.setdefault((g, t), {})[j] = c
-    return [zero(ctx).plus((c, vectors[j]) for j, c in x.items())
-            for x in linalg.nullspace(list(rows.values()), ncols=len(vectors))]
+    return linalg.nullspace(list(rows.values()), ncols=len(inputs))
 
 
 def hw_kernel_in_profile(ctx: FockContext, profile) -> list:
     """Basis of the joint kernel of the ground-state conditions inside one
-    occupation-profile subspace, solved from their generating set."""
-    basis = [unit(ctx, m) for m in profile_monomials(ctx, profile)]
-    return joint_kernel(ctx, ground_state_generators(ctx), basis)
+    occupation-profile subspace, solved from their generating set shard by
+    shard (``_shards``), in the free-column order of the whole profile."""
+    labels = ground_state_generators(ctx)
+    monos = profile_monomials(ctx, profile)
+    return _shard_kernels(ctx, labels, monos, _shards(ctx, monos, _keeps_charge(ctx, labels)).values())
+
+
+# ---------------------------------------------------------------------------
+# diagonal gauge shards
+#
+# The gauge group commutes with every ground-state condition, so a profile
+# kernel is block diagonal over the characters of the diagonal gauge
+# subgroup, and flavor permutations permute the blocks.  Neither is taken
+# on trust: ``_keeps_charge`` and ``_flavor_symmetric`` read them off the
+# realized terms of the labels, in time linear in the term lists, on every
+# call that relies on them, and without them the profile is solved whole
+# or every shard is solved.
+
+_CHARGE_SIGN = {SPECIES_A: 1, SPECIES_B: -1}
+
+
+def _gauge_charges(ctx: FockContext, tuples) -> list:
+    """The diagonal gauge charge of each slot tuple: per flavor, the number
+    of a slots less that of b slots, reduced mod ``FieldKind.gauge_modulus``
+    when it is nonzero (the U(1)^N weight complex, the flavor parity
+    real)."""
+    place = {s: (s.flavor - 1, _CHARGE_SIGN[s.species]) for s in ctx.slots()}
+    modulus = ctx.kind.gauge_modulus
+    charges = []
+    for slots in tuples:
+        charge = [0] * ctx.N
+        for s in slots:
+            p, sign = place[s]
+            charge[p] += sign
+        charges.append(tuple(c % modulus for c in charge) if modulus else tuple(charge))
+    return charges
+
+
+def _keeps_charge(ctx: FockContext, labels) -> bool:
+    """Every term of every label inserts the charge it removes, so each
+    label maps a charge's monomials to monomials of that charge."""
+    keys = [key for g in labels for key in algebra.generator_terms(ctx, g).terms]
+    return _gauge_charges(ctx, (rem for rem, _ in keys)) == _gauge_charges(ctx, (ins for _, ins in keys))
+
+
+def _swap_flavors(slots, p: int) -> tuple:
+    """The slots with flavors p and p + 1 exchanged, sorted."""
+    swap = {p: p + 1, p + 1: p}
+    return tuple(sorted(ModeSlot(s.species, s.mode, swap.get(s.flavor, s.flavor)) for s in slots))
+
+
+def _flavor_symmetric(ctx: FockContext, labels) -> bool:
+    """Exchanging any two adjacent flavors maps each label's term dict to
+    itself.  They generate S_N, so then every flavor permutation commutes
+    with every label and maps a charge's shard onto its permuted charge's,
+    kernel onto kernel."""
+    for g in labels:
+        terms = algebra.generator_terms(ctx, g).terms
+        for p in range(1, ctx.N):
+            if {(_swap_flavors(rem, p), _swap_flavors(ins, p)): f for (rem, ins), f in terms.items()} != terms:
+                return False
+    return True
+
+
+def _shards(ctx: FockContext, monomials, sharded: bool) -> dict:
+    """The positions of the monomials by diagonal gauge charge, each in
+    monomial order; all of them under the key None unless ``sharded``."""
+    shards = {}
+    for j, charge in enumerate(_gauge_charges(ctx, monomials) if sharded else [None] * len(monomials)):
+        shards.setdefault(charge, []).append(j)
+    return shards
+
+
+def _shard_kernels(ctx: FockContext, labels, monomials, shards) -> list:
+    """The joint kernel of the labels on the monomials of the ``shards``
+    (position lists), one vector per free column in monomial order: the
+    union of the shards' kernels.  The reduced echelon form of a block
+    diagonal matrix is the union of its blocks', and the vector of a free
+    column has its other entries at pivot columns to its left, so it sorts
+    by its last key."""
+    columns = sorted(({shard[j]: c for j, c in x.items()} for shard in shards
+                      for x in _kernel_columns(ctx, labels, [((monomials[j], 1),) for j in shard])), key=max)
+    return [zero(ctx).plus((c, unit(ctx, monomials[j])) for j, c in x.items()) for x in columns]
+
+
+def _profile_multiplicity(ctx: FockContext, profile, labels, sharded: bool, orbits: bool) -> int:
+    """The dimension of ``hw_kernel_in_profile``, with no vector built.
+    With ``orbits`` (the shards are flavor symmetric), only the shard whose
+    charge decreases is solved for each S_N orbit of charges, and counted
+    ``_orbit_size`` times."""
+    monos = profile_monomials(ctx, profile)
+    total = 0
+    for charge, shard in _shards(ctx, monos, sharded).items():
+        weight = _orbit_size(charge) if orbits else 1
+        if weight:
+            total += weight * len(_kernel_columns(ctx, labels, [((monos[j], 1),) for j in shard]))
+    return total
+
+
+def _orbit_size(charge: tuple) -> int:
+    """The size N!/prod m_v! of the S_N orbit of a charge in decreasing
+    order, m_v the number of flavors with charge v; 0 for any other charge,
+    so that each orbit is counted at one representative."""
+    if list(charge) != sorted(charge, reverse=True):
+        return 0
+    return factorial(len(charge)) // prod(factorial(len(list(run))) for _, run in groupby(charge))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +590,11 @@ def p_polynomial_check(n: int, r: int = 0, n_values=None, field_kind: str = COMP
 def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[HamiltonianSpec] = None) -> list:
     """Enumerate ground states below the cutoff of the canonical Hamiltonian.
 
-    Shards by occupation profile (a refinement of the energy eigenspaces,
-    since the Cartan operators are diagonal on monomials) and solves for
-    the joint kernel of the ground-state conditions in each shard.
+    Splits by occupation profile (a refinement of the energy eigenspaces,
+    since the Cartan operators are diagonal on monomials) and each profile
+    by diagonal gauge charge (``_shards``), and counts the joint kernel of
+    the ground-state conditions shard by shard, one shard per flavor
+    orbit when ``_flavor_symmetric`` holds.  Both checks run once per call.
     Returns (sector, weight, multiplicity, energy) entries.  A float
     cutoff or spec entry raises TypeError.
     """
@@ -490,16 +609,19 @@ def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[Hamiltonia
             raise TruncationError(
                 f"cutoff {energy_cutoff} can reach {max_particles} particles, cutoff P = {ctx.P}"
             )
+    labels = ground_state_generators(ctx)
+    sharded = _keeps_charge(ctx, labels)
+    orbits = sharded and _flavor_symmetric(ctx, labels)
     results = []
     for profile in _profiles_below(ctx, energies, energy_cutoff):
-        kernel = hw_kernel_in_profile(ctx, profile)
-        if not kernel:
+        multiplicity = _profile_multiplicity(ctx, profile, labels, sharded, orbits)
+        if not multiplicity:
             continue
         results.append(
             {
                 "sector": _profile_to_sector(ctx, profile),
                 "weight": weight_from_profile(ctx.field_kind, ctx.N, profile),
-                "multiplicity": len(kernel),
+                "multiplicity": multiplicity,
                 "energy": linalg.rational(sum(e * (a + b) for e, a, b in zip(energies, *profile))),
             }
         )

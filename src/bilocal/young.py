@@ -448,20 +448,46 @@ def _totality_U(N: int, size_cap: int, seen: dict, failures: list) -> None:
     """Every valid label in range (at most N rows) maps back into the
     window, to the sector ``seen`` holds for it.  Only q = |Y| - N k
     splits, with Y- of exactly k columns, so k <= size_cap (and
-    |q| <= (N + 1) size_cap follows); N = 0 has the one split k = 0.  Every such label
-    is split on its column heights, and only one whose split lies in the
-    window and the bound is built and mapped."""
-    widths = range(size_cap, -1, -1) if N else (0,)
+    |q| <= (N + 1) size_cap follows); N = 0 has the one split k = 0.
+
+    The walk splits each label only near the widths k that ``_split_U``
+    can put in the window.  A label of h1 rows splits into a Y- of at
+    least k (N - h1) boxes, each of its k columns N - h >= N - h1 high,
+    and a Y+ of at least |Y| - k h1, since the k columns it loses are at
+    most h1 high; and h1 = N admits only k = 0 (a conjugated column of
+    height 0).  Every split the walk makes is checked against that bound,
+    one more width at each end of the range as well, where a rule that
+    breaks it would first bring a label into the window; if one breaks
+    it, the walk is redone over every width."""
+    found = _scan_U(N, size_cap, seen, bounded=True)
+    failures += _scan_U(N, size_cap, seen, bounded=False) if found is None else found
+
+
+def _scan_U(N: int, size_cap: int, seen: dict, bounded: bool) -> Optional[list]:
+    """The failures of ``_totality_U``'s walk: labels in ``_partitions``
+    order, each split at k counting down, from size_cap to 0 or, when
+    ``bounded``, over the bound's range widened by one width at each end,
+    and only a split in the window and the bound built and mapped.  None
+    when ``bounded`` and a split breaks the bound."""
+    failures = []
     for rows in _partitions(N * size_cap + size_cap, N):
+        size, h1 = sum(rows), len(rows)
+        hi, lo = size_cap if N else 0, 0
+        if bounded:
+            hi = min(hi, (size_cap // (N - h1) if h1 < N else 0) + 1)
+            lo = max(lo, (-((size_cap - size) // h1) if h1 else 0) - 1)
+        if hi < lo:
+            continue
         cols = _conjugate(rows)
-        size = sum(rows)
         y = None
-        for k in widths:
+        for k in range(hi, lo - 1, -1):
             q = size - N * k
             try:
                 plus, minus = _split_U(cols, q, N)
             except ValueError:
                 continue
+            if bounded and (sum(minus) < k * (N - h1) or sum(plus) < size - k * h1):
+                return None
             if (sum(plus) > size_cap or sum(minus) > size_cap
                     or (plus[0] if plus else 0) + (minus[0] if minus else 0) > N):
                 continue
@@ -477,6 +503,7 @@ def _totality_U(N: int, size_cap: int, seen: dict, failures: list) -> None:
                 if found != s:
                     failures.append({"kind": "missing" if found is None else "mismatch",
                                      "label": irr.to_json()})
+    return failures
 
 
 def _totality_O(N: int, size_cap: int, failures: list) -> None:

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilocal import casimir, sectors
+from bilocal import algebra, casimir, sectors
 from bilocal.algebra import (
     GeneratorLabel,
     OperatorExpr,
@@ -20,7 +20,9 @@ from bilocal.fock import (
     X_KIND,
     XSTAR_KIND,
     ContextViolation,
+    SPECIES_A,
     FockContext,
+    ModeSlot,
     TruncationError,
     Operator,
     apply_creation,
@@ -830,6 +832,172 @@ def test_every_generator_is_needed():
                 len(joint_kernel(ctx, rest, [unit(ctx, m) for m in profile_monomials(ctx, profile)]))
                 > kernel_size(profile)
                 for profile in profiles), (ctx, dropped)
+
+
+# ---------------------------------------------------------------------------
+# diagonal gauge shards and flavor orbits
+
+
+def _gate_classify():
+    """(context, cutoff, spec) of the two classify benchmark gates."""
+    cplx = FockContext(COMPLEX, 3, 4, 6).validate()
+    real = FockContext(REAL, 3, 4, 6).validate()
+    return [(cplx, 5, None), (real, 6, appendix_spectrum(real, 4))]
+
+
+def _unsharded_multiplicity(ctx, profile):
+    basis = [unit(ctx, m) for m in profile_monomials(ctx, profile)]
+    return len(joint_kernel(ctx, ground_state_generators(ctx), basis))
+
+
+def _checks(ctx):
+    """The labels and the two verdicts classify solves under: sharded, and
+    one shard per flavor orbit."""
+    labels = ground_state_generators(ctx)
+    sharded = sectors._keeps_charge(ctx, labels)
+    return labels, sharded, sharded and sectors._flavor_symmetric(ctx, labels)
+
+
+def _classify_matches_the_unsharded_kernels(ctx, cutoff, spec=None):
+    """classify's multiplicity of every profile below the cutoff is the
+    dimension of the kernel solved over all of the profile's monomials."""
+    want = {}
+    for profile in _profiles(ctx, cutoff, spec):
+        multiplicity = _unsharded_multiplicity(ctx, profile)
+        if multiplicity:
+            want[weight_from_profile(ctx.field_kind, ctx.N, profile)] = multiplicity
+    got = {e["weight"]: e["multiplicity"] for e in classify_spectrum(ctx, cutoff, spec)}
+    return got == want
+
+
+def _orbit_multiplicities_match(ctx, profiles):
+    labels, sharded, orbits = _checks(ctx)
+    assert sharded and orbits
+    for profile in profiles:
+        multiplicity = sectors._profile_multiplicity(ctx, profile, labels, sharded, orbits)
+        assert multiplicity == len(hw_kernel_in_profile(ctx, profile)) == _unsharded_multiplicity(
+            ctx, profile), (ctx, profile)
+
+
+def test_orbit_multiplicity_equals_the_kernel_and_the_unsharded_kernel_on_gate_contexts():
+    for ctx, cutoff, spec in _gate_classify():
+        _orbit_multiplicities_match(ctx, _profiles(ctx, cutoff, spec))
+        assert _classify_matches_the_unsharded_kernels(ctx, cutoff, spec)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from([COMPLEX, REAL]), N=st.integers(0, 4), M=st.integers(1, 3),
+       cutoff=st.integers(0, 4))
+def test_orbit_multiplicity_equals_the_kernel_and_the_unsharded_kernel_on_small_contexts(
+        kind, N, M, cutoff):
+    ctx = FockContext(kind, N, M, max(cutoff, 1)).validate()
+    _orbit_multiplicities_match(ctx, _profiles(ctx, cutoff))
+    assert _classify_matches_the_unsharded_kernels(ctx, cutoff)
+
+
+def test_orbit_size_counts_each_orbit_at_its_decreasing_charge():
+    sizes = {(1, 0, 0): 3, (0, 1, 0): 0, (2, 2, -1): 3, (1, 1, 1): 1, (2, 1, 0): 6, (): 1,
+             (1, 1, 0, 0): 6, (0, 0, 1, 1): 0, (0, 0, 0, 0): 1, (1, 0, 0, 0): 4}
+    assert {charge: sectors._orbit_size(charge) for charge in sizes} == sizes
+
+
+def test_charges_are_the_u1_weights_complex_and_the_flavor_parities_real():
+    cplx = FockContext(COMPLEX, 3, 2, 6).validate()
+    m = (a_slot(1, 1), a_slot(2, 1), a_slot(1, 3), b_slot(1, 1), b_slot(2, 2))
+    assert sectors._gauge_charges(cplx, [m, ()]) == [(1, -1, 1), (0, 0, 0)]
+    real = FockContext(REAL, 3, 2, 6).validate()
+    assert sectors._gauge_charges(real, [(a_slot(1, 1), a_slot(2, 1), a_slot(1, 3))]) == [(0, 0, 1)]
+
+
+def _planted(alter):
+    """generator_terms with ``alter`` applied to the terms of every label it
+    returns a list for."""
+    honest = algebra.generator_terms
+
+    def planted(ctx, g):
+        terms = honest(ctx, g)
+        changed = alter(ctx, g, [(f, *key) for key, f in terms.items()])
+        return terms if changed is None else Operator(ctx, changed)
+    return planted
+
+
+def _drop_flavor_n_from_e12(ctx, g, terms):
+    if g.kind in ctx.kind.e_kinds and (g.i, g.j) == (1, 2):
+        return [t for t in terms if all(s.flavor != ctx.N for s in t[1] + t[2])]
+    return None
+
+
+def _mix_flavors_in_e12(ctx, g, terms):
+    # E(1,2) also moves a particle of flavor 2 at mode 2 to flavor 1 at mode 1
+    if g.kind in ctx.kind.e_kinds and (g.i, g.j) == (1, 2):
+        species = ctx.kind.e_kinds[g.kind]
+        return terms + [(1, (ModeSlot(species, 2, 2),), (ModeSlot(species, 1, 1),))]
+    return None
+
+
+def _multiplicities_match_the_unsharded_kernels(ctx, profiles):
+    """Under the checks' own verdicts, every profile's multiplicity is the
+    dimension of the kernel solved over all of its monomials."""
+    checks = _checks(ctx)
+    return all(sectors._profile_multiplicity(ctx, profile, *checks) == _unsharded_multiplicity(ctx, profile)
+               for profile in profiles)
+
+
+def test_a_flavor_asymmetric_fault_refuses_the_orbit_reduction(monkeypatch):
+    # E(1,2) loses its p = N term: the charge is kept, the flavor symmetry
+    # is broken, and one shard per orbit would miscount.  Some profile
+    # below the cutoff that is not dominant then has a kernel, so classify
+    # itself raises on its weight, as it did before the shards.
+    monkeypatch.setattr(algebra, "generator_terms", _planted(_drop_flavor_n_from_e12))
+    for ctx, cutoff, spec in _gate_classify():
+        labels, sharded, orbits = _checks(ctx)
+        assert sharded and not orbits and not sectors._flavor_symmetric(ctx, labels)
+        profiles = _profiles(ctx, cutoff, spec)
+        assert _multiplicities_match_the_unsharded_kernels(ctx, profiles)
+        assert any(sectors._profile_multiplicity(ctx, profile, labels, True, True)
+                   != _unsharded_multiplicity(ctx, profile) for profile in profiles)
+        with pytest.raises(ValueError, match="head not weakly decreasing"):
+            classify_spectrum(ctx, cutoff, spec)
+
+
+def test_a_flavor_mixing_fault_refuses_the_shards(monkeypatch):
+    # E(1,2) gains a term that moves a particle between flavors: the charge
+    # is not kept, and kernels solved shard by shard would miscount
+    monkeypatch.setattr(algebra, "generator_terms", _planted(_mix_flavors_in_e12))
+    for ctx, cutoff, spec in _gate_classify():
+        labels, sharded, _ = _checks(ctx)
+        assert not sharded
+        profiles = _profiles(ctx, cutoff, spec)
+        assert _multiplicities_match_the_unsharded_kernels(ctx, profiles)
+        assert _classify_matches_the_unsharded_kernels(ctx, cutoff, spec)
+        assert any(sectors._profile_multiplicity(ctx, profile, labels, True, False)
+                   != _unsharded_multiplicity(ctx, profile) for profile in profiles)
+        assert all(_terms(hw_kernel_in_profile(ctx, profile)) == _terms(joint_kernel(
+            ctx, labels, [unit(ctx, m) for m in profile_monomials(ctx, profile)]))
+            for profile in profiles)
+
+
+def _union_path_ground_state(ctx, s):
+    """The real ground state projected onto the kernel of its whole
+    profile, every shard solved."""
+    v = vacuum(ctx)
+    for h in s.y_plus.column_heights():
+        modes = range(1, h + 1)
+        v = Operator(ctx, _slot_determinant(SPECIES_A, modes, modes)).apply(v)
+    proj = sectors._project_onto(hw_kernel_in_profile(ctx, sector_profile(ctx, s)), v)
+    return sectors._canonical_integer_scale(proj)
+
+
+def test_real_ground_state_from_its_own_shard_equals_the_union_path(hw_cases):
+    keys = [(c, s) for c, s in _hw_keys(hw_cases) if c.field_kind == REAL]
+    ctx, cutoff, spec = _gate_classify()[1]
+    gate = [(ctx, e["sector"]) for e in classify_spectrum(ctx, cutoff, spec)]
+    assert keys and gate
+    keys += gate
+    for ctx, s in keys:
+        got = sectors._ground_state.__wrapped__(ctx, s)
+        want = _union_path_ground_state(ctx, s)
+        assert list(got.items()) == list(want.items()), (ctx, str(s))
 
 
 # ---------------------------------------------------------------------------

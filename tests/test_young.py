@@ -544,7 +544,76 @@ def partitions_at_most(n, rows):
     return table[rows][n]
 
 
-def test_u_scan_splits_every_domain_label_and_maps_only_the_window(monkeypatch):
+def full_domain_totality_U(N, size_cap, seen):
+    """The failures of the U totality walk over its whole domain, the walk
+    before the width bound: every label with at most N rows and
+    |Y| <= (N + 1) size_cap, split at every k from size_cap down to 0
+    (k = 0 only at N = 0), and only a split in the window and the bound
+    mapped."""
+    failures = []
+    widths = range(size_cap, -1, -1) if N else (0,)
+    for rows in young._partitions(N * size_cap + size_cap, N):
+        cols = young._conjugate(rows)
+        for k in widths:
+            q = sum(rows) - N * k
+            try:
+                plus, minus = young._split_U(cols, q, N)
+            except ValueError:
+                continue
+            if (sum(plus) > size_cap or sum(minus) > size_cap
+                    or (plus[0] if plus else 0) + (minus[0] if minus else 0) > N):
+                continue
+            irr = GaugeIrrepU(YoungDiagram(rows), q)
+            try:
+                s = irrep_U_to_sector(irr, N)
+            except (ValueError, BoundViolation):
+                continue
+            if s.y_plus.size <= size_cap and s.y_minus.size <= size_cap:
+                found = seen.get(irr)
+                if found != s:
+                    failures.append({"kind": "missing" if found is None else "mismatch",
+                                     "label": irr.to_json()})
+    return failures
+
+
+def planted_seen(N, size_cap):
+    """The forward walk's labels with its first one dropped and its last
+    one keyed to the second's sector."""
+    seen = {sector_to_irrep_U(s): s for s in enumerate_sectors(COMPLEX, N, size_cap)}
+    labels = list(seen)
+    seen[labels[-1]] = seen[labels[1]]
+    del seen[labels[0]]
+    return seen
+
+
+@pytest.mark.parametrize("N, cap", [(4, 5), (3, 4), (2, 6), (5, 4), (6, 6)])
+def test_u_scan_bounded_by_the_width_reports_what_the_full_domain_walk_reports(N, cap):
+    for seen, kinds in (({}, {"missing"}), (planted_seen(N, cap), {"missing", "mismatch"})):
+        failures = []
+        young._totality_U(N, cap, seen, failures)
+        assert failures == full_domain_totality_U(N, cap, seen), (N, cap)
+        assert {f["kind"] for f in failures} == kinds
+
+
+def _keep_first_plus_column(cols, q, N):
+    plus, minus = _honest_split(cols, q, N)
+    return plus[:1], minus
+
+
+@pytest.mark.parametrize("split", [_drop_last_plus_column, _keep_first_plus_column])
+@pytest.mark.parametrize("N, cap", [(4, 5), (3, 4), (2, 6)])
+def test_a_split_that_breaks_the_width_bound_gets_the_full_domain_walk(monkeypatch, N, cap, split):
+    # a split rule that shrinks Y+ brings labels past the bound into the
+    # window; the walk sees the bound broken and walks every width
+    monkeypatch.setattr(young, "_split_U", split)
+    assert young._scan_U(N, cap, {}, bounded=True) is None
+    for seen in ({}, planted_seen(N, cap)):
+        failures = []
+        young._totality_U(N, cap, seen, failures)
+        assert failures == full_domain_totality_U(N, cap, seen), (N, cap)
+
+
+def test_u_scan_splits_near_the_window_and_maps_only_the_window(monkeypatch):
     N, cap = 4, 5
     calls = {"split": 0, "map": 0}
     honest_map = young.irrep_U_to_sector
@@ -563,9 +632,10 @@ def test_u_scan_splits_every_domain_label_and_maps_only_the_window(monkeypatch):
     assert report["ok"] and len(report["entries"]) == 196
     domain = (cap + 1) * sum(partitions_at_most(n, N) for n in range((N + 1) * cap + 1))
     assert domain == len(list(u_scan_domain(N, cap))) == 8862
-    # 196 forward maps, 196 labels in the window; each map splits once more
+    # 196 forward maps, 196 labels in the window; each map splits once more,
+    # and the walk splits 1,099 of the domain's 8,862 (label, k) pairs
     assert calls["map"] == 392
-    assert calls["split"] == domain + calls["map"]
+    assert calls["split"] == 1099 + calls["map"]
 
 
 @pytest.mark.parametrize("group", ["U", "O"])
