@@ -403,7 +403,8 @@ def commutator_counterexample(ctx: FockContext, a: ImageTable, b: ImageTable, c,
 
     (ab - ba - c) m is summed in place into one {id: coefficient}
     accumulator per monomial, with no ``add_scaled`` call per image; only
-    the returned monomial's sides are built as FockVectors."""
+    the returned monomial's two sides are summed, by ``add_scaled`` over
+    the same id images, and mapped to monomials once."""
     terms, scalar = ((), 0) if c is None else c
     _one_index([a, b, *(table for _, table in terms)])
     for m in basis:
@@ -427,20 +428,17 @@ def commutator_counterexample(ctx: FockContext, a: ImageTable, b: ImageTable, c,
             break
     else:
         return None
-    monomials = a.index.monomials
-
-    def image(table, i):
-        return {monomials[n]: x for n, x in table[i].items()}
-
     lhs, rhs = {}, {}
     for t, f in b[m].items():
-        add_scaled(lhs, image(a, t), f)
+        add_scaled(lhs, a[t], f)
     for t, f in a[m].items():
-        add_scaled(lhs, image(b, t), -f)
+        add_scaled(lhs, b[t], -f)
     for coeff, table in terms:
-        add_scaled(rhs, image(table, m), coeff)
-    add_scaled(rhs, {monomials[m]: 1}, scalar)
-    return monomials[m], FockVector(ctx, lhs), FockVector(ctx, rhs)
+        add_scaled(rhs, table[m], coeff)
+    add_scaled(rhs, {m: 1}, scalar)
+    monomials = a.index.monomials
+    return (monomials[m], FockVector(ctx, {monomials[n]: x for n, x in lhs.items()}),
+            FockVector(ctx, {monomials[n]: x for n, x in rhs.items()}))
 
 
 def generator_images(ctx: FockContext, shift: bool) -> dict:
@@ -604,24 +602,23 @@ def canonical_hamiltonian(ctx: FockContext, energies=None) -> HamiltonianSpec:
     return HamiltonianSpec(energies, (ctx.kind.n0(ctx.N),) * len(energies))
 
 
-def hamiltonian_constant(ctx: FockContext, spec: HamiltonianSpec) -> Rational:
-    """The c-number part, truncated to modes <= M: sum_i eps_i (n0 - g_i)
-    where n0 is the Cartan-sum vacuum eigenvalue (N complex, N/2 real)."""
-    n0 = ctx.kind.n0(ctx.N)
-    return rational(sum(spec.energies[i] * (n0 - spec.subtractions[i]) for i in range(ctx.M)))
-
-
 def monomial_energy(m: Monomial, spec: HamiltonianSpec) -> Rational:
     """The closed form of H without its c-number: the sum of slot energies."""
     return rational(sum(spec.energies[s.mode - 1] for s in m))
 
 
 def hamiltonian_terms(ctx: FockContext, spec: HamiltonianSpec) -> Operator:
-    """H = sum over slots of eps_mode a*a, plus the c-number; the spec is
-    validated first."""
+    """H = sum_i eps_i (sum over E kinds of E(i,i) - g_i), i <= M, summed
+    from the realized generators; the spec is validated first.  Its
+    c-number is sum_i eps_i (the generators' vacuum Cartan value - g_i),
+    so with the canonical g_i = n0 it vanishes only where the realization
+    and the closed form n0 agree."""
     spec.validate(ctx)
-    terms = [(spec.energies[s.mode - 1], (s,), (s,)) for s in ctx.slots()]
-    return Operator(ctx, terms + [(hamiltonian_constant(ctx, spec), (), ())])
+    modes = range(1, ctx.M + 1)
+    constant = -sum(spec.energies[i - 1] * spec.subtractions[i - 1] for i in modes)
+    return Operator(ctx, [(constant, (), ())]).plus(
+        (spec.energies[i - 1], generator_terms(ctx, GeneratorLabel(kind, i, i)))
+        for kind in ctx.kind.e_kinds for i in modes)
 
 
 def charge_terms(ctx: FockContext) -> Operator:

@@ -32,14 +32,6 @@ class ModeLabel(NamedTuple):
     ell: int
     mu: int
 
-    @property
-    def d0(self) -> Rational:
-        return quotient(self.D - 2, 2)
-
-    @property
-    def energy(self) -> Rational:
-        return self.ell + self.d0
-
 
 def _check_dimension(D: int):
     if D % 2 or D < 4:

@@ -418,18 +418,22 @@ def _orbit_size(charge: tuple) -> int:
 
 def verify_hw_conditions(ctx: FockContext, v: FockVector, expected: Weight) -> dict:
     """Exact check of the ground-state conditions against an expected weight
-    of the context's field kind (ContextViolation otherwise)."""
+    of the context's field kind (ContextViolation otherwise).  Every
+    condition is checked and counted; the first five that fail are listed,
+    in condition order, as verify's checks list theirs."""
     if expected.field_kind != ctx.field_kind:
         raise ContextViolation(f"a {expected.field_kind} weight checked in {ctx}")
     if v.is_zero():
         raise ValueError("cannot verify the zero vector")
     failures = []
-    checked = 0
+    checked = failed = 0
     for g in lowering_and_raising_labels(ctx):
         checked += 1
         img = apply_generator(ctx, g, v)
         if not img.is_zero():
-            failures.append({"condition": f"{g} v = 0", "got": repr(img)})
+            failed += 1
+            if failed <= 5:
+                failures.append({"condition": f"{g} v = 0", "got": repr(img)})
     for kind, species in ctx.kind.e_kinds.items():
         side = _SIDES[species]
         for i in range(1, ctx.M + 1):
@@ -438,8 +442,10 @@ def verify_hw_conditions(ctx: FockContext, v: FockVector, expected: Weight) -> d
             img = apply_generator(ctx, g, v)
             want = v * expected.component(i, side)
             if img != want:
-                failures.append({"condition": f"{g} v = h*v", "expected": repr(want), "got": repr(img)})
-    return {"ok": not failures, "conditions_checked": checked, "failures": failures}
+                failed += 1
+                if failed <= 5:
+                    failures.append({"condition": f"{g} v = h*v", "expected": repr(want), "got": repr(img)})
+    return {"ok": not failed, "conditions_checked": checked, "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +601,9 @@ def classify_spectrum(ctx: FockContext, energy_cutoff, spec: Optional[Hamiltonia
     by diagonal gauge charge (``_shards``), and counts the joint kernel of
     the ground-state conditions shard by shard, one shard per flavor
     orbit when ``_flavor_symmetric`` holds.  Both checks run once per call.
-    Returns (sector, weight, multiplicity, energy) entries.  A float
+    Returns (sector, weight, multiplicity, energy) entries.  Only the spec's
+    energies are read, so an entry's energy, and the cutoff, are H's
+    eigenvalue less its c-number (zero for the canonical spec).  A float
     cutoff or spec entry raises TypeError.
     """
     energy_cutoff = linalg.rational(energy_cutoff)

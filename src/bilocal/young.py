@@ -83,9 +83,6 @@ class YoungDiagram(OrderedRecord):
         y.__dict__["_columns"] = cols
         return y
 
-    def conjugate(self) -> "YoungDiagram":
-        return YoungDiagram(self.column_heights())
-
     def __str__(self):
         return "[" + ",".join(map(str, self.rows)) + "]"
 

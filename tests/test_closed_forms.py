@@ -151,7 +151,7 @@ def _walk_enumerate_modes(D, count):
     while len(out) < count:
         for mu in range(1, modes.harmonic_count(D, ell) + 1):
             label = ModeLabel(D, ell, mu)
-            out.append((label, label.energy))
+            out.append((label, ell + quotient(D - 2, 2)))
             if len(out) == count:
                 return out
         ell += 1

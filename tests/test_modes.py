@@ -46,7 +46,7 @@ def test_enumerate_modes_d4():
 
 def test_enumerate_modes_single_and_d6():
     (label, energy), = enumerate_modes(4, 1)
-    assert energy == 1 == label.d0
+    assert energy == 1 == (label.D - 2) // 2
     modes = enumerate_modes(6, 2)
     assert [e for _, e in modes] == [2, 3]
 

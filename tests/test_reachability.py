@@ -1,6 +1,6 @@
-"""Every top-level library name is reached: used by a command, by another
-library function or by ``bench/``, or named in the README's library-only
-list with its reason.
+"""Every top-level library name and every class member is reached: used
+by a command, by another library function or by ``bench/``, or named in
+the README's library-only list with its reason.
 
 A name counts as reached where a module of ``src/bilocal/`` (other than
 the one statement that defines it) or of ``bench/`` names it: as a name,
@@ -10,8 +10,15 @@ of a library module reaches only a name of its own module, as the
 ``cmd_*`` names of ``cli.COMMANDS`` do (an equal string in another module,
 such as fock's kind "E", is data, not a use); one in ``bench/`` reaches
 any name.  The export table of ``bilocal/__init__.py`` reaches nothing:
-exporting a name is not using it.  A listed name that is reached, or no
-longer defined, is a stale entry."""
+exporting a name is not using it.
+
+A method or property of a class (a dunder method is exempt) counts as
+reached where another statement of ``src/bilocal/`` or ``bench/`` names
+it as an attribute or a piece of a dotted string, where any string of
+``bench/`` holds it, or where a statement of its own class body outside
+a def names it (as ``_ZeroImage`` aliases ``_read_only``).  A bare name
+elsewhere is a variable, not a use of a member.  A listed name that is
+reached, or no longer defined, is a stale entry."""
 
 import ast
 import re
@@ -32,47 +39,85 @@ LIBRARY_ONLY = {
     "modes.oscillator_normalization", "modes.mode_ccr_coefficient",
     "modes.conformal_spectrum_check",
     # the word-by-word reference for sectors.adjoint_determinant_terms
-    "sectors.determinant_operator",
+    "sectors.determinant_operator", "algebra.OperatorExpr.dagger",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
 
 
 def _named(tree) -> tuple:
-    """The identifiers that a tree names, and its undotted string constants."""
-    names, strings = set(), set()
+    """The identifiers that a tree names as names or imports, those it names
+    as attributes or pieces of dotted string constants, and its undotted
+    string constants."""
+    names, attributes, strings = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.match(node.value):
-            (names if "." in node.value else strings).update(node.value.split("."))
-    return names, strings
+            (attributes if "." in node.value else strings).update(node.value.split("."))
+    return names, attributes, strings
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _members(node) -> list:
+    """The method and property defs of a top-level class, dunders exempt."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [stmt for stmt in node.body if isinstance(stmt, DEFS[:2])
+            and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+
+
+def _statements(node) -> list:
+    """A top-level statement in the parts whose uses count apart: a class is
+    split into its header and its body statements, so that a member's own
+    def does not reach it."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return [*node.bases, *node.keywords, *node.decorator_list, *node.body]
 
 
 def reached(src: Path, others) -> dict:
     """``module.name`` of every top-level def and class of the package
-    ``src``, in file and line order, with whether another statement of it
-    or a module in the directories ``others`` names it; an undotted string
-    of ``src`` counts only in its own module."""
-    defined, named, own = [], set(), set()
+    ``src``, each followed by ``module.Class.member`` of its members, in
+    file and line order, with whether it is reached (the module docstring's
+    rules) by another statement of ``src`` or a module in the directories
+    ``others``."""
+    defined, named, attributes, own = [], set(), set(), set()
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            names, strings = _named(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.stem, node.name))
-                names.discard(node.name)
-                strings.discard(node.name)
-            named |= names
-            own |= {(path.stem, s) for s in strings}
+            members = _members(node)
+            for stmt in _statements(node):
+                names, attrs, strings = _named(stmt)
+                if isinstance(node, DEFS):
+                    for found in (names, attrs, strings):
+                        found.discard(node.name)
+                if stmt in members:
+                    attrs.discard(stmt.name)
+                named |= names | attrs
+                attributes |= attrs
+                own |= {(path.stem, s) for s in strings}
+            if isinstance(node, DEFS):
+                defined.append((path.stem, node.name, node.name, None))
+            # a member is also reached by a name in its class body outside a def
+            class_body = [stmt for stmt in node.body if not isinstance(stmt, DEFS)] if members else []
+            body = set().union(*(_named(stmt)[0] for stmt in class_body))
+            defined += [(path.stem, f"{node.name}.{member.name}", member.name, member.name in body)
+                        for member in members]
     for path in sorted(p for d in others for p in d.glob("*.py")):
-        named |= set().union(*_named(ast.parse(path.read_text())))
-    return {f"{module}.{name}": name in named or (module, name) in own for module, name in defined}
+        names, attrs, strings = _named(ast.parse(path.read_text()))
+        named |= names | attrs | strings
+        attributes |= attrs | strings
+    return {f"{module}.{qualname}": (name in named or (module, name) in own) if in_body is None
+            else in_body or name in attributes
+            for module, qualname, name, in_body in defined}
 
 
 def stray_and_stale(names: dict, listed: set) -> tuple:
@@ -112,6 +157,14 @@ def test_reachability_guard_sees_planted_sites(tmp_path):
         "def exported(): pass\n"
         "def recursive(n): return recursive(n - 1)\n"
         "class Alone:\n    def method(self): return Alone()\n"
+        "class Reader:\n"
+        "    def read(self): pass\n"
+        "    def unread(self): return self.unread()\n"
+        "    def named_only(self): pass\n"
+        "    @property\n    def by_bench_string_member(self): pass\n"
+        "    def aliased(self): pass\n"
+        "    alias = aliased\n"
+        "    def __repr__(self): return ''\n"
         "def called(): pass\n"
         "def caller(): return called()\n"
         "def attribute(): pass\n"
@@ -121,12 +174,15 @@ def test_reachability_guard_sees_planted_sites(tmp_path):
         "def by_bench_string(): pass\n"
         "def by_foreign_string(): pass\n"
         "TABLE = {'x': 'by_string'}\n")
-    (src / "n.py").write_text("KINDS = ('by_foreign_string',)\n")
+    (src / "n.py").write_text("KINDS = ('by_foreign_string',)\nREAD = Reader().read()\nnamed_only = 1\n")
     (bench / "job.py").write_text(
         "from pkg import m\nfrom pkg.m import imported\n"
-        "m.attribute()\nTARGETS = ['m.by_dotted_string', 'by_bench_string']\n")
+        "m.attribute()\nTARGETS = ['m.by_dotted_string', 'by_bench_string', 'by_bench_string_member']\n")
     names = reached(src, [bench])
     assert [name for name, hit in names.items() if not hit] == [
-        "m.exported", "m.recursive", "m.Alone", "m.caller", "m.by_foreign_string"]
-    listed = {"m.exported", "m.recursive", "m.Alone", "m.by_foreign_string", "m.called", "m.gone"}
-    assert stray_and_stale(names, listed) == (["m.caller"], ["m.called", "m.gone"])
+        "m.exported", "m.recursive", "m.Alone", "m.Alone.method", "m.Reader.unread", "m.Reader.named_only",
+        "m.caller", "m.by_foreign_string"]
+    listed = {"m.exported", "m.recursive", "m.Alone", "m.Alone.method", "m.Reader.unread", "m.by_foreign_string",
+              "m.called", "m.gone", "m.Reader.read", "m.Reader.gone"}
+    assert stray_and_stale(names, listed) == (
+        ["m.Reader.named_only", "m.caller"], ["m.Reader.gone", "m.Reader.read", "m.called", "m.gone"])

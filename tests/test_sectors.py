@@ -179,6 +179,21 @@ def test_traceful_pair_fails_hw():
     assert any("X(1,1)" in f["condition"] for f in report["failures"])
 
 
+def test_hw_failures_are_listed_up_to_five():
+    # a weight one off in every entry fails all 2M = 6 Cartan conditions of
+    # a complex ground state at M = 3; every condition is still checked
+    s = complex_sector(diagram(1), diagram(1), 2)
+    ctx = _ground_context(s, min_modes=3)
+    assert ctx.M == 3
+    w = weight_from_sector(s)
+    wrong = Weight(COMPLEX, tuple(x + 1 for x in w.head_plus), tuple(x + 1 for x in w.head_minus), w.tail + 1)
+    report = verify_hw_conditions(ctx, build_ground_state(ctx, s), wrong)
+    assert not report["ok"]
+    assert report["conditions_checked"] == len(lowering_and_raising_labels(ctx)) + 6
+    assert [f["condition"] for f in report["failures"]] == [
+        f"{g} v = h*v" for g in ("Eplus(1,1)", "Eplus(2,2)", "Eplus(3,3)", "Eminus(1,1)", "Eminus(2,2)")]
+
+
 @pytest.mark.parametrize("kind, other", [(COMPLEX, REAL), (REAL, COMPLEX)])
 def test_hw_conditions_refuse_a_weight_of_the_other_kind(kind, other):
     """On the vacuum the other kind's vacuum weight meets every condition

@@ -34,7 +34,7 @@ def test_diagram_validation():
     with pytest.raises(ValueError):
         YoungDiagram((2, 0))
     assert diagram(3, 1).column_heights() == (2, 1, 1)
-    assert diagram(3, 1).conjugate() == diagram(2, 1, 1)
+    assert YoungDiagram(diagram(3, 1).column_heights()) == diagram(2, 1, 1)
     assert YoungDiagram.from_columns((2, 1, 1)) == diagram(3, 1)
 
 
